@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -141,7 +142,8 @@ def _base_homotopy(cfg: dict, space):
 
 
 # ---------------------------------------------------------------------------
-# experiment runners: each returns (passed, results dict, artifact names)
+# experiment runners: each returns (passed, results dict, path), where the
+# path names the route the computation took; it is logged, never reported
 
 
 def run_verify_mean(cfg: dict, outdir: Path):
@@ -171,7 +173,7 @@ def run_verify_mean(cfg: dict, outdir: Path):
             raise ConfigError(f"unknown law {law!r}")
         results["laws"][law] = report.to_json()
         passed = passed and report.passed
-    return passed, results
+    return passed, results, f"{len(laws)} laws on {count} samples"
 
 
 def run_estimate_lambda(cfg: dict, outdir: Path):
@@ -195,7 +197,7 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
         lo, hi = cfg["expect_lambda"]
         results["expected_range"] = [lo, hi]
         passed = lo <= estimate.lambda_hat <= hi
-    return passed, results
+    return passed, results, f"{estimate.method}, {estimate.samples} samples"
 
 
 def run_chain(cfg: dict, outdir: Path):
@@ -212,7 +214,8 @@ def run_chain(cfg: dict, outdir: Path):
         "valid": ok,
         "violations": violations,
     }
-    return ok, results
+    chain_len = len(decomposition.s_chain) + len(decomposition.t_chain)
+    return ok, results, f"exact chains, {chain_len} points"
 
 
 def _builder_from(cfg: dict, experiment: str) -> tuple:
@@ -262,7 +265,7 @@ def run_build_homotopy(cfg: dict, outdir: Path):
         "alpha": builder.alpha,
         **artifacts,
     }
-    return True, results
+    return True, results, f"at_time, {times} times"
 
 
 def run_verify_claim1(cfg: dict, outdir: Path):
@@ -270,7 +273,8 @@ def run_verify_claim1(cfg: dict, outdir: Path):
     x = _start_point(cfg, space)
     depth = cfg.get("depth", 12)
     report = verify_claim1(builder, x, depth)
-    return report.passed, {"mean": mean.label, "depth": depth, "report": report.to_json()}
+    results = {"mean": mean.label, "depth": depth, "report": report.to_json()}
+    return report.passed, results, f"level arrays 0..{depth}, {report.pairs_checked} pairs"
 
 
 def run_verify_holder(cfg: dict, outdir: Path):
@@ -279,7 +283,8 @@ def run_verify_holder(cfg: dict, outdir: Path):
     depth = cfg.get("depth", 12)
     pairs = cfg.get("pairs", 10000)
     report = verify_holder(builder, x, pairs, depth, cfg.get("seed", 1))
-    return report.passed, {"mean": mean.label, "depth": depth, "report": report.to_json()}
+    results = {"mean": mean.label, "depth": depth, "report": report.to_json()}
+    return report.passed, results, f"level array {depth}, {report.pairs_checked} pairs"
 
 
 def run_symmetrize(cfg: dict, outdir: Path):
@@ -296,7 +301,8 @@ def run_symmetrize(cfg: dict, outdir: Path):
         seed=cfg.get("seed", 1),
         samples=cfg.get("samples", 32),
     )
-    return True, {"mean": mean.label, "action": action.name, "report": gh.report}
+    results = {"mean": mean.label, "action": action.name, "report": gh.report}
+    return True, results, f"{action.group.order} translates per point"
 
 
 def run_deform_fixed(cfg: dict, outdir: Path):
@@ -321,12 +327,13 @@ def run_deform_fixed(cfg: dict, outdir: Path):
         seed=cfg.get("seed", 1),
         samples=cfg.get("samples", 64),
     )
-    return True, {
+    results = {
         "mean": mean.label,
         "action": action.name,
         "subgroup": list(H.members),
         "report": gh.report,
     }
+    return True, results, f"subgroup of order {H.order}"
 
 
 def run_solomonic_search(cfg: dict, outdir: Path):
@@ -338,7 +345,8 @@ def run_solomonic_search(cfg: dict, outdir: Path):
         budget=cfg.get("budget", 20000),
         seed_or_rng=cfg.get("seed", 1),
     )
-    return True, {"mean": mean.label, "search": result.to_json()}
+    results = {"mean": mean.label, "search": result.to_json()}
+    return True, results, f"random+hill, {result.evaluations} evaluations"
 
 
 RUNNERS = {
@@ -424,7 +432,9 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        passed, results = RUNNERS[args.command](cfg, outdir)
+        start = time.perf_counter()
+        passed, results, path = RUNNERS[args.command](cfg, outdir)
+        log.debug("%s: %.3f s, %s", args.command, time.perf_counter() - start, path)
         report = {
             "experiment": args.command,
             "config": cfg,

@@ -164,13 +164,15 @@ def _chains(s: Dyadic, t: Dyadic) -> tuple[list, list]:
         s1 = s.step_up()
         if s1 == t:
             return [s, t], [t]
-        assert grid_steps(s1, t) < steps
+        if grid_steps(s1, t) >= steps:
+            raise RuntimeError(f"chain step from {s} to {s1} does not approach {t}")
         ss, ts = _chains(s1, t)
         return [s] + ss, ts
     t1 = t.step_down()
     if t1 == s:
         return [s], [t, s]
-    assert grid_steps(s, t1) < steps
+    if grid_steps(s, t1) >= steps:
+        raise RuntimeError(f"chain step from {t} to {t1} does not approach {s}")
     ss, ts = _chains(s, t1)
     return ss, [t] + ts
 

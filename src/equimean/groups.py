@@ -98,6 +98,10 @@ class Subgroup:
     def __post_init__(self):
         mem = tuple(sorted(set(self.members)))
         object.__setattr__(self, "members", mem)
+        m = self.parent.order
+        for a in mem:
+            if not 0 <= a < m:
+                raise GroupConstructionError(f"subgroup element id {a} outside 0..{m - 1}")
         if 0 not in mem:
             raise GroupConstructionError("subgroup must contain the identity")
         memset = set(mem)
@@ -107,7 +111,10 @@ class Subgroup:
             for b in mem:
                 if self.parent.mul(a, b) not in memset:
                     raise GroupConstructionError(f"subgroup not closed at ({a}, {b})")
-        assert self.parent.order % len(mem) == 0, "Lagrange violated"
+        if m % len(mem) != 0:
+            raise GroupConstructionError(
+                f"subgroup order {len(mem)} does not divide the group order {m}"
+            )
 
     @property
     def order(self) -> int:

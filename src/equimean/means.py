@@ -227,6 +227,10 @@ def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float
     diam = _diameter(p.space, tup)
     if diam <= 0.0:
         return None
+    return _ratio(p, tup, diam)
+
+
+def _ratio(p: QuasiMeanMap, tup: Sequence[Point], diam: float) -> float:
     out = p.eval(list(tup))
     return max(p.space.d(x, out) for x in tup) / diam
 
@@ -393,8 +397,8 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     extent = _space_extent(p.space)
 
     def objective(tup):
-        ratio = contractivity_ratio(p, tup)
-        return -math.inf if ratio is None or _diameter(p.space, tup) <= excluded else ratio
+        diam = _diameter(p.space, tup)
+        return _ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
 
     best_val, best_tup, evals = -math.inf, None, 0
     for _ in range(max(1, cfg.restarts)):

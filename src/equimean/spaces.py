@@ -61,6 +61,16 @@ class MetricSpace:
         """Metric distance; membership of the arguments is not checked."""
         raise NotImplementedError
 
+    def d_batch(self, A, B):
+        """Row-wise distances between two (m, dim) float64 arrays, equal
+        bit for bit to ``d`` on each pair of rows. This form loops over
+        ``d``: array forms of the Euclidean and arc metrics round
+        differently from the scalar ones."""
+        import numpy as np
+
+        pairs = zip(map(tuple, A.tolist()), map(tuple, B.tolist()))
+        return np.fromiter((self.d(a, b) for a, b in pairs), dtype=np.float64, count=len(A))
+
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
@@ -107,6 +117,9 @@ class Interval(MetricSpace):
 
     def d(self, a: Point, b: Point) -> float:
         return abs(a[0] - b[0])
+
+    def d_batch(self, A, B):
+        return abs(A[:, 0] - B[:, 0])
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == 1 and self.a - tol <= p[0] <= self.b + tol

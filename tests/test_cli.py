@@ -1,4 +1,5 @@
 import json
+import logging
 from pathlib import Path
 
 from equimean.cli import main
@@ -247,6 +248,41 @@ def test_verify_holder_cli(tmp_path):
     assert read_report(outdir)["results"]["report"]["violations"] == 0
 
 
+def test_verify_holder_depth_cap_exits_2(tmp_path, capsys):
+    cfg = {
+        "space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+        "mean": "geometric",
+        "lambda": 0.5857864376269049,
+        "theta": [2.0],
+        "x": [1.0],
+        "depth": 21,
+        "pairs": 10,
+    }
+    code, outdir = run(tmp_path, "verify-holder", cfg)
+    assert code == 2
+    assert "level sweep" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
+def test_debug_log_names_the_path_and_stays_out_of_the_report(tmp_path, caplog):
+    cfg = {
+        "space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+        "mean": "geometric",
+        "lambda": 0.5857864376269049,
+        "theta": [2.0],
+        "x": [1.0],
+        "depth": 5,
+    }
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        code, outdir = run(tmp_path, "verify-claim1", cfg)
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
+    assert len(lines) == 1
+    assert lines[0].startswith("verify-claim1: ")
+    assert lines[0].endswith(" s, level arrays 0..5, 63 pairs")
+    assert "level arrays" not in (outdir / "report.json").read_text()
+
+
 def test_symmetrize_cli(tmp_path):
     cfg = {
         "space": SYM_INTERVAL,
@@ -285,6 +321,20 @@ def test_deform_fixed_cli(tmp_path):
     assert code == 0
     report = read_report(outdir)
     assert report["results"]["report"]["end_slice_fixed_defect"] <= 1e-12
+
+
+def test_deform_fixed_rejects_subgroup_id_outside_group(tmp_path, capsys):
+    cfg = {
+        "space": SYM_BOX,
+        "action": {"name": "reflection", "axis": 1},
+        "mean": "arithmetic:2",
+        "subgroup": [0, 7],
+    }
+    code, _ = run(tmp_path, "deform-fixed", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "subgroup element id 7 outside 0..1" in err
+    assert "unexpected error" not in err
 
 
 def test_solomonic_search_cli(tmp_path):

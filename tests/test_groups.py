@@ -119,6 +119,13 @@ def test_subgroup_validation():
     assert full_subgroup(z4).order == 4
 
 
+@pytest.mark.parametrize("members", [(0, 7), (0, 4), (0, -1)])
+def test_subgroup_rejects_ids_outside_the_group(members):
+    bad = members[1]
+    with pytest.raises(GroupConstructionError, match=f"id {bad} outside 0..3"):
+        Subgroup(cyclic(4), members)
+
+
 def test_enumerate_subgroups_capacity():
     with pytest.raises(CapacityError):
         enumerate_subgroups(cyclic(65))

@@ -13,7 +13,10 @@ from equimean.groups import (
     trivial_subgroup,
 )
 from equimean.homotopy import (
+    LEVEL_SWEEP_CAP,
     ContractionBuilder,
+    HolderReport,
+    LevelBoundReport,
     equivariant_contraction,
     fixed_set_deformation,
     straight_line_extension,
@@ -24,10 +27,12 @@ from equimean.homotopy import (
 from equimean.means import (
     QuasiMeanMap,
     arithmetic_mean,
+    constant_mean,
     dictator_mean,
     geometric_mean,
+    min_plus_halfsquare_mean,
 )
-from equimean.rng import Xoshiro256StarStar
+from equimean.rng import Xoshiro256StarStar, as_rng
 from equimean.spaces import Box, Circle, Interval
 
 UNIT = Interval(0.0, 1.0)
@@ -42,6 +47,84 @@ def geometric_builder(**kw) -> ContractionBuilder:
 
 def arithmetic_builder(space=UNIT, theta=(0.0,), **kw) -> ContractionBuilder:
     return ContractionBuilder(space, arithmetic_mean(space, 2), 0.5, theta, **kw)
+
+
+def minsq_builder() -> ContractionBuilder:
+    # minsq has no contractivity constant below 1; the path is still defined
+    return ContractionBuilder(UNIT, min_plus_halfsquare_mean(UNIT), 0.99, (0.0,),
+                              validate=False)
+
+
+def lopsided_builder() -> ContractionBuilder:
+    # a map without a batch hook: level arrays fall back to p.eval per row
+    def lopsided(pts):
+        (x,), (y,) = pts
+        return (0.75 * x + 0.25 * y,)
+
+    p = QuasiMeanMap(2, UNIT, lopsided, "weighted")
+    return ContractionBuilder(UNIT, p, 0.75, (0.0,), validate=False)
+
+
+def constant_builder() -> ContractionBuilder:
+    # every odd node is 1/2, so the first and last steps of each level tie
+    return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,),
+                              validate=False)
+
+
+BOX2 = Box([-1.0, -1.0], [1.0, 1.0])
+# (builder factory, start point): interval and box spaces, batch and eval
+# midpoints, tied worst steps, and a start point equal to the basepoint
+SWEEP_CASES = {
+    "geometric": (geometric_builder, (1.0,)),
+    "geometric-interior": (geometric_builder, (1.37,)),
+    "minsq": (minsq_builder, (0.9,)),
+    "arithmetic-box": (lambda: arithmetic_builder(BOX2, (0.25, -0.5)), (-1.0, 0.75)),
+    "x-equals-theta": (geometric_builder, (2.0,)),
+    "eval-fallback": (lopsided_builder, (1.0,)),
+    "tied-steps": (constant_builder, (1.0,)),
+}
+
+
+def claim1_reference(builder, x, depth):
+    """The recursive sweep: every adjacent pair through at_dyadic."""
+    dx = builder.space.d(x, builder.theta)
+    worst, wl, wi, checked = 0.0, -1, -1, 0
+    for n in range(depth + 1):
+        bound = (builder.lam ** n) * dx
+        for j in range(1 << n):
+            step = builder.space.d(builder.at_dyadic(x, Dyadic(j, n)),
+                                   builder.at_dyadic(x, Dyadic(j + 1, n)))
+            checked += 1
+            ratio = step / bound if bound > 0.0 else (0.0 if step == 0.0 else math.inf)
+            if ratio > worst:
+                worst, wl, wi = ratio, n, j
+    return LevelBoundReport(worst, wl, wi, checked, builder.lam, dx)
+
+
+def holder_reference(builder, x, pairs, depth, seed):
+    """The recursive Holder sampler: both times through at_dyadic."""
+    rng = as_rng(seed)
+
+    def draw():
+        level = rng.randrange(depth + 1)
+        return Dyadic(rng.randrange((1 << level) + 1), level)
+
+    C = builder.holder_constant(x)
+    worst, wpair, violations = 0.0, None, 0
+    for _ in range(pairs):
+        s = draw()
+        t = draw()
+        dist = builder.space.d(builder.at_dyadic(x, s), builder.at_dyadic(x, t))
+        if s == t:
+            ratio = 0.0 if dist == 0.0 else math.inf
+        else:
+            bound = C * abs(s.value - t.value) ** builder.alpha
+            ratio = dist / bound if bound > 0.0 else (0.0 if dist == 0.0 else math.inf)
+        if ratio > 1.0 + 1e-9:
+            violations += 1
+        if ratio > worst:
+            worst, wpair = ratio, (s, t)
+    return HolderReport(worst, wpair, pairs, C, builder.alpha, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +167,27 @@ def test_arithmetic_path_matches_straight_line():
             d = Dyadic(j, n)
             got = b.at_dyadic(x, d)[0]
             assert abs(got - (1.0 - d.value)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_level_arrays_equal_at_dyadic_at_every_node(case):
+    make, x = SWEEP_CASES[case]
+    b = make()
+    levels = list(b.level_arrays(x, 10))
+    assert len(levels) == 11
+    for n, level in enumerate(levels):
+        assert level.shape == ((1 << n) + 1, len(x))
+        for j, row in enumerate(level.tolist()):
+            assert tuple(row) == b.at_dyadic(x, Dyadic(j, n)), (n, j)
+
+
+def test_level_arrays_reject_bad_batch_shape():
+    space = Interval(1.0, 2.0)
+    p = geometric_mean(space)
+    flat = QuasiMeanMap(2, space, p.eval, "flat", batch=lambda arrays: p.batch(arrays)[:, 0])
+    b = ContractionBuilder(space, flat, GEO_LAMBDA, (2.0,), validate=False)
+    with pytest.raises(ValueError, match="shape"):
+        list(b.level_arrays((1.0,), 3))
 
 
 def test_memoized_and_fresh_agree_bit_for_bit():
@@ -152,7 +256,25 @@ def test_verify_claim1_at_basepoint():
 
 def test_verify_claim1_depth_cap():
     with pytest.raises(CapacityError):
-        verify_claim1(arithmetic_builder(), (1.0,), 21)
+        verify_claim1(arithmetic_builder(), (1.0,), LEVEL_SWEEP_CAP + 1)
+
+
+def test_verify_holder_depth_cap_before_sampling():
+    rng = Xoshiro256StarStar(53)
+    with pytest.raises(CapacityError):
+        verify_holder(arithmetic_builder(), (1.0,), 10, LEVEL_SWEEP_CAP + 1, seed_or_rng=rng)
+    assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3, 10])
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweeps_equal_recursive_reference(case, depth):
+    make, x = SWEEP_CASES[case]
+    b = make()
+    assert verify_claim1(b, x, depth).to_json() == claim1_reference(b, x, depth).to_json()
+    for seed in (1, 45, 2 ** 40 + 3):
+        got = verify_holder(b, x, 400, depth, seed_or_rng=seed)
+        assert got.to_json() == holder_reference(b, x, 400, depth, seed).to_json()
 
 
 def test_verify_holder_geometric():

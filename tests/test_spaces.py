@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +65,18 @@ def test_metric_axioms_on_samples(space):
         assert abs(space.d(x, y) - space.d(y, x)) <= 1e-12
         assert space.d(x, z) <= space.d(x, y) + space.d(y, z) + 1e-12
         assert space.d(x, y) >= 0.0
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: repr(s))
+def test_d_batch_matches_d_bit_for_bit(space):
+    a = space.sample(103, 300)
+    b = space.sample(104, 299) + [a[-1]]  # the last pair coincides
+    got = space.d_batch(np.array(a), np.array(b))
+    want = np.array([space.d(p, q) for p, q in zip(a, b)])
+    assert got.dtype == np.float64 and got.shape == (300,)
+    assert got.tobytes() == want.tobytes()
+    empty = np.empty((0, space.dim))
+    assert space.d_batch(empty, empty).shape == (0,)
 
 
 @pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: repr(s))
