@@ -1,7 +1,9 @@
 """Grid-scan kernel with a compiled core and a numpy fallback.
 
 The compiled extension is preferred when the build produced it; otherwise
-the numpy lane is selected at import. ``IMPLEMENTATION`` names the active
+the numpy lane is selected at import. The compiled lane scores every
+ordered grid pair; the numpy lane scores each unordered pair once and
+returns the same result bit for bit. ``IMPLEMENTATION`` names the active
 lane and both lanes are exposed for the comparison benchmark and tests.
 """
 
@@ -27,7 +29,9 @@ KERNEL_CODES = {
 def grid_scan_interval(kernel: str, param: float, a: float, b: float,
                        step: float, excluded: float):
     """Max contractivity ratio of a built-in binary mean over the square
-    grid on [a, b]; returns (max_ratio, argmax_x, argmax_y, pairs)."""
+    grid on [a, b]; returns (max_ratio, argmax_x, argmax_y, pairs), where
+    pairs counts ordered pairs and the argmax is the first maximum in
+    row-major order."""
     code = KERNEL_CODES[kernel]
     impl = _compiled if _compiled is not None else fallback
     return impl.grid_scan(code, param, a, b, step, excluded)

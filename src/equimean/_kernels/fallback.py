@@ -1,8 +1,10 @@
-"""Vectorized numpy fallback for the contractivity-ratio grid scan.
+"""Vectorized numpy lane for the contractivity-ratio grid scan.
 
-Mirrors ``_gridscan.pyx`` operation for operation (same grid points, same
-elementwise IEEE arithmetic, same first-maximum tie-breaking in row-major
-order), so both lanes return bit-identical results.
+``_gridscan.pyx`` scores every ordered grid pair. This lane scores each
+unordered pair once, over the upper triangle j > i, in row blocks small
+enough to stay in cache. Every kernel's ratio matrix is symmetric in IEEE
+arithmetic, so both lanes return bit-identical results (the argument is
+spelled out in ``grid_scan``).
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ import math
 
 import numpy as np
 
-# rows are chunked so a block stays ~tens of MB even for 10^4-point grids
-_BLOCK_CELLS = 4_000_000
+# cells per row block: the block's few float64 temporaries (128 KB each)
+# stay in a per-core cache instead of streaming through memory
+_BLOCK_CELLS = 16_384
 
 
 def _mean_values(kind: int, param: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -33,28 +36,50 @@ def _mean_values(kind: int, param: float, X: np.ndarray, Y: np.ndarray) -> np.nd
 
 def grid_scan(kind: int, param: float, a: float, b: float, step: float,
               excluded: float):
-    """Return (max_ratio, argmax_x, argmax_y, evaluated_pairs)."""
+    """Return (max_ratio, argmax_x, argmax_y, evaluated_pairs).
+
+    The result is that of the full-square scan over ordered pairs with gap
+    above ``excluded`` (which must be >= 0): the pair count is ordered, and
+    the argmax is the first maximum in row-major order.
+    """
+    # Invariant: ratio(i, j) == ratio(j, i) bit for bit, for every kernel.
+    # +, *, sqrt(x*y) and min commute; (x-y)*(x-y) == (y-x)*(y-x) and
+    # |x-y| == |y-x| because IEEE negation is exact; the dictators give
+    # exactly 1.0 both ways. The diagonal is never live (gap 0 <= excluded).
+    # Hence a maximum at (i, j) with i > j has its mirror (j, i) earlier in
+    # row-major order, so the full square's first maximum lies at some
+    # i < j, and it is the first maximum of the upper triangle read in
+    # row-major order. Each live unordered pair stands for two ordered ones.
+    if not excluded >= 0.0:
+        raise ValueError(f"excluded radius must be >= 0, got {excluded!r}")
     m = int(math.floor((b - a) / step + 1e-9)) + 1
     xs = a + np.arange(m, dtype=np.float64) * step
     best = -1.0
     bi = bj = -1
     count = 0
-    rows = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, m, rows):
-        X = xs[lo : lo + rows, None]
-        Y = xs[None, :]
-        D = np.abs(X - Y)
-        P = _mean_values(kind, param, X, Y)
-        R = np.maximum(np.abs(X - P), np.abs(Y - P))
-        live = D > excluded
-        count += int(live.sum())
-        ratios = np.where(live, R / np.where(live, D, 1.0), -np.inf)
-        k = int(np.argmax(ratios))
-        val = float(ratios.flat[k])
-        if val > best:
-            best = val
-            bi = lo + k // m
-            bj = k % m
+    lo = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo < m - 1:
+            width = m - 1 - lo  # columns lo+1 .. m-1
+            hi = min(m - 1, lo + max(1, _BLOCK_CELLS // width))
+            X = xs[lo:hi, None]
+            Y = xs[None, lo + 1:]
+            # xs is nondecreasing, so Y - X equals |x - y| where j > i and is
+            # <= 0, hence never live, on the block's cells with j <= i
+            D = Y - X
+            P = _mean_values(kind, param, X, Y)
+            R = np.maximum(np.abs(X - P), np.abs(Y - P))
+            dead = D <= excluded
+            count += dead.size - int(np.count_nonzero(dead))
+            R /= D
+            np.copyto(R, -np.inf, where=dead)
+            k = int(np.argmax(R))
+            val = float(R.flat[k])
+            if val > best:
+                best = val
+                bi = lo + k // width
+                bj = lo + 1 + k % width
+            lo = hi
     if bi < 0:
         return -1.0, 0.0, 0.0, 0
-    return best, float(xs[bi]), float(xs[bj]), count
+    return best, float(xs[bi]), float(xs[bj]), 2 * count

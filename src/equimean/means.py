@@ -26,13 +26,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import _kernels
-from .errors import HypothesisError, SamplingError
+from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, full_subgroup, is_fixed_by
 from .rng import Xoshiro256StarStar, as_rng
 from .spaces import Box, Interval, MetricSpace, Point, Product, as_point, is_convex
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
+# ordered pairs a dense lambda grid may hold: step 1e-4 on [0, 1] is about
+# 10^8 pairs, and the cap keeps the scan to seconds on the numpy lane
+GRID_PAIRS_CAP = 10**9
 
 
 @dataclass
@@ -298,8 +301,22 @@ def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> Lamb
     return _estimate_random(p, cfg)
 
 
+def _grid_points(a: float, b: float, step: float) -> int:
+    """Number of grid points a + k*step on [a, b]; raises CapacityError
+    when their ordered pairs exceed GRID_PAIRS_CAP."""
+    span = (b - a) / step + 1e-9
+    m = int(math.floor(span)) + 1 if math.isfinite(span) else math.inf
+    if m * (m - 1) > GRID_PAIRS_CAP:
+        raise CapacityError(
+            f"grid step {step!r} on [{a!r}, {b!r}] gives {m} points, whose "
+            f"{m * (m - 1)} ordered pairs exceed the cap {GRID_PAIRS_CAP}"
+        )
+    return m
+
+
 def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     a, b = p.space.a, p.space.b
+    m = _grid_points(a, b, cfg.grid_step)
     if p.kernel is not None:
         name, param = p.kernel
         lam, x, y, count = _kernels.grid_scan_interval(
@@ -307,20 +324,19 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
         )
         method = f"grid/{_kernels.IMPLEMENTATION}"
     elif p.batch is not None:
-        lam, x, y, count = _grid_scan_batch(p, a, b, cfg.grid_step, cfg.excluded_diameter)
+        lam, x, y, count = _grid_scan_batch(p, a, cfg.grid_step, m, cfg.excluded_diameter)
         method = "grid/batch"
     else:
-        lam, x, y, count = _grid_scan_scalar(p, a, b, cfg.grid_step, cfg.excluded_diameter)
+        lam, x, y, count = _grid_scan_scalar(p, a, cfg.grid_step, m, cfg.excluded_diameter)
         method = "grid/scalar"
     if count == 0:
         raise SamplingError("every grid tuple fell inside the excluded diagonal radius")
     return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, method)
 
 
-def _grid_scan_batch(p: QuasiMeanMap, a: float, b: float, step: float, excluded: float):
+def _grid_scan_batch(p: QuasiMeanMap, a: float, step: float, m: int, excluded: float):
     import numpy as np
 
-    m = int(math.floor((b - a) / step + 1e-9)) + 1
     xs = a + np.arange(m, dtype=np.float64) * step
     best, bi, bj, count = -1.0, -1, -1, 0
     rows = max(1, 4_000_000 // m)
@@ -344,8 +360,7 @@ def _grid_scan_batch(p: QuasiMeanMap, a: float, b: float, step: float, excluded:
     return best, float(xs[bi]), float(xs[bj]), count
 
 
-def _grid_scan_scalar(p: QuasiMeanMap, a: float, b: float, step: float, excluded: float):
-    m = int(math.floor((b - a) / step + 1e-9)) + 1
+def _grid_scan_scalar(p: QuasiMeanMap, a: float, step: float, m: int, excluded: float):
     best, bx, by, count = -1.0, 0.0, 0.0, 0
     d = p.space.d
     for i in range(m):

@@ -27,10 +27,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     return state, z ^ (z >> 31)
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK
-
-
 class Xoshiro256StarStar:
     """xoshiro256** with splitmix64 seeding."""
 
@@ -45,16 +41,22 @@ class Xoshiro256StarStar:
         self._s = s
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK, 7) * 9) & _MASK
+        s = self._s
+        s0, s1, s2, s3 = s
+        # rotl(x, k) = ((x << k) | (x >> (64 - k))) & _MASK, written inline
+        # because this is the hot path of every sampler
+        r = (s1 * 5) & _MASK
+        result = ((((r << 7) | (r >> 57)) & _MASK) * 9) & _MASK
         t = (s1 << 17) & _MASK
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        s[0] = s0
+        s[1] = s1
+        s[2] = s2
+        s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK
         return result
 
     def random(self) -> float:

@@ -49,6 +49,16 @@ def test_estimate_lambda_expectation_failure(tmp_path):
     assert read_report(outdir)["passed"] is False
 
 
+def test_estimate_lambda_grid_over_pairs_cap_exits_2(tmp_path, capsys):
+    # 10^6 + 1 points, about 10^12 ordered pairs: refused before the scan
+    cfg = {"space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+           "mean": "geometric", "grid_step": 1e-6}
+    code, outdir = run(tmp_path, "estimate-lambda", cfg)
+    assert code == 2
+    assert "exceed the cap 1000000000" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
 def test_chain_positional(tmp_path):
     outdir = tmp_path / "out"
     code = main(["chain", "1/8", "3/4", "--out", str(outdir)])

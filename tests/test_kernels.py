@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from equimean import _kernels
@@ -15,6 +16,80 @@ CASES = [
     ("dict1", 0.0, -1.0, 1.0, 2e-2),
     ("const", 0.25, 0.0, 1.0, 1e-2),
 ]
+
+
+# the plain full-square scan the upper-triangle numpy lane must reproduce:
+# every ordered pair, the pyx formulas, first maximum in row-major order
+REFERENCE_MEANS = {
+    0: lambda X, Y, c: (X + Y) * 0.5,
+    1: lambda X, Y, c: np.sqrt(X * Y),
+    2: lambda X, Y, c: np.minimum(X, Y) + (X - Y) * (X - Y) * 0.5,
+    3: lambda X, Y, c: X,
+    4: lambda X, Y, c: Y,
+    5: lambda X, Y, c: np.full(X.shape, c),
+}
+
+
+def full_square_scan(kind, param, a, b, step, excluded):
+    m = int(math.floor((b - a) / step + 1e-9)) + 1
+    xs = a + np.arange(m, dtype=np.float64) * step
+    X, Y = np.broadcast_arrays(xs[:, None], xs[None, :])
+    P = REFERENCE_MEANS[kind](X, Y, param)
+    D = np.abs(X - Y)
+    live = D > excluded
+    if not live.any():
+        return -1.0, 0.0, 0.0, 0
+    R = np.maximum(np.abs(X - P), np.abs(Y - P))
+    ratios = np.where(live, R / np.where(live, D, 1.0), -np.inf)
+    i, j = divmod(int(np.argmax(ratios)), m)
+    return float(ratios[i, j]), float(xs[i]), float(xs[j]), int(live.sum())
+
+
+# (a, b, step, excluded): m = 1, m = 2, a few hundred points, an exclusion
+# above the step, and one that removes every pair
+REFERENCE_GRIDS = [
+    (0.5, 2.0, 2.0, 1e-6),
+    (0.5, 2.0, 1.5, 1e-6),
+    (0.5, 2.0, 5e-3, 1e-6),
+    (1.0, 4.0, 1.1e-2, 1e-6),
+    (0.5, 2.0, 5e-3, 2.5 * 5e-3),
+    (0.5, 2.0, 5e-3, 1.5),
+]
+
+
+@pytest.mark.parametrize("block_cells", [37, 1000])
+@pytest.mark.parametrize("grid", REFERENCE_GRIDS, ids=str)
+@pytest.mark.parametrize("kernel", sorted(KERNEL_CODES))
+def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_cells):
+    # small blocks: several per scan, multi-row ones and a ragged last one
+    monkeypatch.setattr(fallback, "_BLOCK_CELLS", block_cells)
+    a, b, step, excluded = grid
+    code = KERNEL_CODES[kernel]
+    got = fallback.grid_scan(code, 0.8, a, b, step, excluded)
+    assert got == full_square_scan(code, 0.8, a, b, step, excluded)
+    if excluded >= b - a:
+        assert got == (-1.0, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("kernel", ["dict0", "dict1"])
+def test_dictator_ties_pick_the_first_pair(monkeypatch, kernel):
+    # every live ratio is exactly 1.0, so the first pair in row-major order wins
+    monkeypatch.setattr(fallback, "_BLOCK_CELLS", 37)
+    out = fallback.grid_scan(KERNEL_CODES[kernel], 0.0, 0.0, 1.0, 0.125, 1e-6)
+    assert out == (1.0, 0.0, 0.125, 72)
+
+
+def test_constant_kernel_worst_pair_hugs_the_diagonal(monkeypatch):
+    monkeypatch.setattr(fallback, "_BLOCK_CELLS", 37)
+    args = (KERNEL_CODES["const"], 0.1, 0.0, 1.0, 4e-3, 1e-6)
+    lam, x, y, count = fallback.grid_scan(*args)
+    assert (lam, x, y, count) == full_square_scan(*args)
+    assert abs(y - x) == pytest.approx(4e-3) and lam > 200.0
+
+
+def test_negative_excluded_radius_is_rejected():
+    with pytest.raises(ValueError, match="excluded"):
+        fallback.grid_scan(KERNEL_CODES["arith2"], 0.0, 0.0, 1.0, 0.1, -1.0)
 
 
 def test_active_lane_is_named():

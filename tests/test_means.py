@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from equimean.errors import HypothesisError, SamplingError
+from equimean.errors import CapacityError, HypothesisError, SamplingError
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
 from equimean.means import (
+    GRID_PAIRS_CAP,
     LambdaConfig,
     QuasiMeanMap,
     arithmetic_mean,
@@ -216,6 +217,20 @@ def test_lambda_degenerate_space_errors():
     p = QuasiMeanMap(2, single, lambda pts: pts[0], "first")
     with pytest.raises(SamplingError):
         estimate_lambda(p, LambdaConfig(restarts=3))
+
+
+def test_lambda_grid_pairs_cap_fires_before_the_scan():
+    from equimean.means import _grid_points
+
+    # cap 10^9: 31,623 points make 999,982,506 ordered pairs, 31,624 make
+    # 1,000,045,752
+    assert _grid_points(0.0, 1.0, 1.0 / 31622) == 31623
+    with pytest.raises(CapacityError, match=f"cap {GRID_PAIRS_CAP}"):
+        _grid_points(0.0, 1.0, 1.0 / 31623)
+    # about 10^12 pairs, and a step whose point count overflows a float
+    for step in (1e-6, 5e-324):
+        with pytest.raises(CapacityError, match="cap"):
+            estimate_lambda(arithmetic_mean(UNIT, 2), LambdaConfig(grid_step=step))
 
 
 def test_lambda_estimate_serialization():
