@@ -1,7 +1,7 @@
 """Build script: compiles the optional grid-scan extension when Cython is available.
 
-The package works without the extension (a numpy fallback is selected at
-import time); to force a local build run
+The package works without the extension (the numpy fallback runs in its
+place, imported only when a grid scan needs it); to force a local build run
 
     python setup.py build_ext --inplace
 """

@@ -13,9 +13,7 @@ import math
 
 import numpy as np
 
-# cells per row block: the block's few float64 temporaries (128 KB each)
-# stay in a per-core cache instead of streaming through memory
-_BLOCK_CELLS = 16_384
+from . import BLOCK_CELLS as _BLOCK_CELLS
 
 
 def _mean_values(kind: int, param: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -79,13 +79,17 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
+    # what jsonschema.validate raises, without its check of the schema
+    # against the meta-schema: that check costs far more than the config's
+    # own, and the test suite makes it once for the packaged schema
+    schema = _schema()
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
+    if error is not None:
         where = "$" + "".join(
-            f".{p}" if isinstance(p, str) else f"[{p}]" for p in exc.absolute_path
+            f".{p}" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path
         )
-        raise ConfigError(f"{path}: {where}: {exc.message}") from exc
+        raise ConfigError(f"{path}: {where}: {error.message}") from error
     return cfg
 
 

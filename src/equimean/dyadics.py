@@ -129,14 +129,8 @@ def nearest_dyadic(t: float, level: int) -> Dyadic:
 def grid_steps(s: Dyadic, t: Dyadic) -> int:
     """Number of cells separating s and t on the finest grid of the pair:
     the unique i with |s - t| = i / 2^max(h(s), h(t))."""
-    m = max(s.n, t.n)
+    m = s.n if s.n > t.n else t.n
     return abs((s.j << (m - s.n)) - (t.j << (m - t.n)))
-
-
-def _diff_numerator(hi: Dyadic, lo: Dyadic, denom_level: int) -> int:
-    """Exact numerator of hi - lo over denominator 2**denom_level; the
-    level must be at least both canonical levels."""
-    return (hi.j << (denom_level - hi.n)) - (lo.j << (denom_level - lo.n))
 
 
 @dataclass(frozen=True)
@@ -154,27 +148,35 @@ class ChainDecomposition:
 
 
 def _chains(s: Dyadic, t: Dyadic) -> tuple[list, list]:
+    s_chain, t_chain = [s], [t]
     steps = grid_steps(s, t)
-    if steps == 1:
-        if s.n > t.n:
-            return [s, t], [t]
+    while steps != 1:
+        if s.n >= t.n:
+            s1 = s.step_up()
+            closer = grid_steps(s1, t)
+            if closer == 0:  # s1 == t
+                s_chain.append(t)
+                return s_chain, t_chain
+            if closer >= steps:
+                raise RuntimeError(f"chain step from {s} to {s1} does not approach {t}")
+            s, steps = s1, closer
+            s_chain.append(s)
+        else:
+            t1 = t.step_down()
+            closer = grid_steps(s, t1)
+            if closer == 0:  # t1 == s
+                t_chain.append(s)
+                return s_chain, t_chain
+            if closer >= steps:
+                raise RuntimeError(f"chain step from {t} to {t1} does not approach {s}")
+            t, steps = t1, closer
+            t_chain.append(t)
+    if s.n > t.n:
+        s_chain.append(t)
+    else:
         # t on the finer grid, or the degenerate level-0 pair (0, 1)
-        return [s], [t, s]
-    if s.n >= t.n:
-        s1 = s.step_up()
-        if s1 == t:
-            return [s, t], [t]
-        if grid_steps(s1, t) >= steps:
-            raise RuntimeError(f"chain step from {s} to {s1} does not approach {t}")
-        ss, ts = _chains(s1, t)
-        return [s] + ss, ts
-    t1 = t.step_down()
-    if t1 == s:
-        return [s], [t, s]
-    if grid_steps(s, t1) >= steps:
-        raise RuntimeError(f"chain step from {t} to {t1} does not approach {s}")
-    ss, ts = _chains(s, t1)
-    return ss, [t] + ts
+        t_chain.append(s)
+    return s_chain, t_chain
 
 
 def chain_decompose(s: Dyadic, t: Dyadic) -> ChainDecomposition:
@@ -211,20 +213,24 @@ def validate_chain(s: Dyadic, t: Dyadic, c: ChainDecomposition) -> tuple[bool, l
         v.append(f"t_chain starts at {tc[0]}, expected {t}")
     if sc[-1] != tc[-1]:
         v.append(f"chains do not meet: {sc[-1]} != {tc[-1]}")
-    for i in range(len(sc) - 1):
-        a, b = sc[i], sc[i + 1]
-        if not a <= b:
+    # each step (a, b) is read on its common level m, once: numerators
+    # aj, bj over 2^m, and one cell of a's level is 2^(m - a.n) there
+    for a, b in zip(sc, sc[1:]):
+        m = a.n if a.n > b.n else b.n
+        aj, bj = a.j << (m - a.n), b.j << (m - b.n)
+        if not aj <= bj:
             v.append(f"s_chain not ascending at {a} -> {b}")
         if not a.n > b.n:
             v.append(f"s_chain levels not strictly decreasing at {a} -> {b}")
-        if _diff_numerator(b, a, max(a.n, b.n)) != (1 << (max(a.n, b.n) - a.n)):
+        if bj - aj != 1 << (m - a.n):
             v.append(f"s_chain step {a} -> {b} is not one cell at level {a.n}")
-    for i in range(len(tc) - 1):
-        a, b = tc[i], tc[i + 1]
-        if not b <= a:
+    for a, b in zip(tc, tc[1:]):
+        m = a.n if a.n > b.n else b.n
+        aj, bj = a.j << (m - a.n), b.j << (m - b.n)
+        if not bj <= aj:
             v.append(f"t_chain not descending at {a} -> {b}")
         if not a.n > b.n and not (a == ONE and b == ZERO):
             v.append(f"t_chain levels not strictly decreasing at {a} -> {b}")
-        if _diff_numerator(a, b, max(a.n, b.n)) != (1 << (max(a.n, b.n) - a.n)):
+        if aj - bj != 1 << (m - a.n):
             v.append(f"t_chain step {a} -> {b} is not one cell at level {a.n}")
     return len(v) == 0, v

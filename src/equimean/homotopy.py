@@ -127,12 +127,18 @@ class ContractionBuilder:
         if n == 0:
             value = x if j == 0 else self.theta
         else:
-            left = Dyadic(j - 1, n)
-            right = Dyadic(j + 1, n)
-            value = self.p.eval([
-                self._eval(x, table, left.j, left.n),
-                self._eval(x, table, right.j, right.n),
-            ])
+            # j is odd, so j -/+ 1 is even: the canonical forms of the two
+            # neighbours drop their trailing zero bits, as Dyadic(j -/+ 1, n)
+            # would, and 0/2^n becomes (0, 0)
+            lj = j - 1
+            if lj:
+                shift = (lj & -lj).bit_length() - 1
+                left = self._eval(x, table, lj >> shift, n - shift)
+            else:
+                left = self._eval(x, table, 0, 0)
+            rj = j + 1
+            shift = (rj & -rj).bit_length() - 1
+            value = self.p.eval([left, self._eval(x, table, rj >> shift, n - shift)])
         table[key] = value
         return value
 

@@ -29,7 +29,16 @@ from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, full_subgroup, is_fixed_by
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Box, Interval, MetricSpace, Point, Product, as_point, is_convex
+from .spaces import (
+    Box,
+    Interval,
+    MetricSpace,
+    Point,
+    Product,
+    as_point,
+    diameter,
+    is_convex,
+)
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
@@ -203,7 +212,7 @@ def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
     worst, witness = -math.inf, None
     checked = 0
     for tup in tuples:
-        diam = _diameter(p.space, tup)
+        diam = diameter(p.space, tup)
         if diam <= 0.0:
             continue
         out = p.eval(list(tup))
@@ -217,17 +226,9 @@ def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
     return report
 
 
-def _diameter(space: MetricSpace, pts: Sequence[Point]) -> float:
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = max(best, space.d(pts[i], pts[j]))
-    return best
-
-
 def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:
     """max_i d(x_i, p(x)) / diameter, or None on a degenerate tuple."""
-    diam = _diameter(p.space, tup)
+    diam = diameter(p.space, tup)
     if diam <= 0.0:
         return None
     return _ratio(p, tup, diam)
@@ -339,7 +340,9 @@ def _grid_scan_batch(p: QuasiMeanMap, a: float, step: float, m: int, excluded: f
 
     xs = a + np.arange(m, dtype=np.float64) * step
     best, bi, bj, count = -1.0, -1, -1, 0
-    rows = max(1, 4_000_000 // m)
+    # whole rows of the full square (a user batch map need not be symmetric),
+    # so the count and the first row-major maximum do not depend on the block
+    rows = max(1, _kernels.BLOCK_CELLS // m)
     for lo in range(0, m, rows):
         block = xs[lo : lo + rows]
         X = np.repeat(block, m)[:, None]
@@ -381,7 +384,7 @@ def _grid_scan_scalar(p: QuasiMeanMap, a: float, step: float, m: int, excluded: 
 def _random_member_tuple(p: QuasiMeanMap, rng, excluded: float) -> tuple:
     for _ in range(1000):
         tup = tuple(p.space.sample(rng, p.arity))
-        if _diameter(p.space, tup) > excluded:
+        if diameter(p.space, tup) > excluded:
             return tup
     raise SamplingError("could not sample a tuple with diameter above the excluded radius")
 
@@ -412,7 +415,7 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     extent = _space_extent(p.space)
 
     def objective(tup):
-        diam = _diameter(p.space, tup)
+        diam = diameter(p.space, tup)
         return _ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
 
     best_val, best_tup, evals = -math.inf, None, 0
@@ -573,8 +576,7 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
     _require_convex(space, "arithmetic mean")
 
     def func(points):
-        dim = len(points[0])
-        return tuple(sum(pt[i] for pt in points) / arity for i in range(dim))
+        return tuple(sum(col) / arity for col in zip(*points))
 
     def batch(arrays):
         total = arrays[0]

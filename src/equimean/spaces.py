@@ -337,6 +337,15 @@ def distance(space: MetricSpace, a, b) -> float:
     return space.d(a, b)
 
 
+def diameter(space: MetricSpace, pts: Sequence[Point]) -> float:
+    """Maximum pairwise distance over points; membership is not checked."""
+    best = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            best = max(best, space.d(pts[i], pts[j]))
+    return best
+
+
 def tuple_diameter(space: MetricSpace, points: Sequence) -> float:
     """Maximum pairwise distance over a nonempty tuple of member points."""
     if len(points) == 0:
@@ -344,8 +353,4 @@ def tuple_diameter(space: MetricSpace, points: Sequence) -> float:
     pts = [as_point(p) for p in points]
     for p in pts:
         space.require_member(p)
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = max(best, space.d(pts[i], pts[j]))
-    return best
+    return diameter(space, pts)

@@ -1,12 +1,22 @@
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from importlib import resources
 from pathlib import Path
 
-from equimean.cli import main
+import jsonschema
+import pytest
+
+import equimean
+from equimean.cli import ConfigError, load_config, main
 
 INTERVAL01 = {"kind": "interval", "params": {"a": 0.0, "b": 1.0}}
 SYM_INTERVAL = {"kind": "interval", "params": {"a": -1.0, "b": 1.0}}
 SYM_BOX = {"kind": "box", "params": {"lo": [-1.0, -1.0], "hi": [1.0, 1.0]}}
+DATA = Path(__file__).parent / "data"
 
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> str:
@@ -132,6 +142,57 @@ def test_missing_required_field_exits_2(tmp_path, capsys):
     assert "mean" in capsys.readouterr().err
 
 
+def _packaged_schema() -> dict:
+    text = resources.files("equimean").joinpath("schemas/config.schema.json").read_text()
+    return json.loads(text)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": -0.5},
+    {"space": INTERVAL01, "mean": "arithmetic:2", "girdstep": 0.1},
+    {"space": INTERVAL01, "laws": ["M1", "M3"], "subgroup": [0, -1]},
+    {"space": {"kind": "interval"}, "mean": 3, "times": "many"},
+    ["not", "an", "object"],
+])
+def test_config_errors_are_those_of_jsonschema_validate(tmp_path, cfg):
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(cfg, _packaged_schema())
+    with pytest.raises(ConfigError) as got:
+        load_config(write_config(tmp_path, cfg))
+    assert got.value.__cause__.message == want.value.message
+    assert list(got.value.__cause__.absolute_path) == list(want.value.absolute_path)
+
+
+def test_packaged_schema_is_valid_against_its_meta_schema():
+    # load_config leaves this check out of every run
+    schema = _packaged_schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+
+
+def test_numpy_loads_only_for_grid_scans(tmp_path):
+    cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.01})
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean, equimean.cli
+        assert "numpy" not in sys.modules, "import"
+        assert equimean.cli.main(["chain", "1/8", "3/4", "--out", {str(tmp_path / "chain")!r}]) == 0
+        assert "numpy" not in sys.modules, "chain"
+        assert equimean.cli.main(["estimate-lambda", "--config", {cfg!r},
+                                  "--out", {str(tmp_path / "grid")!r}]) == 0
+        assert "numpy" in sys.modules, "grid scan"
+        from equimean._kernels import KERNEL_CODES, fallback, grid_scan_both, grid_scan_interval
+        print(fallback.grid_scan(KERNEL_CODES["arith2"], 0.0, 0.0, 1.0, 0.25, 1e-6))
+    """)
+    src = str(Path(equimean.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "(0.5, 0.0, 0.25, 20)"
+    assert read_report(tmp_path / "grid")["results"]["estimate"]["samples"] == 10100
+
+
 def test_experiment_mismatch_exits_2(tmp_path):
     cfg = {"experiment": "chain", "space": INTERVAL01, "mean": "arithmetic:2"}
     code, _ = run(tmp_path, "estimate-lambda", cfg)
@@ -186,6 +247,19 @@ def test_build_homotopy_trajectory_and_svg(tmp_path):
     code2, outdir2 = run(tmp_path, "build-homotopy", cfg, out="again")
     assert (outdir2 / "trajectory.svg").read_bytes() == (outdir / "trajectory.svg").read_bytes()
     assert (outdir2 / "trajectory.csv").read_bytes() == csv_bytes
+
+
+def test_build_homotopy_deep_levels_match_recorded_csv(tmp_path):
+    # |x - theta| = 1.5 and eps 1e-9 snap every time to level 33, and the
+    # times i/40 land on levels 32 and 33; the CSV was recorded with each
+    # dyadic neighbour built as a Dyadic object
+    cfg = {"space": {"kind": "box", "params": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}},
+           "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0, 0.0], "x": [0.9, -1.2],
+           "eps": 1e-9, "times": 41}
+    code, outdir = run(tmp_path, "build-homotopy", cfg)
+    assert code == 0
+    want = (DATA / "trajectory_box_level33.csv").read_bytes()
+    assert (outdir / "trajectory.csv").read_bytes() == want
 
 
 def test_plot_subcommand_matches_inline_svg(tmp_path):

@@ -208,3 +208,109 @@ def test_chain_json():
     blob = c.to_json()
     assert blob["s_chain"] == ["1/2^3", "1/2^2", "1/2^1"]
     assert blob["t_values"] == [0.75, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# reference chain construction and validation, step by step through the
+# Dyadic comparisons; the module's versions read each step's common level once
+
+
+def _reference_chains(s: Dyadic, t: Dyadic) -> tuple[list, list]:
+    steps = grid_steps(s, t)
+    if steps == 1:
+        if s.n > t.n:
+            return [s, t], [t]
+        return [s], [t, s]
+    if s.n >= t.n:
+        s1 = s.step_up()
+        if s1 == t:
+            return [s, t], [t]
+        ss, ts = _reference_chains(s1, t)
+        return [s] + ss, ts
+    t1 = t.step_down()
+    if t1 == s:
+        return [s], [t, s]
+    ss, ts = _reference_chains(s, t1)
+    return ss, [t] + ts
+
+
+def _reference_diff_numerator(hi: Dyadic, lo: Dyadic, denom_level: int) -> int:
+    return (hi.j << (denom_level - hi.n)) - (lo.j << (denom_level - lo.n))
+
+
+def _reference_validate_chain(s, t, c):
+    v = []
+    sc, tc = c.s_chain, c.t_chain
+    if not sc or not tc:
+        return False, ["chains must be nonempty"]
+    if s == t:
+        if not (sc == [s] and tc == [s]):
+            v.append("degenerate pair s = t requires both chains == [s]")
+        return len(v) == 0, v
+    if sc[0] != s:
+        v.append(f"s_chain starts at {sc[0]}, expected {s}")
+    if tc[0] != t:
+        v.append(f"t_chain starts at {tc[0]}, expected {t}")
+    if sc[-1] != tc[-1]:
+        v.append(f"chains do not meet: {sc[-1]} != {tc[-1]}")
+    for i in range(len(sc) - 1):
+        a, b = sc[i], sc[i + 1]
+        if not a <= b:
+            v.append(f"s_chain not ascending at {a} -> {b}")
+        if not a.n > b.n:
+            v.append(f"s_chain levels not strictly decreasing at {a} -> {b}")
+        if _reference_diff_numerator(b, a, max(a.n, b.n)) != (1 << (max(a.n, b.n) - a.n)):
+            v.append(f"s_chain step {a} -> {b} is not one cell at level {a.n}")
+    for i in range(len(tc) - 1):
+        a, b = tc[i], tc[i + 1]
+        if not b <= a:
+            v.append(f"t_chain not descending at {a} -> {b}")
+        if not a.n > b.n and not (a == ONE and b == ZERO):
+            v.append(f"t_chain levels not strictly decreasing at {a} -> {b}")
+        if _reference_diff_numerator(a, b, max(a.n, b.n)) != (1 << (max(a.n, b.n) - a.n)):
+            v.append(f"t_chain step {a} -> {b} is not one cell at level {a.n}")
+    return len(v) == 0, v
+
+
+def _broken(c: ChainDecomposition) -> list:
+    """Hand-broken variants of a decomposition, each failing some property."""
+    sc, tc = c.s_chain, c.t_chain
+    return [
+        ChainDecomposition(tc, sc),  # sides swapped
+        ChainDecomposition(sc[::-1], tc[::-1]),  # both reversed
+        ChainDecomposition(sc[:-1] or [ONE], tc),  # s side stops short
+        ChainDecomposition(sc, tc[:1]),  # t side never descends
+        ChainDecomposition(sc + [ZERO], tc + [ZERO]),  # a shared bad last step
+        ChainDecomposition([s.step_up() if s.j < (1 << s.n) else s for s in sc], tc),
+        ChainDecomposition(sc, [ONE] + tc),  # starts at 1 instead of t
+        ChainDecomposition([], tc),
+    ]
+
+
+def test_chains_and_validation_match_reference_at_levels_up_to_6():
+    values = [Dyadic(j, 6) for j in range(65)]
+    for s in values:
+        for t in values:
+            if s < t:
+                c = chain_decompose(s, t)
+                assert (c.s_chain, c.t_chain) == _reference_chains(s, t)
+                decompositions = [c] + _broken(c)
+            else:
+                # s = t, and s > t read against the chains of (t, s)
+                c = chain_decompose(t, s) if t < s else ChainDecomposition([s], [s])
+                decompositions = [c, ChainDecomposition(c.t_chain, c.s_chain)] + _broken(c)
+            for d in decompositions:
+                assert validate_chain(s, t, d) == _reference_validate_chain(s, t, d)
+
+
+@given(st.integers(0, 1 << 62), st.integers(0, 62), st.integers(0, 1 << 62), st.integers(0, 62))
+def test_chains_and_validation_match_reference_up_to_level_62(j1, n1, j2, n2):
+    a = Dyadic(min(j1, 1 << n1), n1)
+    b = Dyadic(min(j2, 1 << n2), n2)
+    if a == b:
+        return
+    s, t = (a, b) if a < b else (b, a)
+    c = chain_decompose(s, t)
+    assert (c.s_chain, c.t_chain) == _reference_chains(s, t)
+    for d in [c] + _broken(c):
+        assert validate_chain(s, t, d) == _reference_validate_chain(s, t, d)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from equimean.dyadics import Dyadic, nearest_dyadic
 from equimean.errors import CapacityError, HypothesisError, PrecisionError
@@ -208,6 +209,37 @@ def test_memo_eviction_keeps_values_correct():
         x = (rng.uniform(1.0, 2.0),)
         d = Dyadic(rng.randrange(129), 7)
         assert small.at_dyadic(x, d) == fresh.at_dyadic(x, d)
+
+
+def _reference_eval(builder, x, table, j, n):
+    """The dyadic recursion with each neighbour built as a Dyadic, which
+    canonicalizes it; the builder's _eval does the same in integer ops."""
+    key = (j, n)
+    cached = table.get(key)
+    if cached is not None:
+        return cached
+    if n == 0:
+        value = x if j == 0 else builder.theta
+    else:
+        left, right = Dyadic(j - 1, n), Dyadic(j + 1, n)
+        value = builder.p.eval([
+            _reference_eval(builder, x, table, left.j, left.n),
+            _reference_eval(builder, x, table, right.j, right.n),
+        ])
+    table[key] = value
+    return value
+
+
+@given(st.integers(1, 62), st.data())
+def test_eval_canonical_neighbours_equal_dyadic(n, data):
+    j = 2 * data.draw(st.integers(0, (1 << (n - 1)) - 1)) + 1  # odd, so j/2^n is canonical
+    b = geometric_builder()
+    got, want = {}, {}
+    assert b._eval((1.2,), got, j, n) == _reference_eval(b, (1.2,), want, j, n)
+    # same keys and values, filled in the same order
+    assert list(got.items()) == list(want.items())
+    for d in (Dyadic(j - 1, n), Dyadic(j + 1, n)):
+        assert (d.j, d.n) in got
 
 
 def test_level_cap_enforced():

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from equimean import _kernels, means
 from equimean.errors import CapacityError, HypothesisError, SamplingError
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
 from equimean.means import (
@@ -231,6 +233,52 @@ def test_lambda_grid_pairs_cap_fires_before_the_scan():
     for step in (1e-6, 5e-324):
         with pytest.raises(CapacityError, match="cap"):
             estimate_lambda(arithmetic_mean(UNIT, 2), LambdaConfig(grid_step=step))
+
+
+def _skewed_batch_mean(space):
+    # 0.75 x + 0.25 y: its ratio matrix is not symmetric, so the batch lane
+    # must score the full square
+    return QuasiMeanMap(2, space, lambda pts: (0.75 * pts[0][0] + 0.25 * pts[1][0],),
+                        "skewed", batch=lambda arrays: 0.75 * arrays[0] + 0.25 * arrays[1])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dataclasses.replace(arithmetic_mean(UNIT, 2), kernel=None),
+    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), kernel=None),
+    lambda: _skewed_batch_mean(UNIT),
+])
+def test_lambda_batch_lane_does_not_depend_on_block_size(monkeypatch, make):
+    p = make()
+    outs = []
+    # one row per block, blocks of 9 rows with a short last one, one block
+    for cells in (37, 909, 10**6):
+        monkeypatch.setattr(_kernels, "BLOCK_CELLS", cells)
+        est = estimate_lambda(p, LambdaConfig(grid_step=(p.space.b - p.space.a) / 100))
+        assert est.method == "grid/batch"
+        outs.append((est.lambda_hat, est.argmax_tuple, est.samples))
+    assert outs[0] == outs[1] == outs[2]
+    assert outs[0][2] == 101 * 100
+
+
+def test_lambda_batch_lane_agrees_with_kernel_lane(monkeypatch):
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 100)
+    p = arithmetic_mean(UNIT, 2)
+    stripped = dataclasses.replace(p, kernel=None)
+    for step in (1e-2, 4e-3, 7e-3):
+        cfg = LambdaConfig(grid_step=step)
+        kernel, batch = estimate_lambda(p, cfg), estimate_lambda(stripped, cfg)
+        assert batch.method == "grid/batch" != kernel.method
+        assert ((batch.lambda_hat, batch.argmax_tuple, batch.samples)
+                == (kernel.lambda_hat, kernel.argmax_tuple, kernel.samples))
+
+
+def test_arithmetic_mean_equals_per_coordinate_sums():
+    for n, space in ((2, UNIT), (3, Box([-1, -1], [1, 1])), (4, Box([0, 0, 0], [1, 2, 3]))):
+        p = arithmetic_mean(space, n)
+        for tup in sample_tuples(space, n, 40 + n, 50):
+            dim = len(tup[0])
+            want = tuple(sum(pt[i] for pt in tup) / n for i in range(dim))
+            assert p.eval(list(tup)) == want
 
 
 def test_lambda_estimate_serialization():

@@ -12,6 +12,7 @@ from equimean.spaces import (
     Interval,
     Product,
     as_point,
+    diameter,
     distance,
     is_convex,
     space_from_json,
@@ -43,6 +44,17 @@ def test_geodesic_distance():
     quarter = (0.0, 2.0)
     assert distance(c, (2.0, 0.0), quarter) == pytest.approx(2.0 * math.pi / 2, abs=1e-12)
     assert distance(c, (2.0, 0.0), (-2.0, 0.0)) == pytest.approx(2.0 * math.pi, abs=1e-12)
+
+
+def test_diameter_is_tuple_diameter_without_the_checks():
+    for sp in ALL_SPACES:
+        pts = sp.sample(5, 6)
+        assert diameter(sp, pts) == tuple_diameter(sp, pts)
+    # the unchecked form takes points off the space and an empty tuple
+    assert diameter(Interval(0.0, 1.0), [(-2.0,), (3.0,)]) == 5.0
+    assert diameter(Interval(0.0, 1.0), []) == 0.0
+    with pytest.raises(MembershipError):
+        tuple_diameter(Interval(0.0, 1.0), [(-2.0,), (3.0,)])
 
 
 def test_tuple_diameter_examples():
