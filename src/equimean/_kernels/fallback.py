@@ -16,19 +16,30 @@ import numpy as np
 from . import BLOCK_CELLS as _BLOCK_CELLS
 
 
-def _mean_values(kind: int, param: float, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _mean_values(kind: int, param: float, X: np.ndarray, Y: np.ndarray,
+                 out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The mean at every cell of the block X x Y, computed into ``out``
+    (``tmp`` is scratch); the dictators and the constant return read-only
+    broadcasts instead. The operations and their order are those of the
+    ``.pyx`` formulas, so the values are the same bit for bit."""
     if kind == 0:
-        return (X + Y) * 0.5
+        np.add(X, Y, out=out)
+        return np.multiply(out, 0.5, out=out)
     if kind == 1:
-        return np.sqrt(X * Y)
+        np.multiply(X, Y, out=out)
+        return np.sqrt(out, out=out)
     if kind == 2:
-        return np.minimum(X, Y) + (X - Y) * (X - Y) * 0.5
+        np.subtract(X, Y, out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.multiply(tmp, 0.5, out=tmp)
+        np.minimum(X, Y, out=out)
+        return np.add(out, tmp, out=out)
     if kind == 3:
         return np.broadcast_to(X, np.broadcast_shapes(X.shape, Y.shape))
     if kind == 4:
         return np.broadcast_to(Y, np.broadcast_shapes(X.shape, Y.shape))
     if kind == 5:
-        return np.full(np.broadcast_shapes(X.shape, Y.shape), param)
+        return np.broadcast_to(param, np.broadcast_shapes(X.shape, Y.shape))
     raise ValueError(f"unknown mean code {kind}")
 
 
@@ -52,6 +63,12 @@ def grid_scan(kind: int, param: float, a: float, b: float, step: float,
         raise ValueError(f"excluded radius must be >= 0, got {excluded!r}")
     m = int(math.floor((b - a) / step + 1e-9)) + 1
     xs = a + np.arange(m, dtype=np.float64) * step
+    # one workspace for every block, so a scan allocates (and page-faults)
+    # its temporaries once instead of once per block; a block has at most
+    # max(_BLOCK_CELLS, m - 1) cells, and never more than (m - 1)^2
+    cells = min(max(_BLOCK_CELLS, m - 1), (m - 1) ** 2)
+    work = np.empty((4, cells))
+    dead_work = np.empty(cells, dtype=bool)
     best = -1.0
     bi = bj = -1
     count = 0
@@ -60,14 +77,19 @@ def grid_scan(kind: int, param: float, a: float, b: float, step: float,
         while lo < m - 1:
             width = m - 1 - lo  # columns lo+1 .. m-1
             hi = min(m - 1, lo + max(1, _BLOCK_CELLS // width))
+            rows = hi - lo
+            D, P, R, T = (w[: rows * width].reshape(rows, width) for w in work)
+            dead = dead_work[: rows * width].reshape(rows, width)
             X = xs[lo:hi, None]
             Y = xs[None, lo + 1:]
             # xs is nondecreasing, so Y - X equals |x - y| where j > i and is
             # <= 0, hence never live, on the block's cells with j <= i
-            D = Y - X
-            P = _mean_values(kind, param, X, Y)
-            R = np.maximum(np.abs(X - P), np.abs(Y - P))
-            dead = D <= excluded
+            np.subtract(Y, X, out=D)
+            P = _mean_values(kind, param, X, Y, P, T)
+            np.abs(np.subtract(X, P, out=T), out=T)
+            np.abs(np.subtract(Y, P, out=R), out=R)
+            np.maximum(T, R, out=R)
+            np.less_equal(D, excluded, out=dead)
             count += dead.size - int(np.count_nonzero(dead))
             R /= D
             np.copyto(R, -np.inf, where=dead)

@@ -13,16 +13,21 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
-
 from . import dyadics, plotsvg
-from .errors import EquimeanError, HypothesisError, PrecisionError, ToleranceError
+from .errors import (
+    CapacityError,
+    EquimeanError,
+    HypothesisError,
+    PrecisionError,
+    ToleranceError,
+)
 from .groups import Subgroup, action_from_json, full_subgroup
 from .homotopy import (
     ContractionBuilder,
@@ -48,6 +53,10 @@ from ._kernels import IMPLEMENTATION
 
 log = logging.getLogger("equimean")
 
+# times a build-homotopy run may evaluate: each at_time visits O(level)
+# dyadic nodes, about 70 us at level 33, so the cap keeps a run to seconds
+TIMES_CAP = 100_000
+
 EXPERIMENTS = (
     "verify-mean",
     "estimate-lambda",
@@ -70,6 +79,116 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _where(path) -> str:
+    """A JSON path such as ``$.space.params.b`` or ``$.x[0]``."""
+    return "$" + "".join(f".{p}" if isinstance(p, str) else f"[{p}]" for p in path)
+
+
+def _non_finite_path(value, path=()):
+    """The path of the first NaN or infinity in a parsed config, or None;
+    ``json.loads`` accepts NaN, Infinity and overflowing literals like 1e999."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return None
+    for key, item in children:
+        found = _non_finite_path(item, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+# The config schema's keywords that _conforms interprets, and those it
+# skips; any other keyword raises, so a schema edit cannot quietly go
+# unchecked. The packaged schema is checked against its meta-schema by the
+# test suite, not on every run.
+_CHECKED_KEYWORDS = frozenset({
+    "type", "enum", "properties", "additionalProperties", "required", "items",
+    "minimum", "exclusiveMinimum", "exclusiveMaximum", "minItems", "maxItems", "$ref",
+})
+_SKIPPED_KEYWORDS = frozenset({"$schema", "title", "$defs"})
+
+# Draft 2020-12 types as jsonschema checks them: a bool is no number, and
+# an integral float such as 3.0 is an integer
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "null": lambda v: v is None,
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+}
+
+
+def _json_equal(one, two) -> bool:
+    """Equality as jsonschema's ``enum`` applies it: True is not 1, False is
+    not 0, also inside arrays and objects."""
+    if one is two:
+        return True
+    if isinstance(one, str) or isinstance(two, str):
+        return one == two
+    if isinstance(one, list) and isinstance(two, list):
+        return len(one) == len(two) and all(map(_json_equal, one, two))
+    if isinstance(one, dict) and isinstance(two, dict):
+        return len(one) == len(two) and all(
+            k in two and _json_equal(v, two[k]) for k, v in one.items()
+        )
+    if isinstance(one, bool) or isinstance(two, bool):
+        return False
+    return one == two
+
+
+def _conforms(value, schema: dict, root: dict) -> bool:
+    """Whether ``value`` is valid under ``schema`` (a node of ``root``) in
+    Draft 2020-12 as jsonschema applies it, for the keywords in
+    ``_CHECKED_KEYWORDS``. The numeric bounds skip non-numbers and fail
+    only on jsonschema's own comparisons, so NaN passes them as it does
+    there."""
+    unknown = schema.keys() - _CHECKED_KEYWORDS - _SKIPPED_KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"config schema keywords {sorted(unknown)} have no check")
+    if schema.get("additionalProperties", False) is not False:
+        raise NotImplementedError("config schema additionalProperties must be false")
+    if "$ref" in schema:
+        ref = schema["$ref"]
+        if not ref.startswith("#/$defs/"):
+            raise NotImplementedError(f"config schema $ref {ref!r} is not local")
+        if not _conforms(value, root["$defs"][ref[len("#/$defs/"):]], root):
+            return False
+    if "type" in schema:
+        names = schema["type"]
+        if not any(_TYPES[n](value) for n in ([names] if isinstance(names, str) else names)):
+            return False
+    if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
+        return False
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        if "additionalProperties" in schema and not value.keys() <= props.keys():
+            return False
+        return all(k in value for k in schema.get("required", ())) and all(
+            _conforms(value[k], sub, root) for k, sub in props.items() if k in value
+        )
+    if isinstance(value, list):
+        return (
+            len(value) >= schema.get("minItems", 0)
+            and len(value) <= schema.get("maxItems", len(value))
+            and all(_conforms(v, schema.get("items", {}), root) for v in value)
+        )
+    if _TYPES["number"](value):
+        return not (
+            "minimum" in schema and value < schema["minimum"]
+            or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
+            or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]
+        )
+    return True
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -79,18 +198,21 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    # what jsonschema.validate raises, without its check of the schema
-    # against the meta-schema: that check costs far more than the config's
-    # own, and the test suite makes it once for the packaged schema
+    bad = _non_finite_path(cfg)
+    if bad is not None:
+        raise ConfigError(f"{path}: {_where(bad)}: not a finite number")
     schema = _schema()
+    if _conforms(cfg, schema, schema):
+        return cfg
+    # rejected: jsonschema explains why, with what jsonschema.validate
+    # raises (less its meta-schema check of the schema)
+    import jsonschema
+
     validator = jsonschema.validators.validator_for(schema)(schema)
     error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-    if error is not None:
-        where = "$" + "".join(
-            f".{p}" if isinstance(p, str) else f"[{p}]" for p in error.absolute_path
-        )
-        raise ConfigError(f"{path}: {where}: {error.message}") from error
-    return cfg
+    if error is None:
+        raise RuntimeError(f"{path}: the in-package schema check and jsonschema disagree")
+    raise ConfigError(f"{path}: {_where(error.absolute_path)}: {error.message}") from error
 
 
 def _need(cfg: dict, key: str, experiment: str):
@@ -195,13 +317,15 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
         writer = csv.writer(fh)
         writer.writerow(estimate.csv_header())
         writer.writerow(estimate.csv_row())
-    results = {"mean": mean.label, "estimate": estimate.to_json(), "kernel_lane": IMPLEMENTATION}
+    results = {"mean": mean.label, "estimate": estimate.to_json()}
     passed = True
     if "expect_lambda" in cfg:
         lo, hi = cfg["expect_lambda"]
         results["expected_range"] = [lo, hi]
         passed = lo <= estimate.lambda_hat <= hi
-    return passed, results, f"{estimate.method}, {estimate.samples} samples"
+    # the lane stays out of the report, whose bytes must not depend on the build
+    method = f"grid/{IMPLEMENTATION}" if estimate.method == "grid" else estimate.method
+    return passed, results, f"{method}, {estimate.samples} samples"
 
 
 def run_chain(cfg: dict, outdir: Path):
@@ -239,11 +363,13 @@ def _start_point(cfg: dict, space):
 
 
 def run_build_homotopy(cfg: dict, outdir: Path):
+    times = cfg.get("times", 65)
+    if times > TIMES_CAP:
+        raise CapacityError(f"build-homotopy times {times} exceed the cap {TIMES_CAP}")
     space, mean, builder = _builder_from(cfg, "build-homotopy")
     x = _start_point(cfg, space)
     space.require_member(x)
     eps = cfg.get("eps", 1e-6)
-    times = cfg.get("times", 65)
     rows = []
     max_err = 0.0
     for i in range(times):
@@ -464,7 +590,8 @@ def main(argv=None) -> int:
     except (ConfigError, PrecisionError, EquimeanError, ValueError, KeyError, OSError) as exc:
         print(f"equimean: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # never crash with a traceback
+    except Exception as exc:  # never crash with a traceback; debug logs show it
+        log.debug("unexpected error in %s", args.command, exc_info=True)
         print(f"equimean: unexpected error: {exc}", file=sys.stderr)
         return 2
 

@@ -323,7 +323,7 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
         lam, x, y, count = _kernels.grid_scan_interval(
             name, param, a, b, cfg.grid_step, cfg.excluded_diameter
         )
-        method = f"grid/{_kernels.IMPLEMENTATION}"
+        method = "grid"
     elif p.batch is not None:
         lam, x, y, count = _grid_scan_batch(p, a, cfg.grid_step, m, cfg.excluded_diameter)
         method = "grid/batch"

@@ -1,6 +1,7 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -11,7 +12,9 @@ import jsonschema
 import pytest
 
 import equimean
+from equimean import cli
 from equimean.cli import ConfigError, load_config, main
+from equimean.errors import CapacityError
 
 INTERVAL01 = {"kind": "interval", "params": {"a": 0.0, "b": 1.0}}
 SYM_INTERVAL = {"kind": "interval", "params": {"a": -1.0, "b": 1.0}}
@@ -34,6 +37,15 @@ def run(tmp_path, command, cfg, out="out", extra=()):
     outdir = tmp_path / out
     code = main([command, "--config", path, "--out", str(outdir), *extra])
     return code, outdir
+
+
+def run_child(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(equimean.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 def test_estimate_lambda_arithmetic(tmp_path):
@@ -183,14 +195,123 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
         from equimean._kernels import KERNEL_CODES, fallback, grid_scan_both, grid_scan_interval
         print(fallback.grid_scan(KERNEL_CODES["arith2"], 0.0, 0.0, 1.0, 0.25, 1e-6))
     """)
-    src = str(Path(equimean.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
-                         text=True, timeout=60)
+    out = run_child(child)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "(0.5, 0.0, 0.25, 20)"
     assert read_report(tmp_path / "grid")["results"]["estimate"]["samples"] == 10100
+
+
+def test_valid_configs_load_no_jsonschema(tmp_path):
+    valid = write_config(tmp_path, {"space": INTERVAL01, "mean": "minsq", "grid_step": 0.01,
+                                    "x": [0.5], "theta": 0.25, "trust_laws": False})
+    laws = write_config(tmp_path, {"space": SYM_BOX, "mean": "arithmetic:2",
+                                   "laws": ["M1", "M2"], "samples": 20}, "laws.json")
+    invalid = write_config(tmp_path, {"space": INTERVAL01, "grid_step": -0.5}, "bad.json")
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean.cli
+        assert "jsonschema" not in sys.modules, "import"
+        equimean.cli.load_config({valid!r})
+        assert equimean.cli.main(["verify-mean", "--config", {laws!r},
+                                  "--out", {str(tmp_path / "laws")!r}]) == 0
+        assert equimean.cli.main(["chain", "1/8", "3/4", "--out", {str(tmp_path / "c")!r}]) == 0
+        assert "jsonschema" not in sys.modules, "valid configs"
+        assert "numpy" not in sys.modules, "numpy"
+        assert equimean.cli.main(["estimate-lambda", "--config", {invalid!r},
+                                  "--out", {str(tmp_path / "bad")!r}]) == 2
+        assert "jsonschema" in sys.modules, "invalid config"
+    """)
+    out = run_child(child)
+    assert out.returncode == 0, out.stderr
+    assert "$.grid_step: -0.5 is less than or equal to the minimum of 0" in out.stderr
+
+
+def test_nan_tolerance_is_refused_before_it_passes_every_check(tmp_path, capsys):
+    # NaN > tol is false, so a NaN tolerance used to pass a retraction whose
+    # image is not fixed (defect 1) with exit 0
+    cfg = {"space": SYM_BOX, "action": {"name": "reflection", "axis": 1},
+           "mean": "arithmetic:2", "retraction": {"kind": "constant", "point": [0.5, 0.5]},
+           "trust_laws": True, "tol": 1e-9}
+    code, _ = run(tmp_path, "deform-fixed", cfg, out="finite")
+    assert code == 1
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({**cfg, "tol": float("nan")}))
+    capsys.readouterr()
+    code = main(["deform-fixed", "--config", str(path), "--out", str(tmp_path / "nan")])
+    assert code == 2
+    assert capsys.readouterr().err.strip() == f"equimean: {path}: $.tol: not a finite number"
+    assert not (tmp_path / "nan" / "report.json").exists()
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"x": [NaN]}', "$.x[0]"),
+    ('{"space": {"kind": "interval", "params": {"a": 0, "b": Infinity}}}', "$.space.params.b"),
+    ('{"mean": "geometric", "K": -Infinity}', "$.K"),
+    ('{"theta": [0.5, 1e999]}', "$.theta[1]"),
+    ('{"group": {"tables": [[0, 1], [1, -1e400]]}}', "$.group.tables[1][1]"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, text, where):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=rf"{path}: {re.escape(where)}: not a finite number"):
+        load_config(str(path))
+
+
+@pytest.fixture
+def no_at_time(monkeypatch):
+    def at_time(*args):
+        raise LookupError("at_time reached")
+
+    monkeypatch.setattr(cli.ContractionBuilder, "at_time", at_time)
+
+
+def test_build_homotopy_times_cap(tmp_path, no_at_time):
+    cfg = {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0],
+           "x": [1.0], "times": cli.TIMES_CAP}
+    with pytest.raises(LookupError, match="at_time reached"):
+        cli.run_build_homotopy(cfg, tmp_path)
+    with pytest.raises(CapacityError, match=f"times {cli.TIMES_CAP + 1} exceed the cap"):
+        cli.run_build_homotopy({**cfg, "times": cli.TIMES_CAP + 1}, tmp_path)
+
+
+def test_build_homotopy_over_times_cap_exits_2(tmp_path, capsys, no_at_time):
+    cfg = {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0],
+           "x": [1.0], "times": 10**12}
+    code, outdir = run(tmp_path, "build-homotopy", cfg)
+    assert code == 2
+    assert f"exceed the cap {cli.TIMES_CAP}" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
+def test_grid_report_does_not_name_the_lane(tmp_path, caplog):
+    cfg = {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.25}
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        code, outdir = run(tmp_path, "estimate-lambda", cfg)
+    assert code == 0
+    results = read_report(outdir)["results"]
+    assert "kernel_lane" not in results
+    assert results["estimate"]["method"] == "grid"
+    assert (outdir / "lambda.csv").read_text().splitlines()[1].split(",")[3] == "grid"
+    lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
+    assert lines[-1].endswith(f" s, grid/{equimean.KERNEL_IMPLEMENTATION}, 20 samples")
+
+
+def test_unexpected_error_traceback_goes_to_the_debug_log(tmp_path, capsys, caplog, monkeypatch):
+    def broken(cfg, outdir):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.RUNNERS, "chain", broken)
+    with caplog.at_level(logging.WARNING, logger="equimean"):
+        assert main(["chain", "1/8", "3/4", "--out", str(tmp_path / "w")]) == 2
+    assert not caplog.records
+    assert capsys.readouterr().err == "equimean: unexpected error: boom\n"
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        assert main(["chain", "1/8", "3/4", "--out", str(tmp_path / "d")]) == 2
+    (record,) = [r for r in caplog.records if r.exc_info]
+    assert record.levelno == logging.DEBUG and "chain" in record.getMessage()
+    assert record.exc_info[0] is RuntimeError
+    assert "in broken" in caplog.text and "RuntimeError: boom" in caplog.text
+    assert capsys.readouterr().err == "equimean: unexpected error: boom\n"
 
 
 def test_experiment_mismatch_exits_2(tmp_path):
