@@ -1,7 +1,6 @@
 """Means and quasi-means on metric spaces with finite group actions,
 contractivity-constant estimation, and certified dyadic contractions."""
 
-from ._kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 from .dyadics import (
     ChainDecomposition,
     Dyadic,
@@ -104,3 +103,8 @@ from .spaces import (
 )
 
 __version__ = "0.1.0"
+
+# The grid scan has one lane, through numpy. perfbench/run.py reads this
+# name and, unless it says "numpy", runs perfbench/lanes.py, which needs
+# the per-map kernel codes this package no longer has.
+KERNEL_IMPLEMENTATION = "numpy"

@@ -49,7 +49,6 @@ from .means import (
     solomonic_witness_search,
 )
 from .spaces import as_point, space_from_json
-from ._kernels import IMPLEMENTATION
 
 log = logging.getLogger("equimean")
 
@@ -189,6 +188,25 @@ def _conforms(value, schema: dict, root: dict) -> bool:
     return True
 
 
+def _integral_floats_to_int(value, schema: dict, root: dict):
+    """``value``, valid under ``schema`` (a node of ``root``), with every
+    float at an ``integer`` position made an int. The schema accepts an
+    integral float such as 3.0 there, as Draft 2020-12 does, and the
+    runners pass these values to ``range()``."""
+    ref = schema.get("$ref")
+    if ref is not None:
+        value = _integral_floats_to_int(value, root["$defs"][ref[len("#/$defs/"):]], root)
+    if schema.get("type") == "integer" and isinstance(value, float):
+        return int(value)
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        return {k: _integral_floats_to_int(v, props[k], root) if k in props else v
+                for k, v in value.items()}
+    if isinstance(value, list) and "items" in schema:
+        return [_integral_floats_to_int(v, schema["items"], root) for v in value]
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -203,7 +221,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"{path}: {_where(bad)}: not a finite number")
     schema = _schema()
     if _conforms(cfg, schema, schema):
-        return cfg
+        return _integral_floats_to_int(cfg, schema, schema)
     # rejected: jsonschema explains why, with what jsonschema.validate
     # raises (less its meta-schema check of the schema)
     import jsonschema
@@ -323,9 +341,7 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
         lo, hi = cfg["expect_lambda"]
         results["expected_range"] = [lo, hi]
         passed = lo <= estimate.lambda_hat <= hi
-    # the lane stays out of the report, whose bytes must not depend on the build
-    method = f"grid/{IMPLEMENTATION}" if estimate.method == "grid" else estimate.method
-    return passed, results, f"{method}, {estimate.samples} samples"
+    return passed, results, f"{estimate.method}, {estimate.samples} samples"
 
 
 def run_chain(cfg: dict, outdir: Path):

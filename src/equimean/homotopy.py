@@ -180,8 +180,7 @@ class ContractionBuilder:
         j/2^n and equals ``at_dyadic`` there.
 
         Level n is level n-1 interleaved with p applied to each pair of
-        neighbours, through ``p.batch`` when the map has one and ``p.eval``
-        row by row otherwise. Depth is capped at LEVEL_SWEEP_CAP.
+        neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP.
         """
         import numpy as np
 
@@ -191,12 +190,7 @@ class ContractionBuilder:
         yield level
         for _ in range(depth):
             left, right = level[:-1], level[1:]
-            if self.p.batch is not None:
-                mids = np.asarray(self.p.batch([left, right]), dtype=np.float64)
-            else:
-                rows = [tuple(r) for r in level.tolist()]
-                mids = np.array([self.p.eval([a, b]) for a, b in zip(rows, rows[1:])],
-                                dtype=np.float64)
+            mids = np.asarray(self.p.apply([left, right]), dtype=np.float64)
             if mids.shape != left.shape:
                 raise ValueError(
                     f"{self.p.label} gave midpoints of shape {mids.shape}, expected {left.shape}"

@@ -43,18 +43,25 @@ from .spaces import (
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
 # ordered pairs a dense lambda grid may hold: step 1e-4 on [0, 1] is about
-# 10^8 pairs, and the cap keeps the scan to seconds on the numpy lane
+# 10^8 pairs, and the cap keeps the scan to seconds
 GRID_PAIRS_CAP = 10**9
 
 
 @dataclass
 class QuasiMeanMap:
-    """An n-ary map on a space, with optional fast-evaluation hooks.
+    """An n-ary map on a space, with an optional array form.
 
     ``eval`` takes a sequence of n points and returns a point. ``batch``
-    (optional) takes n equal-length numpy arrays of shape (m, dim) and
-    returns an (m, dim) array. ``kernel`` (optional) names a compiled
-    grid-scan formula for binary means on an interval.
+    (optional) takes a sequence of n float64 numpy arrays that hold points
+    on their last axis (length dim) and broadcast against each other on
+    their leading axes, as numpy broadcasting does; it returns the map's
+    values as an array whose leading axes broadcast to the common shape
+    and whose last axis holds the output points. Its values equal those of
+    ``eval`` bit for bit.
+
+    ``symmetric`` promises a binary map with p(x, y) == p(y, x) bit for
+    bit; the grid scan of ``estimate_lambda`` then scores each unordered
+    pair once.
     """
 
     arity: int
@@ -62,7 +69,7 @@ class QuasiMeanMap:
     eval: Callable
     label: str
     batch: Optional[Callable] = None
-    kernel: Optional[tuple] = None  # (name, param)
+    symmetric: bool = False
 
     def __call__(self, *points) -> Point:
         pts = [as_point(p) for p in points]
@@ -70,14 +77,28 @@ class QuasiMeanMap:
             raise ValueError(f"{self.label} needs {self.arity} arguments, got {len(pts)}")
         return self.eval(pts)
 
+    def apply(self, arrays):
+        """The map on arrays of points, as ``batch`` takes them: through
+        ``batch`` when the map has one, else ``eval`` row by row on the
+        broadcast inputs."""
+        if self.batch is not None:
+            return self.batch(arrays)
+        import numpy as np
+
+        arrays = np.broadcast_arrays(*arrays)
+        lead = arrays[0].shape[:-1]
+        rows = zip(*(arr.reshape(-1, arr.shape[-1]).tolist() for arr in arrays))
+        out = np.array([self.eval([tuple(pt) for pt in row]) for row in rows], dtype=np.float64)
+        return out.reshape(lead + (-1,))
+
 
 def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
-               batch: Optional[Callable] = None, kernel: Optional[tuple] = None,
+               batch: Optional[Callable] = None, symmetric: bool = False,
                verify_unanimity: bool = True, seed: int = 7) -> QuasiMeanMap:
     """Wrap a point map; warns when it visibly fails unanimity on samples."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
-    p = QuasiMeanMap(arity, space, func, label, batch=batch, kernel=kernel)
+    p = QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=symmetric)
     if verify_unanimity:
         worst = 0.0
         for x in space.sample(seed, 8):
@@ -286,9 +307,10 @@ class LambdaConfig:
 def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> LambdaEstimate:
     """Estimate the contractivity constant by ratio maximization.
 
-    Binary means on an interval are scanned over the dense step grid
-    (compiled kernel when the mean has one, vectorized batch otherwise);
-    higher tuple dimensions use seeded random tuples with hill climbing.
+    Binary means on an interval are scanned over the dense step grid,
+    which ends on the interval's end b even when the step does not divide
+    its length; higher tuple dimensions use seeded random tuples with hill
+    climbing.
     Tuples with diameter at or below the excluded radius are skipped.
     """
     grid_applies = (
@@ -303,10 +325,13 @@ def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> Lamb
 
 
 def _grid_points(a: float, b: float, step: float) -> int:
-    """Number of grid points a + k*step on [a, b]; raises CapacityError
-    when their ordered pairs exceed GRID_PAIRS_CAP."""
+    """Number of grid points a + k*step on [a, b], plus b itself when the
+    last of them falls short of b by more than rounding; raises
+    CapacityError when their ordered pairs exceed GRID_PAIRS_CAP."""
     span = (b - a) / step + 1e-9
     m = int(math.floor(span)) + 1 if math.isfinite(span) else math.inf
+    if m < math.inf and b - (a + (m - 1) * step) > 1e-9 * step:
+        m += 1
     if m * (m - 1) > GRID_PAIRS_CAP:
         raise CapacityError(
             f"grid step {step!r} on [{a!r}, {b!r}] gives {m} points, whose "
@@ -316,69 +341,12 @@ def _grid_points(a: float, b: float, step: float) -> int:
 
 
 def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
-    a, b = p.space.a, p.space.b
-    m = _grid_points(a, b, cfg.grid_step)
-    if p.kernel is not None:
-        name, param = p.kernel
-        lam, x, y, count = _kernels.grid_scan_interval(
-            name, param, a, b, cfg.grid_step, cfg.excluded_diameter
-        )
-        method = "grid"
-    elif p.batch is not None:
-        lam, x, y, count = _grid_scan_batch(p, a, cfg.grid_step, m, cfg.excluded_diameter)
-        method = "grid/batch"
-    else:
-        lam, x, y, count = _grid_scan_scalar(p, a, cfg.grid_step, m, cfg.excluded_diameter)
-        method = "grid/scalar"
+    a = p.space.a
+    m = _grid_points(a, p.space.b, cfg.grid_step)
+    lam, x, y, count = _kernels.grid_scan_interval(p, a, cfg.grid_step, m, cfg.excluded_diameter)
     if count == 0:
         raise SamplingError("every grid tuple fell inside the excluded diagonal radius")
-    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, method)
-
-
-def _grid_scan_batch(p: QuasiMeanMap, a: float, step: float, m: int, excluded: float):
-    import numpy as np
-
-    xs = a + np.arange(m, dtype=np.float64) * step
-    best, bi, bj, count = -1.0, -1, -1, 0
-    # whole rows of the full square (a user batch map need not be symmetric),
-    # so the count and the first row-major maximum do not depend on the block
-    rows = max(1, _kernels.BLOCK_CELLS // m)
-    for lo in range(0, m, rows):
-        block = xs[lo : lo + rows]
-        X = np.repeat(block, m)[:, None]
-        Y = np.tile(xs, len(block))[:, None]
-        P = p.batch([X, Y])[:, 0]
-        X, Y = X[:, 0], Y[:, 0]
-        D = np.abs(X - Y)
-        R = np.maximum(np.abs(X - P), np.abs(Y - P))
-        live = D > excluded
-        count += int(live.sum())
-        ratios = np.where(live, R / np.where(live, D, 1.0), -np.inf)
-        k = int(np.argmax(ratios))
-        val = float(ratios[k])
-        if val > best:
-            best = val
-            bi = lo + k // m
-            bj = k % m
-    return best, float(xs[bi]), float(xs[bj]), count
-
-
-def _grid_scan_scalar(p: QuasiMeanMap, a: float, step: float, m: int, excluded: float):
-    best, bx, by, count = -1.0, 0.0, 0.0, 0
-    d = p.space.d
-    for i in range(m):
-        x = a + i * step
-        for j in range(m):
-            y = a + j * step
-            gap = abs(x - y)
-            if gap <= excluded:
-                continue
-            out = p.eval([(x,), (y,)])
-            r = max(d((x,), out), d((y,), out)) / gap
-            count += 1
-            if r > best:
-                best, bx, by = r, x, y
-    return best, bx, by, count
+    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter)
 
 
 def _random_member_tuple(p: QuasiMeanMap, rng, excluded: float) -> tuple:
@@ -473,8 +441,8 @@ def collapse_to_quasi_mean(p: QuasiMeanMap) -> QuasiMeanMap:
     batch = None
     if p.batch is not None:
         batch = lambda arrays: p.batch([arrays[0]] + [arrays[1]] * tail)
-    kernel = p.kernel if p.arity == 2 else None
-    return QuasiMeanMap(2, p.space, func, f"{p.label}/collapsed", batch=batch, kernel=kernel)
+    return QuasiMeanMap(2, p.space, func, f"{p.label}/collapsed", batch=batch,
+                        symmetric=p.symmetric and p.arity == 2)
 
 
 def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DEFAULT_TOL,
@@ -584,8 +552,8 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
             total = total + arr
         return total / arity
 
-    kernel = ("arith2", 0.0) if arity == 2 and isinstance(space, Interval) else None
-    return QuasiMeanMap(arity, space, func, f"arithmetic:{arity}", batch=batch, kernel=kernel)
+    return QuasiMeanMap(arity, space, func, f"arithmetic:{arity}", batch=batch,
+                        symmetric=arity == 2)
 
 
 def geometric_mean(space: Interval) -> QuasiMeanMap:
@@ -601,7 +569,7 @@ def geometric_mean(space: Interval) -> QuasiMeanMap:
 
         return np.sqrt(arrays[0] * arrays[1])
 
-    return QuasiMeanMap(2, space, func, "geometric", batch=batch, kernel=("geom", 0.0))
+    return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True)
 
 
 def dictator_mean(space: MetricSpace, index: int = 0, arity: int = 2) -> QuasiMeanMap:
@@ -614,10 +582,7 @@ def dictator_mean(space: MetricSpace, index: int = 0, arity: int = 2) -> QuasiMe
     def batch(arrays):
         return arrays[index]
 
-    kernel = None
-    if arity == 2 and isinstance(space, Interval):
-        kernel = ("dict0" if index == 0 else "dict1", 0.0)
-    return QuasiMeanMap(arity, space, func, f"dictator:{index}", batch=batch, kernel=kernel)
+    return QuasiMeanMap(arity, space, func, f"dictator:{index}", batch=batch)
 
 
 def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
@@ -632,9 +597,8 @@ def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
 
         return np.broadcast_to(np.asarray(pt), arrays[0].shape).copy()
 
-    kernel = ("const", pt[0]) if arity == 2 and isinstance(space, Interval) else None
     label = "constant:" + ",".join(repr(c) for c in pt)
-    return QuasiMeanMap(arity, space, func, label, batch=batch, kernel=kernel)
+    return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2)
 
 
 def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
@@ -651,9 +615,13 @@ def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
         import numpy as np
 
         X, Y = arrays[0], arrays[1]
-        return np.minimum(X, Y) + (X - Y) * (X - Y) * 0.5
+        # the operations of func, two temporaries in place of five
+        half_square = np.subtract(X, Y)
+        half_square *= half_square
+        half_square *= 0.5
+        return np.add(np.minimum(X, Y), half_square, out=half_square)
 
-    return QuasiMeanMap(2, space, func, "minsq", batch=batch, kernel=("minsq", 0.0))
+    return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True)
 
 
 def _require_convex(space: MetricSpace, what: str) -> None:

@@ -192,8 +192,11 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
         assert equimean.cli.main(["estimate-lambda", "--config", {cfg!r},
                                   "--out", {str(tmp_path / "grid")!r}]) == 0
         assert "numpy" in sys.modules, "grid scan"
-        from equimean._kernels import KERNEL_CODES, fallback, grid_scan_both, grid_scan_interval
-        print(fallback.grid_scan(KERNEL_CODES["arith2"], 0.0, 0.0, 1.0, 0.25, 1e-6))
+        from equimean._kernels import grid_scan_interval
+        from equimean.means import mean_from_name
+        from equimean.spaces import Interval
+        print(grid_scan_interval(mean_from_name("arithmetic:2", Interval(0.0, 1.0)),
+                                 0.0, 0.25, 5, 1e-6))
     """)
     out = run_child(child)
     assert out.returncode == 0, out.stderr
@@ -293,7 +296,59 @@ def test_grid_report_does_not_name_the_lane(tmp_path, caplog):
     assert results["estimate"]["method"] == "grid"
     assert (outdir / "lambda.csv").read_text().splitlines()[1].split(",")[3] == "grid"
     lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
-    assert lines[-1].endswith(f" s, grid/{equimean.KERNEL_IMPLEMENTATION}, 20 samples")
+    assert lines[-1].endswith(" s, grid, 20 samples")
+
+
+C4_BOX = {"space": SYM_BOX, "action": {"name": "plane_rotation", "n": 4},
+          "mean": "arithmetic:4", "retraction": {"kind": "constant", "point": [0.0, 0.0]}}
+
+
+# (integer field, experiment, config holding 3 there): each integer field of
+# the config schema, in a short run that reads it
+INTEGER_FIELDS = [
+    ("subgroup", "deform-fixed", {**C4_BOX, "subgroup": [0, 1, 2, 3]}),
+    ("restarts", "estimate-lambda", {"space": SYM_BOX, "mean": "arithmetic:2",
+                                     "restarts": 3}),
+    ("depth", "verify-claim1", {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5,
+                                "theta": [0.0], "x": [1.0], "depth": 3}),
+    ("pairs", "verify-holder", {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5,
+                                "theta": [0.0], "x": [1.0], "depth": 4, "pairs": 3}),
+    ("samples", "verify-mean", {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 3}),
+    ("times", "build-homotopy", {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5,
+                                 "theta": [0.0], "x": [1.0], "times": 3}),
+    ("seed", "verify-mean", {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5,
+                             "seed": 3}),
+    ("budget", "solomonic-search", {"space": SYM_BOX, "mean": "arithmetic:2", "K": 0.5,
+                                    "budget": 3}),
+    ("k", "verify-mean", {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5, "k": 3}),
+    ("retraction.axis", "deform-fixed", {
+        "space": {"kind": "box", "params": {"lo": [-1.0] * 4, "hi": [1.0] * 4}},
+        "action": {"name": "reflection", "axis": 3}, "mean": "arithmetic:2",
+        "retraction": {"kind": "zero_coordinate", "axis": 3}}),
+]
+
+
+def _with_float_three(cfg: dict, field: str) -> dict:
+    """``cfg`` with the 3 at ``field`` written as 3.0."""
+    head, _, tail = field.partition(".")
+    value = cfg[head]
+    if tail:
+        value = {**value, tail: 3.0}
+    elif isinstance(value, list):
+        value = [3.0 if v == 3 else v for v in value]
+    else:
+        value = 3.0
+    return {**cfg, head: value}
+
+
+@pytest.mark.parametrize("field, command, cfg", INTEGER_FIELDS, ids=[f[0] for f in INTEGER_FIELDS])
+def test_integral_float_runs_as_its_int(tmp_path, field, command, cfg):
+    floats = _with_float_three(cfg, field)
+    assert "3.0" in json.dumps(floats)
+    code, ints = run(tmp_path, command, cfg, out="ints")
+    assert code in (0, 1)
+    assert run(tmp_path, command, floats, out="floats")[0] == code
+    assert (ints / "report.json").read_bytes() == (tmp_path / "floats" / "report.json").read_bytes()
 
 
 def test_unexpected_error_traceback_goes_to_the_debug_log(tmp_path, capsys, caplog, monkeypatch):

@@ -11,6 +11,7 @@ from equimean.means import (
     GRID_PAIRS_CAP,
     LambdaConfig,
     QuasiMeanMap,
+    _grid_points,
     arithmetic_mean,
     check_anonymity,
     check_equivariance,
@@ -222,8 +223,6 @@ def test_lambda_degenerate_space_errors():
 
 
 def test_lambda_grid_pairs_cap_fires_before_the_scan():
-    from equimean.means import _grid_points
-
     # cap 10^9: 31,623 points make 999,982,506 ordered pairs, 31,624 make
     # 1,000,045,752
     assert _grid_points(0.0, 1.0, 1.0 / 31622) == 31623
@@ -235,16 +234,27 @@ def test_lambda_grid_pairs_cap_fires_before_the_scan():
             estimate_lambda(arithmetic_mean(UNIT, 2), LambdaConfig(grid_step=step))
 
 
+def test_lambda_grid_ends_on_the_interval_end():
+    # 7e-4 does not divide 3: the grid's last step point is 3.9995, and b = 4
+    # is one more grid point, where the ratio 2/3 is attained
+    m = 4287
+    assert _grid_points(1.0, 4.0, 7e-4) == m
+    est = estimate_lambda(geometric_mean(Interval(1.0, 4.0)), LambdaConfig(grid_step=7e-4))
+    assert est.lambda_hat == 2.0 / 3.0
+    assert est.argmax_tuple == ((1.0,), (4.0,))
+    assert est.samples == m * (m - 1)
+
+
 def _skewed_batch_mean(space):
-    # 0.75 x + 0.25 y: its ratio matrix is not symmetric, so the batch lane
-    # must score the full square
+    # 0.75 x + 0.25 y: its ratio matrix is not symmetric, so the scan must
+    # score whole rows of the full square
     return QuasiMeanMap(2, space, lambda pts: (0.75 * pts[0][0] + 0.25 * pts[1][0],),
                         "skewed", batch=lambda arrays: 0.75 * arrays[0] + 0.25 * arrays[1])
 
 
 @pytest.mark.parametrize("make", [
-    lambda: dataclasses.replace(arithmetic_mean(UNIT, 2), kernel=None),
-    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), kernel=None),
+    lambda: dataclasses.replace(arithmetic_mean(UNIT, 2), symmetric=False),
+    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), symmetric=False),
     lambda: _skewed_batch_mean(UNIT),
 ])
 def test_lambda_batch_lane_does_not_depend_on_block_size(monkeypatch, make):
@@ -254,22 +264,65 @@ def test_lambda_batch_lane_does_not_depend_on_block_size(monkeypatch, make):
     for cells in (37, 909, 10**6):
         monkeypatch.setattr(_kernels, "BLOCK_CELLS", cells)
         est = estimate_lambda(p, LambdaConfig(grid_step=(p.space.b - p.space.a) / 100))
-        assert est.method == "grid/batch"
+        assert est.method == "grid"
         outs.append((est.lambda_hat, est.argmax_tuple, est.samples))
     assert outs[0] == outs[1] == outs[2]
     assert outs[0][2] == 101 * 100
 
 
 def test_lambda_batch_lane_agrees_with_kernel_lane(monkeypatch):
+    # the upper-triangle path of a symmetric map equals the whole-row path
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 100)
-    p = arithmetic_mean(UNIT, 2)
-    stripped = dataclasses.replace(p, kernel=None)
-    for step in (1e-2, 4e-3, 7e-3):
-        cfg = LambdaConfig(grid_step=step)
-        kernel, batch = estimate_lambda(p, cfg), estimate_lambda(stripped, cfg)
-        assert batch.method == "grid/batch" != kernel.method
-        assert ((batch.lambda_hat, batch.argmax_tuple, batch.samples)
-                == (kernel.lambda_hat, kernel.argmax_tuple, kernel.samples))
+    for p in (arithmetic_mean(UNIT, 2), geometric_mean(Interval(1.0, 4.0))):
+        rows = dataclasses.replace(p, symmetric=False)
+        assert p.symmetric
+        for step in (1e-2, 4e-3, 7e-3):
+            cfg = LambdaConfig(grid_step=step)
+            upper, whole = estimate_lambda(p, cfg), estimate_lambda(rows, cfg)
+            assert ((upper.lambda_hat, upper.argmax_tuple, upper.samples)
+                    == (whole.lambda_hat, whole.argmax_tuple, whole.samples))
+
+
+def _double_loop_scan(p, step, excluded):
+    """The plain Python scan of every ordered grid pair through ``p.eval``,
+    first maximum in row-major order."""
+    a, b = p.space.a, p.space.b
+    m = _grid_points(a, b, step)
+    xs = [a + i * step for i in range(m - 1)] + [b]
+    best, bx, by, count = -1.0, 0.0, 0.0, 0
+    d = p.space.d
+    for x in xs:
+        for y in xs:
+            gap = abs(x - y)
+            if gap <= excluded:
+                continue
+            out = p.eval([(x,), (y,)])
+            r = max(d((x,), out), d((y,), out)) / gap
+            count += 1
+            if r > best:
+                best, bx, by = r, x, y
+    return best, ((bx,), (by,)), count
+
+
+@pytest.mark.parametrize("make", [
+    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), batch=None),
+    lambda: dataclasses.replace(min_plus_halfsquare_mean(UNIT), batch=None, symmetric=True),
+    lambda: dataclasses.replace(_skewed_batch_mean(UNIT), batch=None),
+    lambda: _skewed_batch_mean(UNIT),
+    lambda: QuasiMeanMap(2, Interval(-1.0, 2.0), lambda pts: (max(pts[0][0], pts[1][0]) ** 2 / 4,),
+                         "square-of-max"),
+    # undefined (NaN) where x + y > 1: those ratios never win
+    lambda: QuasiMeanMap(2, UNIT, lambda pts: (math.nan if pts[0][0] + pts[1][0] > 1.0
+                                               else 0.25 * pts[0][0] + 0.75 * pts[1][0],),
+                         "nan-above-the-antidiagonal"),
+], ids=["geometric-eval", "minsq-eval-symmetric", "skewed-eval", "skewed-batch",
+        "square-of-max-eval", "nan-eval"])
+@pytest.mark.parametrize("step", [0.05, 0.07])
+def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 37)
+    p = make()
+    est = estimate_lambda(p, LambdaConfig(grid_step=step))
+    assert (est.lambda_hat, est.argmax_tuple, est.samples) == _double_loop_scan(p, step, 1e-6)
 
 
 def test_arithmetic_mean_equals_per_coordinate_sums():
@@ -445,7 +498,8 @@ def test_solomonic_requires_positive_target():
 def test_registry_names():
     assert mean_from_name("arithmetic:3", UNIT).arity == 3
     assert mean_from_name("geometric", Interval(1, 2)).label == "geometric"
-    assert mean_from_name("dictator:1", UNIT).kernel == ("dict1", 0.0)
+    assert mean_from_name("dictator:1", UNIT).symmetric is False
+    assert mean_from_name("arithmetic:2", UNIT).symmetric is True
     assert mean_from_name("constant:0.5", UNIT).eval([(0.1,), (0.9,)]) == (0.5,)
     assert mean_from_name("minsq", UNIT).label == "minsq"
     with pytest.raises(ValueError):
