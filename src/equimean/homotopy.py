@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -43,10 +42,9 @@ RATIO_SLACK = 1e-9
 
 
 class ContractionBuilder:
-    """Memoized dyadic path construction for one binary map and basepoint."""
+    """Dyadic path construction for one binary map and basepoint."""
 
     def __init__(self, space: MetricSpace, p: QuasiMeanMap, lam: float, theta,
-                 use_memo: bool = True, memo_limit: int = 2 ** 20,
                  validate: bool = True, seed: int = 5):
         if p.arity != 2:
             raise ValueError(
@@ -61,63 +59,45 @@ class ContractionBuilder:
         self.lam = lam
         self.theta = theta
         self.alpha = -math.log(lam) / math.log(2.0)
-        self.use_memo = use_memo
-        self.memo_limit = memo_limit
-        self._memo: "OrderedDict[Point, dict]" = OrderedDict()
-        self._entries = 0
+        self.sampled_ratio = 0.0
+        self.sampled_pair: Optional[tuple] = None
         if validate:
-            self._warn_if_ratio_exceeds(seed)
+            understated = self.check_ratio(seed)
+            if understated:
+                warnings.warn(f"{understated}; certified bounds may be invalid", stacklevel=2)
 
-    def _warn_if_ratio_exceeds(self, seed: int, samples: int = 16) -> None:
+    def check_ratio(self, seed: int = 5, samples: int = 16) -> Optional[str]:
+        """Sample pairs (x, y) for the worst ratio max(d(x, m), d(y, m)) /
+        d(x, y), with m = p(x, y), and keep it and its pair as
+        ``sampled_ratio`` and ``sampled_pair``. Returns a message naming
+        both when the ratio exceeds the declared lambda, else None."""
         rng = as_rng(seed)
-        worst = 0.0
+        worst, pair = 0.0, None
         for _ in range(samples):
             x, y = self.space.sample(rng, 2)
             gap = self.space.d(x, y)
             if gap <= 0.0:
                 continue
             out = self.p.eval([x, y])
-            worst = max(worst, max(self.space.d(x, out), self.space.d(y, out)) / gap)
-        if worst > self.lam + RATIO_SLACK:
-            warnings.warn(
-                f"sampled contractivity ratio {worst:.6g} exceeds the declared "
-                f"lambda {self.lam:.6g}; certified bounds may be invalid",
-                stacklevel=3,
-            )
+            ratio = max(self.space.d(x, out), self.space.d(y, out)) / gap
+            if ratio > worst:
+                worst, pair = ratio, (x, y)
+        self.sampled_ratio, self.sampled_pair = worst, pair
+        if worst <= self.lam + RATIO_SLACK:
+            return None
+        return (f"sampled contractivity ratio {worst:.6g} at the pair {pair} "
+                f"exceeds the declared lambda {self.lam:.6g}")
 
     def holder_constant(self, x) -> float:
         """C = 2 d(x, basepoint) / (1 - lambda)."""
         return 2.0 * self.space.d(as_point(x), self.theta) / (1.0 - self.lam)
-
-    def _table_for(self, x: Point) -> dict:
-        if not self.use_memo:
-            return {}
-        table = self._memo.get(x)
-        if table is None:
-            table = {}
-            self._memo[x] = table
-        else:
-            self._memo.move_to_end(x)
-        return table
-
-    def _evict(self) -> None:
-        while self._entries > self.memo_limit and len(self._memo) > 1:
-            _, dropped = self._memo.popitem(last=False)
-            self._entries -= len(dropped)
 
     def at_dyadic(self, x, d: Dyadic) -> Point:
         """Path value at an exact dyadic time; time 0 is x, time 1 the
         basepoint, odd grid points aggregate their two coarser neighbours."""
         if d.n > MAX_DYADIC_DEPTH:
             raise CapacityError(f"dyadic level {d.n} exceeds the cap {MAX_DYADIC_DEPTH}")
-        x = as_point(x)
-        table = self._table_for(x)
-        before = len(table)
-        value = self._eval(x, table, d.j, d.n)
-        if self.use_memo:
-            self._entries += len(table) - before
-            self._evict()
-        return value
+        return self._eval(as_point(x), {}, d.j, d.n)
 
     def _eval(self, x: Point, table: dict, j: int, n: int) -> Point:
         key = (j, n)
@@ -159,20 +139,28 @@ class ContractionBuilder:
             )
         return max(level, 0)
 
-    def at_time(self, x, t: float, eps: float) -> tuple[Point, float]:
-        """Path value at a real time within a certified error.
+    def at_times(self, x, ts, eps: float) -> list[tuple[Point, float]]:
+        """Path values at real times within a certified error.
 
-        Snaps t to the nearest dyadic r on the minimal grid whose bound
-        meets eps and returns (value at r, C |t - r|^alpha <= eps).
+        Snaps each t to the nearest dyadic r on the minimal grid whose bound
+        meets eps and returns (value at r, C |t - r|^alpha <= eps) for each,
+        in order. The times share one table of dyadic nodes, which lives
+        only for this call.
         """
         x = as_point(x)
         C = self.holder_constant(x)
-        if C == 0.0:
-            return self.theta, 0.0
         level = self.level_for(x, eps)
-        r = nearest_dyadic(t, level)
-        err = C * abs(t - r.value) ** self.alpha
-        return self.at_dyadic(x, r), err
+        table: dict = {}
+        values = []
+        for t in ts:
+            r = nearest_dyadic(t, level)
+            err = C * abs(t - r.value) ** self.alpha
+            values.append((self._eval(x, table, r.j, r.n), err))
+        return values
+
+    def at_time(self, x, t: float, eps: float) -> tuple[Point, float]:
+        """``at_times`` at a single time."""
+        return self.at_times(x, (t,), eps)[0]
 
     def level_arrays(self, x, depth: int):
         """Yield the path values on the grids of levels 0..depth as

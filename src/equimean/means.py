@@ -29,16 +29,7 @@ from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, full_subgroup, is_fixed_by
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import (
-    Box,
-    Interval,
-    MetricSpace,
-    Point,
-    Product,
-    as_point,
-    diameter,
-    is_convex,
-)
+from .spaces import Interval, MetricSpace, Point, as_point, diameter, is_convex
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
@@ -365,22 +356,10 @@ def _perturb_tuple(space: MetricSpace, tup: tuple, rng, scale: float) -> tuple:
     return tuple(moved)
 
 
-def _space_extent(space: MetricSpace) -> float:
-    if isinstance(space, Interval):
-        return space.b - space.a
-    if isinstance(space, Box):
-        return math.sqrt(sum((h - l) ** 2 for l, h in zip(space.lo, space.hi)))
-    if isinstance(space, Product):
-        return math.sqrt(sum(_space_extent(s) ** 2 for s in space.spaces))
-    if hasattr(space, "radius"):
-        return 2.0 * space.radius
-    return 1.0
-
-
 def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     rng = as_rng(cfg.seed)
     excluded = cfg.excluded_diameter
-    extent = _space_extent(p.space)
+    extent = p.space.extent()
 
     def objective(tup):
         diam = diameter(p.space, tup)
@@ -507,7 +486,7 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
     if K <= 0:
         raise ValueError("K must be positive")
     rng = as_rng(seed_or_rng)
-    extent = _space_extent(p.space)
+    extent = p.space.extent()
 
     def margin(tup) -> float:
         out = p.eval(list(tup))

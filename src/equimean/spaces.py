@@ -1,10 +1,10 @@
 """Metric spaces over finite real-coordinate points.
 
 Points are plain tuples of floats (length >= 1, every coordinate finite),
-immutable and hashable so they can key memo tables. Five space kinds are
-provided: an interval, an axis-aligned box, a circle embedded in the plane
-(with a selectable chord or arc metric), a finite point set, and a product
-of spaces with the Euclidean combination of the factor metrics.
+immutable and hashable. Five space kinds are provided: an interval, an
+axis-aligned box, a circle embedded in the plane (with a selectable chord
+or arc metric), a finite point set, and a product of spaces with the
+Euclidean combination of the factor metrics.
 
 Every space is complete; completeness is assumed, never checked.
 Membership is tested to an absolute tolerance (default 1e-9) and each
@@ -74,6 +74,11 @@ class MetricSpace:
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
 
+    def extent(self) -> float:
+        """A length scale of the space, for sizing search steps; 1.0 for a
+        kind without one."""
+        return 1.0
+
     def project(self, p: Point) -> Point:
         """Nearest (or canonical) member point, for drift correction."""
         raise NotImplementedError
@@ -124,6 +129,9 @@ class Interval(MetricSpace):
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == 1 and self.a - tol <= p[0] <= self.b + tol
 
+    def extent(self) -> float:
+        return self.b - self.a
+
     def project(self, p: Point) -> Point:
         return (min(max(p[0], self.a), self.b),)
 
@@ -159,6 +167,9 @@ class Box(MetricSpace):
         return len(p) == self.dim and all(
             lo - tol <= c <= hi + tol for c, lo, hi in zip(p, self.lo, self.hi)
         )
+
+    def extent(self) -> float:
+        return math.sqrt(sum((h - l) ** 2 for l, h in zip(self.lo, self.hi)))
 
     def project(self, p: Point) -> Point:
         return tuple(min(max(c, lo), hi) for c, lo, hi in zip(p, self.lo, self.hi))
@@ -201,6 +212,9 @@ class Circle(MetricSpace):
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == 2 and abs(math.hypot(p[0], p[1]) - self.radius) <= tol
+
+    def extent(self) -> float:
+        return 2.0 * self.radius
 
     def project(self, p: Point) -> Point:
         norm = math.hypot(p[0], p[1])
@@ -285,6 +299,9 @@ class Product(MetricSpace):
         if len(p) != self.dim:
             return False
         return all(s.contains(x, tol) for s, x in zip(self.spaces, self._split(p)))
+
+    def extent(self) -> float:
+        return math.sqrt(sum(s.extent() ** 2 for s in self.spaces))
 
     def project(self, p: Point) -> Point:
         out: list[float] = []

@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -262,16 +263,16 @@ def test_non_finite_numbers_are_config_errors(tmp_path, text, where):
 
 @pytest.fixture
 def no_at_time(monkeypatch):
-    def at_time(*args):
-        raise LookupError("at_time reached")
+    def at_times(*args):
+        raise LookupError("at_times reached")
 
-    monkeypatch.setattr(cli.ContractionBuilder, "at_time", at_time)
+    monkeypatch.setattr(cli.ContractionBuilder, "at_times", at_times)
 
 
 def test_build_homotopy_times_cap(tmp_path, no_at_time):
     cfg = {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0],
            "x": [1.0], "times": cli.TIMES_CAP}
-    with pytest.raises(LookupError, match="at_time reached"):
+    with pytest.raises(LookupError, match="at_times reached"):
         cli.run_build_homotopy(cfg, tmp_path)
     with pytest.raises(CapacityError, match=f"times {cli.TIMES_CAP + 1} exceed the cap"):
         cli.run_build_homotopy({**cfg, "times": cli.TIMES_CAP + 1}, tmp_path)
@@ -625,6 +626,36 @@ def test_dyadic_base_homotopy_config(tmp_path):
     }
     code, outdir = run(tmp_path, "symmetrize", cfg)
     assert code == 0
+
+
+GEOMETRIC_12 = {"kind": "interval", "params": {"a": 1.0, "b": 2.0}}
+# geometric on [1, 2] has lambda 2 - sqrt(2) ~ 0.586; 0.3 understates it
+UNDERSTATED = [
+    ("build-homotopy", {"space": GEOMETRIC_12, "mean": "geometric", "lambda": 0.3,
+                        "theta": [2.0], "x": [1.0], "times": 5}),
+    ("symmetrize", {"space": GEOMETRIC_12, "action": {"name": "trivial"}, "mean": "geometric",
+                    "base_homotopy": {"kind": "dyadic", "mean": "geometric", "lambda": 0.3,
+                                      "theta": [2.0], "eps": 1e-3}}),
+]
+
+
+@pytest.mark.parametrize("command, cfg", UNDERSTATED, ids=[u[0] for u in UNDERSTATED])
+def test_understated_lambda_fails_with_the_sampled_pair(tmp_path, capsys, command, cfg):
+    code, outdir = run(tmp_path, command, cfg)
+    assert code == 1
+    report = read_report(outdir)
+    assert report["passed"] is False
+    error = report["error"]
+    match = re.fullmatch(r"sampled contractivity ratio (\S+) at the pair "
+                         r"\(\((\S+),\), \((\S+),\)\) exceeds the declared lambda 0\.3; "
+                         r"the certified errors would not hold", error)
+    assert match, error
+    ratio, x, y = (float(g) for g in match.groups())
+    m = math.sqrt(x * y)
+    assert ratio == pytest.approx(max(abs(x - m), abs(y - m)) / abs(x - y), rel=1e-5)
+    assert ratio > 0.3
+    assert error in capsys.readouterr().err
+    assert not (outdir / "trajectory.csv").exists()
 
 
 def test_no_command_prints_help():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equimean.dyadics import Dyadic, nearest_dyadic
 from equimean.errors import CapacityError, HypothesisError, PrecisionError
@@ -191,24 +191,28 @@ def test_level_arrays_reject_bad_batch_shape():
         list(b.level_arrays((1.0,), 3))
 
 
-def test_memoized_and_fresh_agree_bit_for_bit():
-    b1 = geometric_builder(use_memo=True)
-    b2 = geometric_builder(use_memo=False)
-    for n in range(0, 9):
-        for j in range(0, (1 << n) + 1, max(1, (1 << n) // 8)):
-            d = Dyadic(j, n)
-            assert b1.at_dyadic((1.2,), d) == b2.at_dyadic((1.2,), d)
+AT_TIMES_BUILDERS = {
+    "interval": (arithmetic_builder, [st.floats(0.0, 1.0)]),
+    "box": (lambda: arithmetic_builder(BOX2, (0.0, 0.0)), [st.floats(-1.0, 1.0)] * 2),
+    "geometric": (geometric_builder, [st.floats(1.0, 2.0)]),
+}
 
 
-def test_memo_eviction_keeps_values_correct():
-    small = geometric_builder()
-    small.memo_limit = 64
-    fresh = geometric_builder(use_memo=False)
-    rng = Xoshiro256StarStar(44)
-    for _ in range(40):
-        x = (rng.uniform(1.0, 2.0),)
-        d = Dyadic(rng.randrange(129), 7)
-        assert small.at_dyadic(x, d) == fresh.at_dyadic(x, d)
+@settings(deadline=None)
+@given(st.sampled_from(sorted(AT_TIMES_BUILDERS)), st.data(),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+       st.sampled_from([1e-2, 1e-4, 1e-6]))
+def test_at_times_equals_at_time_and_at_dyadic_bit_for_bit(kind, data, ts, eps):
+    make, coords = AT_TIMES_BUILDERS[kind]
+    b = make()
+    x = data.draw(st.tuples(*coords))
+    ts = ts + ts[::-2]  # unsorted, with every other time repeated
+    values = b.at_times(x, ts, eps)
+    assert repr(values) == repr([b.at_time(x, t, eps) for t in ts])
+    level = b.level_for(x, eps)
+    for t, (point, err) in zip(ts, values):
+        assert repr(point) == repr(b.at_dyadic(x, nearest_dyadic(t, level)))
+        assert err <= eps
 
 
 def _reference_eval(builder, x, table, j, n):
@@ -260,6 +264,20 @@ def test_builder_rejects_bad_inputs():
 def test_builder_warns_on_understated_lambda():
     with pytest.warns(UserWarning, match="exceeds the declared"):
         ContractionBuilder(UNIT, arithmetic_mean(UNIT, 2), 0.3, (0.0,))
+
+
+def test_builder_keeps_the_sampled_ratio_and_its_pair():
+    space = Interval(1.0, 2.0)
+    b = ContractionBuilder(space, geometric_mean(space), 0.3, (2.0,), validate=False)
+    assert b.sampled_pair is None
+    understated = b.check_ratio()
+    x, y = b.sampled_pair
+    m = b.p.eval([x, y])
+    assert b.sampled_ratio == max(space.d(x, m), space.d(y, m)) / space.d(x, y)
+    assert b.sampled_ratio > 0.3
+    assert understated == (f"sampled contractivity ratio {b.sampled_ratio:.6g} at the pair "
+                           f"{(x, y)} exceeds the declared lambda 0.3")
+    assert geometric_builder().check_ratio() is None
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +352,14 @@ def test_at_time_at_basepoint_is_free():
     b = geometric_builder()
     point, err = b.at_time((2.0,), 0.7323, eps=1e-30)
     assert point == (2.0,) and err == 0.0
+
+
+def test_at_time_zero_is_x_when_its_distance_to_the_basepoint_underflows():
+    b = arithmetic_builder(BOX2, (0.0, 0.0))
+    x = (0.0, 1e-200)
+    assert b.holder_constant(x) == 0.0
+    assert b.at_times(x, [0.0, 0.4, 0.6, 1.0], eps=1e-6) == [
+        (x, 0.0), (x, 0.0), ((0.0, 0.0), 0.0), ((0.0, 0.0), 0.0)]
 
 
 def test_at_time_dyadic_time_has_zero_snap_error():

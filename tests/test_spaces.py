@@ -180,3 +180,11 @@ def test_is_convex():
 def test_product_metric_combines_factors():
     pr = Product([Interval(0, 1), Interval(0, 1)])
     assert pr.d((0.0, 0.0), (1.0, 1.0)) == pytest.approx(math.sqrt(2), abs=1e-15)
+
+
+def test_extent_per_kind():
+    assert Interval(-1.0, 2.5).extent() == 3.5
+    assert Box([0.0, -1.0], [3.0, 3.0]).extent() == 5.0
+    assert Circle(2.5, "geodesic").extent() == 5.0
+    assert FinitePoints([(0.0, 0.0), (9.0, 0.0)]).extent() == 1.0
+    assert Product([Interval(0.0, 3.0), Box([0.0], [4.0])]).extent() == 5.0
