@@ -279,7 +279,7 @@ def _base_homotopy(cfg: dict, space):
         return straight_line_extension(space, lambda x: theta)
     if kind == "dyadic":
         mean = mean_from_name(spec["mean"], space)
-        builder = _certified_builder(space, mean, float(spec["lambda"]), as_point(spec["theta"]))
+        builder = ContractionBuilder(space, mean, float(spec["lambda"]), as_point(spec["theta"]))
         eps = float(spec.get("eps", 1e-9))
         return lambda x, t: builder.at_time(x, t, eps)[0]
     raise ConfigError(f"unknown base homotopy kind {kind!r}")
@@ -362,24 +362,12 @@ def run_chain(cfg: dict, outdir: Path):
     return ok, results, f"exact chains, {chain_len} points"
 
 
-def _certified_builder(space, mean, lam: float, theta) -> ContractionBuilder:
-    """A builder for a run that reports certified errors: a declared lambda
-    below the sampled contractivity ratio fails the run, with the sampled
-    pair as its witness."""
-    builder = ContractionBuilder(space, mean, lam, theta, validate=False)
-    understated = builder.check_ratio()
-    if understated:
-        raise HypothesisError(f"{understated}; the certified errors would not hold")
-    return builder
-
-
-def _builder_from(cfg: dict, experiment: str, certified: bool = False) -> tuple:
+def _builder_from(cfg: dict, experiment: str) -> tuple:
     space = _space(cfg, experiment)
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
     theta = as_point(_need(cfg, "theta", experiment))
-    make = _certified_builder if certified else ContractionBuilder
-    return space, mean, make(space, mean, lam, theta)
+    return space, mean, ContractionBuilder(space, mean, lam, theta)
 
 
 def _start_point(cfg: dict, space):
@@ -393,7 +381,7 @@ def run_build_homotopy(cfg: dict, outdir: Path):
     times = cfg.get("times", 65)
     if times > TIMES_CAP:
         raise CapacityError(f"build-homotopy times {times} exceed the cap {TIMES_CAP}")
-    space, mean, builder = _builder_from(cfg, "build-homotopy", certified=True)
+    space, mean, builder = _builder_from(cfg, "build-homotopy")
     x = _start_point(cfg, space)
     space.require_member(x)
     eps = cfg.get("eps", 1e-6)

@@ -11,7 +11,7 @@ the action laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
@@ -271,9 +271,16 @@ def orbit(action: GroupAction, x: Point, tol: float = POINT_TOL) -> list:
     return pts
 
 
-def is_fixed_by(action: GroupAction, H: Subgroup, x: Point, tol: float = POINT_TOL) -> bool:
+def fixed_defect(action: GroupAction, members: Iterable[int], x: Point) -> float:
+    """max d(h.x, x) over the given elements h: how far x is from being
+    fixed by them. A NaN distance makes the defect NaN."""
     sp = action.space
-    return all(sp.d(action.act(h, x), x) <= tol for h in H.members)
+    defects = [sp.d(action.act(h, x), x) for h in members]
+    return math.nan if any(map(math.isnan, defects)) else max(defects)
+
+
+def is_fixed_by(action: GroupAction, H: Subgroup, x: Point, tol: float = POINT_TOL) -> bool:
+    return fixed_defect(action, H.members, x) <= tol
 
 
 def stabilizer(action: GroupAction, x: Point, tol: float = POINT_TOL) -> Subgroup:
@@ -385,13 +392,7 @@ def rotation_action(space: Circle, n: int) -> GroupAction:
     """Z_n acting on a circle by rotations of 2*pi/n."""
     if not isinstance(space, Circle):
         raise ValueError("rotation action needs a circle space")
-    cs = [(math.cos(2.0 * math.pi * k / n), math.sin(2.0 * math.pi * k / n)) for k in range(n)]
-
-    def apply(g: int, x: Point) -> Point:
-        c, s = cs[g]
-        return (x[0] * c - x[1] * s, x[0] * s + x[1] * c)
-
-    return GroupAction(cyclic(n), space, apply, name=f"rotation:{n}")
+    return replace(plane_rotation_action(space, n), name=f"rotation:{n}")
 
 
 def plane_rotation_action(space: MetricSpace, n: int) -> GroupAction:

@@ -25,27 +25,43 @@ space onto that set while keeping it pointwise still.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
-from .groups import GroupAction, Subgroup, full_subgroup, is_fixed_by
-from .means import QuasiMeanMap, check_anonymity, check_equivariance, sample_tuples
+from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup, is_fixed_by
+from .means import (
+    LawReport,
+    QuasiMeanMap,
+    check_contractivity,
+    check_equivariance,
+    require_mean_laws,
+    sample_tuples,
+)
 from .rng import as_rng
 from .spaces import MetricSpace, Point, as_point, is_convex
 
 MAX_DYADIC_DEPTH = 40
 LEVEL_SWEEP_CAP = 20
 RATIO_SLACK = 1e-9
+# the pairs on which every builder samples its map's contractivity ratio
+RATIO_SEED = 5
+RATIO_PAIRS = 16
 
 
 class ContractionBuilder:
-    """Dyadic path construction for one binary map and basepoint."""
+    """Dyadic path construction for one binary map and basepoint.
 
-    def __init__(self, space: MetricSpace, p: QuasiMeanMap, lam: float, theta,
-                 validate: bool = True, seed: int = 5):
+    The builder samples the map's contractivity ratio on RATIO_PAIRS pairs
+    drawn from RATIO_SEED and keeps the check as ``ratio_report``. When the
+    sampled ratio exceeds the declared lambda, ``at_times`` and ``at_time``,
+    which return certified errors, raise HypothesisError naming the worst
+    pair; ``at_dyadic``, ``level_arrays`` and the sweeps, which certify
+    nothing themselves, still run.
+    """
+
+    def __init__(self, space: MetricSpace, p: QuasiMeanMap, lam: float, theta):
         if p.arity != 2:
             raise ValueError(
                 "the dyadic builder needs a binary map; collapse higher arities first"
@@ -59,34 +75,8 @@ class ContractionBuilder:
         self.lam = lam
         self.theta = theta
         self.alpha = -math.log(lam) / math.log(2.0)
-        self.sampled_ratio = 0.0
-        self.sampled_pair: Optional[tuple] = None
-        if validate:
-            understated = self.check_ratio(seed)
-            if understated:
-                warnings.warn(f"{understated}; certified bounds may be invalid", stacklevel=2)
-
-    def check_ratio(self, seed: int = 5, samples: int = 16) -> Optional[str]:
-        """Sample pairs (x, y) for the worst ratio max(d(x, m), d(y, m)) /
-        d(x, y), with m = p(x, y), and keep it and its pair as
-        ``sampled_ratio`` and ``sampled_pair``. Returns a message naming
-        both when the ratio exceeds the declared lambda, else None."""
-        rng = as_rng(seed)
-        worst, pair = 0.0, None
-        for _ in range(samples):
-            x, y = self.space.sample(rng, 2)
-            gap = self.space.d(x, y)
-            if gap <= 0.0:
-                continue
-            out = self.p.eval([x, y])
-            ratio = max(self.space.d(x, out), self.space.d(y, out)) / gap
-            if ratio > worst:
-                worst, pair = ratio, (x, y)
-        self.sampled_ratio, self.sampled_pair = worst, pair
-        if worst <= self.lam + RATIO_SLACK:
-            return None
-        return (f"sampled contractivity ratio {worst:.6g} at the pair {pair} "
-                f"exceeds the declared lambda {self.lam:.6g}")
+        pairs = sample_tuples(space, 2, RATIO_SEED, RATIO_PAIRS)
+        self.ratio_report: LawReport = check_contractivity(p, pairs, lam + RATIO_SLACK)
 
     def holder_constant(self, x) -> float:
         """C = 2 d(x, basepoint) / (1 - lambda)."""
@@ -147,6 +137,13 @@ class ContractionBuilder:
         in order. The times share one table of dyadic nodes, which lives
         only for this call.
         """
+        report = self.ratio_report
+        if not report.passed:
+            raise HypothesisError(
+                f"sampled contractivity ratio {report.max_violation:.6g} at the pair "
+                f"{report.witness} exceeds the declared lambda {self.lam:.6g}; "
+                "the certified errors would not hold"
+            )
         x = as_point(x)
         C = self.holder_constant(x)
         level = self.level_for(x, eps)
@@ -341,22 +338,23 @@ class GHomotopy:
         return self.evaluate(as_point(x), t)
 
 
-def _check_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
-                     subgroup: Optional[Subgroup], seed, samples: int) -> None:
-    rng = as_rng(seed)
-    tuples = sample_tuples(p.space, p.arity, rng, samples)
-    anon = check_anonymity(p, tuples, tol, rng)
-    if not anon.passed:
-        raise HypothesisError(
-            f"anonymity defect {anon.max_violation:.3g} exceeds tol {tol:.3g} "
-            f"at witness {anon.witness}"
-        )
-    equi = check_equivariance(p, action, tuples, tol, subgroup=subgroup)
-    if not equi.passed:
-        raise HypothesisError(
-            f"equivariance defect {equi.max_violation:.3g} exceeds tol {tol:.3g} "
-            f"at witness {equi.witness}"
-        )
+def _aggregating_mean(p: Optional[QuasiMeanMap], action: GroupAction,
+                     subgroup: Optional[Subgroup], tol: float, trust_laws: bool,
+                     seed, samples: int) -> Optional[QuasiMeanMap]:
+    """The mean that aggregates the translates by the subgroup (the whole
+    group when None): None for a trivial one, else p, once its arity is
+    checked and, unless trusted, its laws on samples."""
+    order, what, letter = ((action.group.order, "group", "G") if subgroup is None
+                           else (subgroup.order, "subgroup", "H"))
+    if order == 1:
+        return None
+    if p is None:
+        raise ValueError(f"a mean of arity |{letter}| is required for a nontrivial {what}")
+    if p.arity != order:
+        raise ValueError(f"mean arity {p.arity} != {what} order {order}")
+    if not trust_laws:
+        require_mean_laws(p, action, tol, subgroup, seed, samples)
+    return p
 
 
 def _symmetrized(base: Callable, action: GroupAction, p: Optional[QuasiMeanMap],
@@ -384,17 +382,8 @@ def symmetrize(base: Callable, action: GroupAction, p: Optional[QuasiMeanMap],
     transfers: an identity time-0 slice stays the identity, and a
     constant time-1 slice becomes a constant at a G-fixed point.
     """
-    G = action.group
-    if G.order == 1:
-        p = None
-    else:
-        if p is None:
-            raise ValueError("a mean of arity |G| is required for a nontrivial group")
-        if p.arity != G.order:
-            raise ValueError(f"mean arity {p.arity} != group order {G.order}")
-        if not trust_laws:
-            _check_mean_laws(p, action, tol, None, seed, samples)
-    elements = tuple(G.elements())
+    p = _aggregating_mean(p, action, None, tol, trust_laws, seed, samples)
+    elements = tuple(action.group.elements())
     evaluate = _symmetrized(base, action, p, elements)
     report = _endpoint_report(base, evaluate, action, tol, seed)
     return GHomotopy(action, evaluate, "symmetrized", base=base, report=report)
@@ -425,10 +414,7 @@ def _endpoint_report(base: Callable, evaluate: Callable, action: GroupAction,
             raise HypothesisError(
                 f"time-1 slice stopped being constant (defect {defect:.3g})"
             )
-        fixed_defect = max(
-            sp.d(action.act(g, outs[0]), outs[0]) for g in action.group.elements()
-        )
-        report["t1_value_fixed_defect"] = fixed_defect
+        report["t1_value_fixed_defect"] = fixed_defect(action, action.group.elements(), outs[0])
     gdef = 0.0
     for x in pts:
         t = rng.random()
@@ -518,19 +504,10 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
     anonymous and H-equivariant with arity |H|. The result is verified to
     start at the identity, hold the fixed set still, and end inside it.
     """
-    G = action.group
     sp = action.space
-    if H.parent is not G:
+    if H.parent is not action.group:
         raise ValueError("subgroup must belong to the action's group")
-    if H.order == 1:
-        p = None
-    else:
-        if p is None:
-            raise ValueError("a mean of arity |H| is required for a nontrivial subgroup")
-        if p.arity != H.order:
-            raise ValueError(f"mean arity {p.arity} != subgroup order {H.order}")
-        if not trust_laws:
-            _check_mean_laws(p, action, tol, H, seed, max(8, samples // 4))
+    p = _aggregating_mean(p, action, H, tol, trust_laws, seed, max(8, samples // 4))
 
     rng = as_rng(seed + 1)
     pts = sp.sample(rng, samples)
@@ -541,9 +518,7 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
         rx = retraction(x)
         if not sp.contains(rx):
             raise HypothesisError(f"retraction output {rx} leaves the space")
-        worst_retract = max(
-            worst_retract, max(sp.d(action.act(h, rx), rx) for h in H.members)
-        )
+        worst_retract = max(worst_retract, fixed_defect(action, H.members, rx))
     if worst_retract > tol:
         raise HypothesisError(
             f"retraction image is not H-fixed (defect {worst_retract:.3g})"
@@ -569,7 +544,7 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
     worst_into = 0.0
     for x in pts:
         end = evaluate(x, 1.0)
-        worst_into = max(worst_into, max(sp.d(action.act(h, end), end) for h in H.members))
+        worst_into = max(worst_into, fixed_defect(action, H.members, end))
     report = {
         "identity_defect_t0": worst_id,
         "fixed_set_stationarity_defect": worst_still,

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
-from .groups import GroupAction, Subgroup, full_subgroup, is_fixed_by
+from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup
 from .rng import Xoshiro256StarStar, as_rng
 from .spaces import Interval, MetricSpace, Point, as_point, diameter, is_convex
 
@@ -91,12 +91,10 @@ def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
         raise ValueError("arity must be >= 2")
     p = QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=symmetric)
     if verify_unanimity:
-        worst = 0.0
-        for x in space.sample(seed, 8):
-            worst = max(worst, space.d(p.eval([x] * arity), x))
-        if worst > DEFAULT_TOL:
+        report = check_unanimity(p, space.sample(seed, 8))
+        if not report.passed:
             warnings.warn(
-                f"{label}: unanimity defect {worst:.3g} on construction samples",
+                f"{label}: unanimity defect {report.max_violation:.3g} on construction samples",
                 stacklevel=2,
             )
     return p
@@ -137,18 +135,32 @@ def sample_tuples(space: MetricSpace, arity: int, seed_or_rng, count: int) -> li
     return [tuple(space.sample(rng, arity)) for _ in range(count)]
 
 
-def check_unanimity(p: QuasiMeanMap, samples: Sequence, tol: float = DEFAULT_TOL) -> LawReport:
-    """Defect of p(x, ..., x) = x over sample points."""
-    worst, witness = -1.0, None
-    for x in samples:
-        x = as_point(x)
-        v = p.space.d(p.eval([x] * p.arity), x)
+def _law_report(law: str, scored, tol: float, strict: bool = False) -> LawReport:
+    """The report on a law's (defect, witness) pairs: their count, the worst
+    defect and, when the law fails, the witness of the first pair that
+    attains it. A NaN defect never wins. A strict law reports the worst
+    defect as it is (-inf when no pair was scored); any other law floors it
+    at 0.0."""
+    worst, witness, checked = -math.inf, None, 0
+    for v, w in scored:
+        checked += 1
         if v > worst:
-            worst, witness = v, (x,)
-    report = LawReport("M1", len(samples), max(worst, 0.0), tol)
+            worst, witness = v, w
+    report = LawReport(law, checked, worst if strict else max(worst, 0.0), tol, strict=strict)
     if not report.passed:
         report.witness = witness
     return report
+
+
+def check_unanimity(p: QuasiMeanMap, samples: Sequence, tol: float = DEFAULT_TOL) -> LawReport:
+    """Defect of p(x, ..., x) = x over sample points."""
+
+    def scored():
+        for x in samples:
+            x = as_point(x)
+            yield p.space.d(p.eval([x] * p.arity), x), (x,)
+
+    return _law_report("M1", scored(), tol)
 
 
 def _permutations_to_check(n: int, rng: Xoshiro256StarStar) -> list[tuple]:
@@ -174,20 +186,14 @@ def check_anonymity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float = DEFAU
     """Defect of permutation invariance; all n! orders for n <= 5, else
     n^2 random transpositions per sample."""
     rng = as_rng(seed_or_rng)
-    worst, witness = -1.0, None
-    checked = 0
-    for tup in tuples:
-        base = p.eval(list(tup))
-        for sigma in _permutations_to_check(p.arity, rng):
-            permuted = [tup[i] for i in sigma]
-            v = p.space.d(p.eval(permuted), base)
-            checked += 1
-            if v > worst:
-                worst, witness = v, tup
-    report = LawReport("M2", checked, max(worst, 0.0), tol)
-    if not report.passed:
-        report.witness = witness
-    return report
+
+    def scored():
+        for tup in tuples:
+            base = p.eval(list(tup))
+            for sigma in _permutations_to_check(p.arity, rng):
+                yield p.space.d(p.eval([tup[i] for i in sigma]), base), tup
+
+    return _law_report("M2", scored(), tol)
 
 
 def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tuple],
@@ -199,43 +205,33 @@ def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tu
     if action.space is not p.space and action.space.to_json() != p.space.to_json():
         raise ValueError("action and mean must live on the same space")
     elements = subgroup.members if subgroup is not None else tuple(action.group.elements())
-    worst, witness = -1.0, None
-    checked = 0
-    for tup in tuples:
-        base = p.eval(list(tup))
-        for g in elements:
-            translated = [action.act(g, x) for x in tup]
-            for gx in translated:
-                p.space.require_member(gx)
-            v = p.space.d(p.eval(translated), action.act(g, base))
-            checked += 1
-            if v > worst:
-                worst, witness = v, tup
-    report = LawReport("equivariance", checked, max(worst, 0.0), tol)
-    if not report.passed:
-        report.witness = witness
-    return report
+
+    def scored():
+        for tup in tuples:
+            base = p.eval(list(tup))
+            for g in elements:
+                translated = [action.act(g, x) for x in tup]
+                for gx in translated:
+                    p.space.require_member(gx)
+                yield p.space.d(p.eval(translated), action.act(g, base)), tup
+
+    return _law_report("equivariance", scored(), tol)
 
 
 def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
                              tol: float = 0.0) -> LawReport:
     """Checks max_i d(x_i, p(x)) < diameter on every positive-diameter
     sample; the report's violation is the worst signed margin."""
-    worst, witness = -math.inf, None
-    checked = 0
-    for tup in tuples:
-        diam = diameter(p.space, tup)
-        if diam <= 0.0:
-            continue
-        out = p.eval(list(tup))
-        v = max(p.space.d(x, out) for x in tup) - diam
-        checked += 1
-        if v > worst:
-            worst, witness = v, tup
-    report = LawReport("strict-betweenness", checked, worst, tol, strict=True)
-    if not report.passed:
-        report.witness = witness
-    return report
+
+    def scored():
+        for tup in tuples:
+            diam = diameter(p.space, tup)
+            if diam <= 0.0:
+                continue
+            out = p.eval(list(tup))
+            yield max(p.space.d(x, out) for x in tup) - diam, tup
+
+    return _law_report("strict-betweenness", scored(), tol, strict=True)
 
 
 def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:
@@ -249,6 +245,32 @@ def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float
 def _ratio(p: QuasiMeanMap, tup: Sequence[Point], diam: float) -> float:
     out = p.eval(list(tup))
     return max(p.space.d(x, out) for x in tup) / diam
+
+
+def check_contractivity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float) -> LawReport:
+    """The worst contractivity ratio over the non-degenerate samples, which
+    passes when it is at most tol (a declared lambda plus its slack)."""
+    ratios = ((contractivity_ratio(p, tup), tup) for tup in tuples)
+    return _law_report("contractivity", ((r, tup) for r, tup in ratios if r is not None), tol)
+
+
+def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
+                      subgroup: Optional[Subgroup], seed_or_rng, samples: int) -> None:
+    """Sample-check that p is anonymous, then that it is equivariant under
+    the subgroup (the whole group when None), on ``samples`` tuples drawn
+    from one rng that the anonymity check then continues; raises
+    HypothesisError naming the first failed law, its defect and witness."""
+    rng = as_rng(seed_or_rng)
+    tuples = sample_tuples(p.space, p.arity, rng, samples)
+    checks = (("anonymity", lambda: check_anonymity(p, tuples, tol, rng)),
+              ("equivariance", lambda: check_equivariance(p, action, tuples, tol, subgroup)))
+    for name, check in checks:
+        report = check()
+        if not report.passed:
+            raise HypothesisError(
+                f"{name} defect {report.max_violation:.3g} exceeds tol {tol:.3g} "
+                f"at witness {report.witness}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +378,32 @@ def _perturb_tuple(space: MetricSpace, tup: tuple, rng, scale: float) -> tuple:
     return tuple(moved)
 
 
+def _climb(space: MetricSpace, objective: Callable, tup: tuple, rng, scale: float,
+           steps: int, floor: float = 0.0) -> tuple:
+    """Hill-climb ``objective`` from ``tup`` through at most ``steps``
+    perturbations of size ``scale``: a strictly better candidate is taken,
+    any other shrinks the scale by 0.7, and the climb stops once the scale
+    falls below ``floor``. Returns the final tuple, its value and the
+    number of objective evaluations."""
+    val = objective(tup)
+    evals = 1
+    for _ in range(steps):
+        cand = _perturb_tuple(space, tup, rng, scale)
+        cval = objective(cand)
+        evals += 1
+        if cval > val:
+            tup, val = cand, cval
+        else:
+            scale *= 0.7
+            if scale < floor:
+                break
+    return tup, val, evals
+
+
 def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     rng = as_rng(cfg.seed)
     excluded = cfg.excluded_diameter
-    extent = p.space.extent()
+    scale = 0.25 * p.space.extent()
 
     def objective(tup):
         diam = diameter(p.space, tup)
@@ -367,18 +411,9 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
 
     best_val, best_tup, evals = -math.inf, None, 0
     for _ in range(max(1, cfg.restarts)):
-        tup = _random_member_tuple(p, rng, excluded)
-        val = objective(tup)
-        evals += 1
-        scale = 0.25 * extent
-        for _ in range(cfg.hill_steps):
-            cand = _perturb_tuple(p.space, tup, rng, scale)
-            cval = objective(cand)
-            evals += 1
-            if cval > val:
-                tup, val = cand, cval
-            else:
-                scale *= 0.7
+        start = _random_member_tuple(p, rng, excluded)
+        tup, val, used = _climb(p.space, objective, start, rng, scale, cfg.hill_steps)
+        evals += used
         if val > best_val:
             best_val, best_tup = val, tup
     if best_tup is None or best_val == -math.inf:
@@ -430,22 +465,16 @@ def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DE
     """Aggregate the H-orbit images p(g_1 x, ..., g_n x); for an
     anonymous equivariant p the result is H-fixed, which is verified.
     With ``verify_laws`` the anonymity and equivariance of p are also
-    sample-checked up front instead of trusted."""
+    sample-checked up front, on 32 tuples, instead of trusted."""
     H = subgroup if subgroup is not None else full_subgroup(action.group)
     if p.arity != H.order:
         raise ValueError(f"mean arity {p.arity} != subgroup order {H.order}")
     if verify_laws:
-        tuples = sample_tuples(p.space, p.arity, seed, 32)
-        for rep in (check_anonymity(p, tuples, tol, seed),
-                    check_equivariance(p, action, tuples, tol, subgroup=H)):
-            if not rep.passed:
-                raise HypothesisError(
-                    f"{rep.law} defect {rep.max_violation:.3g} exceeds tol {tol:.3g}"
-                )
+        require_mean_laws(p, action, tol, H, seed, 32)
     x = as_point(x)
     x0 = p.eval([action.act(g, x) for g in H.members])
-    if not is_fixed_by(action, H, x0, tol):
-        worst = max(p.space.d(action.act(h, x0), x0) for h in H.members)
+    worst = fixed_defect(action, H.members, x0)
+    if not worst <= tol:
         raise HypothesisError(
             f"orbit average {x0} is not fixed by the subgroup (defect {worst:.3g}); "
             "the mean is not anonymous/equivariant enough at this tol"
@@ -494,20 +523,10 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
 
     best_tup, best_val, evals = None, -math.inf, 0
     while evals < budget:
-        tup = tuple(p.space.sample(rng, p.arity))
-        val = margin(tup)
-        evals += 1
-        scale = 0.25 * extent
-        while evals < budget:
-            cand = _perturb_tuple(p.space, tup, rng, scale)
-            cval = margin(cand)
-            evals += 1
-            if cval > val:
-                tup, val = cand, cval
-            else:
-                scale *= 0.7
-                if scale < 1e-12 * extent:
-                    break
+        start = tuple(p.space.sample(rng, p.arity))
+        tup, val, used = _climb(p.space, margin, start, rng, 0.25 * extent,
+                                 budget - evals - 1, 1e-12 * extent)
+        evals += used
         if val > best_val:
             best_val, best_tup = val, tup
         if best_val > K:
@@ -523,7 +542,8 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
     _require_convex(space, "arithmetic mean")
 
     def func(points):
-        return tuple(sum(col) / arity for col in zip(*points))
+        # start at -0.0, as batch does in effect: 0 + -0.0 would drop the sign
+        return tuple(sum(col, -0.0) / arity for col in zip(*points))
 
     def batch(arrays):
         total = arrays[0]

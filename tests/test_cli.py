@@ -321,7 +321,6 @@ INTEGER_FIELDS = [
                              "seed": 3}),
     ("budget", "solomonic-search", {"space": SYM_BOX, "mean": "arithmetic:2", "K": 0.5,
                                     "budget": 3}),
-    ("k", "verify-mean", {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5, "k": 3}),
     ("retraction.axis", "deform-fixed", {
         "space": {"kind": "box", "params": {"lo": [-1.0] * 4, "hi": [1.0] * 4}},
         "action": {"name": "reflection", "axis": 3}, "mean": "arithmetic:2",
@@ -350,6 +349,16 @@ def test_integral_float_runs_as_its_int(tmp_path, field, command, cfg):
     assert code in (0, 1)
     assert run(tmp_path, command, floats, out="floats")[0] == code
     assert (ints / "report.json").read_bytes() == (tmp_path / "floats" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("key", ["k", "group"])
+def test_removed_config_keys_exit_2(tmp_path, capsys, key):
+    # no runner read them; the schema now rejects them as unknown keys
+    cfg = {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5, key: 3}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 2
+    assert f"{key!r} was unexpected" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
 
 
 def test_unexpected_error_traceback_goes_to_the_debug_log(tmp_path, capsys, caplog, monkeypatch):
@@ -666,3 +675,33 @@ def test_missing_config_file(tmp_path, capsys):
     code = main(["estimate-lambda", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)])
     assert code == 2
+
+
+GOLDEN = DATA / "golden"
+# exit code of each recorded run; its report.json (and any CSV) must keep the
+# bytes that an earlier version of the package wrote for the same config
+GOLDEN_EXITS = {
+    "laws": 0,
+    "laws-transpositions": 0,
+    "laws-dictator": 1,
+    "symmetrize": 0,
+    "symmetrize-dictator": 1,
+    "deform": 0,
+    "deform-subgroup": 0,
+    "solomonic": 0,
+    "random-lambda": 0,
+    "trajectory-understated": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXITS))
+def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
+    config = GOLDEN / f"{name}.json"
+    experiment = json.loads(config.read_text())["experiment"]
+    code = main([experiment, "--config", str(config), "--out", str(tmp_path)])
+    assert code == GOLDEN_EXITS[name]
+    recorded = sorted(GOLDEN.glob(f"{name}.*.*"))
+    assert GOLDEN / f"{name}.report.json" in recorded
+    for path in recorded:
+        output = tmp_path / path.name[len(name) + 1:]
+        assert output.read_bytes() == path.read_bytes(), path.name

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 
 from equimean.errors import CapacityError, GroupConstructionError, ToleranceError
 from equimean.groups import (
     FiniteGroup,
+    GroupAction,
     Subgroup,
     action_from_json,
     check_action,
@@ -12,6 +14,7 @@ from equimean.groups import (
     cyclic,
     dihedral,
     enumerate_subgroups,
+    fixed_defect,
     full_subgroup,
     group_from_json,
     is_fixed_by,
@@ -157,6 +160,28 @@ def test_is_fixed_by_examples():
     assert is_fixed_by(act, H, (0.3, 0.0))
     assert not is_fixed_by(act, H, (0.3, 0.2), tol=1e-9)
     assert is_fixed_by(act, trivial_subgroup(act.group), (0.3, 0.2))
+
+
+def test_fixed_defect_is_the_worst_displacement_and_nan_never_fixes():
+    box = Box([-1, -1], [1, 1])
+    act = reflection_action(box, axis=1)
+    H = full_subgroup(act.group)
+    assert fixed_defect(act, H.members, (0.3, 0.2)) == 0.4
+    assert fixed_defect(act, (0,), (0.3, 0.2)) == 0.0
+    # the NaN displacement is the second one, where max() would drop it
+    blur = GroupAction(act.group, box, lambda g, x: x if g == 0 else (math.nan, x[1]))
+    assert math.isnan(fixed_defect(blur, H.members, (0.3, 0.0)))
+    assert not is_fixed_by(blur, H, (0.3, 0.0))
+
+
+def test_rotation_action_is_the_plane_rotation_on_a_circle():
+    rot = rotation_action(Circle(1.0), 6)
+    plane = plane_rotation_action(Circle(1.0), 6)
+    assert rot.name == "rotation:6" and rot.group.order == 6
+    for g in range(6):
+        assert rot.act(g, (0.6, 0.8)) == plane.act(g, (0.6, 0.8))
+    with pytest.raises(ValueError, match="circle"):
+        rotation_action(Box([-1, -1], [1, 1]), 4)
 
 
 @pytest.mark.parametrize(

@@ -52,8 +52,7 @@ def arithmetic_builder(space=UNIT, theta=(0.0,), **kw) -> ContractionBuilder:
 
 def minsq_builder() -> ContractionBuilder:
     # minsq has no contractivity constant below 1; the path is still defined
-    return ContractionBuilder(UNIT, min_plus_halfsquare_mean(UNIT), 0.99, (0.0,),
-                              validate=False)
+    return ContractionBuilder(UNIT, min_plus_halfsquare_mean(UNIT), 0.99, (0.0,))
 
 
 def lopsided_builder() -> ContractionBuilder:
@@ -63,13 +62,12 @@ def lopsided_builder() -> ContractionBuilder:
         return (0.75 * x + 0.25 * y,)
 
     p = QuasiMeanMap(2, UNIT, lopsided, "weighted")
-    return ContractionBuilder(UNIT, p, 0.75, (0.0,), validate=False)
+    return ContractionBuilder(UNIT, p, 0.75, (0.0,))
 
 
 def constant_builder() -> ContractionBuilder:
     # every odd node is 1/2, so the first and last steps of each level tie
-    return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,),
-                              validate=False)
+    return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,))
 
 
 BOX2 = Box([-1.0, -1.0], [1.0, 1.0])
@@ -152,7 +150,7 @@ def test_recursion_argument_order():
         return (0.75 * x + 0.25 * y,)
 
     p = QuasiMeanMap(2, UNIT, lopsided, "weighted")
-    b = ContractionBuilder(UNIT, p, 0.75, (0.0,), validate=False)
+    b = ContractionBuilder(UNIT, p, 0.75, (0.0,))
     x = (1.0,)
     assert b.at_dyadic(x, Dyadic(1, 1)) == (0.75,)          # p(x, theta)
     assert b.at_dyadic(x, Dyadic(1, 2)) == (0.75 * 1.0 + 0.25 * 0.75,)  # p(x, mid)
@@ -186,7 +184,7 @@ def test_level_arrays_reject_bad_batch_shape():
     space = Interval(1.0, 2.0)
     p = geometric_mean(space)
     flat = QuasiMeanMap(2, space, p.eval, "flat", batch=lambda arrays: p.batch(arrays)[:, 0])
-    b = ContractionBuilder(space, flat, GEO_LAMBDA, (2.0,), validate=False)
+    b = ContractionBuilder(space, flat, GEO_LAMBDA, (2.0,))
     with pytest.raises(ValueError, match="shape"):
         list(b.level_arrays((1.0,), 3))
 
@@ -261,23 +259,38 @@ def test_builder_rejects_bad_inputs():
         ContractionBuilder(UNIT, arithmetic_mean(UNIT, 2), 0.5, (2.0,))
 
 
-def test_builder_warns_on_understated_lambda():
-    with pytest.warns(UserWarning, match="exceeds the declared"):
-        ContractionBuilder(UNIT, arithmetic_mean(UNIT, 2), 0.3, (0.0,))
-
-
 def test_builder_keeps_the_sampled_ratio_and_its_pair():
     space = Interval(1.0, 2.0)
-    b = ContractionBuilder(space, geometric_mean(space), 0.3, (2.0,), validate=False)
-    assert b.sampled_pair is None
-    understated = b.check_ratio()
-    x, y = b.sampled_pair
+    b = ContractionBuilder(space, geometric_mean(space), 0.3, (2.0,))
+    report = b.ratio_report
+    assert (report.law, report.samples_checked, report.tol) == ("contractivity", 16, 0.3 + 1e-9)
+    x, y = report.witness
     m = b.p.eval([x, y])
-    assert b.sampled_ratio == max(space.d(x, m), space.d(y, m)) / space.d(x, y)
-    assert b.sampled_ratio > 0.3
-    assert understated == (f"sampled contractivity ratio {b.sampled_ratio:.6g} at the pair "
-                           f"{(x, y)} exceeds the declared lambda 0.3")
-    assert geometric_builder().check_ratio() is None
+    assert report.max_violation == max(space.d(x, m), space.d(y, m)) / space.d(x, y)
+    assert report.max_violation > 0.3 and not report.passed
+    message = (f"sampled contractivity ratio {report.max_violation:.6g} at the pair {(x, y)} "
+               "exceeds the declared lambda 0.3; the certified errors would not hold")
+    with pytest.raises(HypothesisError) as raised:
+        b.at_times((1.5,), [0.0, 0.5], 1e-3)
+    assert str(raised.value) == message
+    assert geometric_builder().ratio_report.passed
+    assert geometric_builder().ratio_report.witness is None
+
+
+def test_at_times_refuses_an_understated_lambda_that_the_sweeps_report():
+    evals = []
+    mean = arithmetic_mean(UNIT, 2)
+    p = QuasiMeanMap(2, UNIT, lambda pts: evals.append(pts) or mean.eval(pts), "counted")
+    b = ContractionBuilder(UNIT, p, 0.3, (0.0,))  # the arithmetic mean has lambda 1/2
+    del evals[:]
+    for call in (lambda: b.at_times((1.0,), [0.25, 0.5], 1e-3),
+                 lambda: b.at_time((1.0,), 0.5, 1e-3)):
+        with pytest.raises(HypothesisError, match="exceeds the declared lambda 0.3"):
+            call()
+    assert evals == []  # refused before any dyadic node was evaluated
+    assert b.at_dyadic((1.0,), Dyadic(1, 1)) == (0.5,)
+    report = verify_claim1(b, (1.0,), 4)
+    assert not report.passed and report.max_ratio == pytest.approx((0.5 / 0.3) ** 4)
 
 
 # ---------------------------------------------------------------------------

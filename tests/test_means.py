@@ -14,6 +14,7 @@ from equimean.means import (
     _grid_points,
     arithmetic_mean,
     check_anonymity,
+    check_contractivity,
     check_equivariance,
     check_strict_betweenness,
     check_unanimity,
@@ -28,9 +29,11 @@ from equimean.means import (
     min_plus_halfsquare_mean,
     orbit_average_point,
     quasi_mean,
+    require_mean_laws,
     sample_tuples,
     solomonic_witness_search,
 )
+from equimean.rng import as_rng
 from equimean.spaces import Box, Circle, FinitePoints, Interval
 
 UNIT = Interval(0.0, 1.0)
@@ -117,8 +120,38 @@ def test_orbit_average_verify_laws_flag():
     act = reflection_action(box, axis=1)
     p = arithmetic_mean(box, 2)
     assert orbit_average_point(p, act, (0.3, 0.4), verify_laws=True) == (0.3, 0.0)
-    with pytest.raises(HypothesisError):
+    with pytest.raises(HypothesisError, match="anonymity defect .* at witness"):
         orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4), verify_laws=True)
+
+
+def test_mean_law_gate_checks_anonymity_then_equivariance_on_one_rng():
+    box = Box([-1, -1], [1, 1])
+    act = reflection_action(box, axis=1)
+    require_mean_laws(arithmetic_mean(box, 2), act, 1e-9, None, 3, 8)
+    # anonymous, yet it moves the second coordinate off the reflection's axis
+    skew = QuasiMeanMap(2, box, lambda pts: (0.5 * (pts[0][0] + pts[1][0]), 0.25), "skew")
+    with pytest.raises(HypothesisError, match=r"^equivariance defect 0\.5 exceeds tol 1e-09"):
+        require_mean_laws(skew, act, 1e-9, None, 3, 8)
+    # arity 6 draws transpositions, which continue the rng that drew the tuples
+    lopsided = QuasiMeanMap(6, SYM, lambda pts: pts[0], "dictator:0/6")
+    rng = as_rng(3)
+    report = check_anonymity(lopsided, sample_tuples(SYM, 6, rng, 4), 1e-9, rng)
+    message = (f"anonymity defect {report.max_violation:.3g} exceeds tol 1e-09 "
+               f"at witness {report.witness}")
+    with pytest.raises(HypothesisError) as raised:
+        require_mean_laws(lopsided, negation_action(SYM), 1e-9, None, 3, 4)
+    assert str(raised.value) == message
+
+
+def test_contractivity_check_scores_the_sampled_ratios():
+    p = geometric_mean(Interval(1.0, 2.0))
+    tuples = sample_tuples(p.space, 2, 5, 16) + [((1.5,), (1.5,))]
+    report = check_contractivity(p, tuples, 0.3)
+    ratios = [contractivity_ratio(p, tup) for tup in tuples]
+    assert report.samples_checked == 16 and ratios[-1] is None
+    assert report.max_violation == max(ratios[:-1]) > 0.3
+    assert report.witness == tuples[ratios.index(report.max_violation)]
+    assert check_contractivity(p, tuples, 2.0 - math.sqrt(2.0) + 1e-9).passed
 
 
 def test_equivariance_dictator_any_action():
@@ -540,3 +573,15 @@ def test_batch_eval_matches_scalar():
         for i in range(3):
             expected = p.eval([(xs[i, 0],), (ys[i, 0],)])
             assert abs(out[i, 0] - expected[0]) == 0.0
+
+
+def test_arithmetic_eval_keeps_the_sign_of_a_negative_zero():
+    # a sum that starts at the int 0 turns -0.0 + -0.0 into 0.0, where the
+    # batch form, which starts at its first array, keeps -0.0
+    for arity in (2, 3, 4):
+        p = arithmetic_mean(Interval(-1.0, 1.0), arity)
+        (value,) = p.eval([(-0.0,)] * arity)
+        (batch_value,) = p.batch([np.array([-0.0])] * arity)
+        assert math.copysign(1.0, batch_value) == -1.0
+        assert math.copysign(1.0, value) == -1.0
+    assert arithmetic_mean(Interval(-1.0, 1.0), 2).eval([(-0.0,), (0.0,)]) == (0.0,)
