@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Circle, MetricSpace, Point
+from .spaces import Circle, MetricSpace, Point, worst
 
 POINT_TOL = 1e-9
 
@@ -230,28 +230,18 @@ class ActionReport:
 
 def check_action(action: GroupAction, seed_or_rng=0, samples: int = 64,
                  tol: float = POINT_TOL) -> ActionReport:
-    """Sampled check of the action laws plus an isometry-defect report."""
+    """Sampled check of the action laws plus an isometry-defect report; each
+    defect is the worst over the samples, NaN if any is NaN."""
     rng = as_rng(seed_or_rng)
     pts = action.space.sample(rng, samples)
     G, sp = action.group, action.space
-    id_defect = 0.0
-    compat = 0.0
-    member_ok = True
-    iso = 0.0
-    for x in pts:
-        id_defect = max(id_defect, sp.d(action.act(0, x), x))
-        for g in G.elements():
-            gx = action.act(g, x)
-            if not sp.contains(gx):
-                member_ok = False
-        g = rng.randrange(G.order)
-        h = rng.randrange(G.order)
-        compat = max(compat, sp.d(action.act(g, action.act(h, x)), action.act(G.mul(g, h), x)))
-    for i in range(0, len(pts) - 1, 2):
-        x, y = pts[i], pts[i + 1]
-        base = sp.d(x, y)
-        for g in G.elements():
-            iso = max(iso, abs(sp.d(action.act(g, x), action.act(g, y)) - base))
+    member_ok = all(sp.contains(action.act(g, x)) for x in pts for g in G.elements())
+    id_defect = worst(((sp.d(action.act(0, x), x), x) for x in pts), 0.0)[0]
+    draws = [(x, rng.randrange(G.order), rng.randrange(G.order)) for x in pts]
+    compat = worst(((sp.d(action.act(g, action.act(h, x)), action.act(G.mul(g, h), x)), x)
+                    for x, g, h in draws), 0.0)[0]
+    iso = worst(((abs(sp.d(action.act(g, x), action.act(g, y)) - sp.d(x, y)), (x, y))
+                 for x, y in zip(pts[0::2], pts[1::2]) for g in G.elements()), 0.0)[0]
     return ActionReport(id_defect, compat, member_ok, iso, samples, tol)
 
 
@@ -275,8 +265,7 @@ def fixed_defect(action: GroupAction, members: Iterable[int], x: Point) -> float
     """max d(h.x, x) over the given elements h: how far x is from being
     fixed by them. A NaN distance makes the defect NaN."""
     sp = action.space
-    defects = [sp.d(action.act(h, x), x) for h in members]
-    return math.nan if any(map(math.isnan, defects)) else max(defects)
+    return worst(((sp.d(action.act(h, x), x), h) for h in members), 0.0)[0]
 
 
 def is_fixed_by(action: GroupAction, H: Subgroup, x: Point, tol: float = POINT_TOL) -> bool:

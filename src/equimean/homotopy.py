@@ -30,24 +30,31 @@ from typing import Callable, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
-from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup, is_fixed_by
+from .groups import GroupAction, Subgroup, fixed_defect
 from .means import (
     LawReport,
     QuasiMeanMap,
     check_contractivity,
     check_equivariance,
+    law_report,
+    require,
     require_mean_laws,
     sample_tuples,
 )
 from .rng import as_rng
-from .spaces import MetricSpace, Point, as_point, is_convex
+from .spaces import MetricSpace, Point, as_point, is_convex, worst
 
 MAX_DYADIC_DEPTH = 40
 LEVEL_SWEEP_CAP = 20
+# floats the finest level of a sweep may hold (32 MiB as float64): a 2-D box
+# sweeps to depth 20, a 64-D one to depth 15
+LEVEL_FLOATS_CAP = 1 << 22
 RATIO_SLACK = 1e-9
 # the pairs on which every builder samples its map's contractivity ratio
 RATIO_SEED = 5
 RATIO_PAIRS = 16
+# evenly spaced times on [0, 1] at which fixed_set_deformation checks stationarity
+STATIONARITY_TIMES = 9
 
 
 class ContractionBuilder:
@@ -165,12 +172,17 @@ class ContractionBuilder:
         j/2^n and equals ``at_dyadic`` there.
 
         Level n is level n-1 interleaved with p applied to each pair of
-        neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP.
+        neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP,
+        and the finest level's floats at LEVEL_FLOATS_CAP.
         """
         import numpy as np
 
         if not 0 <= depth <= LEVEL_SWEEP_CAP:
             raise CapacityError(f"level sweep needs depth in 0..{LEVEL_SWEEP_CAP}, got {depth}")
+        dim = self.space.dim
+        if ((1 << depth) + 1) * dim > LEVEL_FLOATS_CAP:
+            raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
+                                f"of {LEVEL_FLOATS_CAP} floats on its finest level")
         level = np.array([as_point(x), self.theta], dtype=np.float64)
         yield level
         for _ in range(depth):
@@ -219,12 +231,13 @@ class LevelBoundReport:
 def verify_claim1(builder: ContractionBuilder, x, depth: int) -> LevelBoundReport:
     """Sweep all adjacent dyadic pairs at levels 0..depth and compare each
     step against the per-level geometric bound. The worst pair is the
-    first one, in level then index order, that attains the maximum."""
+    first one, in level then index order, whose ratio is NaN, or else the
+    first one that attains the maximum."""
     import numpy as np
 
     x = as_point(x)
     dx = builder.space.d(x, builder.theta)
-    worst, wl, wi, checked = 0.0, -1, -1, 0
+    level_worsts, checked = [], 0
     for n, level in enumerate(builder.level_arrays(x, depth)):
         bound = (builder.lam ** n) * dx
         steps = builder.space.d_batch(level[:-1], level[1:])
@@ -233,10 +246,11 @@ def verify_claim1(builder: ContractionBuilder, x, depth: int) -> LevelBoundRepor
             ratios = steps / bound
         else:
             ratios = np.where(steps == 0.0, 0.0, math.inf)
-        j = int(ratios.argmax())
-        if ratios[j] > worst:
-            worst, wl, wi = float(ratios[j]), n, j
-    return LevelBoundReport(worst, wl, wi, checked, builder.lam, dx)
+        j = int(ratios.argmax())  # the first NaN, if any
+        level_worsts.append((float(ratios[j]), (n, j)))
+    top, witness, _ = worst(level_worsts, 0.0)
+    wl, wi = witness or (-1, -1)
+    return LevelBoundReport(top, wl, wi, checked, builder.lam, dx)
 
 
 @dataclass
@@ -290,34 +304,40 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     Every sampled time lies on the level-``depth`` grid, so the path is
     built once at that level and each pair reads two of its rows; the
     time gap |i - k| 2^-depth is exact. Depth is capped at LEVEL_SWEEP_CAP.
+    A NaN ratio counts as a violation, and the first one is the worst pair.
     """
+    import numpy as np
+
     x = as_point(x)
     for fine in builder.level_arrays(x, depth):
         pass  # only the finest level is kept
     rng = as_rng(seed_or_rng)
     C = builder.holder_constant(x)
     cell = math.ldexp(1.0, -depth)
-    worst, wpair, checked, violations = 0.0, None, 0, 0
+    block_worsts, checked, violations = [], 0, 0
     for start in range(0, pairs, HOLDER_BLOCK):
         left, right = [], []
         for _ in range(min(HOLDER_BLOCK, pairs - start)):
             left.append(_random_grid_index(rng, depth))
             right.append(_random_grid_index(rng, depth))
         dists = builder.space.d_batch(fine[left], fine[right]).tolist()
+        ratios = []
         for i, k, dist in zip(left, right, dists):
             if i == k:
                 ratio = 0.0 if dist == 0.0 else math.inf
             else:
                 bound = C * (abs(i - k) * cell) ** builder.alpha
                 ratio = dist / bound if bound > 0.0 else (0.0 if dist == 0.0 else math.inf)
-            checked += 1
-            if ratio > 1.0 + RATIO_SLACK:
+            if not ratio <= 1.0 + RATIO_SLACK:
                 violations += 1
-            if ratio > worst:
-                worst, wpair = ratio, (i, k)
+            ratios.append(ratio)
+        checked += len(ratios)
+        j = int(np.argmax(ratios))  # the first NaN, if any
+        block_worsts.append((ratios[j], (left[j], right[j])))
+    top, wpair, _ = worst(block_worsts, 0.0)
     if wpair is not None:
         wpair = (Dyadic(wpair[0], depth), Dyadic(wpair[1], depth))
-    return HolderReport(worst, wpair, checked, C, builder.alpha, violations)
+    return HolderReport(top, wpair, checked, C, builder.alpha, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -394,38 +414,35 @@ def _endpoint_report(base: Callable, evaluate: Callable, action: GroupAction,
     rng = as_rng(seed)
     sp = action.space
     pts = sp.sample(rng, samples)
-    base0 = max(sp.d(base(x, 0.0), x) for x in pts)
-    report: dict = {"base_identity_defect_t0": base0}
-    if base0 <= tol:
-        defect = max(sp.d(evaluate(x, 0.0), x) for x in pts)
-        report["identity_defect_t0"] = defect
-        if defect > tol:
-            raise HypothesisError(
-                f"time-0 slice stopped being the identity (defect {defect:.3g})"
-            )
-    ends = [base(x, 1.0) for x in pts]
-    base_const = max(sp.d(e, ends[0]) for e in ends)
-    report["base_constancy_defect_t1"] = base_const
-    if base_const <= tol:
+
+    def identity(path) -> LawReport:
+        return law_report("time-0 identity", ((sp.d(path(x, 0.0), x), (x,)) for x in pts), tol)
+
+    def constancy(ends) -> LawReport:
+        scored = ((sp.d(e, ends[0]), (x,)) for x, e in zip(pts, ends))
+        return law_report("time-1 constancy", scored, tol)
+
+    base0 = identity(base)
+    report: dict = {"base_identity_defect_t0": base0.max_violation}
+    if base0.passed:
+        report["identity_defect_t0"] = require("time-0 identity", identity(evaluate))
+    base1 = constancy([base(x, 1.0) for x in pts])
+    report["base_constancy_defect_t1"] = base1.max_violation
+    if base1.passed:
         outs = [evaluate(x, 1.0) for x in pts]
-        defect = max(sp.d(o, outs[0]) for o in outs)
-        report["constancy_defect_t1"] = defect
-        if defect > tol:
-            raise HypothesisError(
-                f"time-1 slice stopped being constant (defect {defect:.3g})"
-            )
+        report["constancy_defect_t1"] = require("time-1 constancy", constancy(outs))
         report["t1_value_fixed_defect"] = fixed_defect(action, action.group.elements(), outs[0])
-    gdef = 0.0
-    for x in pts:
-        t = rng.random()
-        g = rng.randrange(action.group.order)
-        gdef = max(gdef, sp.d(evaluate(action.act(g, x), t), action.act(g, evaluate(x, t))))
-    report["equivariance_defect"] = gdef
+
+    def equivariance():
+        for x in pts:
+            t = rng.random()
+            g = rng.randrange(action.group.order)
+            yield sp.d(evaluate(action.act(g, x), t), action.act(g, evaluate(x, t))), (x, t, g)
+
     # the aggregation chain can amplify the mean's own law defects a little
-    if gdef > 10.0 * tol:
-        raise HypothesisError(
-            f"symmetrized homotopy equivariance defect {gdef:.3g} exceeds 10*tol"
-        )
+    report["equivariance_defect"] = require(
+        "symmetrized homotopy equivariance", law_report("equivariance", equivariance(), 10.0 * tol)
+    )
     return report
 
 
@@ -435,44 +452,33 @@ def equivariant_contraction(builder: ContractionBuilder, action: GroupAction,
                             seed: int = 29, trust_laws: bool = False) -> GHomotopy:
     """The dyadic construction itself commutes with the action when the
     basepoint is a fixed point and the binary map is equivariant; this is
-    verified on sampled (element, point, dyadic time) triples."""
-    G = action.group
-    if not is_fixed_by(action, full_subgroup(G), builder.theta, tol):
-        raise HypothesisError(
-            f"basepoint {builder.theta} is not fixed by the group at tol {tol:.3g}"
-        )
+    verified on sampled (point, element, dyadic time) triples."""
+    G, theta = action.group, builder.theta
+    require("basepoint fixed-point",
+            law_report("fixed-point", [(fixed_defect(action, G.elements(), theta), (theta,))], tol))
     if not trust_laws:
-        rng = as_rng(seed)
-        tuples = sample_tuples(builder.space, 2, rng, max(8, samples // 4))
-        equi = check_equivariance(builder.p, action, tuples, tol)
-        if not equi.passed:
-            raise HypothesisError(
-                f"binary map equivariance defect {equi.max_violation:.3g} "
-                f"exceeds tol {tol:.3g}"
-            )
+        tuples = sample_tuples(builder.space, 2, seed, max(8, samples // 4))
+        require("binary map equivariance", check_equivariance(builder.p, action, tuples, tol))
     rng = as_rng(seed + 1)
     sp = builder.space
-    worst = 0.0
-    for _ in range(samples):
-        x = sp.sample(rng, 1)[0]
-        g = rng.randrange(G.order)
-        d = random_dyadic(rng, depth)
-        defect = sp.d(
-            builder.at_dyadic(action.act(g, x), d),
-            action.act(g, builder.at_dyadic(x, d)),
-        )
-        worst = max(worst, defect)
-    if worst > tol:
-        raise HypothesisError(
-            f"dyadic construction equivariance defect {worst:.3g} exceeds tol {tol:.3g}"
-        )
+
+    def equivariance():
+        for _ in range(samples):
+            x = sp.sample(rng, 1)[0]
+            g = rng.randrange(G.order)
+            d = random_dyadic(rng, depth)
+            yield sp.d(builder.at_dyadic(action.act(g, x), d),
+                       action.act(g, builder.at_dyadic(x, d))), (x, g, d)
+
+    defect = require("dyadic construction equivariance",
+                     law_report("equivariance", equivariance(), tol))
 
     def evaluate(x: Point, t: float) -> Point:
         return builder.at_time(x, t, eps)[0]
 
     return GHomotopy(
         action, evaluate, "equivariant_contraction",
-        report={"equivariance_defect": worst, "samples": samples, "depth": depth},
+        report={"equivariance_defect": defect, "samples": samples, "depth": depth},
     )
 
 
@@ -493,16 +499,16 @@ def straight_line_extension(space: MetricSpace, retraction: Callable) -> Callabl
 def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable,
                           p: Optional[QuasiMeanMap], extension: Callable,
                           tol: float = 1e-9, trust_laws: bool = False,
-                          seed: int = 31, samples: int = 64,
-                          time_samples: int = 9) -> GHomotopy:
+                          seed: int = 31, samples: int = 64) -> GHomotopy:
     """Deform the space onto the H-fixed set through an H-equivariant
     homotopy built from a retraction and a boundary-respecting extension.
 
     Preconditions checked on samples: the retraction lands in the fixed
     set; the extension matches the boundary data (identity at time 0, the
-    retraction at time 1, stationary on the fixed set); the mean is
-    anonymous and H-equivariant with arity |H|. The result is verified to
-    start at the identity, hold the fixed set still, and end inside it.
+    retraction at time 1, stationary on the fixed set at
+    STATIONARITY_TIMES times); the mean is anonymous and H-equivariant with
+    arity |H|. The result is verified to start at the identity, hold the
+    fixed set still, and end inside it.
     """
     sp = action.space
     if H.parent is not action.group:
@@ -511,49 +517,36 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
 
     rng = as_rng(seed + 1)
     pts = sp.sample(rng, samples)
-    times = [i / (time_samples - 1) for i in range(time_samples)] if time_samples > 1 else [0.0]
-
-    worst_retract = 0.0
-    for x in pts:
-        rx = retraction(x)
+    times = [i / (STATIONARITY_TIMES - 1) for i in range(STATIONARITY_TIMES)]
+    fixed_pts = [retraction(x) for x in pts]
+    for rx in fixed_pts:
         if not sp.contains(rx):
             raise HypothesisError(f"retraction output {rx} leaves the space")
-        worst_retract = max(worst_retract, fixed_defect(action, H.members, rx))
-    if worst_retract > tol:
-        raise HypothesisError(
-            f"retraction image is not H-fixed (defect {worst_retract:.3g})"
-        )
 
-    worst_b0 = max(sp.d(extension(x, 0.0), x) for x in pts)
-    worst_b1 = max(sp.d(extension(x, 1.0), retraction(x)) for x in pts)
-    fixed_pts = [retraction(x) for x in pts]
-    worst_bf = max(
-        sp.d(extension(x0, t), x0) for x0 in fixed_pts for t in times
-    )
-    for name, defect in (("time-0 identity", worst_b0), ("time-1 retraction", worst_b1),
-                         ("fixed-set stationarity", worst_bf)):
-        if defect > tol:
-            raise HypothesisError(
-                f"extension violates the {name} boundary data (defect {defect:.3g})"
-            )
+    def fixedness(ys):
+        return ((fixed_defect(action, H.members, y), (y,)) for y in ys)
+
+    def stationarity(path):
+        return ((sp.d(path(x0, t), x0), (x0, t)) for x0 in fixed_pts for t in times)
+
+    for what, scored in (
+        ("retraction image fixed-point", fixedness(fixed_pts)),
+        ("extension time-0 identity", ((sp.d(extension(x, 0.0), x), (x,)) for x in pts)),
+        ("extension time-1 retraction",
+         ((sp.d(extension(x, 1.0), rx), (x,)) for x, rx in zip(pts, fixed_pts))),
+        ("extension fixed-set stationarity", stationarity(extension)),
+    ):
+        require(what, law_report(what, scored, tol))
 
     evaluate = _symmetrized(extension, action, p, H.members)
-
-    worst_id = max(sp.d(evaluate(x, 0.0), x) for x in pts)
-    worst_still = max(sp.d(evaluate(x0, t), x0) for x0 in fixed_pts for t in times)
-    worst_into = 0.0
-    for x in pts:
-        end = evaluate(x, 1.0)
-        worst_into = max(worst_into, fixed_defect(action, H.members, end))
-    report = {
-        "identity_defect_t0": worst_id,
-        "fixed_set_stationarity_defect": worst_still,
-        "end_slice_fixed_defect": worst_into,
-        "samples": samples,
-    }
-    for name, defect in (("time-0 identity", worst_id),
-                         ("fixed-set stationarity", worst_still),
-                         ("end-slice containment", worst_into)):
-        if defect > tol:
-            raise HypothesisError(f"deformation failed the {name} check (defect {defect:.3g})")
+    report: dict = {"samples": samples}
+    for key, what, scored in (
+        ("identity_defect_t0", "deformation time-0 identity",
+         ((sp.d(evaluate(x, 0.0), x), (x,)) for x in pts)),
+        ("fixed_set_stationarity_defect", "deformation fixed-set stationarity",
+         stationarity(evaluate)),
+        ("end_slice_fixed_defect", "deformation end-slice containment",
+         fixedness(evaluate(x, 1.0) for x in pts)),
+    ):
+        report[key] = require(what, law_report(what, scored, tol))
     return GHomotopy(action, evaluate, "fixed_set_deformation", base=extension, report=report)

@@ -29,13 +29,17 @@ from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Interval, MetricSpace, Point, as_point, diameter, is_convex
+from .spaces import Interval, MetricSpace, Point, as_point, diameter, is_convex, worst
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
 # ordered pairs a dense lambda grid may hold: step 1e-4 on [0, 1] is about
 # 10^8 pairs, and the cap keeps the scan to seconds
 GRID_PAIRS_CAP = 10**9
+# the seed of the points on which quasi_mean checks a new map's unanimity
+UNANIMITY_SEED = 7
+# perturbations per random+hill restart
+HILL_STEPS = 60
 
 
 @dataclass
@@ -84,19 +88,17 @@ class QuasiMeanMap:
 
 
 def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
-               batch: Optional[Callable] = None, symmetric: bool = False,
-               verify_unanimity: bool = True, seed: int = 7) -> QuasiMeanMap:
+               batch: Optional[Callable] = None, symmetric: bool = False) -> QuasiMeanMap:
     """Wrap a point map; warns when it visibly fails unanimity on samples."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
     p = QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=symmetric)
-    if verify_unanimity:
-        report = check_unanimity(p, space.sample(seed, 8))
-        if not report.passed:
-            warnings.warn(
-                f"{label}: unanimity defect {report.max_violation:.3g} on construction samples",
-                stacklevel=2,
-            )
+    report = check_unanimity(p, space.sample(UNANIMITY_SEED, 8))
+    if not report.passed:
+        warnings.warn(
+            f"{label}: unanimity defect {report.max_violation:.3g} on construction samples",
+            stacklevel=2,
+        )
     return p
 
 
@@ -135,21 +137,29 @@ def sample_tuples(space: MetricSpace, arity: int, seed_or_rng, count: int) -> li
     return [tuple(space.sample(rng, arity)) for _ in range(count)]
 
 
-def _law_report(law: str, scored, tol: float, strict: bool = False) -> LawReport:
-    """The report on a law's (defect, witness) pairs: their count, the worst
-    defect and, when the law fails, the witness of the first pair that
-    attains it. A NaN defect never wins. A strict law reports the worst
-    defect as it is (-inf when no pair was scored); any other law floors it
-    at 0.0."""
-    worst, witness, checked = -math.inf, None, 0
-    for v, w in scored:
-        checked += 1
-        if v > worst:
-            worst, witness = v, w
-    report = LawReport(law, checked, worst if strict else max(worst, 0.0), tol, strict=strict)
+def law_report(law: str, scored, tol: float, strict: bool = False) -> LawReport:
+    """The report on a law's (defect, witness) pairs, scored by
+    ``spaces.worst``: their count, the worst defect and, when the law
+    fails, its witness. A NaN defect wins, so the law fails there. A strict
+    law reports the worst defect as it is (-inf when no pair was scored);
+    any other law floors it at 0.0."""
+    top, witness, checked = worst(scored)
+    report = LawReport(law, checked, top if strict else max(top, 0.0), tol, strict=strict)
     if not report.passed:
         report.witness = witness
     return report
+
+
+def require(what: str, report: LawReport) -> float:
+    """The gate on a sampled check: raises HypothesisError naming ``what``,
+    the defect, the tolerance and the witness when the report failed, and
+    returns the defect when it passed."""
+    if not report.passed:
+        raise HypothesisError(
+            f"{what} defect {report.max_violation:.3g} exceeds tol {report.tol:.3g} "
+            f"at witness {report.witness}"
+        )
+    return report.max_violation
 
 
 def check_unanimity(p: QuasiMeanMap, samples: Sequence, tol: float = DEFAULT_TOL) -> LawReport:
@@ -160,7 +170,7 @@ def check_unanimity(p: QuasiMeanMap, samples: Sequence, tol: float = DEFAULT_TOL
             x = as_point(x)
             yield p.space.d(p.eval([x] * p.arity), x), (x,)
 
-    return _law_report("M1", scored(), tol)
+    return law_report("M1", scored(), tol)
 
 
 def _permutations_to_check(n: int, rng: Xoshiro256StarStar) -> list[tuple]:
@@ -193,7 +203,7 @@ def check_anonymity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float = DEFAU
             for sigma in _permutations_to_check(p.arity, rng):
                 yield p.space.d(p.eval([tup[i] for i in sigma]), base), tup
 
-    return _law_report("M2", scored(), tol)
+    return law_report("M2", scored(), tol)
 
 
 def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tuple],
@@ -215,7 +225,7 @@ def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tu
                     p.space.require_member(gx)
                 yield p.space.d(p.eval(translated), action.act(g, base)), tup
 
-    return _law_report("equivariance", scored(), tol)
+    return law_report("equivariance", scored(), tol)
 
 
 def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
@@ -231,7 +241,7 @@ def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
             out = p.eval(list(tup))
             yield max(p.space.d(x, out) for x in tup) - diam, tup
 
-    return _law_report("strict-betweenness", scored(), tol, strict=True)
+    return law_report("strict-betweenness", scored(), tol, strict=True)
 
 
 def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:
@@ -251,7 +261,7 @@ def check_contractivity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float) ->
     """The worst contractivity ratio over the non-degenerate samples, which
     passes when it is at most tol (a declared lambda plus its slack)."""
     ratios = ((contractivity_ratio(p, tup), tup) for tup in tuples)
-    return _law_report("contractivity", ((r, tup) for r, tup in ratios if r is not None), tol)
+    return law_report("contractivity", ((r, tup) for r, tup in ratios if r is not None), tol)
 
 
 def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
@@ -262,15 +272,8 @@ def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
     HypothesisError naming the first failed law, its defect and witness."""
     rng = as_rng(seed_or_rng)
     tuples = sample_tuples(p.space, p.arity, rng, samples)
-    checks = (("anonymity", lambda: check_anonymity(p, tuples, tol, rng)),
-              ("equivariance", lambda: check_equivariance(p, action, tuples, tol, subgroup)))
-    for name, check in checks:
-        report = check()
-        if not report.passed:
-            raise HypothesisError(
-                f"{name} defect {report.max_violation:.3g} exceeds tol {tol:.3g} "
-                f"at witness {report.witness}"
-            )
+    require("anonymity", check_anonymity(p, tuples, tol, rng))
+    require("equivariance", check_equivariance(p, action, tuples, tol, subgroup))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +315,6 @@ class LambdaConfig:
     grid_step: float = 1e-3
     excluded_diameter: float = EXCLUDED_DIAMETER
     restarts: int = 100
-    hill_steps: int = 60
     seed: int = 1
     force_random: bool = False
 
@@ -412,7 +414,7 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     best_val, best_tup, evals = -math.inf, None, 0
     for _ in range(max(1, cfg.restarts)):
         start = _random_member_tuple(p, rng, excluded)
-        tup, val, used = _climb(p.space, objective, start, rng, scale, cfg.hill_steps)
+        tup, val, used = _climb(p.space, objective, start, rng, scale, HILL_STEPS)
         evals += used
         if val > best_val:
             best_val, best_tup = val, tup
@@ -473,12 +475,8 @@ def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DE
         require_mean_laws(p, action, tol, H, seed, 32)
     x = as_point(x)
     x0 = p.eval([action.act(g, x) for g in H.members])
-    worst = fixed_defect(action, H.members, x0)
-    if not worst <= tol:
-        raise HypothesisError(
-            f"orbit average {x0} is not fixed by the subgroup (defect {worst:.3g}); "
-            "the mean is not anonymous/equivariant enough at this tol"
-        )
+    require("orbit average fixed-point",
+            law_report("fixed-point", [(fixed_defect(action, H.members, x0), (x0,))], tol))
     return x0
 
 

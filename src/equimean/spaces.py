@@ -43,6 +43,22 @@ def as_point(value) -> Point:
     return coords
 
 
+def worst(scored, floor: float = -math.inf) -> tuple:
+    """(defect, witness, count) of the worst of the (defect, witness) pairs:
+    the first NaN, or else the first maximum above ``floor``; (floor, None,
+    count) when none wins. Every pair is consumed and counted."""
+    pairs = iter(scored)
+    top, witness, count = floor, None, 0
+    for v, w in pairs:
+        count += 1
+        if not v <= top:
+            top, witness = v, w
+            if math.isnan(v):
+                count += sum(1 for _ in pairs)
+                break
+    return top, witness, count
+
+
 def _euclidean(a: Point, b: Point) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
@@ -111,8 +127,8 @@ class Interval(MetricSpace):
     kind = "interval"
 
     def __init__(self, a: float, b: float):
-        if not (a < b):
-            raise ValueError(f"interval needs a < b, got [{a}, {b}]")
+        if not (a < b and math.isfinite(b - a)):
+            raise ValueError(f"interval needs a < b and a finite length b - a, got [{a}, {b}]")
         self.a = float(a)
         self.b = float(b)
 
@@ -153,8 +169,9 @@ class Box(MetricSpace):
         if len(self.lo) != len(self.hi) or not self.lo:
             raise ValueError("box bounds must be nonempty and equal length")
         for lo_i, hi_i in zip(self.lo, self.hi):
-            if not (lo_i < hi_i):
-                raise ValueError(f"box needs lo < hi on every axis, got {lo_i} >= {hi_i}")
+            if not (lo_i < hi_i and math.isfinite(hi_i - lo_i)):
+                raise ValueError("box needs lo < hi and a finite length hi - lo on every "
+                                 f"axis, got [{lo_i}, {hi_i}]")
 
     @property
     def dim(self) -> int:

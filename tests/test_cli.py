@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import textwrap
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import equimean
 from equimean import cli
@@ -410,6 +412,82 @@ def test_byte_identical_reruns(tmp_path):
             ((outdir / "report.json").read_bytes(), (outdir / "lambda.csv").read_bytes())
         )
     assert outs[0] == outs[1]
+
+
+# a short run of each experiment, for reruns under drawn seeds
+RERUN_CONFIGS = {
+    "verify-mean": {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 20,
+                    "laws": ["M1", "M2", "equivariance", "strict-betweenness"],
+                    "action": {"name": "reflection", "axis": 1}},
+    "estimate-lambda": {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 3},
+    "chain": {"s": "3/16", "t": "13/16"},
+    "build-homotopy": {"space": SYM_BOX, "mean": "arithmetic:2", "lambda": 0.5,
+                       "theta": [0.0, 0.0], "times": 9, "eps": 1e-3},
+    "verify-claim1": {"space": INTERVAL01, "mean": "minsq", "lambda": 0.99, "theta": [0.0],
+                      "depth": 6},
+    "verify-holder": {"space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+                      "mean": "geometric", "lambda": 0.5857864376269049, "theta": [2.0],
+                      "depth": 6, "pairs": 50},
+    "symmetrize": {"space": SYM_INTERVAL, "action": {"name": "negation"},
+                   "mean": "arithmetic:2", "samples": 8},
+    "deform-fixed": {**C4_BOX, "samples": 8},
+    "solomonic-search": {"space": SYM_BOX, "mean": "arithmetic:2", "K": 0.5, "budget": 40},
+}
+
+
+def test_rerun_configs_cover_every_experiment():
+    assert sorted(RERUN_CONFIGS) == sorted(cli.EXPERIMENTS)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(RERUN_CONFIGS)), st.integers(0, 2 ** 64 - 1))
+def test_reruns_are_byte_identical(experiment, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        path = write_config(tmp, RERUN_CONFIGS[experiment])
+        codes, outputs = [], []
+        for name in ("r1", "r2"):
+            outdir = tmp / name
+            codes.append(main([experiment, "--config", path, "--seed", str(seed),
+                               "--out", str(outdir)]))
+            outputs.append({f.name: f.read_bytes() for f in sorted(outdir.iterdir())})
+        assert codes[0] == codes[1]
+        assert "report.json" in outputs[0]
+        if experiment in ("estimate-lambda", "build-homotopy"):
+            assert any(name.endswith(".csv") for name in outputs[0])
+        assert outputs[0] == outputs[1]
+
+
+def test_verify_mean_fails_at_nan_when_the_mean_overflows(tmp_path):
+    # 85 of these 200 pairs sum past the largest float: their mean is inf,
+    # and the distance between two infs is NaN
+    cfg = {"space": {"kind": "interval", "params": {"a": 0.0, "b": 1.7e308}},
+           "mean": "arithmetic:2", "laws": ["M2"], "samples": 200, "seed": 1}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 1
+    m2 = read_report(outdir)["results"]["laws"]["M2"]
+    assert math.isnan(m2["max_violation"]) and m2["passed"] is False
+    (x,), (y,) = m2["witness"]
+    assert math.isinf(x + y)
+
+
+def test_a_space_whose_length_overflows_exits_2(tmp_path, capsys):
+    cfg = {"space": {"kind": "interval", "params": {"a": -1e308, "b": 1e308}},
+           "mean": "arithmetic:2", "samples": 3}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 2
+    assert "finite length b - a, got [-1e+308, 1e+308]" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
+def test_level_sweep_over_the_float_cap_exits_2(tmp_path, capsys):
+    box = {"kind": "box", "params": {"lo": [0.0] * 64, "hi": [1.0] * 64}}
+    cfg = {"space": box, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0] * 64,
+           "x": [1.0] * 64, "depth": 20}
+    code, outdir = run(tmp_path, "verify-claim1", cfg)
+    assert code == 2
+    assert "depth 20 in dim 64 exceeds the cap" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
 
 
 def test_build_homotopy_trajectory_and_svg(tmp_path):

@@ -229,6 +229,18 @@ def test_broken_action_reported():
     assert not report.passed
 
 
+def test_a_nan_isometry_defect_is_not_isometric():
+    box = Box([-1, -1], [1, 1])
+    flip = reflection_action(box, axis=1)
+    # the reflection, but NaN on the right half: the pairs before it are isometric
+    blur = GroupAction(flip.group, box,
+                       lambda g, x: (math.nan, x[1]) if g and x[0] > 0.5 else flip.act(g, x))
+    report = check_action(blur, seed_or_rng=2, samples=30)
+    assert math.isnan(report.isometry_defect) and not report.isometric
+    assert report.to_json()["isometric"] is False
+    assert check_action(flip, seed_or_rng=2, samples=30).isometric
+
+
 def test_coordinate_permutation_requires_closure():
     box = Box([0, 0, 0], [1, 1, 1])
     with pytest.raises(GroupConstructionError, match="not closed"):

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from equimean import homotopy
 from equimean.dyadics import Dyadic, nearest_dyadic
 from equimean.errors import CapacityError, HypothesisError, PrecisionError
 from equimean.groups import (
@@ -14,6 +15,7 @@ from equimean.groups import (
     trivial_subgroup,
 )
 from equimean.homotopy import (
+    LEVEL_FLOATS_CAP,
     LEVEL_SWEEP_CAP,
     ContractionBuilder,
     HolderReport,
@@ -70,6 +72,16 @@ def constant_builder() -> ContractionBuilder:
     return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,))
 
 
+def nan_nodes_builder() -> ContractionBuilder:
+    # the midpoint, but NaN where it lies in (0.60, 0.62): from level 6 on,
+    # the path from 1 to 0 has NaN nodes, after finite ones, around t = 0.39
+    def holey(pts):
+        m = 0.5 * (pts[0][0] + pts[1][0])
+        return (math.nan if 0.60 < m < 0.62 else m,)
+
+    return ContractionBuilder(UNIT, QuasiMeanMap(2, UNIT, holey, "holey"), 0.5, (0.0,))
+
+
 BOX2 = Box([-1.0, -1.0], [1.0, 1.0])
 # (builder factory, start point): interval and box spaces, batch and eval
 # midpoints, tied worst steps, and a start point equal to the basepoint
@@ -81,11 +93,13 @@ SWEEP_CASES = {
     "x-equals-theta": (geometric_builder, (2.0,)),
     "eval-fallback": (lopsided_builder, (1.0,)),
     "tied-steps": (constant_builder, (1.0,)),
+    "nan-nodes": (nan_nodes_builder, (1.0,)),
 }
 
 
 def claim1_reference(builder, x, depth):
-    """The recursive sweep: every adjacent pair through at_dyadic."""
+    """The recursive sweep: every adjacent pair through at_dyadic; the first
+    NaN ratio is the worst, else the first maximum."""
     dx = builder.space.d(x, builder.theta)
     worst, wl, wi, checked = 0.0, -1, -1, 0
     for n in range(depth + 1):
@@ -95,13 +109,14 @@ def claim1_reference(builder, x, depth):
                                    builder.at_dyadic(x, Dyadic(j + 1, n)))
             checked += 1
             ratio = step / bound if bound > 0.0 else (0.0 if step == 0.0 else math.inf)
-            if ratio > worst:
+            if not math.isnan(worst) and (ratio > worst or math.isnan(ratio)):
                 worst, wl, wi = ratio, n, j
     return LevelBoundReport(worst, wl, wi, checked, builder.lam, dx)
 
 
 def holder_reference(builder, x, pairs, depth, seed):
-    """The recursive Holder sampler: both times through at_dyadic."""
+    """The recursive Holder sampler: both times through at_dyadic; a NaN
+    ratio is a violation, and the first one is the worst."""
     rng = as_rng(seed)
 
     def draw():
@@ -119,9 +134,9 @@ def holder_reference(builder, x, pairs, depth, seed):
         else:
             bound = C * abs(s.value - t.value) ** builder.alpha
             ratio = dist / bound if bound > 0.0 else (0.0 if dist == 0.0 else math.inf)
-        if ratio > 1.0 + 1e-9:
+        if ratio > 1.0 + 1e-9 or math.isnan(ratio):
             violations += 1
-        if ratio > worst:
+        if not math.isnan(worst) and (ratio > worst or math.isnan(ratio)):
             worst, wpair = ratio, (s, t)
     return HolderReport(worst, wpair, pairs, C, builder.alpha, violations)
 
@@ -177,7 +192,7 @@ def test_level_arrays_equal_at_dyadic_at_every_node(case):
     for n, level in enumerate(levels):
         assert level.shape == ((1 << n) + 1, len(x))
         for j, row in enumerate(level.tolist()):
-            assert tuple(row) == b.at_dyadic(x, Dyadic(j, n)), (n, j)
+            assert repr(tuple(row)) == repr(b.at_dyadic(x, Dyadic(j, n))), (n, j)
 
 
 def test_level_arrays_reject_bad_batch_shape():
@@ -242,6 +257,14 @@ def test_eval_canonical_neighbours_equal_dyadic(n, data):
     assert list(got.items()) == list(want.items())
     for d in (Dyadic(j - 1, n), Dyadic(j + 1, n)):
         assert (d.j, d.n) in got
+
+
+def test_a_nan_map_is_refused_by_at_time():
+    p = QuasiMeanMap(2, SYM, lambda pts: (math.nan,), "nan")
+    b = ContractionBuilder(SYM, p, 0.5, (0.0,))
+    assert math.isnan(b.ratio_report.max_violation)
+    with pytest.raises(HypothesisError, match=r"^sampled contractivity ratio nan at the pair "):
+        b.at_time((0.5,), 0.3, 1e-6)
 
 
 def test_level_cap_enforced():
@@ -322,6 +345,33 @@ def test_verify_claim1_depth_cap():
         verify_claim1(arithmetic_builder(), (1.0,), LEVEL_SWEEP_CAP + 1)
 
 
+def test_a_path_with_nan_nodes_fails_both_sweeps():
+    b = nan_nodes_builder()
+    claim1 = verify_claim1(b, (1.0,), 10)
+    assert math.isnan(claim1.max_ratio) and not claim1.passed
+    # the step from 24/64 to 25/64, whose node 0.609375 is the first NaN
+    assert (claim1.worst_level, claim1.worst_index) == (6, 24)
+    holder = verify_holder(b, (1.0,), 2000, 10, seed_or_rng=1)
+    assert math.isnan(holder.max_ratio) and not holder.passed
+    assert holder.violations == 56 and holder.to_json()["passed"] is False
+
+
+def test_level_sweep_floats_are_capped_before_level_0():
+    box = Box([0.0] * 64, [1.0] * 64)
+    b = ContractionBuilder(box, arithmetic_mean(box, 2), 0.5, (0.0,) * 64)
+    rng = Xoshiro256StarStar(53)
+    message = rf"depth 16 in dim 64 exceeds the cap of {LEVEL_FLOATS_CAP} floats"
+    with pytest.raises(CapacityError, match=message):
+        next(b.level_arrays((1.0,) * 64, 16))
+    with pytest.raises(CapacityError, match=message):
+        verify_holder(b, (1.0,) * 64, 10, 16, seed_or_rng=rng)
+    assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
+    assert (1 + (1 << 15)) * 64 <= LEVEL_FLOATS_CAP < (1 + (1 << 16)) * 64
+    # a 2-D box still sweeps to the depth cap
+    assert (1 + (1 << LEVEL_SWEEP_CAP)) * 2 <= LEVEL_FLOATS_CAP
+    assert next(arithmetic_builder(BOX2, (0.0, 0.0)).level_arrays((1.0, 1.0), 20)).shape == (2, 2)
+
+
 def test_verify_holder_depth_cap_before_sampling():
     rng = Xoshiro256StarStar(53)
     with pytest.raises(CapacityError):
@@ -334,10 +384,21 @@ def test_verify_holder_depth_cap_before_sampling():
 def test_sweeps_equal_recursive_reference(case, depth):
     make, x = SWEEP_CASES[case]
     b = make()
-    assert verify_claim1(b, x, depth).to_json() == claim1_reference(b, x, depth).to_json()
+    # reprs, in which NaN equals NaN
+    assert repr(verify_claim1(b, x, depth)) == repr(claim1_reference(b, x, depth))
     for seed in (1, 45, 2 ** 40 + 3):
         got = verify_holder(b, x, 400, depth, seed_or_rng=seed)
-        assert got.to_json() == holder_reference(b, x, 400, depth, seed).to_json()
+        assert repr(got) == repr(holder_reference(b, x, 400, depth, seed))
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_holder_blocks_keep_the_first_worst_pair(monkeypatch, case):
+    # small blocks, so that the worst pair and the first NaN cross block edges
+    monkeypatch.setattr(homotopy, "HOLDER_BLOCK", 37)
+    make, x = SWEEP_CASES[case]
+    b = make()
+    got = verify_holder(b, x, 400, 10, seed_or_rng=45)
+    assert repr(got) == repr(holder_reference(b, x, 400, 10, 45))
 
 
 def test_verify_holder_geometric():
@@ -498,6 +559,14 @@ def test_symmetrize_equivariance_defect_reported():
     assert gh.report["equivariance_defect"] <= 1e-15
 
 
+def test_symmetrize_fails_on_a_nan_base_homotopy():
+    act = negation_action(SYM)
+    base = lambda x, t: (math.nan,) if x[0] > 0.5 and t > 0.0 else ((1.0 - t) * x[0],)
+    with pytest.raises(HypothesisError, match=r"^symmetrized homotopy equivariance defect nan "
+                                              r"exceeds tol 1e-08 at witness \(\(-?0\.\d+,\), "):
+        symmetrize(base, act, arithmetic_mean(SYM, 2), tol=1e-9)
+
+
 def test_symmetrize_tolerance_scales_with_law_defects():
     # a mean whose laws hold to ~tol/10 yields a homotopy equivariant to tol
     act = negation_action(SYM)
@@ -529,8 +598,20 @@ def test_equivariant_contraction_negation_exact():
 def test_equivariant_contraction_requires_fixed_basepoint():
     act = negation_action(SYM)
     b = arithmetic_builder(space=SYM, theta=(0.5,))
-    with pytest.raises(HypothesisError, match="not fixed"):
+    with pytest.raises(HypothesisError,
+                       match=r"^basepoint fixed-point defect 1 exceeds tol 1e-12 at witness \(\(0\.5,\),\)$"):
         equivariant_contraction(b, act, tol=1e-12)
+
+
+def test_equivariant_contraction_error_names_the_map_witness():
+    def nudged(pts):
+        (x,), (y,) = pts
+        return (0.5 * (x + y) + (0.05 if x > 0.0 else 0.0),)
+
+    b = ContractionBuilder(SYM, QuasiMeanMap(2, SYM, nudged, "nudged"), 0.5, (0.0,))
+    with pytest.raises(HypothesisError, match=r"^binary map equivariance defect 0\.05 exceeds tol "
+                                              r"1e-09 at witness \(\(-?0\.\d+,\), \(-?0\.\d+,\)\)$"):
+        equivariant_contraction(b, negation_action(SYM))
 
 
 def test_equivariant_contraction_swap_axes_box():
@@ -597,7 +678,7 @@ def test_fixed_set_deformation_rejects_bad_retraction():
     box, act, _, _ = _reflection_setup()
     bad = lambda x: x  # not into the fixed set
     ext = straight_line_extension(box, bad)
-    with pytest.raises(HypothesisError, match="not H-fixed"):
+    with pytest.raises(HypothesisError, match="^retraction image fixed-point defect .* at witness"):
         fixed_set_deformation(
             act, full_subgroup(act.group), bad, arithmetic_mean(box, 2), ext, tol=1e-12
         )
@@ -611,6 +692,15 @@ def test_fixed_set_deformation_rejects_bad_extension():
             act, full_subgroup(act.group), retract, arithmetic_mean(box, 2), stuck,
             tol=1e-12,
         )
+
+
+def test_fixed_set_deformation_fails_on_a_nan_extension():
+    box, act, retract, ext = _reflection_setup()
+    holey = lambda x, t: (math.nan, math.nan) if t == 0.5 and x[0] > 0.5 else ext(x, t)
+    with pytest.raises(HypothesisError, match=r"^extension fixed-set stationarity defect nan exceeds "
+                                              r"tol 1e-12 at witness \(\(0\.[5-9]\d*, 0\.0\), 0\.5\)$"):
+        fixed_set_deformation(act, full_subgroup(act.group), retract, arithmetic_mean(box, 2),
+                              holey, tol=1e-12, seed=3)
 
 
 def test_straight_line_extension_needs_convexity():

@@ -124,6 +124,51 @@ def test_orbit_average_verify_laws_flag():
         orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4), verify_laws=True)
 
 
+def _nan_where_positive(space):
+    """Midpoint map that is NaN wherever its first argument is positive, so
+    that a NaN defect usually follows finite ones in sample order."""
+    return QuasiMeanMap(2, space, lambda pts: (math.nan if pts[0][0] > 0.0
+                                               else 0.5 * (pts[0][0] + pts[1][0]),), "nan>0")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QuasiMeanMap(2, SYM, lambda pts: (math.nan,), "nan"),
+    lambda: _nan_where_positive(SYM),
+], ids=["nan-everywhere", "nan-where-positive"])
+def test_a_nan_defect_fails_every_law_at_its_first_witness(make):
+    p = make()
+    tuples = sample_tuples(SYM, 2, 5, 40)
+    reports = [
+        check_unanimity(p, SYM.sample(5, 40)),
+        check_anonymity(p, tuples),
+        check_equivariance(p, negation_action(SYM), tuples),
+        check_strict_betweenness(p, tuples),
+        check_contractivity(p, tuples, 0.5),
+    ]
+    for report in reports:
+        assert math.isnan(report.max_violation) and not report.passed, report.law
+        assert report.to_json()["passed"] is False
+    # the witness is the first sample whose defect is NaN
+    first = next(x for x in SYM.sample(5, 40) if math.isnan(p.eval([x, x])[0]))
+    assert reports[0].witness == (first,)
+    first = next(t for t in tuples if math.isnan(p.eval(list(t))[0]))
+    assert reports[4].witness == first
+    # anonymity also evaluates the swapped tuple
+    first = next(t for t in tuples if math.isnan(p.eval(list(t))[0] + p.eval(list(t[::-1]))[0]))
+    assert reports[1].witness == first
+    with pytest.raises(HypothesisError, match=r"^anonymity defect nan exceeds tol 1e-09 at witness"):
+        require_mean_laws(p, negation_action(SYM), 1e-9, None, 3, 8)
+
+
+def test_orbit_average_error_names_the_point_that_is_not_fixed():
+    box = Box([-1, -1], [1, 1])
+    act = reflection_action(box, axis=1)
+    skew = QuasiMeanMap(2, box, lambda pts: (0.5 * (pts[0][0] + pts[1][0]), 0.25), "skew")
+    with pytest.raises(HypothesisError, match=r"^orbit average fixed-point defect 0\.5 exceeds "
+                                              r"tol 1e-09 at witness \(\(0\.3, 0\.25\),\)$"):
+        orbit_average_point(skew, act, (0.3, 0.4))
+
+
 def test_mean_law_gate_checks_anonymity_then_equivariance_on_one_rng():
     box = Box([-1, -1], [1, 1])
     act = reflection_action(box, axis=1)

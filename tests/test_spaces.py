@@ -17,6 +17,7 @@ from equimean.spaces import (
     is_convex,
     space_from_json,
     tuple_diameter,
+    worst,
 )
 
 ALL_SPACES = [
@@ -141,6 +142,28 @@ def test_constructor_validation():
         Circle(1.0, "chordal")
     with pytest.raises(ValueError):
         Box([0.0], [0.0])
+
+
+def test_interval_and_box_refuse_a_span_that_overflows():
+    # b - a overflows to inf: samples came out as inf, which contains rejects
+    for make in (lambda: Interval(-1e308, 1e308),
+                 lambda: Box([0.0, -1e308], [1.0, 1e308])):
+        with pytest.raises(ValueError, match=r"finite length .*\[-1e\+308, 1e\+308\]"):
+            make()
+    assert Interval(0.0, 1.7e308).extent() == 1.7e308
+
+
+def test_worst_takes_the_first_nan_else_the_first_maximum():
+    assert worst([(0.5, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")]) == (2.0, "b", 4)
+    top, witness, count = worst([(0.5, "a"), (math.nan, "b"), (3.0, "c"), (math.nan, "d")])
+    assert math.isnan(top) and (witness, count) == ("b", 4)
+    assert worst([]) == (-math.inf, None, 0)
+    assert worst([(0.0, "a"), (-1.0, "b")], 0.0) == (0.0, None, 2)
+    assert worst([(-math.inf, "a")]) == (-math.inf, None, 1)
+    # every pair is drawn, also after a NaN has won
+    drawn = []
+    scored = ((v, drawn.append(v)) for v in (1.0, math.nan, 2.0, 0.5))
+    assert worst(scored)[2] == 4 and len(drawn) == 4
 
 
 def test_point_coercion_rejects_bad_values():
