@@ -38,6 +38,7 @@ from .homotopy import (
     verify_holder,
 )
 from .means import (
+    DEFAULT_TOL,
     LambdaConfig,
     check_anonymity,
     check_equivariance,
@@ -57,19 +58,6 @@ log = logging.getLogger("equimean")
 # nodes per time: at level 40 on a 2-D box a run peaks at 150 MB for 20,000
 # times (CPython 3.11), and at about 610-660 MB at this cap
 TIMES_CAP = 100_000
-
-EXPERIMENTS = (
-    "verify-mean",
-    "estimate-lambda",
-    "chain",
-    "build-homotopy",
-    "verify-claim1",
-    "verify-holder",
-    "symmetrize",
-    "deform-fixed",
-    "solomonic-search",
-)
-
 
 class ConfigError(Exception):
     """Anything that makes the run unusable before checks start."""
@@ -127,24 +115,6 @@ _TYPES = {
 }
 
 
-def _json_equal(one, two) -> bool:
-    """Equality as jsonschema's ``enum`` applies it: True is not 1, False is
-    not 0, also inside arrays and objects."""
-    if one is two:
-        return True
-    if isinstance(one, str) or isinstance(two, str):
-        return one == two
-    if isinstance(one, list) and isinstance(two, list):
-        return len(one) == len(two) and all(map(_json_equal, one, two))
-    if isinstance(one, dict) and isinstance(two, dict):
-        return len(one) == len(two) and all(
-            k in two and _json_equal(v, two[k]) for k, v in one.items()
-        )
-    if isinstance(one, bool) or isinstance(two, bool):
-        return False
-    return one == two
-
-
 def _conforms(value, schema: dict, root: dict) -> bool:
     """Whether ``value`` is valid under ``schema`` (a node of ``root``) in
     Draft 2020-12 as jsonschema applies it, for the keywords in
@@ -166,8 +136,13 @@ def _conforms(value, schema: dict, root: dict) -> bool:
         names = schema["type"]
         if not any(_TYPES[n](value) for n in ([names] if isinstance(names, str) else names)):
             return False
-    if "enum" in schema and not any(_json_equal(value, e) for e in schema["enum"]):
-        return False
+    if "enum" in schema:
+        # a string equals only itself, also under jsonschema; other members
+        # would need its rule that True is not 1
+        if not all(isinstance(e, str) for e in schema["enum"]):
+            raise NotImplementedError("config schema enums must hold only strings")
+        if not (isinstance(value, str) and value in schema["enum"]):
+            return False
     if isinstance(value, dict):
         props = schema.get("properties", {})
         if "additionalProperties" in schema and not value.keys() <= props.keys():
@@ -253,21 +228,24 @@ def _action(cfg: dict, space, experiment: str):
     return action_from_json(_need(cfg, "action", experiment), space)
 
 
+def _given(cfg: dict, *keys) -> dict:
+    """The config's values for those of ``keys`` it sets; the library's
+    defaults fill in the rest."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
 def _retraction(cfg: dict, space):
-    spec = cfg.get("retraction", {"kind": "zero_coordinate", "axis": space.dim - 1})
-    kind = spec.get("kind")
-    if kind == "zero_coordinate":
-        axis = int(spec.get("axis", space.dim - 1))
+    spec = cfg.get("retraction", {"kind": "zero_coordinate"})
+    if spec["kind"] == "zero_coordinate":
+        axis = spec.get("axis", space.dim - 1)
 
         def retract(x):
             return tuple(0.0 if i == axis else c for i, c in enumerate(x))
 
         return retract
-    if kind == "constant":
-        pt = as_point(spec["point"])
-        space.require_member(pt)
-        return lambda x: pt
-    raise ConfigError(f"unknown retraction kind {kind!r}")
+    pt = as_point(spec["point"])  # "constant", the schema's other kind
+    space.require_member(pt)
+    return lambda x: pt
 
 
 def _base_homotopy(cfg: dict, space):
@@ -294,27 +272,23 @@ def run_verify_mean(cfg: dict, outdir: Path):
     space = _space(cfg, "verify-mean")
     mean = _mean(cfg, space, "verify-mean")
     laws = cfg.get("laws", ["M1", "M2"])
-    tol = cfg.get("tol", 1e-9)
+    tol = cfg.get("tol", DEFAULT_TOL)
     seed = cfg.get("seed", 1)
     count = cfg.get("samples", 200)
+    # every law but M1 checks the same tuples
+    tuples = sample_tuples(space, mean.arity, seed, count) if set(laws) - {"M1"} else []
     results = {"mean": mean.label, "laws": {}}
     passed = True
     for law in laws:
         if law == "M1":
             report = check_unanimity(mean, space.sample(seed, count), tol)
         elif law == "M2":
-            report = check_anonymity(mean, sample_tuples(space, mean.arity, seed, count), tol, seed)
+            report = check_anonymity(mean, tuples, tol, seed)
         elif law == "equivariance":
             action = _action(cfg, space, "verify-mean with the equivariance law")
-            report = check_equivariance(
-                mean, action, sample_tuples(space, mean.arity, seed, count), tol
-            )
-        elif law == "strict-betweenness":
-            report = check_strict_betweenness(
-                mean, sample_tuples(space, mean.arity, seed, count)
-            )
-        else:
-            raise ConfigError(f"unknown law {law!r}")
+            report = check_equivariance(mean, action, tuples, tol)
+        else:  # strict-betweenness, the last law the schema allows
+            report = check_strict_betweenness(mean, tuples)
         results["laws"][law] = report.to_json()
         passed = passed and report.passed
     return passed, results, f"{len(laws)} laws on {count} samples"
@@ -323,13 +297,9 @@ def run_verify_mean(cfg: dict, outdir: Path):
 def run_estimate_lambda(cfg: dict, outdir: Path):
     space = _space(cfg, "estimate-lambda")
     mean = _mean(cfg, space, "estimate-lambda")
-    lcfg = LambdaConfig(
-        grid_step=cfg.get("grid_step", 1e-3),
-        excluded_diameter=cfg.get("excluded_diameter", 1e-6),
-        restarts=cfg.get("restarts", 100),
-        seed=cfg.get("seed", 1),
-        force_random=cfg.get("force_random", False),
-    )
+    lcfg = LambdaConfig(**_given(
+        cfg, "grid_step", "excluded_diameter", "restarts", "seed", "force_random"
+    ))
     estimate = estimate_lambda(mean, lcfg)
     with open(outdir / "lambda.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -432,15 +402,8 @@ def run_symmetrize(cfg: dict, outdir: Path):
     action = _action(cfg, space, "symmetrize")
     mean = _mean(cfg, space, "symmetrize")
     base = _base_homotopy(cfg, space)
-    gh = symmetrize(
-        base,
-        action,
-        mean,
-        tol=cfg.get("tol", 1e-9),
-        trust_laws=cfg.get("trust_laws", False),
-        seed=cfg.get("seed", 1),
-        samples=cfg.get("samples", 32),
-    )
+    gh = symmetrize(base, action, mean, seed=cfg.get("seed", 1),
+                    **_given(cfg, "tol", "trust_laws", "samples"))
     results = {"mean": mean.label, "action": action.name, "report": gh.report}
     return True, results, f"{action.group.order} translates per point"
 
@@ -452,21 +415,9 @@ def run_deform_fixed(cfg: dict, outdir: Path):
     H = full_subgroup(action.group) if members is None else Subgroup(action.group, tuple(members))
     mean = _mean(cfg, space, "deform-fixed")
     retraction = _retraction(cfg, space)
-    ext_spec = cfg.get("extension", {"kind": "straight_line"})
-    if ext_spec.get("kind") != "straight_line":
-        raise ConfigError(f"unknown extension kind {ext_spec.get('kind')!r}")
     extension = straight_line_extension(space, retraction)
-    gh = fixed_set_deformation(
-        action,
-        H,
-        retraction,
-        mean,
-        extension,
-        tol=cfg.get("tol", 1e-9),
-        trust_laws=cfg.get("trust_laws", False),
-        seed=cfg.get("seed", 1),
-        samples=cfg.get("samples", 64),
-    )
+    gh = fixed_set_deformation(action, H, retraction, mean, extension, seed=cfg.get("seed", 1),
+                               **_given(cfg, "tol", "trust_laws", "samples"))
     results = {
         "mean": mean.label,
         "action": action.name,
@@ -479,12 +430,8 @@ def run_deform_fixed(cfg: dict, outdir: Path):
 def run_solomonic_search(cfg: dict, outdir: Path):
     space = _space(cfg, "solomonic-search")
     mean = _mean(cfg, space, "solomonic-search")
-    result = solomonic_witness_search(
-        mean,
-        _need(cfg, "K", "solomonic-search"),
-        budget=cfg.get("budget", 20000),
-        seed_or_rng=cfg.get("seed", 1),
-    )
+    result = solomonic_witness_search(mean, _need(cfg, "K", "solomonic-search"),
+                                      seed_or_rng=cfg.get("seed", 1), **_given(cfg, "budget"))
     results = {"mean": mean.label, "search": result.to_json()}
     return True, results, f"random+hill, {result.evaluations} evaluations"
 
@@ -513,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         "certified dyadic homotopies",
     )
     sub = parser.add_subparsers(dest="command")
-    for name in EXPERIMENTS:
+    for name in RUNNERS:
         p = sub.add_parser(name)
         if name == "chain":
             p.add_argument("s", nargs="?", help="left dyadic, e.g. 1/8")

@@ -21,7 +21,6 @@ Built-ins are registered by name for the CLI: ``arithmetic:n``,
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -89,16 +88,12 @@ class QuasiMeanMap:
 
 def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
                batch: Optional[Callable] = None, symmetric: bool = False) -> QuasiMeanMap:
-    """Wrap a point map; warns when it visibly fails unanimity on samples."""
+    """Wrap a point map; raises HypothesisError when it fails unanimity on
+    8 points drawn from UNANIMITY_SEED."""
     if arity < 2:
         raise ValueError("arity must be >= 2")
     p = QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=symmetric)
-    report = check_unanimity(p, space.sample(UNANIMITY_SEED, 8))
-    if not report.passed:
-        warnings.warn(
-            f"{label}: unanimity defect {report.max_violation:.3g} on construction samples",
-            stacklevel=2,
-        )
+    require(f"{label} unanimity", check_unanimity(p, space.sample(UNANIMITY_SEED, 8)))
     return p
 
 
@@ -228,10 +223,10 @@ def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tu
     return law_report("equivariance", scored(), tol)
 
 
-def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
-                             tol: float = 0.0) -> LawReport:
+def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple]) -> LawReport:
     """Checks max_i d(x_i, p(x)) < diameter on every positive-diameter
-    sample; the report's violation is the worst signed margin."""
+    sample; the report's violation is the worst signed margin, and the
+    law passes when it is below 0."""
 
     def scored():
         for tup in tuples:
@@ -241,7 +236,7 @@ def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple],
             out = p.eval(list(tup))
             yield max(p.space.d(x, out) for x in tup) - diam, tup
 
-    return law_report("strict-betweenness", scored(), tol, strict=True)
+    return law_report("strict-betweenness", scored(), 0.0, strict=True)
 
 
 def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:

@@ -63,6 +63,16 @@ def _euclidean(a: Point, b: Point) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
+def _square_overflows(t: float) -> bool:
+    """Whether ``t ** 2``, as ``_euclidean`` squares a coordinate
+    difference, is not a finite float; a float ``**`` raises OverflowError
+    where a product would give inf."""
+    try:
+        return not math.isfinite(t ** 2)
+    except OverflowError:
+        return True
+
+
 class MetricSpace:
     """Base class; concrete kinds implement the distance, membership,
     projection and sampling surface."""
@@ -172,6 +182,9 @@ class Box(MetricSpace):
             if not (lo_i < hi_i and math.isfinite(hi_i - lo_i)):
                 raise ValueError("box needs lo < hi and a finite length hi - lo on every "
                                  f"axis, got [{lo_i}, {hi_i}]")
+            if _square_overflows(hi_i - lo_i):
+                raise ValueError("box needs (hi - lo)^2 to be a finite float on every axis, "
+                                 f"got [{lo_i}, {hi_i}]")
 
     @property
     def dim(self) -> int:
@@ -212,6 +225,9 @@ class Circle(MetricSpace):
             raise ValueError("circle radius must be positive")
         if metric not in ("euclidean", "geodesic"):
             raise ValueError(f"unknown circle metric {metric!r}")
+        if metric == "euclidean" and _square_overflows(2.0 * radius):
+            raise ValueError("a circle with the euclidean metric needs (2 radius)^2 to be "
+                             f"a finite float, got radius {radius}")
         self.radius = float(radius)
         self.metric = metric
 
@@ -262,6 +278,10 @@ class FinitePoints(MetricSpace):
         dims = {len(p) for p in self.points}
         if len(dims) != 1:
             raise ValueError("all points must share one dimension")
+        for axis, coords in enumerate(zip(*self.points)):
+            if _square_overflows(max(coords) - min(coords)):
+                raise ValueError("a finite point set needs (max - min)^2 to be a finite float "
+                                 f"on every axis, got [{min(coords)}, {max(coords)}] on axis {axis}")
 
     @property
     def dim(self) -> int:

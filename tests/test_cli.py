@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -353,7 +354,7 @@ def test_integral_float_runs_as_its_int(tmp_path, field, command, cfg):
     assert (ints / "report.json").read_bytes() == (tmp_path / "floats" / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("key", ["k", "group"])
+@pytest.mark.parametrize("key", ["k", "group", "extension"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, key):
     # no runner read them; the schema now rejects them as unknown keys
     cfg = {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5, key: 3}
@@ -436,7 +437,42 @@ RERUN_CONFIGS = {
 
 
 def test_rerun_configs_cover_every_experiment():
-    assert sorted(RERUN_CONFIGS) == sorted(cli.EXPERIMENTS)
+    assert sorted(RERUN_CONFIGS) == sorted(cli.RUNNERS)
+
+
+def test_schema_experiments_are_the_runners():
+    assert sorted(_packaged_schema()["properties"]["experiment"]["enum"]) == sorted(cli.RUNNERS)
+
+
+def _config_keys_read(tree) -> set:
+    """The string keys that code reads from a dict named ``cfg``: ``cfg[k]``,
+    ``cfg.get(k, ...)``, ``k in cfg`` and ``f(cfg, k, ...)``."""
+    def is_cfg(node):
+        return isinstance(node, ast.Name) and node.id == "cfg"
+
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and is_cfg(node.value):
+            candidates = [node.slice]
+        elif isinstance(node, ast.Compare) and any(map(is_cfg, node.comparators)):
+            candidates = [node.left]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and is_cfg(node.func.value):
+            candidates = node.args[:1]
+        elif isinstance(node, ast.Call) and node.args and is_cfg(node.args[0]):
+            candidates = node.args[1:]
+        else:
+            continue
+        keys.update(c.value for c in candidates
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str))
+    return keys
+
+
+def test_the_cli_reads_every_config_key():
+    # a key the schema accepts and no runner reads is dead: it passes the
+    # check and changes nothing
+    read = _config_keys_read(ast.parse(Path(cli.__file__).read_text()))
+    assert sorted(_packaged_schema()["properties"].keys() - read) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -477,6 +513,28 @@ def test_a_space_whose_length_overflows_exits_2(tmp_path, capsys):
     code, outdir = run(tmp_path, "verify-mean", cfg)
     assert code == 2
     assert "finite length b - a, got [-1e+308, 1e+308]" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
+OVERFLOWING_SPACES = {
+    "box": ({"kind": "box", "params": {"lo": [0.0, 0.0], "hi": [1e200, 1e200]}},
+            "dictator:0", "strict-betweenness", "got [0.0, 1e+200]"),
+    "circle": ({"kind": "circle", "params": {"radius": 1e200}},
+               "dictator:0", "M2", "got radius 1e+200"),
+    "finite_points": ({"kind": "finite_points", "params": {"points": [[0.0], [1e200]]}},
+                      "dictator:1", "M2", "got [0.0, 1e+200] on axis 0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_SPACES))
+def test_a_space_whose_squared_span_overflows_exits_2(tmp_path, capsys, kind):
+    # these distances once raised OverflowError mid-run, an unexpected error
+    space, mean, law, named = OVERFLOWING_SPACES[kind]
+    cfg = {"space": space, "mean": mean, "laws": [law], "samples": 20}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unexpected" not in err and "^2 to be a finite float" in err and named in err
     assert not (outdir / "report.json").exists()
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -354,6 +355,26 @@ def test_a_path_with_nan_nodes_fails_both_sweeps():
     holder = verify_holder(b, (1.0,), 2000, 10, seed_or_rng=1)
     assert math.isnan(holder.max_ratio) and not holder.passed
     assert holder.violations == 56 and holder.to_json()["passed"] is False
+
+
+def test_a_bound_that_is_not_positive_scores_0_for_a_zero_step_and_inf_for_others():
+    steps = np.array([0.0, 1e-300, math.nan, 3.0, 0.0])
+    ratios = homotopy._step_ratios(steps, np.array([0.0, 0.0, -0.0, 4.0, 2.0]))
+    assert ratios.tolist() == [0.0, math.inf, math.inf, 0.75, 0.0]
+    assert homotopy._step_ratios(steps, 0.0).tolist() == [0.0, math.inf, math.inf, math.inf, 0.0]
+    assert homotopy._step_ratios(steps[3:], 2.0).tolist() == [1.5, 0.0]
+
+
+def test_a_path_that_leaves_x_equal_to_its_basepoint_fails_both_sweeps():
+    # d(x, theta) = 0 makes every bound 0, so each nonzero step is an inf ratio
+    stuck = QuasiMeanMap(2, UNIT, lambda pts: (0.5,), "stuck")
+    b = ContractionBuilder(UNIT, stuck, 0.5, (0.0,))
+    claim1 = verify_claim1(b, (0.0,), 4)
+    assert claim1.max_ratio == math.inf and not claim1.passed
+    assert (claim1.worst_level, claim1.worst_index) == (1, 0)
+    holder = verify_holder(b, (0.0,), 200, 4, seed_or_rng=1)
+    assert holder.max_ratio == math.inf and not holder.passed
+    assert 0 < holder.violations < 200
 
 
 def test_level_sweep_floats_are_capped_before_level_0():

@@ -595,9 +595,15 @@ def test_registry_rejects_incompatible_spaces():
         mean_from_name("constant:5", UNIT)  # not a member
 
 
-def test_quasi_mean_factory_warns_on_unanimity_defect():
-    with pytest.warns(UserWarning, match="unanimity defect"):
+def test_quasi_mean_factory_raises_on_unanimity_defect():
+    # the defect is that of the worst of 8 points drawn from UNANIMITY_SEED
+    drawn = UNIT.sample(means.UNANIMITY_SEED, 8)
+    far = max(drawn, key=lambda x: abs(x[0] - 0.5))
+    with pytest.raises(HypothesisError) as failure:
         quasi_mean(2, UNIT, lambda pts: (0.5,), "stuck")
+    assert str(failure.value) == (f"stuck unanimity defect {abs(far[0] - 0.5):.3g} exceeds "
+                                  f"tol 1e-09 at witness ({far},)")
+    assert quasi_mean(2, UNIT, lambda pts: pts[0], "first").label == "first"
 
 
 def test_law_report_json():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -151,6 +152,26 @@ def test_interval_and_box_refuse_a_span_that_overflows():
         with pytest.raises(ValueError, match=r"finite length .*\[-1e\+308, 1e\+308\]"):
             make()
     assert Interval(0.0, 1.7e308).extent() == 1.7e308
+
+
+# the largest float whose square is finite, and the next float up
+EDGE = math.sqrt(sys.float_info.max)
+OVER = math.nextafter(EDGE, math.inf)
+# each kind as (space, two members whose coordinates differ by w on one axis)
+SPANNED = {
+    "box": lambda w: (Box([0.0, 0.0], [w, 1.0]), (0.0, 0.0), (w, 0.0)),
+    "circle": lambda w: (Circle(w / 2), (w / 2, 0.0), (-w / 2, 0.0)),
+    "finite_points": lambda w: (FinitePoints([[0.0], [w]]), (0.0,), (w,)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPANNED))
+def test_euclidean_kinds_refuse_a_span_whose_square_overflows(kind):
+    # _euclidean squares with **, which raises OverflowError past EDGE
+    space, a, b = SPANNED[kind](EDGE)
+    assert space.d(a, b) == EDGE
+    with pytest.raises(ValueError, match=r"\^2 to be a finite float"):
+        SPANNED[kind](OVER)
 
 
 def test_worst_takes_the_first_nan_else_the_first_maximum():
