@@ -488,6 +488,9 @@ def _write_report(outdir: Path, report: dict) -> None:
 
 
 def main(argv=None) -> int:
+    # before any runner imports numpy: the package makes no BLAS call, and
+    # starting OpenBLAS's thread pool is a large share of numpy's import time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -41,7 +41,7 @@ from .means import (
     require_mean_laws,
     sample_tuples,
 )
-from .rng import as_rng
+from .rng import as_rng, randrange_accepts
 from .spaces import MetricSpace, Point, as_point, is_convex, worst
 
 MAX_DYADIC_DEPTH = 40
@@ -301,6 +301,27 @@ def _random_grid_index(rng, depth: int) -> int:
 HOLDER_BLOCK = 1 << 12  # pairs drawn per distance batch, to bound memory
 
 
+def _grid_index_pairs(rng, depth: int, count: int):
+    """The left and right indices of ``count`` pairs of ``_random_grid_index``
+    draws, as two int arrays, from one block of 4 * count draws: the level
+    and index of each are ``u % n``. If randrange would reject any of the
+    draws, the block is drawn again through the scalar path, so the result
+    and the generator's state always equal the scalar path's."""
+    import numpy as np
+
+    saved = rng.getstate()
+    u = rng.u64_array(4 * count).reshape(count, 2, 2)  # pair, side, (level, index)
+    level_n = np.uint64(depth + 1)
+    levels = u[..., 0] % level_n
+    index_n = (np.uint64(1) << levels) + np.uint64(1)
+    if randrange_accepts(u[..., 0], level_n).all() and randrange_accepts(u[..., 1], index_n).all():
+        indices = ((u[..., 1] % index_n) << (np.uint64(depth) - levels)).astype(np.int64)
+        return indices[:, 0], indices[:, 1]
+    rng.setstate(saved)
+    draws = [_random_grid_index(rng, depth) for _ in range(2 * count)]
+    return np.array(draws[0::2], dtype=np.int64), np.array(draws[1::2], dtype=np.int64)
+
+
 def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
                   seed_or_rng=17) -> HolderReport:
     """Sample dyadic time pairs at level <= depth and compare the path
@@ -310,6 +331,8 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     built once at that level and each pair reads two of its rows; the
     time gap |i - k| 2^-depth is exact. Depth is capped at LEVEL_SWEEP_CAP.
     A NaN ratio counts as a violation, and the first one is the worst pair.
+    The pairs are those of ``_random_grid_index`` drawn in turn, left then
+    right, taken a block of draws at a time.
     """
     import numpy as np
 
@@ -319,20 +342,24 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     rng = as_rng(seed_or_rng)
     C = builder.holder_constant(x)
     cell = math.ldexp(1.0, -depth)
+    # the bound of each gap |i - k|, filled in as gaps occur
+    gap_bounds = np.empty(len(fine))
+    known = np.zeros(len(fine), dtype=bool)
     block_worsts, checked, violations = [], 0, 0
     for start in range(0, pairs, HOLDER_BLOCK):
-        left, right = [], []
-        for _ in range(min(HOLDER_BLOCK, pairs - start)):
-            left.append(_random_grid_index(rng, depth))
-            right.append(_random_grid_index(rng, depth))
+        left, right = _grid_index_pairs(rng, depth, min(HOLDER_BLOCK, pairs - start))
+        gaps = np.abs(left - right)
+        fresh = np.zeros_like(known)
+        fresh[gaps] = True
+        new = np.flatnonzero(fresh & ~known)
         # Python's ** for the bound: numpy's power rounds differently
-        bounds = np.array([C * (abs(i - k) * cell) ** builder.alpha
-                           for i, k in zip(left, right)])
-        ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), bounds)
+        gap_bounds[new] = [C * (g * cell) ** builder.alpha for g in new.tolist()]
+        known[new] = True
+        ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), gap_bounds[gaps])
         violations += int(np.count_nonzero(~(ratios <= 1.0 + RATIO_SLACK)))
         checked += len(ratios)
         j = int(ratios.argmax())  # the first NaN, if any
-        block_worsts.append((float(ratios[j]), (left[j], right[j])))
+        block_worsts.append((float(ratios[j]), (int(left[j]), int(right[j]))))
     top, wpair, _ = worst(block_worsts, 0.0)
     if wpair is not None:
         wpair = (Dyadic(wpair[0], depth), Dyadic(wpair[1], depth))

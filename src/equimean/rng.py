@@ -12,11 +12,30 @@ generator. Constants (for cross-checking a port):
 
 Doubles are produced from the top 53 bits, i.e. ``next_u64() >> 11``
 times 2**-53, giving uniforms in [0, 1).
+
+Block draws. ``u64_array(n)`` returns the next n draws as a numpy uint64
+array: it equals n ``next_u64`` calls, and it leaves the generator in the
+same state as those calls, so block and scalar draws interleave freely on
+the one stream. The state update is linear over GF(2), so a 256 x 256 bit
+matrix T^K jumps a state K draws ahead (Haramoto, Matsumoto, Nishimura,
+Panneton & L'Ecuyer, "Efficient jump ahead for F2-linear random number
+generators", INFORMS J. Computing 20(3), 2008). The block path starts
+ceil(n / K) lanes K draws apart, lane i at draw iK, and steps them together
+as a few vectorised uint64 operations per draw; lane i then holds draws
+iK .. iK + K - 1. The jump matrices T^K, T^2K, T^4K, ... are built once per
+process by repeated squaring of T, and each is applied through tables of
+XORed columns, one table per 4 bits of the state. ``randrange_accepts`` is
+randrange's rejection test on such arrays.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 _MASK = 0xFFFFFFFFFFFFFFFF
+# K, the draws between the starts of neighbouring lanes of a block draw (a
+# power of 2); a block of n draws steps min(n, K) times over ceil(n / K) lanes
+LANE_SPACING = 64
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -59,6 +78,50 @@ class Xoshiro256StarStar:
         s[3] = ((s3 << 45) | (s3 >> 19)) & _MASK
         return result
 
+    def getstate(self) -> tuple:
+        """The four state words, for ``setstate``."""
+        return tuple(self._s)
+
+    def setstate(self, state) -> None:
+        self._s = list(state)
+
+    def u64_array(self, n: int):
+        """The next n draws as a numpy uint64 array, equal to n ``next_u64``
+        calls and leaving the same state; see the module docstring."""
+        import numpy as np
+
+        if n <= 0:
+            return np.empty(0, dtype=np.uint64)
+        lanes = -(-n // LANE_SPACING)
+        steps = min(n, LANE_SPACING)
+        # the lane that reaches draw n, and the step at which it does
+        last, at = divmod(n - 1, LANE_SPACING)
+        starts = np.array([self._s], dtype=np.uint64)
+        # doubling: the lanes so far, then each of them LANE_SPACING * 2^j ahead
+        for j in range((lanes - 1).bit_length()):
+            tables = _power_tables(LANE_SPACING.bit_length() - 1 + j)
+            starts = np.concatenate([starts, _jump(starts, tables)])
+        s = starts[:lanes].T.copy()  # row w is word s_w of every lane
+        rot = np.empty(lanes, dtype=np.uint64)
+        out = np.empty((lanes, steps), dtype=np.uint64)
+        for j in range(steps):
+            # next_u64's state update on every lane at once; the output
+            # function is applied to the kept s1 values after the loop
+            out[:, j] = s[1]
+            t = s[1] << 17
+            s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+            s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
+            s[2] ^= t
+            np.right_shift(s[3], 19, out=rot)
+            s[3] <<= 45
+            s[3] |= rot
+            if j == at:
+                self._s = [int(w) for w in s[:, last]]
+        # rotl(s1 * 5, 7) * 9; uint64 arithmetic wraps as the scalar path masks
+        out *= 5
+        out = ((out << 7) | (out >> 57)) * 9
+        return out.reshape(-1)[:n]
+
     def random(self) -> float:
         """Uniform double in [0, 1)."""
         return (self.next_u64() >> 11) * (2.0 ** -53)
@@ -78,6 +141,66 @@ class Xoshiro256StarStar:
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+
+def randrange_accepts(u, n):
+    """Whether ``randrange(n)`` keeps the draw u, which it then maps to
+    u % n: u < (MASK // n) * n, on numpy uint64 draws and bounds."""
+    import numpy as np
+
+    n = np.asarray(n, dtype=np.uint64)
+    return u < np.uint64(_MASK) // n * n
+
+
+def _nibble_tables(columns):
+    """Nibble tables of the GF(2) matrix M whose column k is row k of
+    ``columns`` ((256, 4) uint64; bit 64w + i of a state is bit i of word
+    w): entry [p, v] is M applied to the value v of the state's nibble p,
+    bits 4p .. 4p + 3, i.e. the XOR of the columns of v's bits."""
+    import numpy as np
+
+    tables = np.zeros((64, 16, 4), dtype=np.uint64)
+    by_nibble = columns.reshape(64, 4, 4)
+    for bit in range(4):
+        tables[:, 1 << bit:2 << bit] = tables[:, :1 << bit] ^ by_nibble[:, bit, None, :]
+    return tables
+
+
+def _columns(tables):
+    """The columns of the matrix of ``tables``."""
+    import numpy as np
+
+    return tables[:, 1 << np.arange(4)].reshape(256, 4)
+
+
+def _jump(states, tables):
+    """M applied to each row of ``states`` ((m, 4) uint64), for the matrix
+    M of ``tables``: the XOR over a state's 64 nibbles of their entries."""
+    import numpy as np
+
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    nibbles = np.stack([octets & 15, octets >> 4], axis=-1).reshape(len(states), 64)
+    return np.bitwise_xor.reduce(tables[np.arange(64), nibbles], axis=1)
+
+
+@cache
+def _power_tables(k: int):
+    """The nibble tables of T^(2^k), for the one-draw transition T; each is
+    the square of the one before."""
+    import numpy as np
+
+    if k > 0:
+        half = _power_tables(k - 1)
+        return _nibble_tables(_jump(_columns(half), half))
+    unit = Xoshiro256StarStar(0)
+    columns = []
+    for i in range(256):
+        state = [0, 0, 0, 0]
+        state[i // 64] = 1 << (i % 64)
+        unit.setstate(state)
+        unit.next_u64()
+        columns.append(unit.getstate())
+    return _nibble_tables(np.array(columns, dtype=np.uint64))
 
 
 def as_rng(seed_or_rng: "int | Xoshiro256StarStar") -> Xoshiro256StarStar:

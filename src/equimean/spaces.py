@@ -225,9 +225,9 @@ class Circle(MetricSpace):
             raise ValueError("circle radius must be positive")
         if metric not in ("euclidean", "geodesic"):
             raise ValueError(f"unknown circle metric {metric!r}")
-        if metric == "euclidean" and _square_overflows(2.0 * radius):
-            raise ValueError("a circle with the euclidean metric needs (2 radius)^2 to be "
-                             f"a finite float, got radius {radius}")
+        # the geodesic metric's dot and cross products reach radius^2
+        if _square_overflows(2.0 * radius):
+            raise ValueError(f"a circle needs (2 radius)^2 to be a finite float, got radius {radius}")
         self.radius = float(radius)
         self.metric = metric
 
@@ -328,9 +328,8 @@ class Product(MetricSpace):
         return parts
 
     def d(self, a: Point, b: Point) -> float:
-        return math.sqrt(
-            sum(s.d(x, y) ** 2 for s, x, y in zip(self.spaces, self._split(a), self._split(b)))
-        )
+        dists = (s.d(x, y) for s, x, y in zip(self.spaces, self._split(a), self._split(b)))
+        return math.sqrt(sum(t * t for t in dists))
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         if len(p) != self.dim:

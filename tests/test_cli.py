@@ -208,6 +208,34 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
     assert read_report(tmp_path / "grid")["results"]["estimate"]["samples"] == 10100
 
 
+def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_path):
+    cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.1})
+    child = textwrap.dedent(f"""
+        import os, sys
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+        seen = []
+
+        class Spy:
+            # records the setting at the moment numpy is first imported
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy":
+                    seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+        sys.meta_path.insert(0, Spy())
+        import equimean, equimean.cli
+        assert "OPENBLAS_NUM_THREADS" not in os.environ, "import"
+        assert equimean.cli.main(["estimate-lambda", "--config", {cfg!r},
+                                  "--out", {str(tmp_path / "one")!r}]) == 0
+        assert "numpy" in sys.modules and seen == ["1"], seen
+        os.environ["OPENBLAS_NUM_THREADS"] = "2"
+        assert equimean.cli.main(["chain", "1/8", "3/4", "--out", {str(tmp_path / "two")!r}]) == 0
+        print(os.environ["OPENBLAS_NUM_THREADS"])
+    """)
+    out = run_child(child)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "2"
+
+
 def test_valid_configs_load_no_jsonschema(tmp_path):
     valid = write_config(tmp_path, {"space": INTERVAL01, "mean": "minsq", "grid_step": 0.01,
                                     "x": [0.5], "theta": 0.25, "trust_laws": False})
@@ -521,6 +549,9 @@ OVERFLOWING_SPACES = {
             "dictator:0", "strict-betweenness", "got [0.0, 1e+200]"),
     "circle": ({"kind": "circle", "params": {"radius": 1e200}},
                "dictator:0", "M2", "got radius 1e+200"),
+    # the arc metric once read wrong distances here, and NaN for d(a, a)
+    "circle-geodesic": ({"kind": "circle", "params": {"radius": 1e200, "metric": "geodesic"}},
+                        "dictator:0", "M2", "got radius 1e+200"),
     "finite_points": ({"kind": "finite_points", "params": {"points": [[0.0], [1e200]]}},
                       "dictator:1", "M2", "got [0.0, 1e+200] on axis 0"),
 }
@@ -536,6 +567,19 @@ def test_a_space_whose_squared_span_overflows_exits_2(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert "unexpected" not in err and "^2 to be a finite float" in err and named in err
     assert not (outdir / "report.json").exists()
+
+
+def test_a_product_whose_distance_overflows_fails_with_a_witness(tmp_path, capsys):
+    # squaring a factor distance past sqrt(max float) once raised OverflowError,
+    # an unexpected error; the distance is now inf and the law fails on it
+    factor = {"kind": "interval", "params": {"a": 0.0, "b": 1e200}}
+    cfg = {"space": {"kind": "product", "params": {"spaces": [factor]}},
+           "mean": "arithmetic:2", "laws": ["strict-betweenness"], "samples": 20, "seed": 1}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 1
+    assert "unexpected" not in capsys.readouterr().err
+    law = read_report(outdir)["results"]["laws"]["strict-betweenness"]
+    assert law["passed"] is False and len(law["witness"]) == 2
 
 
 def test_level_sweep_over_the_float_cap_exits_2(tmp_path, capsys):

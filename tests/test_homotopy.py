@@ -36,7 +36,7 @@ from equimean.means import (
     geometric_mean,
     min_plus_halfsquare_mean,
 )
-from equimean.rng import Xoshiro256StarStar, as_rng
+from equimean.rng import Xoshiro256StarStar, as_rng, randrange_accepts
 from equimean.spaces import Box, Circle, Interval
 
 UNIT = Interval(0.0, 1.0)
@@ -420,6 +420,34 @@ def test_holder_blocks_keep_the_first_worst_pair(monkeypatch, case):
     b = make()
     got = verify_holder(b, x, 400, 10, seed_or_rng=45)
     assert repr(got) == repr(holder_reference(b, x, 400, 10, 45))
+
+
+def generator_drawing(first, second):
+    """A generator whose next two draws are ``first`` and ``second``. A draw
+    is rotl(s1 * 5, 7) * 9, a bijection of s1 alone, and the next s1 is
+    s0 ^ s1 ^ s2."""
+    mask = (1 << 64) - 1
+
+    def s1_for(out):
+        r = out * pow(9, -1, 1 << 64) & mask
+        return ((r >> 7) | (r << 57)) * pow(5, -1, 1 << 64) & mask
+
+    rng = Xoshiro256StarStar(0)
+    rng.setstate((0, s1_for(first), s1_for(first) ^ s1_for(second), 1))
+    return rng
+
+
+def test_holder_redraws_a_block_that_holds_a_rejected_draw():
+    # the first pair's left time is on level 3 (3 % 15 at depth 14), and the
+    # index draw for it is one that randrange(2^3 + 1) rejects
+    probe = generator_drawing(3, (1 << 64) - 1)
+    level, index = probe.u64_array(2)
+    assert level % 15 == 3 and not randrange_accepts(index, 9)
+    b = geometric_builder()
+    block, scalar = generator_drawing(3, (1 << 64) - 1), generator_drawing(3, (1 << 64) - 1)
+    got = verify_holder(b, (1.0,), 50, 14, seed_or_rng=block)
+    assert repr(got) == repr(holder_reference(b, (1.0,), 50, 14, scalar))
+    assert block.getstate() == scalar.getstate()
 
 
 def test_verify_holder_geometric():

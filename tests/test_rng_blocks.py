@@ -1,0 +1,58 @@
+"""Block draws of the generator against its scalar stream."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equimean.rng import LANE_SPACING, Xoshiro256StarStar, randrange_accepts
+
+MASK = (1 << 64) - 1
+K = LANE_SPACING
+# one lane and its edges, several lanes with a short last one, and a full
+# verify_holder block of 4 * 4096 draws
+LENGTHS = [0, 1, K - 1, K, K + 1, 3 * K + 5, 7 * K - 1, 1 << 14]
+
+SCALAR_CALLS = st.one_of(
+    st.tuples(st.just("random")),
+    st.tuples(st.just("uniform"), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.tuples(st.just("randrange"), st.integers(1, 1 << 63)),
+)
+
+
+def replay(seed, calls):
+    """Run ``calls`` on a block and a scalar generator from ``seed``: a
+    length n is n draws, taken as one block against n ``next_u64`` calls,
+    and any other call is made on both. Each call's output and the state
+    after it must match."""
+    block, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    for call in calls:
+        if isinstance(call, int):
+            got = block.u64_array(call)
+            assert got.dtype == np.uint64 and got.shape == (call,)
+            assert got.tolist() == [scalar.next_u64() for _ in range(call)]
+        else:
+            name, *args = call
+            assert getattr(block, name)(*args) == getattr(scalar, name)(*args)
+        assert block.getstate() == scalar.getstate()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, MASK),
+       calls=st.lists(st.one_of(st.sampled_from(LENGTHS), SCALAR_CALLS), max_size=6))
+def test_block_draws_equal_scalar_draws(seed, calls):
+    replay(seed, calls)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_each_length_continues_the_stream(n):
+    replay(2 ** 40 + 3, [("random",), n, n, ("randrange", 9)])
+
+
+def test_randrange_accepts_is_randrange_rejection_test():
+    # randrange(n) rejects the top MASK % n + 1 draws, so that u % n is uniform
+    for n in (1, 9, 15, (1 << 14) + 1, (1 << 63) + 1):
+        span = (MASK // n) * n
+        u = np.array([0, span - 1, span, MASK], dtype=np.uint64)
+        assert randrange_accepts(u, n).tolist() == [True, True, False, False]
+        bounds = np.full(4, n, dtype=np.uint64)
+        assert randrange_accepts(u, bounds).tolist() == [True, True, False, False]

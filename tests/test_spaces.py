@@ -174,6 +174,16 @@ def test_euclidean_kinds_refuse_a_span_whose_square_overflows(kind):
         SPANNED[kind](OVER)
 
 
+def test_a_geodesic_circle_refuses_a_radius_whose_products_overflow():
+    # its dot and cross products reach radius^2: past this edge d(a, a) was NaN
+    circle = Circle(EDGE / 2, "geodesic")
+    a = circle.point_at(0.7)
+    assert circle.d(a, a) == 0.0
+    assert circle.d((EDGE / 2, 0.0), (-EDGE / 2, 0.0)) == math.pi * (EDGE / 2)
+    with pytest.raises(ValueError, match=r"\^2 to be a finite float, got radius"):
+        Circle(OVER / 2, "geodesic")
+
+
 def test_worst_takes_the_first_nan_else_the_first_maximum():
     assert worst([(0.5, "a"), (2.0, "b"), (2.0, "c"), (1.0, "d")]) == (2.0, "b", 4)
     top, witness, count = worst([(0.5, "a"), (math.nan, "b"), (3.0, "c"), (math.nan, "d")])
