@@ -28,7 +28,8 @@ from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Interval, MetricSpace, Point, as_point, diameter, is_convex, worst
+from .spaces import (Interval, MetricSpace, Point, as_point, coordinate_bounds, diameter,
+                     is_convex, worst)
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
@@ -39,6 +40,11 @@ GRID_PAIRS_CAP = 10**9
 UNANIMITY_SEED = 7
 # perturbations per random+hill restart
 HILL_STEPS = 60
+# draws a lockstep block of random+hill restarts holds: at most
+# max(1, LOCKSTEP_DRAWS // draws per restart) restarts. Above arity
+# 2 HILL_STEPS + 4 a restart counts the coordinates of one step's point pairs
+# instead, which outnumber its draws and size the diameter's arrays
+LOCKSTEP_DRAWS = 1 << 17
 
 
 @dataclass
@@ -398,24 +404,114 @@ def _climb(space: MetricSpace, objective: Callable, tup: tuple, rng, scale: floa
 
 
 def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
+    """Random+hill: each restart draws a start tuple above the excluded
+    radius and climbs HILL_STEPS steps; the first maximum in restart order
+    wins. On a convex space the restarts climb in lockstep, a block at a
+    time (``_lockstep_restarts``); a block with a start tuple that the
+    scalar loop would redraw, and any other space, run the scalar loop."""
     rng = as_rng(cfg.seed)
     excluded = cfg.excluded_diameter
     scale = 0.25 * p.space.extent()
+    restarts = max(1, cfg.restarts)
 
     def objective(tup):
         diam = diameter(p.space, tup)
         return _ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
 
-    best_val, best_tup, evals = -math.inf, None, 0
-    for _ in range(max(1, cfg.restarts)):
-        start = _random_member_tuple(p, rng, excluded)
-        tup, val, used = _climb(p.space, objective, start, rng, scale, HILL_STEPS)
-        evals += used
-        if val > best_val:
-            best_val, best_tup = val, tup
+    def scalar_restarts(count, best):
+        for _ in range(count):
+            start = _random_member_tuple(p, rng, excluded)
+            tup, val, _ = _climb(p.space, objective, start, rng, scale, HILL_STEPS)
+            if val > best[0]:
+                best = val, tup
+        return best
+
+    best = -math.inf, None
+    bounds = coordinate_bounds(p.space)
+    if bounds is not None:
+        n = p.arity
+        block = max(1, LOCKSTEP_DRAWS // (max(HILL_STEPS + 1, (n - 1) // 2) * n * p.space.dim))
+        for first in range(0, restarts, block):
+            count = min(block, restarts - first)
+            saved = rng.getstate()
+            found = _lockstep_restarts(p, bounds, rng, count, scale, excluded)
+            if found is None:
+                rng.setstate(saved)
+                best = scalar_restarts(count, best)
+            elif found[0] > best[0]:
+                best = found
+    else:
+        best = scalar_restarts(restarts, best)
+    best_val, best_tup = best
     if best_tup is None or best_val == -math.inf:
         raise SamplingError("no usable tuple found during random lambda estimation")
-    return LambdaEstimate(best_val, best_tup, evals, excluded, method="random+hill")
+    # _climb with no scale floor evaluates every start and step
+    return LambdaEstimate(best_val, best_tup, restarts * (HILL_STEPS + 1), excluded,
+                          method="random+hill")
+
+
+def _lockstep_restarts(p: QuasiMeanMap, bounds: tuple, rng, count: int, scale: float,
+                       excluded: float) -> Optional[tuple]:
+    """(value, tuple), the first maximum of ``count`` random+hill restarts
+    on a convex space with coordinate ``bounds``, all climbing in lockstep
+    on one block of draws, shaped (restart, start or step, point,
+    coordinate). Each operation is the scalar loop's
+    (``_random_member_tuple``, ``_perturb_tuple``, ``project``,
+    ``diameter``, ``_ratio``, ``_climb``) on arrays, so the result and the
+    generator's state equal that loop's bit for bit. None when a start
+    tuple's diameter is at or below ``excluded``, where the scalar loop
+    would draw it again."""
+    import numpy as np
+
+    lo, hi = (np.array(b) for b in bounds)
+    n, dim = p.arity, len(lo)
+    u = rng.u64_array(count * (HILL_STEPS + 1) * n * dim)
+    r = (u >> np.uint64(11)).astype(np.float64).reshape(count, HILL_STEPS + 1, n, dim)
+    r *= 2.0 ** -53
+    left, right = np.triu_indices(n, 1)
+
+    def distances(A, B):
+        # d_batch over the leading axes of A and B
+        return p.space.d_batch(A.reshape(-1, dim), B.reshape(-1, dim)).reshape(A.shape[:-1])
+
+    def diameters(tups):
+        # diameter(): max from 0.0, which skips a NaN distance
+        return np.fmax.reduce(distances(tups[:, left], tups[:, right]), axis=1, initial=0.0)
+
+    def values(tups, diam):
+        # the objective: -inf at or below the excluded radius, where p is
+        # not evaluated, else _ratio, whose max is NaN when its first
+        # distance is
+        keep = (diam > 0.0) & (diam > excluded)
+        val = np.full(len(tups), -np.inf)
+        if keep.any():
+            x = tups[keep]
+            out = p.apply([x[:, i] for i in range(n)])
+            dist = distances(x, np.broadcast_to(out[:, None], x.shape))
+            top = np.where(np.isnan(dist[:, 0]), dist[:, 0], np.fmax.reduce(dist, axis=1))
+            val[keep] = top / diam[keep]
+        return val
+
+    with np.errstate(all="ignore"):
+        tups = lo + (hi - lo) * r[:, 0]
+        diam = diameters(tups)
+        if not (diam > excluded).all():
+            return None
+        val = values(tups, diam)
+        scales = np.full((count, 1, 1), scale)
+        for j in range(1, HILL_STEPS + 1):
+            cand = tups + (-scales + (scales - -scales) * r[:, j])
+            # project: min(max(c, lo), hi), keeping max's and min's picks
+            # on ties and signed zeros
+            cand = np.where(lo > cand, lo, cand)
+            cand = np.where(hi < cand, hi, cand)
+            cval = values(cand, diameters(cand))
+            better = cval > val
+            tups = np.where(better[:, None, None], cand, tups)
+            val = np.where(better, cval, val)
+            scales = np.where(better[:, None, None], scales, scales * 0.7)
+    i = int(np.argmax(np.where(np.isnan(val), -np.inf, val)))
+    return float(val[i]), tuple(tuple(pt) for pt in tups[i].tolist())
 
 
 # ---------------------------------------------------------------------------

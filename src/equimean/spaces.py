@@ -19,7 +19,7 @@ with kinds ``interval {a, b}``, ``box {lo, hi}``,
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import MembershipError
 from .rng import Xoshiro256StarStar, as_rng
@@ -59,18 +59,46 @@ def worst(scored, floor: float = -math.inf) -> tuple:
     return top, witness, count
 
 
+def _root_sum_squares(terms) -> float:
+    """sqrt of the sum of ``t * t`` over ``terms``, added in order from 0.0:
+    the one rounding of every Euclidean combination, which the array form
+    ``_root_sum_squares_array`` repeats. A square that overflows is inf."""
+    total = 0.0
+    for t in terms:
+        total += t * t
+    return math.sqrt(total)
+
+
 def _euclidean(a: Point, b: Point) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    # _root_sum_squares of the coordinate differences, written out: this is
+    # the hot path of every scalar distance
+    total = 0.0
+    for x, y in zip(a, b):
+        t = x - y
+        total += t * t
+    return math.sqrt(total)
+
+
+def _root_sum_squares_array(terms, m: int):
+    """``_root_sum_squares`` row by row over ``terms``, float64 arrays of
+    length m, equal to it bit for bit."""
+    import numpy as np
+
+    total = np.zeros(m)
+    with np.errstate(over="ignore"):
+        for t in terms:
+            total += t * t
+    return np.sqrt(total)
+
+
+def _euclidean_batch(A, B):
+    return _root_sum_squares_array((A[:, k] - B[:, k] for k in range(A.shape[1])), len(A))
 
 
 def _square_overflows(t: float) -> bool:
-    """Whether ``t ** 2``, as ``_euclidean`` squares a coordinate
-    difference, is not a finite float; a float ``**`` raises OverflowError
-    where a product would give inf."""
-    try:
-        return not math.isfinite(t ** 2)
-    except OverflowError:
-        return True
+    """Whether ``t * t``, as ``_euclidean`` squares a coordinate
+    difference, is not a finite float."""
+    return not math.isfinite(t * t)
 
 
 class MetricSpace:
@@ -90,8 +118,8 @@ class MetricSpace:
     def d_batch(self, A, B):
         """Row-wise distances between two (m, dim) float64 arrays, equal
         bit for bit to ``d`` on each pair of rows. This form loops over
-        ``d``: array forms of the Euclidean and arc metrics round
-        differently from the scalar ones."""
+        ``d``, for the arc metric, whose array form would round differently
+        from the scalar one; the other kinds have array forms."""
         import numpy as np
 
         pairs = zip(map(tuple, A.tolist()), map(tuple, B.tolist()))
@@ -193,13 +221,16 @@ class Box(MetricSpace):
     def d(self, a: Point, b: Point) -> float:
         return _euclidean(a, b)
 
+    def d_batch(self, A, B):
+        return _euclidean_batch(A, B)
+
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == self.dim and all(
             lo - tol <= c <= hi + tol for c, lo, hi in zip(p, self.lo, self.hi)
         )
 
     def extent(self) -> float:
-        return math.sqrt(sum((h - l) ** 2 for l, h in zip(self.lo, self.hi)))
+        return _euclidean(self.hi, self.lo)
 
     def project(self, p: Point) -> Point:
         return tuple(min(max(c, lo), hi) for c, lo, hi in zip(p, self.lo, self.hi))
@@ -242,6 +273,11 @@ class Circle(MetricSpace):
         dot = a[0] * b[0] + a[1] * b[1]
         cross = a[0] * b[1] - a[1] * b[0]
         return self.radius * math.atan2(abs(cross), dot)
+
+    def d_batch(self, A, B):
+        if self.metric == "euclidean":
+            return _euclidean_batch(A, B)
+        return super().d_batch(A, B)
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == 2 and abs(math.hypot(p[0], p[1]) - self.radius) <= tol
@@ -290,6 +326,9 @@ class FinitePoints(MetricSpace):
     def d(self, a: Point, b: Point) -> float:
         return _euclidean(a, b)
 
+    def d_batch(self, A, B):
+        return _euclidean_batch(A, B)
+
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         if len(p) != self.dim:
             return False
@@ -328,8 +367,18 @@ class Product(MetricSpace):
         return parts
 
     def d(self, a: Point, b: Point) -> float:
-        dists = (s.d(x, y) for s, x, y in zip(self.spaces, self._split(a), self._split(b)))
-        return math.sqrt(sum(t * t for t in dists))
+        return _root_sum_squares(
+            s.d(x, y) for s, x, y in zip(self.spaces, self._split(a), self._split(b))
+        )
+
+    def d_batch(self, A, B):
+        def factor_distances():
+            i = 0
+            for s in self.spaces:
+                yield s.d_batch(A[:, i : i + s.dim], B[:, i : i + s.dim])
+                i += s.dim
+
+        return _root_sum_squares_array(factor_distances(), len(A))
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         if len(p) != self.dim:
@@ -337,7 +386,7 @@ class Product(MetricSpace):
         return all(s.contains(x, tol) for s, x in zip(self.spaces, self._split(p)))
 
     def extent(self) -> float:
-        return math.sqrt(sum(s.extent() ** 2 for s in self.spaces))
+        return _root_sum_squares(s.extent() for s in self.spaces)
 
     def project(self, p: Point) -> Point:
         out: list[float] = []
@@ -372,14 +421,26 @@ def space_from_json(obj: dict) -> MetricSpace:
     return _KINDS[kind](**params)
 
 
+def coordinate_bounds(space: MetricSpace) -> Optional[tuple[tuple, tuple]]:
+    """(lo, hi), the bounds of each coordinate of a convex space, or None
+    for any other: the space is the box between them, its sampler draws
+    coordinate k as lo[k] + (hi[k] - lo[k]) * r, in order, and ``project``
+    clips it as min(max(c, lo[k]), hi[k])."""
+    if isinstance(space, Interval):
+        return (space.a,), (space.b,)
+    if isinstance(space, Box):
+        return space.lo, space.hi
+    if isinstance(space, Product):
+        bounds = [coordinate_bounds(s) for s in space.spaces]
+        if None not in bounds:
+            return sum((lo for lo, _ in bounds), ()), sum((hi for _, hi in bounds), ())
+    return None
+
+
 def is_convex(space: MetricSpace) -> bool:
     """True for the kinds on which straight-line interpolation stays
     inside the space (intervals, boxes and their products)."""
-    if isinstance(space, (Interval, Box)):
-        return True
-    if isinstance(space, Product):
-        return all(is_convex(s) for s in space.spaces)
-    return False
+    return coordinate_bounds(space) is not None
 
 
 def distance(space: MetricSpace, a, b) -> float:

@@ -208,6 +208,29 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
     assert read_report(tmp_path / "grid")["results"]["estimate"]["samples"] == 10100
 
 
+def test_random_lambda_loads_numpy_only_to_step_in_lockstep(tmp_path):
+    # a circle's restarts run the scalar loop, so its start-up stays numpy-free
+    circle = write_config(tmp_path, {"space": {"kind": "circle", "params": {"radius": 1.0}},
+                                     "mean": "dictator:0", "restarts": 3}, "circle.json")
+    box = write_config(tmp_path, {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 3},
+                       "box.json")
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean.cli
+        assert "numpy" not in sys.modules, "import"
+        assert equimean.cli.main(["estimate-lambda", "--config", {circle!r},
+                                  "--out", {str(tmp_path / "circle")!r}]) == 0
+        assert "numpy" not in sys.modules, "circle"
+        assert equimean.cli.main(["estimate-lambda", "--config", {box!r},
+                                  "--out", {str(tmp_path / "box")!r}]) == 0
+        assert "numpy" in sys.modules, "box"
+    """)
+    out = run_child(child)
+    assert out.returncode == 0, out.stderr
+    for name in ("circle", "box"):
+        assert read_report(tmp_path / name)["results"]["estimate"]["method"] == "random+hill"
+
+
 def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_path):
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.1})
     child = textwrap.dedent(f"""
@@ -582,6 +605,26 @@ def test_a_product_whose_distance_overflows_fails_with_a_witness(tmp_path, capsy
     assert law["passed"] is False and len(law["witness"]) == 2
 
 
+# the first factor's extent squares past the largest float, so the product's
+# extent, and with it the first hill step, is inf
+HUGE_FACTOR_PRODUCT = {"kind": "product", "params": {"spaces": [
+    {"kind": "interval", "params": {"a": 0.0, "b": 1.5e154}}, INTERVAL01]}}
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("estimate-lambda", {"space": HUGE_FACTOR_PRODUCT, "mean": "arithmetic:2", "restarts": 3}),
+    ("solomonic-search", {"space": HUGE_FACTOR_PRODUCT, "mean": "arithmetic:2", "K": 1.0,
+                          "budget": 50}),
+])
+def test_a_product_whose_extent_overflows_runs(tmp_path, capsys, command, cfg):
+    # the extent once raised OverflowError, an unexpected error (exit 2)
+    code, outdir = run(tmp_path, command, cfg)
+    assert code == 0, capsys.readouterr().err
+    results = read_report(outdir)["results"]
+    if command == "estimate-lambda":
+        assert results["estimate"]["lambda_hat"] == 0.5000000000000003
+
+
 def test_level_sweep_over_the_float_cap_exits_2(tmp_path, capsys):
     box = {"kind": "box", "params": {"lo": [0.0] * 64, "hi": [1.0] * 64}}
     cfg = {"space": box, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0] * 64,
@@ -870,6 +913,9 @@ GOLDEN_EXITS = {
     "deform-subgroup": 0,
     "solomonic": 0,
     "random-lambda": 0,
+    "random-lambda-product": 0,
+    # seed 1 redraws a start tuple, so its lockstep block runs the scalar loop
+    "random-lambda-retry": 0,
     "trajectory-understated": 1,
 }
 

@@ -33,8 +33,8 @@ from equimean.means import (
     sample_tuples,
     solomonic_witness_search,
 )
-from equimean.rng import as_rng
-from equimean.spaces import Box, Circle, FinitePoints, Interval
+from equimean.rng import Xoshiro256StarStar, as_rng
+from equimean.spaces import Box, Circle, FinitePoints, Interval, Product, diameter
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -401,6 +401,128 @@ def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
     p = make()
     est = estimate_lambda(p, LambdaConfig(grid_step=step))
     assert (est.lambda_hat, est.argmax_tuple, est.samples) == _double_loop_scan(p, step, 1e-6)
+
+
+def _scalar_estimate_random(p, cfg):
+    """The random+hill loop restart by restart, as it ran before restarts
+    stepped in lockstep: the oracle of the lockstep."""
+    rng = as_rng(cfg.seed)
+    excluded = cfg.excluded_diameter
+    scale = 0.25 * p.space.extent()
+
+    def objective(tup):
+        diam = diameter(p.space, tup)
+        return means._ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
+
+    best_val, best_tup, evals = -math.inf, None, 0
+    for _ in range(max(1, cfg.restarts)):
+        start = means._random_member_tuple(p, rng, excluded)
+        tup, val, used = means._climb(p.space, objective, start, rng, scale, means.HILL_STEPS)
+        evals += used
+        if val > best_val:
+            best_val, best_tup = val, tup
+    if best_tup is None or best_val == -math.inf:
+        raise SamplingError("no usable tuple found during random lambda estimation")
+    return means.LambdaEstimate(best_val, best_tup, evals, excluded, method="random+hill")
+
+
+def _nan_on_part(space):
+    """arithmetic:2 but NaN wherever the first point's first coordinate is
+    above 0.5, in both forms."""
+
+    def func(points):
+        if points[0][0] > 0.5:
+            return (math.nan,) * len(points[0])
+        return tuple((a + b) / 2 for a, b in zip(*points))
+
+    def batch(arrays):
+        return np.where(arrays[0][..., :1] > 0.5, np.nan, (arrays[0] + arrays[1]) / 2)
+
+    return QuasiMeanMap(2, space, func, "nan-on-part", batch=batch)
+
+
+def _lockstep_outcomes(monkeypatch):
+    """Record whether each lockstep block ran (True) or went back to the
+    scalar loop (False)."""
+    outcomes = []
+    lockstep = means._lockstep_restarts
+
+    def recorded(*args):
+        found = lockstep(*args)
+        outcomes.append(found is not None)
+        return found
+
+    monkeypatch.setattr(means, "_lockstep_restarts", recorded)
+    return outcomes
+
+
+def _assert_matches_scalar_loop(p, restarts, seed, force_random=False):
+    def run(estimate):
+        rng = Xoshiro256StarStar(seed)
+        cfg = LambdaConfig(restarts=restarts, seed=rng, force_random=force_random)
+        est = estimate(p, cfg)
+        return est.to_json(), repr(est.lambda_hat), rng.getstate()
+
+    assert run(estimate_lambda) == run(_scalar_estimate_random)
+
+
+RETRY_BOX = Box([-1e-3], [5e-4])
+PRODUCT = Product([Interval(-0.5, 2.0), Box([-1.0, 0.0], [1.0, 3.0])])
+
+
+@pytest.mark.parametrize("make, restarts, seed, force_random", [
+    (lambda: arithmetic_mean(Box([-1.0], [2.0]), 2), 5, 3, False),
+    (lambda: arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3), 37, 4, False),
+    (lambda: arithmetic_mean(Box([0.0, -1.0, -2.0], [1.0, 1.0, 3.0]), 4), 5, 5, False),
+    (lambda: arithmetic_mean(UNIT, 2), 5, 6, True),
+    (lambda: geometric_mean(Interval(1.0, 4.0)), 37, 12, True),
+    (lambda: arithmetic_mean(PRODUCT, 3), 37, 7, False),
+    (lambda: dataclasses.replace(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
+                                 batch=None), 5, 8, False),
+    (lambda: _nan_on_part(Box([0.0, 0.0], [1.0, 1.0])), 37, 9, False),
+    (lambda: dictator_mean(PRODUCT, 1, 3), 1, 10, False),
+    (lambda: min_plus_halfsquare_mean(UNIT), 1, 11, True),
+    # the extent, 0.25 of which is the first step's scale, is inf: every
+    # candidate is NaN and no climb moves
+    (lambda: arithmetic_mean(Product([Interval(0.0, 1.5e154), Interval(0.0, 1.0)]), 2),
+     3, 1, False),
+])
+def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, seed, force_random):
+    outcomes = _lockstep_outcomes(monkeypatch)
+    p = make()
+    _assert_matches_scalar_loop(p, restarts, seed, force_random)
+    assert outcomes and all(outcomes)  # the lockstep ran every restart
+    if p.label == "nan-on-part":
+        est = estimate_lambda(p, LambdaConfig(restarts=restarts, seed=seed))
+        assert not math.isnan(est.lambda_hat)  # a NaN never wins
+
+
+@pytest.mark.parametrize("seed, retried", [(1, True), (2, False), (3, False), (4, True),
+                                           (5, True)])
+def test_lambda_lockstep_block_with_a_retry_runs_the_scalar_loop(monkeypatch, seed, retried):
+    # on [-1e-3, 5e-4] a pair's diameter is at or below 1e-6 with
+    # probability about 1.3e-3, so some of 37 starts are drawn again
+    outcomes = _lockstep_outcomes(monkeypatch)
+    _assert_matches_scalar_loop(arithmetic_mean(RETRY_BOX, 2), 37, seed)
+    assert outcomes == [not retried]
+
+
+def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
+    # four restarts of 61 x 2 draws a block: 37 restarts take ten blocks,
+    # and a later one holds the retry
+    monkeypatch.setattr(means, "LOCKSTEP_DRAWS", 4 * (means.HILL_STEPS + 1) * 2)
+    outcomes = _lockstep_outcomes(monkeypatch)
+    _assert_matches_scalar_loop(arithmetic_mean(RETRY_BOX, 2), 37, 1)
+    assert len(outcomes) == 10 and outcomes[0] and not all(outcomes)
+
+
+def test_lambda_lockstep_block_counts_the_point_pairs_of_a_large_arity(monkeypatch):
+    # arity 130 on a line counts 64 * 130 pairs a restart, more than its
+    # 61 * 130 draws: the cap holds one restart a block, not two
+    monkeypatch.setattr(means, "LOCKSTEP_DRAWS", 2 * 64 * 130 - 1)
+    outcomes = _lockstep_outcomes(monkeypatch)
+    _assert_matches_scalar_loop(arithmetic_mean(Box([0.0], [1.0]), 130), 3, 2)
+    assert outcomes == [True, True, True]
 
 
 def test_arithmetic_mean_equals_per_coordinate_sums():

@@ -13,6 +13,7 @@ from equimean.spaces import (
     Interval,
     Product,
     as_point,
+    coordinate_bounds,
     diameter,
     distance,
     is_convex,
@@ -81,14 +82,26 @@ def test_metric_axioms_on_samples(space):
         assert space.d(x, y) >= 0.0
 
 
-@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: repr(s))
+# a product whose factor distance squares past the largest float
+OVERFLOWING = Product([Interval(0.0, 1.5e154), Interval(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("space", ALL_SPACES + [
+    Product([Interval(0.0, 1.0), Box([0.0, -1.0], [2.0, 1.0]), Circle(1.0, "euclidean")]),
+    OVERFLOWING,
+], ids=lambda s: repr(s))
 def test_d_batch_matches_d_bit_for_bit(space):
     a = space.sample(103, 300)
     b = space.sample(104, 299) + [a[-1]]  # the last pair coincides
+    # signed zeros, and the corners of the samples' bounding box
+    zero, minus = (0.0,) * space.dim, (-0.0,) * space.dim
+    a += [zero, minus, minus, tuple(map(min, zip(*a)))]
+    b += [minus, zero, minus, tuple(map(max, zip(*b)))]
     got = space.d_batch(np.array(a), np.array(b))
     want = np.array([space.d(p, q) for p, q in zip(a, b)])
-    assert got.dtype == np.float64 and got.shape == (300,)
+    assert got.dtype == np.float64 and got.shape == (304,)
     assert got.tobytes() == want.tobytes()
+    assert np.isinf(want).any() == (space is OVERFLOWING)
     empty = np.empty((0, space.dim))
     assert space.d_batch(empty, empty).shape == (0,)
 
@@ -229,6 +242,9 @@ def test_is_convex():
     assert is_convex(Product([Interval(0, 1), Box([0], [1])]))
     assert not is_convex(Circle(1.0))
     assert not is_convex(Product([Interval(0, 1), Circle(1.0)]))
+    assert coordinate_bounds(Product([Interval(0, 1), Box([2, 3], [4, 5])])) == (
+        (0.0, 2.0, 3.0), (1.0, 4.0, 5.0))
+    assert coordinate_bounds(Product([Interval(0, 1), Circle(1.0)])) is None
 
 
 def test_product_metric_combines_factors():
