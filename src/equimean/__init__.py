@@ -70,6 +70,7 @@ from .means import (
     arithmetic_mean,
     check_anonymity,
     check_equivariance,
+    check_laws,
     check_strict_betweenness,
     check_unanimity,
     collapse_to_quasi_mean,

@@ -38,15 +38,10 @@ from .homotopy import (
     verify_holder,
 )
 from .means import (
-    DEFAULT_TOL,
     LambdaConfig,
-    check_anonymity,
-    check_equivariance,
-    check_strict_betweenness,
-    check_unanimity,
+    check_laws,
     estimate_lambda,
     mean_from_name,
-    sample_tuples,
     solomonic_witness_search,
 )
 from .spaces import as_point, space_from_json
@@ -272,25 +267,14 @@ def run_verify_mean(cfg: dict, outdir: Path):
     space = _space(cfg, "verify-mean")
     mean = _mean(cfg, space, "verify-mean")
     laws = cfg.get("laws", ["M1", "M2"])
-    tol = cfg.get("tol", DEFAULT_TOL)
-    seed = cfg.get("seed", 1)
     count = cfg.get("samples", 200)
-    # every law but M1 checks the same tuples
-    tuples = sample_tuples(space, mean.arity, seed, count) if set(laws) - {"M1"} else []
-    results = {"mean": mean.label, "laws": {}}
-    passed = True
-    for law in laws:
-        if law == "M1":
-            report = check_unanimity(mean, space.sample(seed, count), tol)
-        elif law == "M2":
-            report = check_anonymity(mean, tuples, tol, seed)
-        elif law == "equivariance":
-            action = _action(cfg, space, "verify-mean with the equivariance law")
-            report = check_equivariance(mean, action, tuples, tol)
-        else:  # strict-betweenness, the last law the schema allows
-            report = check_strict_betweenness(mean, tuples)
-        results["laws"][law] = report.to_json()
-        passed = passed and report.passed
+    action = None
+    if "equivariance" in laws:
+        action = _action(cfg, space, "verify-mean with the equivariance law")
+    reports = check_laws(mean, laws, cfg.get("seed", 1), count, action=action,
+                         **_given(cfg, "tol"))
+    results = {"mean": mean.label, "laws": {law: r.to_json() for law, r in reports.items()}}
+    passed = all(r.passed for r in reports.values())
     return passed, results, f"{len(laws)} laws on {count} samples"
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
@@ -184,15 +184,30 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
 @dataclass
 class GroupAction:
     """Continuous action of a finite group on a metric space, given as a
-    point map per element id."""
+    point map per element id.
+
+    ``act_batch`` (optional) takes an element id and an (m, k) float64
+    array of points, one per row, and returns the images as an array with
+    one point per row, equal to ``apply`` on each row bit for bit."""
 
     group: FiniteGroup
     space: MetricSpace
     apply: Callable  # (element_id, Point) -> Point
     name: str = "action"
+    act_batch: Optional[Callable] = None  # (element_id, array) -> array
 
     def act(self, g: int, x: Point) -> Point:
         return self.apply(g, x)
+
+    def act_rows(self, g: int, X):
+        """The action of g on each row of X: through ``act_batch`` when the
+        action has one, else ``act`` row by row."""
+        if self.act_batch is not None:
+            return self.act_batch(g, X)
+        import numpy as np
+
+        images = [self.act(g, tuple(x)) for x in X.tolist()]
+        return np.array(images, dtype=np.float64).reshape(len(X), -1)
 
 
 @dataclass
@@ -354,7 +369,7 @@ def group_from_json(obj: dict) -> FiniteGroup:
 
 def trivial_action(space: MetricSpace, group: FiniteGroup | None = None) -> GroupAction:
     G = group if group is not None else cyclic(1)
-    return GroupAction(G, space, lambda g, x: x, name="trivial")
+    return GroupAction(G, space, lambda g, x: x, name="trivial", act_batch=lambda g, X: X)
 
 
 def negation_action(space: MetricSpace) -> GroupAction:
@@ -363,7 +378,10 @@ def negation_action(space: MetricSpace) -> GroupAction:
     def apply(g: int, x: Point) -> Point:
         return x if g == 0 else tuple(-c for c in x)
 
-    return GroupAction(cyclic(2), space, apply, name="negation")
+    def act_batch(g: int, X):
+        return X if g == 0 else -X
+
+    return GroupAction(cyclic(2), space, apply, name="negation", act_batch=act_batch)
 
 
 def reflection_action(space: MetricSpace, axis: int) -> GroupAction:
@@ -374,7 +392,14 @@ def reflection_action(space: MetricSpace, axis: int) -> GroupAction:
             return x
         return tuple(-c if i == axis else c for i, c in enumerate(x))
 
-    return GroupAction(cyclic(2), space, apply, name=f"reflection:{axis}")
+    def act_batch(g: int, X):
+        if g == 0 or not 0 <= axis < X.shape[1]:
+            return X
+        out = X.copy()
+        out[:, axis] = -out[:, axis]
+        return out
+
+    return GroupAction(cyclic(2), space, apply, name=f"reflection:{axis}", act_batch=act_batch)
 
 
 def rotation_action(space: Circle, n: int) -> GroupAction:
@@ -393,7 +418,16 @@ def plane_rotation_action(space: MetricSpace, n: int) -> GroupAction:
         c, s = cs[g]
         return (x[0] * c - x[1] * s, x[0] * s + x[1] * c)
 
-    return GroupAction(cyclic(n), space, apply, name=f"plane_rotation:{n}")
+    def act_batch(g: int, X):
+        import numpy as np
+
+        c, s = cs[g]
+        x0, x1 = X[:, 0], X[:, 1]
+        return np.stack([x0 * c - x1 * s, x0 * s + x1 * c], axis=1)
+
+    # a point with fewer than 2 coordinates makes apply raise, row by row
+    return GroupAction(cyclic(n), space, apply, name=f"plane_rotation:{n}",
+                       act_batch=act_batch if space.dim >= 2 else None)
 
 
 def coordinate_permutation_action(space: MetricSpace, perms: Sequence[Sequence[int]]) -> GroupAction:
@@ -424,7 +458,13 @@ def coordinate_permutation_action(space: MetricSpace, perms: Sequence[Sequence[i
         inv = invs[g]
         return tuple(x[inv[k]] for k in range(len(x)))
 
-    return GroupAction(G, space, apply, name="coordinate_permutation")
+    def act_batch(g: int, X):
+        return X[:, list(invs[g])]
+
+    # permutations of another length than the space's points make apply
+    # raise or keep a prefix, row by row
+    return GroupAction(G, space, apply, name="coordinate_permutation",
+                       act_batch=act_batch if len(ptups[0]) == space.dim else None)
 
 
 def swap_axes_action(space: MetricSpace) -> GroupAction:

@@ -27,15 +27,21 @@ from typing import Callable, Optional, Sequence
 from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
 from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup
-from .rng import Xoshiro256StarStar, as_rng
+from .rng import Xoshiro256StarStar, as_rng, doubles
 from .spaces import (Interval, MetricSpace, Point, as_point, coordinate_bounds, diameter,
                      is_convex, worst)
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
-# ordered pairs a dense lambda grid may hold: step 1e-4 on [0, 1] is about
-# 10^8 pairs, and the cap keeps the scan to seconds
-GRID_PAIRS_CAP = 10**9
+# the work a run may plan before its first draw: the ordered pairs of a dense
+# lambda grid (step 1e-4 on [0, 1] is about 10^8) or the mean evaluations of
+# check_laws. The cap keeps a run to seconds
+WORK_CAP = 10**9
+# planned check_laws evaluations from which a map with a batch form is
+# scored on arrays (``_law_arrays``). Below it the scalar loop, at 2-4 us an
+# evaluation, costs less than numpy's import and the first jump table
+# (about 0.1 s)
+LAW_BLOCK_EVALS = 1 << 15
 # the seed of the points on which quasi_mean checks a new map's unanimity
 UNANIMITY_SEED = 7
 # perturbations per random+hill restart
@@ -138,13 +144,18 @@ def sample_tuples(space: MetricSpace, arity: int, seed_or_rng, count: int) -> li
     return [tuple(space.sample(rng, arity)) for _ in range(count)]
 
 
-def law_report(law: str, scored, tol: float, strict: bool = False) -> LawReport:
+def law_report(law: str, scored, tol: float) -> LawReport:
     """The report on a law's (defect, witness) pairs, scored by
     ``spaces.worst``: their count, the worst defect and, when the law
-    fails, its witness. A NaN defect wins, so the law fails there. A strict
-    law reports the worst defect as it is (-inf when no pair was scored);
-    any other law floors it at 0.0."""
-    top, witness, checked = worst(scored)
+    fails, its witness. A NaN defect wins, so the law fails there."""
+    return _report(law, *worst(scored), tol)
+
+
+def _report(law: str, top: float, witness, checked: int, tol: float,
+            strict: bool = False) -> LawReport:
+    """The report on a law whose worst defect, its witness and the count of
+    scored defects are given. A strict law reports the worst defect as it
+    is; any other law floors it at 0.0."""
     report = LawReport(law, checked, top if strict else max(top, 0.0), tol, strict=strict)
     if not report.passed:
         report.witness = witness
@@ -213,8 +224,7 @@ def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tu
     and all elements of the (sub)group. A map that pushes points out of
     the space is not an action on it; that surfaces as a membership
     error here."""
-    if action.space is not p.space and action.space.to_json() != p.space.to_json():
-        raise ValueError("action and mean must live on the same space")
+    _require_same_space(p, action)
     elements = subgroup.members if subgroup is not None else tuple(action.group.elements())
 
     def scored():
@@ -229,10 +239,16 @@ def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tu
     return law_report("equivariance", scored(), tol)
 
 
+def _require_same_space(p: QuasiMeanMap, action: GroupAction) -> None:
+    if action.space is not p.space and action.space.to_json() != p.space.to_json():
+        raise ValueError("action and mean must live on the same space")
+
+
 def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple]) -> LawReport:
     """Checks max_i d(x_i, p(x)) < diameter on every positive-diameter
     sample; the report's violation is the worst signed margin, and the
-    law passes when it is below 0."""
+    law passes when it is below 0. Raises SamplingError when no sample has
+    a positive diameter."""
 
     def scored():
         for tup in tuples:
@@ -242,7 +258,14 @@ def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple]) -> LawRep
             out = p.eval(list(tup))
             yield max(p.space.d(x, out) for x in tup) - diam, tup
 
-    return law_report("strict-betweenness", scored(), 0.0, strict=True)
+    return _betweenness_report(*worst(scored()))
+
+
+def _betweenness_report(top: float, witness, checked: int) -> LawReport:
+    if checked == 0:
+        raise SamplingError("strict betweenness scored no sample: every sampled tuple "
+                            "has diameter 0")
+    return _report("strict-betweenness", top, witness, checked, 0.0, strict=True)
 
 
 def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:
@@ -275,6 +298,95 @@ def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
     tuples = sample_tuples(p.space, p.arity, rng, samples)
     require("anonymity", check_anonymity(p, tuples, tol, rng))
     require("equivariance", check_equivariance(p, action, tuples, tol, subgroup))
+
+
+# ---------------------------------------------------------------------------
+# the law checks of a verify-mean run
+
+
+def law_evals(p: QuasiMeanMap, laws: Sequence[str], count: int,
+              action: Optional[GroupAction] = None) -> int:
+    """The mean evaluations that ``check_laws`` plans for ``laws`` on
+    ``count`` samples: one a sample for M1 and strict betweenness, the
+    group's order for equivariance, and for M2 the permutations a sample
+    checks (n! for arity n <= 5, else n^2) times the arity n, which each
+    permuted evaluation reads."""
+    n = p.arity
+    per_sample = {
+        "M1": 1,
+        "M2": (math.factorial(n) if n <= 5 else n * n) * n,
+        "equivariance": action.group.order if action is not None else 0,
+        "strict-betweenness": 1,
+    }
+    return count * sum(per_sample[law] for law in laws)
+
+
+def require_work(what: str, planned: int) -> None:
+    """Raises CapacityError naming ``what`` when its planned work exceeds
+    WORK_CAP."""
+    if planned > WORK_CAP:
+        raise CapacityError(f"{what} plans {planned} mean evaluations, over the cap {WORK_CAP}")
+
+
+def check_laws(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
+               tol: float = DEFAULT_TOL, action: Optional[GroupAction] = None) -> dict:
+    """The reports of a verify-mean run, by law in the order of ``laws``
+    (M1, M2, equivariance under ``action``, strict-betweenness), on
+    ``count`` samples: M1 on ``space.sample(seed, count)``, the other laws
+    on ``sample_tuples(space, arity, seed, count)``, and M2's
+    transpositions from a third generator seeded with ``seed``.
+
+    Its planned evaluations (``law_evals``) are checked against WORK_CAP
+    before the first draw. From LAW_BLOCK_EVALS on, a map with a batch form
+    is scored on arrays; the reports equal the scalar ``check_*`` loop's,
+    which runs below it and loads no numpy."""
+    if "equivariance" in laws and action is None:
+        raise ValueError("the equivariance law needs a group action")
+    planned = law_evals(p, laws, count, action)
+    require_work(f"verify-mean of {p.label} ({', '.join(laws)} on {count} samples)", planned)
+    if p.batch is not None and planned >= LAW_BLOCK_EVALS:
+        from . import _law_arrays
+
+        return _law_arrays.check_laws_array(p, laws, seed, count, tol, action)
+    return _check_laws_scalar(p, laws, seed, count, tol, action)
+
+
+def _check_laws_scalar(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
+                       tol: float, action: Optional[GroupAction]) -> dict:
+    # every law but M1 checks the same tuples
+    tuples = sample_tuples(p.space, p.arity, seed, count) if set(laws) - {"M1"} else []
+    checks = {
+        "M1": lambda: check_unanimity(p, p.space.sample(seed, count), tol),
+        "M2": lambda: check_anonymity(p, tuples, tol, seed),
+        "equivariance": lambda: check_equivariance(p, action, tuples, tol),
+        "strict-betweenness": lambda: check_strict_betweenness(p, tuples),
+    }
+    return {law: checks[law]() for law in laws}
+
+
+def _distances(space: MetricSpace, A, B):
+    """``d_batch`` over the leading axes of two arrays of points."""
+    dim = A.shape[-1]
+    return space.d_batch(A.reshape(-1, dim), B.reshape(-1, dim)).reshape(A.shape[:-1])
+
+
+def _diameters(space: MetricSpace, tups):
+    """``diameter`` of each tuple of an (m, n, dim) array: the max of its
+    pair distances from 0.0, which skips a NaN distance."""
+    import numpy as np
+
+    left, right = np.triu_indices(tups.shape[1], 1)
+    return np.fmax.reduce(_distances(space, tups[:, left], tups[:, right]), axis=1, initial=0.0)
+
+
+def _farthest(space: MetricSpace, tups, out):
+    """max_i d(x_i, out) for each tuple of an (m, n, dim) array and its
+    point ``out``, as Python's max takes it: NaN when the first distance
+    is, else the largest."""
+    import numpy as np
+
+    dist = _distances(space, tups, np.broadcast_to(out[:, None], tups.shape))
+    return np.where(np.isnan(dist[:, 0]), dist[:, 0], np.fmax.reduce(dist, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +455,15 @@ def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> Lamb
 def _grid_points(a: float, b: float, step: float) -> int:
     """Number of grid points a + k*step on [a, b], plus b itself when the
     last of them falls short of b by more than rounding; raises
-    CapacityError when their ordered pairs exceed GRID_PAIRS_CAP."""
+    CapacityError when their ordered pairs exceed WORK_CAP."""
     span = (b - a) / step + 1e-9
     m = int(math.floor(span)) + 1 if math.isfinite(span) else math.inf
     if m < math.inf and b - (a + (m - 1) * step) > 1e-9 * step:
         m += 1
-    if m * (m - 1) > GRID_PAIRS_CAP:
+    if m * (m - 1) > WORK_CAP:
         raise CapacityError(
             f"grid step {step!r} on [{a!r}, {b!r}] gives {m} points, whose "
-            f"{m * (m - 1)} ordered pairs exceed the cap {GRID_PAIRS_CAP}"
+            f"{m * (m - 1)} ordered pairs exceed the cap {WORK_CAP}"
         )
     return m
 
@@ -466,35 +578,22 @@ def _lockstep_restarts(p: QuasiMeanMap, bounds: tuple, rng, count: int, scale: f
     lo, hi = (np.array(b) for b in bounds)
     n, dim = p.arity, len(lo)
     u = rng.u64_array(count * (HILL_STEPS + 1) * n * dim)
-    r = (u >> np.uint64(11)).astype(np.float64).reshape(count, HILL_STEPS + 1, n, dim)
-    r *= 2.0 ** -53
-    left, right = np.triu_indices(n, 1)
-
-    def distances(A, B):
-        # d_batch over the leading axes of A and B
-        return p.space.d_batch(A.reshape(-1, dim), B.reshape(-1, dim)).reshape(A.shape[:-1])
-
-    def diameters(tups):
-        # diameter(): max from 0.0, which skips a NaN distance
-        return np.fmax.reduce(distances(tups[:, left], tups[:, right]), axis=1, initial=0.0)
+    r = doubles(u).reshape(count, HILL_STEPS + 1, n, dim)
 
     def values(tups, diam):
         # the objective: -inf at or below the excluded radius, where p is
-        # not evaluated, else _ratio, whose max is NaN when its first
-        # distance is
+        # not evaluated, else _ratio
         keep = (diam > 0.0) & (diam > excluded)
         val = np.full(len(tups), -np.inf)
         if keep.any():
             x = tups[keep]
             out = p.apply([x[:, i] for i in range(n)])
-            dist = distances(x, np.broadcast_to(out[:, None], x.shape))
-            top = np.where(np.isnan(dist[:, 0]), dist[:, 0], np.fmax.reduce(dist, axis=1))
-            val[keep] = top / diam[keep]
+            val[keep] = _farthest(p.space, x, out) / diam[keep]
         return val
 
     with np.errstate(all="ignore"):
         tups = lo + (hi - lo) * r[:, 0]
-        diam = diameters(tups)
+        diam = _diameters(p.space, tups)
         if not (diam > excluded).all():
             return None
         val = values(tups, diam)
@@ -505,7 +604,7 @@ def _lockstep_restarts(p: QuasiMeanMap, bounds: tuple, rng, count: int, scale: f
             # on ties and signed zeros
             cand = np.where(lo > cand, lo, cand)
             cand = np.where(hi < cand, hi, cand)
-            cval = values(cand, diameters(cand))
+            cval = values(cand, _diameters(p.space, cand))
             better = cval > val
             tups = np.where(better[:, None, None], cand, tups)
             val = np.where(better, cval, val)

@@ -24,8 +24,9 @@ ceil(n / K) lanes K draws apart, lane i at draw iK, and steps them together
 as a few vectorised uint64 operations per draw; lane i then holds draws
 iK .. iK + K - 1. The jump matrices T^K, T^2K, T^4K, ... are built once per
 process by repeated squaring of T, and each is applied through tables of
-XORed columns, one table per 4 bits of the state. ``randrange_accepts`` is
-randrange's rejection test on such arrays.
+XORed columns, one table per 4 bits of the state. ``doubles`` is
+``random()`` and ``randrange_accepts`` randrange's rejection test on such
+arrays.
 """
 
 from __future__ import annotations
@@ -141,6 +142,16 @@ class Xoshiro256StarStar:
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+
+def doubles(u):
+    """``random()`` on numpy uint64 draws: their top 53 bits times 2**-53,
+    as float64."""
+    import numpy as np
+
+    r = (u >> np.uint64(11)).astype(np.float64)
+    r *= 2.0 ** -53
+    return r
 
 
 def randrange_accepts(u, n):

@@ -59,6 +59,23 @@ def worst(scored, floor: float = -math.inf) -> tuple:
     return top, witness, count
 
 
+def worst_array(defects, floor: float = -math.inf) -> tuple:
+    """``worst`` over a float64 array of defects in their order, with each
+    defect's index as its witness: (defect, index, count), the first NaN or
+    else the first maximum above ``floor``, and (floor, None, count) when
+    none wins."""
+    import numpy as np
+
+    nan = np.isnan(defects)
+    if nan.any():
+        i = int(nan.argmax())
+    elif len(defects) and defects.max() > floor:
+        i = int(defects.argmax())
+    else:
+        return floor, None, len(defects)
+    return float(defects[i]), i, len(defects)
+
+
 def _root_sum_squares(terms) -> float:
     """sqrt of the sum of ``t * t`` over ``terms``, added in order from 0.0:
     the one rounding of every Euclidean combination, which the array form
@@ -101,6 +118,19 @@ def _square_overflows(t: float) -> bool:
     return not math.isfinite(t * t)
 
 
+def _within(X, lo: Sequence[float], hi: Sequence[float], tol: float):
+    """Whether each row of X has len(lo) coordinates, each within
+    [lo - tol, hi + tol]: the comparisons of the interval's and the box's
+    ``contains``, on arrays."""
+    import numpy as np
+
+    inside = np.full(len(X), X.shape[1] == len(lo))
+    if inside.any():
+        for k, (lo_k, hi_k) in enumerate(zip(lo, hi)):
+            inside &= (lo_k - tol <= X[:, k]) & (X[:, k] <= hi_k + tol)
+    return inside
+
+
 class MetricSpace:
     """Base class; concrete kinds implement the distance, membership,
     projection and sampling surface."""
@@ -127,6 +157,15 @@ class MetricSpace:
 
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         raise NotImplementedError
+
+    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+        """``contains`` on each row of an (m, k) float64 array, as a boolean
+        array. This form loops over ``contains``; intervals, boxes and
+        their products have array forms with the same comparisons."""
+        import numpy as np
+
+        return np.fromiter((self.contains(tuple(x), tol) for x in X.tolist()), dtype=bool,
+                           count=len(X))
 
     def extent(self) -> float:
         """A length scale of the space, for sizing search steps; 1.0 for a
@@ -183,6 +222,9 @@ class Interval(MetricSpace):
     def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
         return len(p) == 1 and self.a - tol <= p[0] <= self.b + tol
 
+    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+        return _within(X, (self.a,), (self.b,), tol)
+
     def extent(self) -> float:
         return self.b - self.a
 
@@ -228,6 +270,9 @@ class Box(MetricSpace):
         return len(p) == self.dim and all(
             lo - tol <= c <= hi + tol for c, lo, hi in zip(p, self.lo, self.hi)
         )
+
+    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+        return _within(X, self.lo, self.hi, tol)
 
     def extent(self) -> float:
         return _euclidean(self.hi, self.lo)
@@ -384,6 +429,17 @@ class Product(MetricSpace):
         if len(p) != self.dim:
             return False
         return all(s.contains(x, tol) for s, x in zip(self.spaces, self._split(p)))
+
+    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+        import numpy as np
+
+        inside = np.full(len(X), X.shape[1] == self.dim)
+        if inside.any():
+            i = 0
+            for s in self.spaces:
+                inside &= s.contains_batch(X[:, i : i + s.dim], tol)
+                i += s.dim
+        return inside
 
     def extent(self) -> float:
         return _root_sum_squares(s.extent() for s in self.spaces)

@@ -231,6 +231,51 @@ def test_random_lambda_loads_numpy_only_to_step_in_lockstep(tmp_path):
         assert read_report(tmp_path / name)["results"]["estimate"]["method"] == "random+hill"
 
 
+def test_small_runs_load_no_numpy(tmp_path):
+    # these runs plan fewer law-check evaluations than LAW_BLOCK_EVALS: their
+    # sampled law gates run the scalar loop, and start-up stays numpy-free
+    runs = [(json.loads((GOLDEN / f"{name}.json").read_text())["experiment"],
+             str(GOLDEN / f"{name}.json"), str(tmp_path / name))
+            for name in ("solomonic", "symmetrize", "deform")]
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean.cli
+        assert "numpy" not in sys.modules, "import"
+        for experiment, config, out in {runs!r}:
+            assert equimean.cli.main([experiment, "--config", config, "--out", out]) == 0
+            assert "numpy" not in sys.modules, experiment
+    """)
+    out = run_child(child)
+    assert out.returncode == 0, out.stderr
+
+
+def test_verify_mean_over_the_work_cap_exits_2_at_once(tmp_path):
+    # 10 samples of 2000^2 transpositions, each reading 2000 points: 8 * 10^10
+    cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2000",
+                                  "laws": ["M2"], "samples": 10})
+    src = str(Path(equimean.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "equimean.cli", "verify-mean", "--config", cfg,
+                          "--out", str(tmp_path / "out")], env=env, capture_output=True,
+                         text=True, timeout=5)
+    assert out.returncode == 2
+    assert ("verify-mean of arithmetic:2000 (M2 on 10 samples) plans 80000000000 mean "
+            "evaluations, over the cap 1000000000") in out.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_strict_betweenness_on_one_point_exits_2(tmp_path, capsys):
+    # every tuple has diameter 0, so no sample is scored, and the law has
+    # nothing to pass on
+    cfg = {"space": {"kind": "finite_points", "params": {"points": [[0.5]]}},
+           "mean": "dictator:0", "laws": ["strict-betweenness"], "samples": 5}
+    code, outdir = run(tmp_path, "verify-mean", cfg)
+    assert code == 2
+    assert "strict betweenness scored no sample" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
+
+
 def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_path):
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.1})
     child = textwrap.dedent(f"""

@@ -1,7 +1,9 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equimean.errors import CapacityError, GroupConstructionError, ToleranceError
 from equimean.groups import (
@@ -28,9 +30,10 @@ from equimean.groups import (
     stabilizer,
     swap_axes_action,
     symmetric,
+    trivial_action,
     trivial_subgroup,
 )
-from equimean.spaces import Box, Circle, Interval
+from equimean.spaces import Box, Circle, Interval, Product
 
 # Latin square with identity and two-sided inverses that is not
 # associative (witness (1,1,2): (1*1)*2 = 2 but 1*(1*2) = 4)
@@ -172,6 +175,59 @@ def test_fixed_defect_is_the_worst_displacement_and_nan_never_fixes():
     blur = GroupAction(act.group, box, lambda g, x: x if g == 0 else (math.nan, x[1]))
     assert math.isnan(fixed_defect(blur, H.members, (0.3, 0.0)))
     assert not is_fixed_by(blur, H, (0.3, 0.0))
+
+
+CUBE = Box([-1, -1, -1], [1, 1, 1])
+BUILTIN_ACTIONS = {
+    "trivial": trivial_action(Box([-1, -1], [1, 1]), cyclic(3)),
+    "negation": negation_action(Interval(-1.0, 1.0)),
+    "reflection": reflection_action(Box([-1, -1], [1, 1]), axis=1),
+    "reflection-past-the-last-axis": reflection_action(Interval(-1.0, 1.0), axis=3),
+    "rotation": rotation_action(Circle(2.0, "geodesic"), 5),
+    "plane-rotation": plane_rotation_action(Box([-1, -1], [1, 1]), 4),
+    "plane-rotation-of-3-coordinates": plane_rotation_action(CUBE, 3),
+    "plane-rotation-of-1-coordinate": plane_rotation_action(Interval(-1.0, 1.0), 2),
+    "coordinate-permutation": coordinate_permutation_action(
+        Product([Interval(-1.0, 1.0), Box([-1, -1], [1, 1])]),
+        [(0, 1, 2), (1, 2, 0), (2, 0, 1)]),
+    "coordinate-permutation-of-a-prefix": coordinate_permutation_action(
+        CUBE, [(0, 1), (1, 0)]),
+    "swap-axes": swap_axes_action(Box([0, 0], [1, 1])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_ACTIONS))
+@settings(max_examples=30)
+@given(st.data())
+def test_act_rows_is_act_on_each_row_bit_for_bit(name, data):
+    action = BUILTIN_ACTIONS[name]
+    dim = action.space.dim
+    coords = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, 1e300]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    rows = data.draw(st.lists(st.tuples(*[coords] * dim), min_size=1, max_size=10))
+    X = np.array(rows, dtype=np.float64)
+    for g in action.group.elements():
+        try:
+            expected = [action.act(g, x) for x in rows]
+        except IndexError:
+            with pytest.raises(IndexError):
+                action.act_rows(g, X)
+            continue
+        with np.errstate(all="ignore"):  # act overflows to inf silently
+            got = action.act_rows(g, X)
+        assert got.dtype == np.float64 and len(got) == len(rows)
+        # bytes, so that -0.0 differs from 0.0
+        assert [row.tobytes() for row in got] == \
+            [np.array(p, dtype=np.float64).tobytes() for p in expected]
+
+
+def test_builtin_actions_have_array_forms_where_their_points_fit():
+    assert all(BUILTIN_ACTIONS[name].act_batch is not None
+               for name in ("trivial", "negation", "reflection", "rotation", "plane-rotation",
+                            "coordinate-permutation", "swap-axes"))
+    # a too short point, or a permutation of fewer coordinates: row by row
+    assert BUILTIN_ACTIONS["plane-rotation-of-1-coordinate"].act_batch is None
+    assert BUILTIN_ACTIONS["coordinate-permutation-of-a-prefix"].act_batch is None
 
 
 def test_rotation_action_is_the_plane_rotation_on_a_circle():

@@ -8,9 +8,9 @@ from equimean import _kernels, means
 from equimean.errors import CapacityError, HypothesisError, SamplingError
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
 from equimean.means import (
-    GRID_PAIRS_CAP,
     LambdaConfig,
     QuasiMeanMap,
+    WORK_CAP,
     _grid_points,
     arithmetic_mean,
     check_anonymity,
@@ -304,7 +304,7 @@ def test_lambda_grid_pairs_cap_fires_before_the_scan():
     # cap 10^9: 31,623 points make 999,982,506 ordered pairs, 31,624 make
     # 1,000,045,752
     assert _grid_points(0.0, 1.0, 1.0 / 31622) == 31623
-    with pytest.raises(CapacityError, match=f"cap {GRID_PAIRS_CAP}"):
+    with pytest.raises(CapacityError, match=f"cap {WORK_CAP}"):
         _grid_points(0.0, 1.0, 1.0 / 31623)
     # about 10^12 pairs, and a step whose point count overflows a float
     for step in (1e-6, 5e-324):

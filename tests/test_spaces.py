@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from equimean.errors import MembershipError
 from equimean.spaces import (
@@ -20,6 +20,7 @@ from equimean.spaces import (
     space_from_json,
     tuple_diameter,
     worst,
+    worst_array,
 )
 
 ALL_SPACES = [
@@ -208,6 +209,41 @@ def test_worst_takes_the_first_nan_else_the_first_maximum():
     drawn = []
     scored = ((v, drawn.append(v)) for v in (1.0, math.nan, 2.0, 0.5))
     assert worst(scored)[2] == 4 and len(drawn) == 4
+
+
+DEFECTS = st.lists(st.one_of(st.sampled_from([math.nan, -math.inf, math.inf, 0.0, -0.0, 1.0]),
+                             st.floats(allow_nan=True, allow_infinity=True)), max_size=30)
+
+
+@given(DEFECTS, st.sampled_from([-math.inf, 0.0, 1.0]))
+def test_worst_array_is_worst_over_indexed_defects(values, floor):
+    got = worst_array(np.array(values, dtype=np.float64), floor)
+    top, witness, count = worst(((v, i) for i, v in enumerate(values)), floor)
+    assert got[1:] == (witness, count)
+    assert got[0] == top or math.isnan(got[0]) and math.isnan(top)
+    assert type(got[0]) is float
+
+
+def test_worst_array_takes_the_first_nan_else_the_first_maximum():
+    assert worst_array(np.array([0.5, 2.0, 2.0, 1.0])) == (2.0, 1, 4)
+    top, i, count = worst_array(np.array([0.5, math.nan, 3.0, math.nan]))
+    assert math.isnan(top) and (i, count) == (1, 4)
+    assert worst_array(np.array([])) == (-math.inf, None, 0)
+    assert worst_array(np.array([0.0, -1.0]), 0.0) == (0.0, None, 2)
+    assert worst_array(np.array([-math.inf, -math.inf])) == (-math.inf, None, 2)
+
+
+@pytest.mark.parametrize("space", ALL_SPACES, ids=lambda s: repr(s))
+@settings(max_examples=30)
+@given(st.data())
+def test_contains_batch_is_contains_on_each_row(space, data):
+    dim = data.draw(st.sampled_from([space.dim, space.dim, space.dim + 1]))
+    near = st.sampled_from([-1.0 - 1e-9, -1.0, 0.0, 1e-10, 1.0, 1.0 + 2e-9, 2.0, 3.0, math.nan])
+    coords = st.one_of(near, st.floats(-4.0, 4.0))
+    rows = data.draw(st.lists(st.tuples(*[coords] * dim), max_size=12))
+    rows += [p + (0.0,) * (dim - space.dim) for p in space.sample(5, 3)]
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    assert space.contains_batch(X).tolist() == [space.contains(p) for p in rows]
 
 
 def test_point_coercion_rejects_bad_values():
