@@ -8,14 +8,13 @@ the CLI's start-up neither loads numpy nor compiles this code.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .groups import GroupAction
-from .means import (QuasiMeanMap, _betweenness_report, _diameters, _farthest, _report,
-                    _require_same_space)
+from .means import (QuasiMeanMap, _betweenness_report, _diameters, _farthest,
+                    _permutations_to_check, _report, _require_same_space)
 from .rng import Xoshiro256StarStar, as_rng, doubles, randrange_accepts
 from .spaces import MetricSpace, coordinate_bounds, worst, worst_array
 
@@ -50,21 +49,20 @@ def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int
                 top, i, checked = worst_array(space.d_batch(p.apply([X] * n), X))
                 reports[law] = _report(law, top, None if i is None else (tuple(X[i].tolist()),),
                                        checked, tol)
-                continue
-            if law == "strict-betweenness":
+            elif law == "strict-betweenness":
                 top, sample, checked = worst_of_blocks(betweenness_blocks(p, tuples))
                 reports[law] = _betweenness_report(
                     top, None if sample is None else witness(sample), checked)
-                continue
-            if base is None:
-                base = p.apply([tuples[:, i] for i in range(n)])
-            if law == "M2":
-                blocks = anonymity_blocks(p, tuples, base, as_rng(seed))
-            else:  # equivariance
-                blocks = equivariance_blocks(p, action, tuples, base)
-            top, sample, checked = worst_of_blocks(blocks)
-            reports[law] = _report(law, top, None if sample is None else witness(sample),
-                                   checked, tol)
+            else:
+                if base is None:
+                    base = p.apply([tuples[:, i] for i in range(n)])
+                if law == "M2":
+                    blocks = anonymity_blocks(p, tuples, base, as_rng(seed))
+                else:  # equivariance
+                    blocks = equivariance_blocks(p, action, tuples, base)
+                top, sample, checked = worst_of_blocks(blocks)
+                reports[law] = _report(law, top, None if sample is None else witness(sample),
+                                       checked, tol)
     return reports
 
 
@@ -101,7 +99,7 @@ def anonymity_blocks(p: QuasiMeanMap, tuples, base, rng: Xoshiro256StarStar):
     per sample that ``_permutations_to_check`` draws from ``rng``."""
     n, dim = p.arity, p.space.dim
     if n <= 5:
-        perms = np.array(list(itertools.permutations(range(n))))
+        perms = np.array(_permutations_to_check(n, rng))  # every order, no draw
         per_sample = len(perms)
     else:
         per_sample = n * n
