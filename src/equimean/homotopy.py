@@ -16,7 +16,7 @@ whose Holder bound meets the requested error budget and returns that
 bound alongside the point.
 
 Symmetrization turns a plain homotopy into an equivariant one by
-aggregating the conjugated translates g^{-1) Phi(g x, t) with an
+aggregating the conjugated translates g^{-1} Phi(g x, t) with an
 anonymous equivariant mean of arity |G|; with boundary data built from a
 retraction onto a fixed-point set, the same formula deforms the whole
 space onto that set while keeping it pointwise still.
@@ -32,6 +32,7 @@ from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
 from .groups import GroupAction, Subgroup, fixed_defect
 from .means import (
+    LAW_BLOCK_EVALS,
     LawReport,
     QuasiMeanMap,
     check_contractivity,
@@ -143,8 +144,10 @@ class ContractionBuilder:
 
         Snaps each t to the nearest dyadic r on the minimal grid whose bound
         meets eps and returns (value at r, C |t - r|^alpha <= eps) for each,
-        in order. The times share one table of dyadic nodes, which lives
-        only for this call.
+        in order. From LAW_BLOCK_EVALS times x levels on, a map with a batch
+        form walks every time down the levels at once (``_walk``); below
+        that, or without a batch form, the times share one table of dyadic
+        nodes, which lives only for this call. Both give the same values.
         """
         report = self.ratio_report
         if not report.passed:
@@ -156,13 +159,32 @@ class ContractionBuilder:
         x = as_point(x)
         C = self.holder_constant(x)
         level = self.level_for(x, eps)
-        table: dict = {}
-        values = []
-        for t in ts:
-            r = nearest_dyadic(t, level)
-            err = C * abs(t - r.value) ** self.alpha
-            values.append((self._eval(x, table, r.j, r.n), err))
-        return values
+        snapped = [nearest_dyadic(t, level) for t in ts]
+        errs = [C * abs(t - r.value) ** self.alpha for t, r in zip(ts, snapped)]
+        if self.p.batch is not None and len(snapped) * level >= LAW_BLOCK_EVALS:
+            points = self._walk(x, [r.j << (level - r.n) for r in snapped], level)
+        else:
+            table: dict = {}
+            points = [self._eval(x, table, r.j, r.n) for r in snapped]
+        return list(zip(points, errs))
+
+    def _walk(self, x: Point, js: list, level: int) -> list:
+        """The values at j/2^level for each numerator j: every time keeps the
+        values at the ends of its bracket on the current level, and p of the
+        two becomes the end that the next bit of j leaves behind, so p meets
+        the pairs that ``_eval`` gives it."""
+        import numpy as np
+
+        j = np.array(js, dtype=np.int64)
+        left = np.full((len(j), len(x)), x)
+        right = np.full(left.shape, self.theta)
+        with np.errstate(all="ignore"):  # Python floats reach inf or nan without a warning
+            for shift in range(level - 1, -1, -1):
+                mids = _midpoints(self.p, left, right)
+                bit = ((j >> shift) & 1).astype(bool)[:, None]
+                left, right = np.where(bit, mids, left), np.where(bit, right, mids)
+        left[j == 1 << level] = self.theta
+        return [tuple(row) for row in left.tolist()]
 
     def at_time(self, x, t: float, eps: float) -> tuple[Point, float]:
         """``at_times`` at a single time."""
@@ -188,17 +210,23 @@ class ContractionBuilder:
         level = np.array([as_point(x), self.theta], dtype=np.float64)
         yield level
         for _ in range(depth):
-            left, right = level[:-1], level[1:]
-            mids = np.asarray(self.p.apply([left, right]), dtype=np.float64)
-            if mids.shape != left.shape:
-                raise ValueError(
-                    f"{self.p.label} gave midpoints of shape {mids.shape}, expected {left.shape}"
-                )
+            mids = _midpoints(self.p, level[:-1], level[1:])
             finer = np.empty((2 * len(level) - 1, level.shape[1]))
             finer[0::2] = level
             finer[1::2] = mids
             level = finer
             yield level
+
+
+def _midpoints(p: QuasiMeanMap, left, right):
+    """p on each pair of rows of two (m, dim) arrays, as a float64 array of
+    their shape; raises ValueError for a batch form that gives another."""
+    import numpy as np
+
+    mids = np.asarray(p.apply([left, right]), dtype=np.float64)
+    if mids.shape != left.shape:
+        raise ValueError(f"{p.label} gave midpoints of shape {mids.shape}, expected {left.shape}")
+    return mids
 
 
 @dataclass

@@ -34,8 +34,8 @@ from .spaces import (Interval, MetricSpace, Point, as_point, coordinate_bounds, 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
 # the work a run may plan before its first draw: the ordered pairs of a dense
-# lambda grid (step 1e-4 on [0, 1] is about 10^8) or the mean evaluations of
-# check_laws. The cap keeps a run to seconds
+# lambda grid (step 1e-4 on [0, 1] is about 10^8), or the mean evaluations of
+# check_laws, random+hill or the solomonic search. The cap keeps a run to seconds
 WORK_CAP = 10**9
 # planned check_laws evaluations from which a map with a batch form is
 # scored on arrays (``_law_arrays``). Below it the scalar loop, at 2-4 us an
@@ -307,16 +307,17 @@ def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
 def law_evals(p: QuasiMeanMap, laws: Sequence[str], count: int,
               action: Optional[GroupAction] = None) -> int:
     """The mean evaluations that ``check_laws`` plans for ``laws`` on
-    ``count`` samples: one a sample for M1 and strict betweenness, the
-    group's order for equivariance, and for M2 the permutations a sample
-    checks (n! for arity n <= 5, else n^2) times the arity n, which each
-    permuted evaluation reads."""
+    ``count`` samples: one a sample for M1, the group's order for
+    equivariance, for M2 the permutations a sample checks (n! for arity
+    n <= 5, else n^2) times the arity n, which each permuted evaluation
+    reads, and for strict betweenness one plus the n(n-1)/2 pair distances
+    of the sample's diameter, each counted as an evaluation."""
     n = p.arity
     per_sample = {
         "M1": 1,
         "M2": (math.factorial(n) if n <= 5 else n * n) * n,
         "equivariance": action.group.order if action is not None else 0,
-        "strict-betweenness": 1,
+        "strict-betweenness": 1 + n * (n - 1) // 2,
     }
     return count * sum(per_sample[law] for law in laws)
 
@@ -520,11 +521,16 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     radius and climbs HILL_STEPS steps; the first maximum in restart order
     wins. On a convex space the restarts climb in lockstep, a block at a
     time (``_lockstep_restarts``); a block with a start tuple that the
-    scalar loop would redraw, and any other space, run the scalar loop."""
+    scalar loop would redraw, and any other space, run the scalar loop.
+    The planned evaluations, restarts x (HILL_STEPS + 1), are checked
+    against WORK_CAP before the first draw."""
+    restarts = max(1, cfg.restarts)
+    # _climb with no scale floor evaluates every start and step
+    samples = restarts * (HILL_STEPS + 1)
+    require_work(f"random+hill estimate of {p.label} ({restarts} restarts)", samples)
     rng = as_rng(cfg.seed)
     excluded = cfg.excluded_diameter
     scale = 0.25 * p.space.extent()
-    restarts = max(1, cfg.restarts)
 
     def objective(tup):
         diam = diameter(p.space, tup)
@@ -557,9 +563,7 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     best_val, best_tup = best
     if best_tup is None or best_val == -math.inf:
         raise SamplingError("no usable tuple found during random lambda estimation")
-    # _climb with no scale floor evaluates every start and step
-    return LambdaEstimate(best_val, best_tup, restarts * (HILL_STEPS + 1), excluded,
-                          method="random+hill")
+    return LambdaEstimate(best_val, best_tup, samples, excluded, method="random+hill")
 
 
 def _lockstep_restarts(p: QuasiMeanMap, bounds: tuple, rng, count: int, scale: float,
@@ -699,9 +703,11 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
                              seed_or_rng=3) -> SolomonicSearch:
     """Search for a tuple whose aggregate lands more than K away from
     every argument (random restarts plus hill climbing on the minimum
-    distance); reports the best margin when none is found."""
+    distance); reports the best margin when none is found. The budget of
+    evaluations is checked against WORK_CAP before the first draw."""
     if K <= 0:
         raise ValueError("K must be positive")
+    require_work(f"solomonic-search of {p.label}", budget)
     rng = as_rng(seed_or_rng)
     extent = p.space.extent()
 

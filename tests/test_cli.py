@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import equimean
-from equimean import cli
+from equimean import cli, homotopy
 from equimean.cli import ConfigError, load_config, main
 from equimean.errors import CapacityError
+from equimean.rng import Xoshiro256StarStar
 
 INTERVAL01 = {"kind": "interval", "params": {"a": 0.0, "b": 1.0}}
 SYM_INTERVAL = {"kind": "interval", "params": {"a": -1.0, "b": 1.0}}
@@ -249,6 +250,28 @@ def test_small_runs_load_no_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_build_homotopy_loads_numpy_only_to_walk_many_times(tmp_path):
+    # 65 times at level 22 take the recursion; 5,001 at level 32 are over
+    # LAW_BLOCK_EVALS times x levels and walk on arrays
+    base = {"space": SYM_BOX, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0, 0.0],
+            "x": [0.6, -0.8]}
+    small = write_config(tmp_path, base, "small.json")
+    large = write_config(tmp_path, {**base, "eps": 1e-9, "times": 5001}, "large.json")
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean.cli
+        assert equimean.cli.main(["build-homotopy", "--config", {small!r},
+                                  "--out", {str(tmp_path / "small")!r}]) == 0
+        assert "numpy" not in sys.modules, "65 times"
+        assert equimean.cli.main(["build-homotopy", "--config", {large!r},
+                                  "--out", {str(tmp_path / "large")!r}]) == 0
+        assert "numpy" in sys.modules, "5001 times"
+    """)
+    out = run_child(child)
+    assert out.returncode == 0, out.stderr
+    assert read_report(tmp_path / "large")["results"]["times"] == 5001
+
+
 def test_verify_mean_over_the_work_cap_exits_2_at_once(tmp_path):
     # 10 samples of 2000^2 transpositions, each reading 2000 points: 8 * 10^10
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2000",
@@ -263,6 +286,29 @@ def test_verify_mean_over_the_work_cap_exits_2_at_once(tmp_path):
     assert ("verify-mean of arithmetic:2000 (M2 on 10 samples) plans 80000000000 mean "
             "evaluations, over the cap 1000000000") in out.stderr
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("experiment, cfg, message", [
+    # 40,000 samples, each one evaluation and 2000 * 1999 / 2 pair distances
+    ("verify-mean", {"space": INTERVAL01, "mean": "arithmetic:2000",
+                     "laws": ["strict-betweenness"], "samples": 40_000},
+     "verify-mean of arithmetic:2000 (strict-betweenness on 40000 samples) plans 79960040000"),
+    # 10^8 restarts of HILL_STEPS + 1 evaluations
+    ("estimate-lambda", {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 10**8},
+     "random+hill estimate of arithmetic:3 (100000000 restarts) plans 6100000000"),
+    ("solomonic-search", {"space": SYM_BOX, "mean": "arithmetic:3", "K": 5.0, "budget": 10**10},
+     "solomonic-search of arithmetic:3 plans 10000000000"),
+], ids=["strict-betweenness", "random+hill", "solomonic"])
+def test_a_run_over_the_work_cap_exits_2_before_its_first_generator(tmp_path, capsys, monkeypatch,
+                                                                    experiment, cfg, message):
+    def no_draws(*args):
+        raise AssertionError("made a generator")
+
+    monkeypatch.setattr(Xoshiro256StarStar, "__init__", no_draws)
+    code, outdir = run(tmp_path, experiment, cfg)
+    assert code == 2
+    assert f"{message} mean evaluations, over the cap 1000000000" in capsys.readouterr().err
+    assert not (outdir / "report.json").exists()
 
 
 def test_strict_betweenness_on_one_point_exits_2(tmp_path, capsys):
@@ -703,17 +749,20 @@ def test_build_homotopy_trajectory_and_svg(tmp_path):
     assert (outdir2 / "trajectory.csv").read_bytes() == csv_bytes
 
 
-def test_build_homotopy_deep_levels_match_recorded_csv(tmp_path):
+def test_build_homotopy_deep_levels_match_recorded_csv(tmp_path, monkeypatch):
     # |x - theta| = 1.5 and eps 1e-9 snap every time to level 33, and the
     # times i/40 land on levels 32 and 33; the CSV was recorded with each
     # dyadic neighbour built as a Dyadic object
     cfg = {"space": {"kind": "box", "params": {"lo": [-2.0, -2.0], "hi": [2.0, 2.0]}},
            "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0, 0.0], "x": [0.9, -1.2],
            "eps": 1e-9, "times": 41}
-    code, outdir = run(tmp_path, "build-homotopy", cfg)
-    assert code == 0
     want = (DATA / "trajectory_box_level33.csv").read_bytes()
-    assert (outdir / "trajectory.csv").read_bytes() == want
+    # 41 times at level 33 take the recursion; a gate of 0 forces the walk
+    for gate in (homotopy.LAW_BLOCK_EVALS, 0):
+        monkeypatch.setattr(homotopy, "LAW_BLOCK_EVALS", gate)
+        code, outdir = run(tmp_path, "build-homotopy", cfg, out=f"gate-{gate}")
+        assert code == 0
+        assert (outdir / "trajectory.csv").read_bytes() == want
 
 
 def test_plot_subcommand_matches_inline_svg(tmp_path):

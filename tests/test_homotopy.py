@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,13 +32,14 @@ from equimean.homotopy import (
 from equimean.means import (
     QuasiMeanMap,
     arithmetic_mean,
+    collapse_to_quasi_mean,
     constant_mean,
     dictator_mean,
     geometric_mean,
     min_plus_halfsquare_mean,
 )
 from equimean.rng import Xoshiro256StarStar, as_rng, randrange_accepts
-from equimean.spaces import Box, Circle, Interval
+from equimean.spaces import Box, Circle, Interval, coordinate_bounds
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -73,13 +75,19 @@ def constant_builder() -> ContractionBuilder:
     return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,))
 
 
-def nan_nodes_builder() -> ContractionBuilder:
+def holey(pts):
     # the midpoint, but NaN where it lies in (0.60, 0.62): from level 6 on,
     # the path from 1 to 0 has NaN nodes, after finite ones, around t = 0.39
-    def holey(pts):
-        m = 0.5 * (pts[0][0] + pts[1][0])
-        return (math.nan if 0.60 < m < 0.62 else m,)
+    m = 0.5 * (pts[0][0] + pts[1][0])
+    return (math.nan if 0.60 < m < 0.62 else m,)
 
+
+def holey_batch(arrays):
+    m = 0.5 * (arrays[0] + arrays[1])
+    return np.where((0.60 < m) & (m < 0.62), math.nan, m)
+
+
+def nan_nodes_builder() -> ContractionBuilder:
     return ContractionBuilder(UNIT, QuasiMeanMap(2, UNIT, holey, "holey"), 0.5, (0.0,))
 
 
@@ -203,6 +211,9 @@ def test_level_arrays_reject_bad_batch_shape():
     b = ContractionBuilder(space, flat, GEO_LAMBDA, (2.0,))
     with pytest.raises(ValueError, match="shape"):
         list(b.level_arrays((1.0,), 3))
+    with mock.patch.object(homotopy, "LAW_BLOCK_EVALS", 0):
+        with pytest.raises(ValueError, match="shape"):
+            b.at_times((1.0,), [0.25, 0.5], 1e-2)
 
 
 AT_TIMES_BUILDERS = {
@@ -227,6 +238,43 @@ def test_at_times_equals_at_time_and_at_dyadic_bit_for_bit(kind, data, ts, eps):
     for t, (point, err) in zip(ts, values):
         assert repr(point) == repr(b.at_dyadic(x, nearest_dyadic(t, level)))
         assert err <= eps
+
+
+# (space, map on it, lambda, basepoint) of the maps with a batch form
+WALK_CASES = {
+    "arithmetic-interval": (SYM, lambda sp: arithmetic_mean(sp, 2), 0.5, (-0.0,)),
+    "arithmetic-box": (BOX2, lambda sp: arithmetic_mean(sp, 2), 0.5, (0.25, -0.5)),
+    "geometric": (Interval(1.0, 2.0), geometric_mean, GEO_LAMBDA, (2.0,)),
+    "minsq": (UNIT, min_plus_halfsquare_mean, 0.99, (0.0,)),
+    "dictator:0": (BOX2, lambda sp: dictator_mean(sp, 0), 0.5, (0.25, -0.5)),
+    "dictator:1": (BOX2, lambda sp: dictator_mean(sp, 1), 0.5, (0.25, -0.5)),
+    "constant": (UNIT, lambda sp: constant_mean(sp, (0.5,)), 0.5, (0.0,)),
+    "collapsed-arithmetic:3": (SYM, lambda sp: collapse_to_quasi_mean(arithmetic_mean(sp, 3)),
+                               0.7, (0.0,)),
+    "nan-nodes": (UNIT, lambda sp: QuasiMeanMap(2, sp, holey, "holey", batch=holey_batch),
+                  0.5, (0.0,)),
+}
+
+
+@settings(deadline=None)
+@given(st.sampled_from(sorted(WALK_CASES)), st.data(),
+       st.lists(st.floats(0.0, 1.0), max_size=8), st.integers(0, 39))
+def test_at_times_walk_equals_the_recursion(case, data, ts, level):
+    space, make, lam, theta = WALK_CASES[case]
+    b = ContractionBuilder(space, make(space), lam, theta)
+    # the dictators and the constant map fail the ratio check for any
+    # lambda < 1; the lanes are compared on their values alone
+    b.ratio_report = arithmetic_builder().ratio_report
+    x = data.draw(st.tuples(*map(st.floats, *coordinate_bounds(space))))
+    ts = [0.0, 1.0] + ts + ts[::-2]  # unsorted, with every other time repeated
+    # the budget of grid level `level` (or one finer, by rounding); level 0
+    # when x is the basepoint
+    eps = max(b.holder_constant(x) * 2.0 ** (-b.alpha * level), 1e-300)
+    lanes = []
+    for gate in (0, math.inf):  # the walk, then the recursion
+        with mock.patch.object(homotopy, "LAW_BLOCK_EVALS", gate):
+            lanes.append(b.at_times(x, ts, eps))
+    assert repr(lanes[0]) == repr(lanes[1])
 
 
 def _reference_eval(builder, x, table, j, n):

@@ -212,8 +212,9 @@ def test_transposition_blocks_are_the_scalar_draws(rejected):
 def test_law_evals_count_what_each_law_evaluates():
     box = Box([-1.0, -1.0], [1.0, 1.0])
     rotation = action_from_json({"name": "plane_rotation", "n": 4}, box)
-    # 3000 * (1 + 4! * 4 + 4 + 1)
-    assert law_evals(mean_from_name("arithmetic:4", box), LAWS, 3000, rotation) == 306_000
+    # 3000 * (1 + 4! * 4 + 4 + (1 + 4 * 3 / 2)): strict betweenness also
+    # measures the pair distances of each sample's diameter
+    assert law_evals(mean_from_name("arithmetic:4", box), LAWS, 3000, rotation) == 324_000
     # transpositions: n^2 a sample, times the arity
     assert law_evals(mean_from_name("arithmetic:6", box), ["M2"], 2, None) == 2 * 36 * 6
 
