@@ -13,14 +13,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .groups import GroupAction
-from .means import (QuasiMeanMap, _betweenness_report, _diameters, _farthest,
+from .means import (BLOCK_FLOATS, QuasiMeanMap, _betweenness_report, _diameters, _farthest,
                     _permutations_to_check, _report, _require_same_space)
 from .rng import Xoshiro256StarStar, as_rng, doubles, randrange_accepts
-from .spaces import MetricSpace, coordinate_bounds, worst, worst_array
-
-# floats the rows of one block hold: a block takes as many (sample,
-# permutation or element) rows as fit, and at least one
-LAW_BLOCK_FLOATS = 1 << 17
+from .spaces import MetricSpace, coordinate_bounds, worst_array, worst_of_blocks
 
 
 def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
@@ -28,7 +24,7 @@ def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int
     """``check_laws`` on arrays, through ``p.apply``, ``d_batch`` and
     ``act_rows``: the samples are drawn as one array, and each law scores
     its (sample, permutation or element) rows a block of at most
-    LAW_BLOCK_FLOATS floats at a time, in the scalar loop's order. Each
+    BLOCK_FLOATS floats at a time, in the scalar loop's order. Each
     report, and a MembershipError for an image outside the space, equals
     the scalar loop's."""
     space, n, dim = p.space, p.arity, p.space.dim
@@ -78,21 +74,6 @@ def sample_array(space: MetricSpace, seed: int, m: int):
     return lo + (hi - lo) * doubles(rng.u64_array(m * len(lo)).reshape(m, len(lo)))
 
 
-def worst_of_blocks(blocks) -> tuple:
-    """(defect, sample, count): ``spaces.worst`` over the defects of
-    consecutive blocks, each given as (the sample of each defect, the
-    defects). The first NaN, else the first maximum, of the blocks' own
-    winners is the first of all their defects."""
-    winners, checked = [], 0
-    for samples, defects in blocks:
-        top, i, count = worst_array(defects)
-        checked += count
-        if i is not None:
-            winners.append((top, int(samples[i])))
-    top, sample, _ = worst(winners)
-    return top, sample, checked
-
-
 def anonymity_blocks(p: QuasiMeanMap, tuples, base, rng: Xoshiro256StarStar):
     """``check_anonymity``'s defects, a block of (sample, permutation) rows
     at a time: all n! orders for arity n <= 5, else the n^2 transpositions
@@ -104,14 +85,14 @@ def anonymity_blocks(p: QuasiMeanMap, tuples, base, rng: Xoshiro256StarStar):
     else:
         per_sample = n * n
     rows = len(tuples) * per_sample
-    step = max(1, LAW_BLOCK_FLOATS // (n * dim))
+    step = max(1, BLOCK_FLOATS // (n * dim))
     for first in range(0, rows, step):
         row = np.arange(first, min(first + step, rows))
         samples = row // per_sample
         order = perms[row % per_sample] if n <= 5 else transpositions(rng, n, len(row))
         X = tuples[samples[:, None], order]
         out = p.apply([X[:, i] for i in range(n)])
-        yield samples, p.space.d_batch(out, base[samples])
+        yield p.space.d_batch(out, base[samples]), samples.__getitem__
 
 
 def transpositions(rng: Xoshiro256StarStar, n: int, m: int):
@@ -144,7 +125,7 @@ def equivariance_blocks(p: QuasiMeanMap, action: GroupAction, tuples, base):
     _require_same_space(p, action)
     space, elements = p.space, tuple(action.group.elements())
     count, n, dim = tuples.shape
-    step = max(1, LAW_BLOCK_FLOATS // (len(elements) * n * dim))
+    step = max(1, BLOCK_FLOATS // (len(elements) * n * dim))
     for first in range(0, count, step):
         block = tuples[first:first + step]
         images = [action.act_rows(g, block.reshape(-1, dim)) for g in elements]
@@ -157,14 +138,15 @@ def equivariance_blocks(p: QuasiMeanMap, action: GroupAction, tuples, base):
             gx = gx.reshape(len(block), n, -1)
             out = p.apply([gx[:, i] for i in range(n)])
             defects[:, k] = space.d_batch(out, action.act_rows(g, base[first:first + step]))
-        yield np.repeat(np.arange(first, first + len(block)), len(elements)), defects.ravel()
+        samples = np.repeat(np.arange(first, first + len(block)), len(elements))
+        yield defects.ravel(), samples.__getitem__
 
 
 def betweenness_blocks(p: QuasiMeanMap, tuples):
     """``check_strict_betweenness``'s margins, a block of samples at a
     time, on the samples of positive diameter."""
     space, (count, n, dim) = p.space, tuples.shape
-    step = max(1, LAW_BLOCK_FLOATS // (n * n * dim))
+    step = max(1, BLOCK_FLOATS // (n * n * dim))
     for first in range(0, count, step):
         block = tuples[first:first + step]
         diam = _diameters(space, block)
@@ -172,4 +154,4 @@ def betweenness_blocks(p: QuasiMeanMap, tuples):
         if len(keep):
             X = block[keep]
             out = p.apply([X[:, i] for i in range(n)])
-            yield first + keep, _farthest(space, X, out) - diam[keep]
+            yield _farthest(space, X, out) - diam[keep], (first + keep).__getitem__

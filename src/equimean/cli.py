@@ -51,7 +51,7 @@ log = logging.getLogger("equimean")
 # times a build-homotopy run may evaluate. Its at_times call walks that many
 # times down the levels on arrays: at this cap and level 40 on a 2-D box
 # (arithmetic:2, eps 1e-11) a run took 1.5 s and peaked at 81 MB RSS (2-vCPU
-# VM, CPython 3.11), where the node table of the recursion took 11 s and 611 MB
+# VM, CPython 3.11), where the node table of earlier versions took 11 s and 611 MB
 TIMES_CAP = 100_000
 
 class ConfigError(Exception):

@@ -40,10 +40,11 @@ from .means import (
     law_report,
     require,
     require_mean_laws,
+    require_work,
     sample_tuples,
 )
 from .rng import as_rng, randrange_accepts
-from .spaces import MetricSpace, Point, as_point, is_convex, worst
+from .spaces import MetricSpace, Point, as_point, is_convex, worst_of_blocks
 
 MAX_DYADIC_DEPTH = 40
 LEVEL_SWEEP_CAP = 20
@@ -93,34 +94,21 @@ class ContractionBuilder:
         return 2.0 * self.space.d(as_point(x), self.theta) / (1.0 - self.lam)
 
     def at_dyadic(self, x, d: Dyadic) -> Point:
-        """Path value at an exact dyadic time; time 0 is x, time 1 the
-        basepoint, odd grid points aggregate their two coarser neighbours."""
+        """Path value at an exact dyadic time (``_walk_one``); time 0 is x,
+        time 1 the basepoint, odd grid points aggregate their two neighbours."""
         if d.n > MAX_DYADIC_DEPTH:
             raise CapacityError(f"dyadic level {d.n} exceeds the cap {MAX_DYADIC_DEPTH}")
-        return self._eval(as_point(x), {}, d.j, d.n)
+        return self._walk_one(as_point(x), d.j, d.n)
 
-    def _eval(self, x: Point, table: dict, j: int, n: int) -> Point:
-        key = (j, n)
-        cached = table.get(key)
-        if cached is not None:
-            return cached
-        if n == 0:
-            value = x if j == 0 else self.theta
-        else:
-            # j is odd, so j -/+ 1 is even: the canonical forms of the two
-            # neighbours drop their trailing zero bits, as Dyadic(j -/+ 1, n)
-            # would, and 0/2^n becomes (0, 0)
-            lj = j - 1
-            if lj:
-                shift = (lj & -lj).bit_length() - 1
-                left = self._eval(x, table, lj >> shift, n - shift)
-            else:
-                left = self._eval(x, table, 0, 0)
-            rj = j + 1
-            shift = (rj & -rj).bit_length() - 1
-            value = self.p.eval([left, self._eval(x, table, rj >> shift, n - shift)])
-        table[key] = value
-        return value
+    def _walk_one(self, x: Point, j: int, n: int) -> Point:
+        """The value at j/2^n, ``_walk`` for one time: the ends of the
+        bracket start at x and the basepoint, and on each level p of the
+        two replaces the end that the next bit of j leaves behind."""
+        left, right = x, self.theta
+        for shift in range(n - 1, -1, -1):
+            mid = self.p.eval([left, right])
+            left, right = (mid, right) if j >> shift & 1 else (left, mid)
+        return self.theta if j == 1 << n else left
 
     def level_for(self, x, eps: float) -> int:
         """Minimal grid level whose Holder bound meets eps for this x."""
@@ -145,9 +133,9 @@ class ContractionBuilder:
         Snaps each t to the nearest dyadic r on the minimal grid whose bound
         meets eps and returns (value at r, C |t - r|^alpha <= eps) for each,
         in order. From LAW_BLOCK_EVALS times x levels on, a map with a batch
-        form walks every time down the levels at once (``_walk``); below
-        that, or without a batch form, the times share one table of dyadic
-        nodes, which lives only for this call. Both give the same values.
+        form walks every time down the levels at once on arrays (``_walk``);
+        below that, or without a batch form, each time walks alone
+        (``_walk_one``). The lanes are one algorithm, with the same values.
         """
         report = self.ratio_report
         if not report.passed:
@@ -164,15 +152,14 @@ class ContractionBuilder:
         if self.p.batch is not None and len(snapped) * level >= LAW_BLOCK_EVALS:
             points = self._walk(x, [r.j << (level - r.n) for r in snapped], level)
         else:
-            table: dict = {}
-            points = [self._eval(x, table, r.j, r.n) for r in snapped]
+            points = [self._walk_one(x, r.j, r.n) for r in snapped]
         return list(zip(points, errs))
 
     def _walk(self, x: Point, js: list, level: int) -> list:
         """The values at j/2^level for each numerator j: every time keeps the
         values at the ends of its bracket on the current level, and p of the
-        two becomes the end that the next bit of j leaves behind, so p meets
-        the pairs that ``_eval`` gives it."""
+        two becomes the end that the next bit of j leaves behind, as in
+        ``_walk_one``."""
         import numpy as np
 
         j = np.array(js, dtype=np.int64)
@@ -191,13 +178,13 @@ class ContractionBuilder:
         return self.at_times(x, (t,), eps)[0]
 
     def level_arrays(self, x, depth: int):
-        """Yield the path values on the grids of levels 0..depth as
-        (2^n + 1, dim) float64 arrays; row j of level n is the value at
+        """An iterator over the path values on the grids of levels 0..depth,
+        as (2^n + 1, dim) float64 arrays; row j of level n is the value at
         j/2^n and equals ``at_dyadic`` there.
 
         Level n is level n-1 interleaved with p applied to each pair of
         neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP,
-        and the finest level's floats at LEVEL_FLOATS_CAP.
+        and the finest level's floats at LEVEL_FLOATS_CAP, on the call.
         """
         import numpy as np
 
@@ -207,15 +194,21 @@ class ContractionBuilder:
         if ((1 << depth) + 1) * dim > LEVEL_FLOATS_CAP:
             raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
                                 f"of {LEVEL_FLOATS_CAP} floats on its finest level")
-        level = np.array([as_point(x), self.theta], dtype=np.float64)
+        return _refinements(self.p, np.array([as_point(x), self.theta], dtype=np.float64), depth)
+
+
+def _refinements(p: QuasiMeanMap, level, depth: int):
+    """``level`` and its next ``depth`` refinements through p."""
+    import numpy as np
+
+    yield level
+    for _ in range(depth):
+        mids = _midpoints(p, level[:-1], level[1:])
+        finer = np.empty((2 * len(level) - 1, level.shape[1]))
+        finer[0::2] = level
+        finer[1::2] = mids
+        level = finer
         yield level
-        for _ in range(depth):
-            mids = _midpoints(self.p, level[:-1], level[1:])
-            finer = np.empty((2 * len(level) - 1, level.shape[1]))
-            finer[0::2] = level
-            finer[1::2] = mids
-            level = finer
-            yield level
 
 
 def _midpoints(p: QuasiMeanMap, left, right):
@@ -279,14 +272,13 @@ def verify_claim1(builder: ContractionBuilder, x, depth: int) -> LevelBoundRepor
     first one that attains the maximum."""
     x = as_point(x)
     dx = builder.space.d(x, builder.theta)
-    level_worsts, checked = [], 0
-    for n, level in enumerate(builder.level_arrays(x, depth)):
-        steps = builder.space.d_batch(level[:-1], level[1:])
-        checked += len(steps)
-        ratios = _step_ratios(steps, (builder.lam ** n) * dx)
-        j = int(ratios.argmax())  # the first NaN, if any
-        level_worsts.append((float(ratios[j]), (n, j)))
-    top, witness, _ = worst(level_worsts, 0.0)
+
+    def levels():
+        for n, level in enumerate(builder.level_arrays(x, depth)):
+            steps = builder.space.d_batch(level[:-1], level[1:])
+            yield _step_ratios(steps, (builder.lam ** n) * dx), lambda j, n=n: (n, j)
+
+    top, witness, checked = worst_of_blocks(levels(), 0.0)
     wl, wi = witness or (-1, -1)
     return LevelBoundReport(top, wl, wi, checked, builder.lam, dx)
 
@@ -357,15 +349,19 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
 
     Every sampled time lies on the level-``depth`` grid, so the path is
     built once at that level and each pair reads two of its rows; the
-    time gap |i - k| 2^-depth is exact. Depth is capped at LEVEL_SWEEP_CAP.
-    A NaN ratio counts as a violation, and the first one is the worst pair.
-    The pairs are those of ``_random_grid_index`` drawn in turn, left then
+    time gap |i - k| 2^-depth is exact. Depth is capped at LEVEL_SWEEP_CAP,
+    and the pairs plus the sweep's 2^depth - 1 midpoints at WORK_CAP. A NaN
+    ratio counts as a violation, and the first one is the worst pair. The
+    pairs are those of ``_random_grid_index`` drawn in turn, left then
     right, taken a block of draws at a time.
     """
     import numpy as np
 
     x = as_point(x)
-    for fine in builder.level_arrays(x, depth):
+    levels = builder.level_arrays(x, depth)
+    require_work(f"verify-holder of {builder.p.label} ({pairs} pairs at depth {depth})",
+                 pairs + (1 << depth) - 1)
+    for fine in levels:
         pass  # only the finest level is kept
     rng = as_rng(seed_or_rng)
     C = builder.holder_constant(x)
@@ -373,24 +369,25 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     # the bound of each gap |i - k|, filled in as gaps occur
     gap_bounds = np.empty(len(fine))
     known = np.zeros(len(fine), dtype=bool)
-    block_worsts, checked, violations = [], 0, 0
-    for start in range(0, pairs, HOLDER_BLOCK):
-        left, right = _grid_index_pairs(rng, depth, min(HOLDER_BLOCK, pairs - start))
-        gaps = np.abs(left - right)
-        fresh = np.zeros_like(known)
-        fresh[gaps] = True
-        new = np.flatnonzero(fresh & ~known)
-        # Python's ** for the bound: numpy's power rounds differently
-        gap_bounds[new] = [C * (g * cell) ** builder.alpha for g in new.tolist()]
-        known[new] = True
-        ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), gap_bounds[gaps])
-        violations += int(np.count_nonzero(~(ratios <= 1.0 + RATIO_SLACK)))
-        checked += len(ratios)
-        j = int(ratios.argmax())  # the first NaN, if any
-        block_worsts.append((float(ratios[j]), (int(left[j]), int(right[j]))))
-    top, wpair, _ = worst(block_worsts, 0.0)
-    if wpair is not None:
-        wpair = (Dyadic(wpair[0], depth), Dyadic(wpair[1], depth))
+    violations = 0
+
+    def blocks():
+        nonlocal violations
+        for start in range(0, pairs, HOLDER_BLOCK):
+            left, right = _grid_index_pairs(rng, depth, min(HOLDER_BLOCK, pairs - start))
+            gaps = np.abs(left - right)
+            fresh = np.zeros_like(known)
+            fresh[gaps] = True
+            new = np.flatnonzero(fresh & ~known)
+            # Python's ** for the bound: numpy's power rounds differently
+            gap_bounds[new] = [C * (g * cell) ** builder.alpha for g in new.tolist()]
+            known[new] = True
+            ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), gap_bounds[gaps])
+            violations += int(np.count_nonzero(~(ratios <= 1.0 + RATIO_SLACK)))
+            yield ratios, lambda j, left=left, right=right: (Dyadic(int(left[j]), depth),
+                                                             Dyadic(int(right[j]), depth))
+
+    top, wpair, checked = worst_of_blocks(blocks(), 0.0)
     return HolderReport(top, wpair, checked, C, builder.alpha, violations)
 
 

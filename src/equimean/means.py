@@ -46,11 +46,12 @@ LAW_BLOCK_EVALS = 1 << 15
 UNANIMITY_SEED = 7
 # perturbations per random+hill restart
 HILL_STEPS = 60
-# draws a lockstep block of random+hill restarts holds: at most
-# max(1, LOCKSTEP_DRAWS // draws per restart) restarts. Above arity
+# floats (or draws) one numpy block holds: a check_laws block (``_law_arrays``)
+# takes as many rows as fit, and at least one; a random+hill lockstep block
+# max(1, BLOCK_FLOATS // draws per restart) restarts, where above arity
 # 2 HILL_STEPS + 4 a restart counts the coordinates of one step's point pairs
 # instead, which outnumber its draws and size the diameter's arrays
-LOCKSTEP_DRAWS = 1 << 17
+BLOCK_FLOATS = 1 << 17
 
 
 @dataclass
@@ -548,7 +549,7 @@ def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     bounds = coordinate_bounds(p.space)
     if bounds is not None:
         n = p.arity
-        block = max(1, LOCKSTEP_DRAWS // (max(HILL_STEPS + 1, (n - 1) // 2) * n * p.space.dim))
+        block = max(1, BLOCK_FLOATS // (max(HILL_STEPS + 1, (n - 1) // 2) * n * p.space.dim))
         for first in range(0, restarts, block):
             count = min(block, restarts - first)
             saved = rng.getstate()

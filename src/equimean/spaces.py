@@ -76,6 +76,22 @@ def worst_array(defects, floor: float = -math.inf) -> tuple:
     return float(defects[i]), i, len(defects)
 
 
+def worst_of_blocks(blocks, floor: float = -math.inf) -> tuple:
+    """(defect, witness, count): ``worst`` over the defects of consecutive
+    blocks, each given as (a float64 array of defects, a function from an
+    index in it to that defect's witness). The first NaN, else the first
+    maximum above ``floor``, of the blocks' own winners (``worst_array``)
+    is the first of all their defects."""
+    winners, checked = [], 0
+    for defects, witness in blocks:
+        top, i, count = worst_array(defects, floor)
+        checked += count
+        if i is not None:
+            winners.append((top, witness(i)))
+    top, witness, _ = worst(winners, floor)
+    return top, witness, checked
+
+
 def _root_sum_squares(terms) -> float:
     """sqrt of the sum of ``t * t`` over ``terms``, added in order from 0.0:
     the one rounding of every Euclidean combination, which the array form

@@ -44,13 +44,14 @@ def run(tmp_path, command, cfg, out="out", extra=()):
     return code, outdir
 
 
-def run_child(code: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+def run_child(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this
+    checkout's package."""
     src = str(Path(equimean.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
 
 
 def test_estimate_lambda_arithmetic(tmp_path):
@@ -203,7 +204,7 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
         print(grid_scan_interval(mean_from_name("arithmetic:2", Interval(0.0, 1.0)),
                                  0.0, 0.25, 5, 1e-6))
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "(0.5, 0.0, 0.25, 20)"
     assert read_report(tmp_path / "grid")["results"]["estimate"]["samples"] == 10100
@@ -226,7 +227,7 @@ def test_random_lambda_loads_numpy_only_to_step_in_lockstep(tmp_path):
                                   "--out", {str(tmp_path / "box")!r}]) == 0
         assert "numpy" in sys.modules, "box"
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     for name in ("circle", "box"):
         assert read_report(tmp_path / name)["results"]["estimate"]["method"] == "random+hill"
@@ -246,13 +247,13 @@ def test_small_runs_load_no_numpy(tmp_path):
             assert equimean.cli.main([experiment, "--config", config, "--out", out]) == 0
             assert "numpy" not in sys.modules, experiment
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
 
 
 def test_build_homotopy_loads_numpy_only_to_walk_many_times(tmp_path):
-    # 65 times at level 22 take the recursion; 5,001 at level 32 are over
-    # LAW_BLOCK_EVALS times x levels and walk on arrays
+    # 65 times at level 22 walk one at a time in plain Python; 5,001 at
+    # level 32 are over LAW_BLOCK_EVALS times x levels and walk on arrays
     base = {"space": SYM_BOX, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0, 0.0],
             "x": [0.6, -0.8]}
     small = write_config(tmp_path, base, "small.json")
@@ -267,7 +268,7 @@ def test_build_homotopy_loads_numpy_only_to_walk_many_times(tmp_path):
                                   "--out", {str(tmp_path / "large")!r}]) == 0
         assert "numpy" in sys.modules, "5001 times"
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     assert read_report(tmp_path / "large")["results"]["times"] == 5001
 
@@ -276,14 +277,23 @@ def test_verify_mean_over_the_work_cap_exits_2_at_once(tmp_path):
     # 10 samples of 2000^2 transpositions, each reading 2000 points: 8 * 10^10
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2000",
                                   "laws": ["M2"], "samples": 10})
-    src = str(Path(equimean.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "equimean.cli", "verify-mean", "--config", cfg,
-                          "--out", str(tmp_path / "out")], env=env, capture_output=True,
-                         text=True, timeout=5)
+    out = run_child("-m", "equimean.cli", "verify-mean", "--config", cfg,
+                    "--out", str(tmp_path / "out"), timeout=5)
     assert out.returncode == 2
     assert ("verify-mean of arithmetic:2000 (M2 on 10 samples) plans 80000000000 mean "
+            "evaluations, over the cap 1000000000") in out.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_verify_holder_over_the_work_cap_exits_2_at_once(tmp_path):
+    # 10^9 pair distances and the 2^14 - 1 midpoints of the sweep to depth 14
+    cfg = write_config(tmp_path, {"space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+                                  "mean": "geometric", "lambda": 0.6, "theta": [1.0],
+                                  "x": [2.0], "depth": 14, "pairs": 10**9})
+    out = run_child("-m", "equimean.cli", "verify-holder", "--config", cfg,
+                    "--out", str(tmp_path / "out"), timeout=5)
+    assert out.returncode == 2
+    assert ("verify-holder of geometric (1000000000 pairs at depth 14) plans 1000016383 mean "
             "evaluations, over the cap 1000000000") in out.stderr
     assert not (tmp_path / "out" / "report.json").exists()
 
@@ -345,7 +355,7 @@ def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_pat
         assert equimean.cli.main(["chain", "1/8", "3/4", "--out", {str(tmp_path / "two")!r}]) == 0
         print(os.environ["OPENBLAS_NUM_THREADS"])
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "2"
 
@@ -370,7 +380,7 @@ def test_valid_configs_load_no_jsonschema(tmp_path):
                                   "--out", {str(tmp_path / "bad")!r}]) == 2
         assert "jsonschema" in sys.modules, "invalid config"
     """)
-    out = run_child(child)
+    out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     assert "$.grid_step: -0.5 is less than or equal to the minimum of 0" in out.stderr
 
@@ -757,7 +767,7 @@ def test_build_homotopy_deep_levels_match_recorded_csv(tmp_path, monkeypatch):
            "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0, 0.0], "x": [0.9, -1.2],
            "eps": 1e-9, "times": 41}
     want = (DATA / "trajectory_box_level33.csv").read_bytes()
-    # 41 times at level 33 take the recursion; a gate of 0 forces the walk
+    # 41 times at level 33 walk one at a time; a gate of 0 forces the array walk
     for gate in (homotopy.LAW_BLOCK_EVALS, 0):
         monkeypatch.setattr(homotopy, "LAW_BLOCK_EVALS", gate)
         code, outdir = run(tmp_path, "build-homotopy", cfg, out=f"gate-{gate}")

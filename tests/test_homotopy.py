@@ -259,7 +259,7 @@ WALK_CASES = {
 @settings(deadline=None)
 @given(st.sampled_from(sorted(WALK_CASES)), st.data(),
        st.lists(st.floats(0.0, 1.0), max_size=8), st.integers(0, 39))
-def test_at_times_walk_equals_the_recursion(case, data, ts, level):
+def test_at_times_array_walk_equals_the_scalar_walk(case, data, ts, level):
     space, make, lam, theta = WALK_CASES[case]
     b = ContractionBuilder(space, make(space), lam, theta)
     # the dictators and the constant map fail the ratio check for any
@@ -271,7 +271,7 @@ def test_at_times_walk_equals_the_recursion(case, data, ts, level):
     # when x is the basepoint
     eps = max(b.holder_constant(x) * 2.0 ** (-b.alpha * level), 1e-300)
     lanes = []
-    for gate in (0, math.inf):  # the walk, then the recursion
+    for gate in (0, math.inf):  # the array walk, then the scalar one
         with mock.patch.object(homotopy, "LAW_BLOCK_EVALS", gate):
             lanes.append(b.at_times(x, ts, eps))
     assert repr(lanes[0]) == repr(lanes[1])
@@ -279,7 +279,7 @@ def test_at_times_walk_equals_the_recursion(case, data, ts, level):
 
 def _reference_eval(builder, x, table, j, n):
     """The dyadic recursion with each neighbour built as a Dyadic, which
-    canonicalizes it; the builder's _eval does the same in integer ops."""
+    canonicalizes it, and each node kept in ``table``."""
     key = (j, n)
     cached = table.get(key)
     if cached is not None:
@@ -297,15 +297,10 @@ def _reference_eval(builder, x, table, j, n):
 
 
 @given(st.integers(1, 62), st.data())
-def test_eval_canonical_neighbours_equal_dyadic(n, data):
+def test_scalar_walk_equals_the_recursion_at_odd_numerators(n, data):
     j = 2 * data.draw(st.integers(0, (1 << (n - 1)) - 1)) + 1  # odd, so j/2^n is canonical
     b = geometric_builder()
-    got, want = {}, {}
-    assert b._eval((1.2,), got, j, n) == _reference_eval(b, (1.2,), want, j, n)
-    # same keys and values, filled in the same order
-    assert list(got.items()) == list(want.items())
-    for d in (Dyadic(j - 1, n), Dyadic(j + 1, n)):
-        assert (d.j, d.n) in got
+    assert b._walk_one((1.2,), j, n) == _reference_eval(b, (1.2,), {}, j, n)
 
 
 def test_a_nan_map_is_refused_by_at_time():
@@ -445,6 +440,18 @@ def test_verify_holder_depth_cap_before_sampling():
     rng = Xoshiro256StarStar(53)
     with pytest.raises(CapacityError):
         verify_holder(arithmetic_builder(), (1.0,), 10, LEVEL_SWEEP_CAP + 1, seed_or_rng=rng)
+    assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
+
+
+def test_verify_holder_plans_its_work_before_the_sweep(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("built a level")
+
+    monkeypatch.setattr(homotopy, "_midpoints", no_sweep)
+    rng = Xoshiro256StarStar(53)
+    # 10^9 pair distances and the 2^14 - 1 midpoints of the sweep
+    with pytest.raises(CapacityError, match="plans 1000016383 mean evaluations"):
+        verify_holder(geometric_builder(), (1.0,), 10**9, 14, seed_or_rng=rng)
     assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
 
 

@@ -120,12 +120,12 @@ def _outcome(lane, p, laws, seed, count, action):
 @settings(max_examples=12, deadline=None)
 @given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(1, 30),
        laws=st.lists(st.sampled_from(LAWS), min_size=1, max_size=5),
-       block=st.sampled_from([1, 5, 64, _law_arrays.LAW_BLOCK_FLOATS]))
+       block=st.sampled_from([1, 5, 64, _law_arrays.BLOCK_FLOATS]))
 def test_the_array_lane_reports_what_the_scalar_loop_does(case, seed, count, laws, block):
     make_map, make_action = CASES[case]
     p, action = make_map(), make_action()
     scalar = _outcome(_check_laws_scalar, p, laws, seed, count, action)
-    with mock.patch.object(_law_arrays, "LAW_BLOCK_FLOATS", block):
+    with mock.patch.object(_law_arrays, "BLOCK_FLOATS", block):
         array = _outcome(check_laws_array, p, laws, seed, count, action)
     assert array == scalar
 

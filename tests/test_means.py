@@ -510,7 +510,7 @@ def test_lambda_lockstep_block_with_a_retry_runs_the_scalar_loop(monkeypatch, se
 def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
     # four restarts of 61 x 2 draws a block: 37 restarts take ten blocks,
     # and a later one holds the retry
-    monkeypatch.setattr(means, "LOCKSTEP_DRAWS", 4 * (means.HILL_STEPS + 1) * 2)
+    monkeypatch.setattr(means, "BLOCK_FLOATS", 4 * (means.HILL_STEPS + 1) * 2)
     outcomes = _lockstep_outcomes(monkeypatch)
     _assert_matches_scalar_loop(arithmetic_mean(RETRY_BOX, 2), 37, 1)
     assert len(outcomes) == 10 and outcomes[0] and not all(outcomes)
@@ -519,7 +519,7 @@ def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
 def test_lambda_lockstep_block_counts_the_point_pairs_of_a_large_arity(monkeypatch):
     # arity 130 on a line counts 64 * 130 pairs a restart, more than its
     # 61 * 130 draws: the cap holds one restart a block, not two
-    monkeypatch.setattr(means, "LOCKSTEP_DRAWS", 2 * 64 * 130 - 1)
+    monkeypatch.setattr(means, "BLOCK_FLOATS", 2 * 64 * 130 - 1)
     outcomes = _lockstep_outcomes(monkeypatch)
     _assert_matches_scalar_loop(arithmetic_mean(Box([0.0], [1.0]), 130), 3, 2)
     assert outcomes == [True, True, True]

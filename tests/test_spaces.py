@@ -21,6 +21,7 @@ from equimean.spaces import (
     tuple_diameter,
     worst,
     worst_array,
+    worst_of_blocks,
 )
 
 ALL_SPACES = [
@@ -222,6 +223,16 @@ def test_worst_array_is_worst_over_indexed_defects(values, floor):
     assert got[1:] == (witness, count)
     assert got[0] == top or math.isnan(got[0]) and math.isnan(top)
     assert type(got[0]) is float
+
+
+@given(DEFECTS, st.sampled_from([-math.inf, 0.0, 1.0]), st.integers(1, 7))
+def test_worst_of_blocks_is_worst_over_all_the_blocks(values, floor, size):
+    blocks = ((np.array(values[first:first + size], dtype=np.float64),
+               lambda i, first=first: ("at", first + i)) for first in range(0, len(values), size))
+    got = worst_of_blocks(blocks, floor)
+    top, witness, count = worst(((v, ("at", i)) for i, v in enumerate(values)), floor)
+    assert got[1:] == (witness, count)
+    assert got[0] == top or math.isnan(got[0]) and math.isnan(top)
 
 
 def test_worst_array_takes_the_first_nan_else_the_first_maximum():
