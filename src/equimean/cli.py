@@ -417,7 +417,7 @@ def run_solomonic_search(cfg: dict, outdir: Path):
     result = solomonic_witness_search(mean, _need(cfg, "K", "solomonic-search"),
                                       seed_or_rng=cfg.get("seed", 1), **_given(cfg, "budget"))
     results = {"mean": mean.label, "search": result.to_json()}
-    return True, results, f"random+hill, {result.evaluations} evaluations"
+    return True, results, result.route
 
 
 RUNNERS = {

@@ -555,11 +555,16 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
     retraction at time 1, stationary on the fixed set at
     STATIONARITY_TIMES times); the mean is anonymous and H-equivariant with
     arity |H|. The result is verified to start at the identity, hold the
-    fixed set still, and end inside it.
+    fixed set still, and end inside it. Those checks evaluate the
+    deformation samples x (STATIONARITY_TIMES + 2) times, each time with |H|
+    extension calls; that plan is checked against WORK_CAP first, and the
+    law gate's own plan next.
     """
     sp = action.space
     if H.parent is not action.group:
         raise ValueError("subgroup must belong to the action's group")
+    require_work(f"deform-fixed over a subgroup of order {H.order} ({samples} samples)",
+                 samples * (STATIONARITY_TIMES + 2) * H.order)
     p = _aggregating_mean(p, action, H, tol, trust_laws, seed, max(8, samples // 4))
 
     rng = as_rng(seed + 1)

@@ -27,6 +27,16 @@ process by repeated squaring of T, and each is applied through tables of
 XORed columns, one table per 4 bits of the state. ``doubles`` is
 ``random()`` and ``randrange_accepts`` randrange's rejection test on such
 arrays.
+
+Substreams. ``substream_lanes(seeds)`` seeds one lane per seed, each as
+``Xoshiro256StarStar(seed)`` seeds its state, and ``lane_draws`` steps the
+lanes together through the per-draw operations of ``u64_array``, so lane i
+draws what that generator's ``next_u64`` calls would. Blackman & Vigna
+seed xoshiro's state from a 64-bit seed through splitmix64, as
+``__init__`` does ("Scrambled linear pseudorandom number generators", ACM
+TOMS 47(4), 2021); with a period of 2^256 - 1, the streams of distinct
+seeds overlap with negligible probability. The solomonic search climbs
+each restart on its own substream.
 """
 
 from __future__ import annotations
@@ -103,25 +113,12 @@ class Xoshiro256StarStar:
             tables = _power_tables(LANE_SPACING.bit_length() - 1 + j)
             starts = np.concatenate([starts, _jump(starts, tables)])
         s = starts[:lanes].T.copy()  # row w is word s_w of every lane
-        rot = np.empty(lanes, dtype=np.uint64)
         out = np.empty((lanes, steps), dtype=np.uint64)
-        for j in range(steps):
-            # next_u64's state update on every lane at once; the output
-            # function is applied to the kept s1 values after the loop
-            out[:, j] = s[1]
-            t = s[1] << 17
-            s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
-            s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
-            s[2] ^= t
-            np.right_shift(s[3], 19, out=rot)
-            s[3] <<= 45
-            s[3] |= rot
-            if j == at:
-                self._s = [int(w) for w in s[:, last]]
-        # rotl(s1 * 5, 7) * 9; uint64 arithmetic wraps as the scalar path masks
-        out *= 5
-        out = ((out << 7) | (out >> 57)) * 9
-        return out.reshape(-1)[:n]
+        _step_lanes(s, out[:, :at + 1])
+        # the state after draw n: lane ``last`` after step ``at``
+        self._s = [int(w) for w in s[:, last]]
+        _step_lanes(s, out[:, at + 1:])
+        return _scramble(out).reshape(-1)[:n]
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
@@ -142,6 +139,54 @@ class Xoshiro256StarStar:
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+
+def _step_lanes(s, out) -> None:
+    """next_u64's state update on every lane of ``s`` ((4, lanes) uint64,
+    row w word s_w of each lane), once per column of ``out`` ((lanes, k)
+    uint64), which keeps each step's s1; ``_scramble`` turns those into the
+    draws."""
+    import numpy as np
+
+    rot = np.empty(s.shape[1], dtype=np.uint64)
+    for j in range(out.shape[1]):
+        out[:, j] = s[1]
+        t = s[1] << 17
+        s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+        s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
+        s[2] ^= t
+        np.right_shift(s[3], 19, out=rot)
+        s[3] <<= 45
+        s[3] |= rot
+
+
+def _scramble(out):
+    """The output function rotl(s1 * 5, 7) * 9 on kept s1 values; uint64
+    arithmetic wraps as the scalar path masks."""
+    out *= 5
+    return ((out << 7) | (out >> 57)) * 9
+
+
+def substream_lanes(seeds):
+    """The states of ``Xoshiro256StarStar(seed)`` for each seed, as lanes
+    for ``lane_draws``: a (4, len(seeds)) uint64 array, column i the state
+    of seeds[i]."""
+    import numpy as np
+
+    return np.array([Xoshiro256StarStar(seed).getstate() for seed in seeds],
+                    dtype=np.uint64).reshape(-1, 4).T.copy()
+
+
+def lane_draws(s, k: int):
+    """The next k draws of every lane of ``s`` ((4, lanes) uint64, as
+    ``substream_lanes`` makes), as a (lanes, k) uint64 array; row i equals
+    k ``next_u64`` calls on lane i's generator, and ``s`` is advanced in
+    place as those calls advance it."""
+    import numpy as np
+
+    out = np.empty((s.shape[1], k), dtype=np.uint64)
+    _step_lanes(s, out)
+    return _scramble(out)
 
 
 def doubles(u):

@@ -251,6 +251,36 @@ def test_small_runs_load_no_numpy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_a_solomonic_search_above_the_gate_loads_numpy(tmp_path):
+    # the solomonic golden's budget, 600, is under SEARCH_BLOCK_BUDGET and
+    # runs the scalar loop; the benchmark's 20,000 climb in lockstep
+    cfg = {**json.loads((GOLDEN / "solomonic.json").read_text()), "budget": 20_000}
+    config = write_config(tmp_path, cfg)
+    child = textwrap.dedent(f"""
+        import sys
+        import equimean.cli, equimean.means
+        assert equimean.means.SEARCH_BLOCK_BUDGET <= 20_000
+        assert equimean.cli.main(["solomonic-search", "--config", {config!r},
+                                  "--out", {str(tmp_path / "out")!r}]) == 0
+        assert "numpy" in sys.modules
+    """)
+    out = run_child("-c", child)
+    assert out.returncode == 0, out.stderr
+    assert read_report(tmp_path / "out")["results"]["search"]["evaluations"] == 20_000
+
+
+def test_solomonic_debug_line_names_its_lane(tmp_path, caplog):
+    cfg = {"space": SYM_BOX, "mean": "arithmetic:3", "K": 4 * math.sqrt(2.0), "budget": 20_000,
+           "seed": 1}
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        code, outdir = run(tmp_path, "solomonic-search", cfg)
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
+    assert lines[-1].endswith(" s, lockstep substreams, 148 restarts in 1 block, "
+                              "20000 evaluations")
+    assert "substreams" not in (outdir / "report.json").read_text()
+
+
 def test_build_homotopy_loads_numpy_only_to_walk_many_times(tmp_path):
     # 65 times at level 22 walk one at a time in plain Python; 5,001 at
     # level 32 are over LAW_BLOCK_EVALS times x levels and walk on arrays
@@ -295,6 +325,22 @@ def test_verify_holder_over_the_work_cap_exits_2_at_once(tmp_path):
     assert out.returncode == 2
     assert ("verify-holder of geometric (1000000000 pairs at depth 14) plans 1000016383 mean "
             "evaluations, over the cap 1000000000") in out.stderr
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("name, message", [
+    # 10^9 tuples, each of 2 orders of 2 points and 2 translates
+    ("symmetrize", "the law gate of arithmetic:2 (M2, equivariance on 1000000000 samples) "
+                   "plans 6000000000"),
+    # 10^9 points, each deformed at STATIONARITY_TIMES + 2 times through 2 elements
+    ("deform", "deform-fixed over a subgroup of order 2 (1000000000 samples) plans 22000000000"),
+])
+def test_a_law_gated_run_over_the_work_cap_exits_2_at_once(tmp_path, name, message):
+    cfg = {**json.loads((GOLDEN / f"{name}.json").read_text()), "samples": 10**9}
+    out = run_child("-m", "equimean.cli", cfg["experiment"], "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out"), timeout=5)
+    assert out.returncode == 2
+    assert f"{message} mean evaluations, over the cap 1000000000" in out.stderr
     assert not (tmp_path / "out" / "report.json").exists()
 
 

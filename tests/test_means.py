@@ -1,8 +1,11 @@
 import dataclasses
+import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equimean import _kernels, means
 from equimean.errors import CapacityError, HypothesisError, SamplingError
@@ -34,7 +37,8 @@ from equimean.means import (
     solomonic_witness_search,
 )
 from equimean.rng import Xoshiro256StarStar, as_rng
-from equimean.spaces import Box, Circle, FinitePoints, Interval, Product, diameter
+from equimean.spaces import (Box, Circle, FinitePoints, Interval, Product, coordinate_bounds,
+                             diameter)
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -426,19 +430,20 @@ def _scalar_estimate_random(p, cfg):
     return means.LambdaEstimate(best_val, best_tup, evals, excluded, method="random+hill")
 
 
-def _nan_on_part(space):
-    """arithmetic:2 but NaN wherever the first point's first coordinate is
-    above 0.5, in both forms."""
+def _nan_on_half(space, n):
+    """arithmetic:n but NaN wherever the first point's first coordinate is
+    above the middle of its range, in both forms."""
+    (lo, *_), (hi, *_) = coordinate_bounds(space)
+    mid = lo / 2 + hi / 2
+    p = arithmetic_mean(space, n)
 
     def func(points):
-        if points[0][0] > 0.5:
-            return (math.nan,) * len(points[0])
-        return tuple((a + b) / 2 for a, b in zip(*points))
+        return (math.nan,) * len(points[0]) if points[0][0] > mid else p.eval(points)
 
     def batch(arrays):
-        return np.where(arrays[0][..., :1] > 0.5, np.nan, (arrays[0] + arrays[1]) / 2)
+        return np.where(arrays[0][..., :1] > mid, np.nan, p.batch(arrays))
 
-    return QuasiMeanMap(2, space, func, "nan-on-part", batch=batch)
+    return QuasiMeanMap(n, space, func, "nan-on-half", batch=batch)
 
 
 def _lockstep_outcomes(monkeypatch):
@@ -479,7 +484,7 @@ PRODUCT = Product([Interval(-0.5, 2.0), Box([-1.0, 0.0], [1.0, 3.0])])
     (lambda: arithmetic_mean(PRODUCT, 3), 37, 7, False),
     (lambda: dataclasses.replace(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
                                  batch=None), 5, 8, False),
-    (lambda: _nan_on_part(Box([0.0, 0.0], [1.0, 1.0])), 37, 9, False),
+    (lambda: _nan_on_half(Box([0.0, 0.0], [1.0, 1.0]), 2), 37, 9, False),
     (lambda: dictator_mean(PRODUCT, 1, 3), 1, 10, False),
     (lambda: min_plus_halfsquare_mean(UNIT), 1, 11, True),
     # the extent, 0.25 of which is the first step's scale, is inf: every
@@ -492,7 +497,7 @@ def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, se
     p = make()
     _assert_matches_scalar_loop(p, restarts, seed, force_random)
     assert outcomes and all(outcomes)  # the lockstep ran every restart
-    if p.label == "nan-on-part":
+    if p.label == "nan-on-half":
         est = estimate_lambda(p, LambdaConfig(restarts=restarts, seed=seed))
         assert not math.isnan(est.lambda_hat)  # a NaN never wins
 
@@ -689,6 +694,120 @@ def test_solomonic_dictator_never_found():
 def test_solomonic_requires_positive_target():
     with pytest.raises(ValueError):
         solomonic_witness_search(arithmetic_mean(UNIT, 2), 0.0)
+
+
+def _search(p, K, budget, seed, gate):
+    """The search's report (or its SamplingError), its route and the
+    config generator's final state, with the lockstep gate at ``gate``."""
+    rng = Xoshiro256StarStar(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(means, "SEARCH_BLOCK_BUDGET", gate)
+        try:
+            result = solomonic_witness_search(p, K, budget, rng)
+        except SamplingError as exc:
+            return repr(exc), None, rng.getstate()
+    return json.dumps(result.to_json()), result.route, rng.getstate()
+
+
+def _assert_search_lanes_agree(p, K, budget, seed):
+    scalar, scalar_route, scalar_state = _search(p, K, budget, seed, math.inf)
+    lockstep, lockstep_route, lockstep_state = _search(p, K, budget, seed, 0)
+    assert (lockstep, lockstep_state) == (scalar, scalar_state)
+    if scalar_route is not None:
+        assert scalar_route.startswith("scalar substreams, ")
+        assert lockstep_route.startswith("lockstep substreams, ")
+    return scalar
+
+
+# the first factor's extent squares past the largest float, so the scale and
+# the floor of every climb are inf: no climb stops before the budget
+HUGE_FACTOR_PRODUCT = Product([Interval(0.0, 1.5e154), Interval(0.0, 1.0)])
+SEARCH_SPACES = [SYM, Box([-1.0, -1.0], [1.0, 1.0]), PRODUCT, HUGE_FACTOR_PRODUCT]
+SEARCH_MAPS = {
+    "arithmetic:2": lambda space: arithmetic_mean(space, 2),
+    "arithmetic:3": lambda space: arithmetic_mean(space, 3),
+    "dictator:0": lambda space: dictator_mean(space, 0),
+    "constant": lambda space: constant_mean(space, coordinate_bounds(space)[0]),
+    "eval-only": lambda space: dataclasses.replace(arithmetic_mean(space, 3), batch=None),
+    "nan-on-half": lambda space: _nan_on_half(space, 2),
+}
+
+
+def _fewest(space):
+    extent = space.extent()
+    return means._fewest_climb_evals(0.25 * extent, 1e-12 * extent, WORK_CAP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=st.sampled_from(SEARCH_SPACES), name=st.sampled_from(sorted(SEARCH_MAPS)),
+       budget=st.one_of(st.sampled_from(["fewest", "fewest+1", 1]), st.integers(1, 1200)),
+       # K a third of the smallest side, which the constant at a corner
+       # reaches from most starts, or 1e300, which no map here reaches
+       reachable=st.booleans(), block_floats=st.sampled_from([means.BLOCK_FLOATS, 1, 24]),
+       seed=st.integers(0, 2 ** 64 - 1))
+def test_solomonic_lanes_agree(space, name, budget, reachable, block_floats, seed):
+    lo, hi = coordinate_bounds(space)
+    K = min(b - a for a, b in zip(lo, hi)) / 3 if reachable or name == "constant" else 1e300
+    if budget == "fewest":
+        budget = min(_fewest(space), 1200)
+    elif budget == "fewest+1":
+        budget = min(_fewest(space), 1199) + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(means, "BLOCK_FLOATS", block_floats)
+        _assert_search_lanes_agree(SEARCH_MAPS[name](space), K, budget, seed)
+
+
+def test_solomonic_shortest_climb_on_a_box():
+    # 74 shrinks by 0.7 take 0.25 below 1e-12; an inf scale never gets there
+    assert _fewest(Box([-1.0, -1.0], [1.0, 1.0])) == 75
+    assert _fewest(HUGE_FACTOR_PRODUCT) == WORK_CAP
+
+
+@pytest.mark.parametrize("budget, restarts, rerun", [
+    (1, 1, []), (75, 1, []), (76, 1, []), (150, 1, []), (151, 2, [0]), (600, 5, [50]),
+    (20_000, 148, [33]),
+])
+def test_solomonic_lockstep_reruns_the_restart_that_crosses_the_budget(monkeypatch, budget,
+                                                                        restarts, rerun):
+    # the benchmark's config at seed 1, whose first restart stops after 150
+    # evaluations: a restart cut short by the budget climbs again through
+    # the scalar loop, with the steps the budget leaves it; one that ends on
+    # the budget is the lockstep's own
+    p = arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3)
+    K = 4 * math.sqrt(2.0)
+    report = _assert_search_lanes_agree(p, K, budget, 1)
+    assert json.loads(report)["evaluations"] == budget
+    steps = []
+    climb = means._climb
+    monkeypatch.setattr(means, "_climb", lambda *args: steps.append(args[5]) or climb(*args))
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    result = solomonic_witness_search(p, K, budget, 1)
+    assert result.route == f"lockstep substreams, {restarts} restarts in 1 block, {budget} evaluations"
+    assert steps == rerun
+
+
+def test_solomonic_lockstep_blocks_span_the_budget(monkeypatch):
+    # two restarts of three 2-D points a block
+    monkeypatch.setattr(means, "BLOCK_FLOATS", 12)
+    p = arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3)
+    _assert_search_lanes_agree(p, 5.0, 2000, 3)
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    route = solomonic_witness_search(p, 5.0, 2000, 3).route
+    assert re.fullmatch(r"lockstep substreams, \d+ restarts in \d+ blocks, 2000 evaluations",
+                        route)
+    assert int(route.split()[5]) > 1
+
+
+@pytest.mark.parametrize("gate", [0, math.inf])
+def test_solomonic_search_with_no_number_for_a_margin_raises(monkeypatch, gate):
+    # every margin is NaN: earlier versions reported a best margin of -inf,
+    # which report.json wrote as -Infinity
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    nan_map = QuasiMeanMap(2, box, lambda points: (math.nan, math.nan), "nan",
+                           batch=lambda arrays: np.full(np.broadcast(*arrays).shape, np.nan))
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", gate)
+    with pytest.raises(SamplingError, match="no usable tuple found during the solomonic search"):
+        solomonic_witness_search(nan_map, 0.5, 300, 1)
 
 
 # ---------------------------------------------------------------------------

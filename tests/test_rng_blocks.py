@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimean.rng import LANE_SPACING, Xoshiro256StarStar, randrange_accepts
+from equimean.rng import (LANE_SPACING, Xoshiro256StarStar, lane_draws, randrange_accepts,
+                          substream_lanes)
 
 MASK = (1 << 64) - 1
 K = LANE_SPACING
@@ -56,3 +57,17 @@ def test_randrange_accepts_is_randrange_rejection_test():
         assert randrange_accepts(u, n).tolist() == [True, True, False, False]
         bounds = np.full(4, n, dtype=np.uint64)
         assert randrange_accepts(u, bounds).tolist() == [True, True, False, False]
+
+
+@pytest.mark.parametrize("lanes", [1, 300])
+def test_substream_lanes_draw_each_seed_s_stream(lanes):
+    # each lane is the scalar generator of its seed, across consecutive
+    # draws of every length, both sides of a lane spacing among them
+    seeds = [(i * 0x9E3779B97F4A7C15 + 5) & MASK for i in range(lanes)]
+    s = substream_lanes(seeds)
+    scalars = [Xoshiro256StarStar(seed) for seed in seeds]
+    for k in (0, 1, K - 1, K, K + 1):
+        got = lane_draws(s, k)
+        assert got.dtype == np.uint64 and got.shape == (lanes, k)
+        assert got.tolist() == [[g.next_u64() for _ in range(k)] for g in scalars]
+        assert [tuple(col) for col in s.T.tolist()] == [g.getstate() for g in scalars]
