@@ -295,7 +295,8 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
         lo, hi = cfg["expect_lambda"]
         results["expected_range"] = [lo, hi]
         passed = lo <= estimate.lambda_hat <= hi
-    return passed, results, f"{estimate.method}, {estimate.samples} samples"
+    path = (estimate.method, estimate.route, f"{estimate.samples} samples")
+    return passed, results, ", ".join(part for part in path if part)
 
 
 def run_chain(cfg: dict, outdir: Path):

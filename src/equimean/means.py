@@ -42,21 +42,24 @@ WORK_CAP = 10**9
 # evaluation, costs less than numpy's import and the first jump table
 # (about 0.1 s)
 LAW_BLOCK_EVALS = 1 << 15
-# the solomonic budget from which, on a space with coordinate bounds, blocks
-# of restarts climb in lockstep on arrays. Fresh processes break even near
-# it: arithmetic:3 on a 2-D box took 0.26 s either way at 6,000 (2-vCPU VM,
-# median of 15), the scalar loop 0.18 s against 0.25 s at 3,000 and 0.40 s
-# against 0.32 s at 8,000; below it numpy's import costs more than it saves
+# the planned evaluations (the solomonic budget, or restarts x (HILL_STEPS + 1)
+# of random+hill) from which, on a space with coordinate bounds, blocks of
+# restarts climb in lockstep on arrays. Fresh processes break even near it,
+# for arithmetic:3 on a 2-D box (2-vCPU VM): the solomonic search took 0.26 s
+# either way at 6,000 (median of 15), the scalar loop 0.18 s against 0.25 s at
+# 3,000 and 0.40 s against 0.32 s at 8,000; random+hill's scalar loop took
+# 0.25 s against 0.27 s at 3,050 and 0.34 s against 0.25 s at 6,100 (median
+# of 9). Below it numpy's import costs more than it saves
 SEARCH_BLOCK_BUDGET = 6000
 # the seed of the points on which quasi_mean checks a new map's unanimity
 UNANIMITY_SEED = 7
 # perturbations per random+hill restart
 HILL_STEPS = 60
-# floats (or draws) one numpy block holds: a check_laws block (``_law_arrays``)
-# takes as many rows as fit, and at least one; a random+hill lockstep block
-# max(1, BLOCK_FLOATS // draws per restart) restarts, where above arity
-# 2 HILL_STEPS + 4 a restart counts the coordinates of one step's point pairs
-# instead, which outnumber its draws and size the diameter's arrays
+# floats one numpy block holds: a check_laws block (``_law_arrays``) takes as
+# many rows as fit, and at least one; a lockstep block of a restart search
+# (random+hill or solomonic) as many restarts as fit, and at least one, where
+# a restart counts the coordinates of its tuple, or of its tuple's point pairs
+# from arity 4 on, which outnumber them and size a diameter's arrays
 BLOCK_FLOATS = 1 << 17
 
 
@@ -432,6 +435,8 @@ class LambdaEstimate:
     samples: int
     excluded_diagonal_radius: float
     method: str = "grid"
+    # the lane and restarts random+hill took; logged, never reported
+    route: str = field(default="", compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -509,10 +514,12 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter)
 
 
-def _random_member_tuple(p: QuasiMeanMap, rng, excluded: float) -> tuple:
+def _start_tuple(p: QuasiMeanMap, rng, above: Optional[float]) -> tuple:
+    """A tuple sampled from ``rng``; with ``above`` set, the first of up to
+    1000 whose diameter exceeds it."""
     for _ in range(1000):
         tup = tuple(p.space.sample(rng, p.arity))
-        if diameter(p.space, tup) > excluded:
+        if above is None or diameter(p.space, tup) > above:
             return tup
     raise SamplingError("could not sample a tuple with diameter above the excluded radius")
 
@@ -548,100 +555,197 @@ def _climb(space: MetricSpace, objective: Callable, tup: tuple, rng, scale: floa
 
 
 def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
-    """Random+hill: each restart draws a start tuple above the excluded
-    radius and climbs HILL_STEPS steps; the first maximum in restart order
-    wins. On a convex space the restarts climb in lockstep, a block at a
-    time (``_lockstep_restarts``); a block with a start tuple that the
-    scalar loop would redraw, and any other space, run the scalar loop.
-    The planned evaluations, restarts x (HILL_STEPS + 1), are checked
-    against WORK_CAP before the first draw."""
+    """Random+hill: restarts (``_search``) that each draw a start tuple
+    above the excluded radius and climb the ratio HILL_STEPS steps; the
+    first maximum in restart order wins. The planned evaluations, restarts
+    x (HILL_STEPS + 1), are checked against WORK_CAP before the first draw."""
     restarts = max(1, cfg.restarts)
     # _climb with no scale floor evaluates every start and step
     samples = restarts * (HILL_STEPS + 1)
     require_work(f"random+hill estimate of {p.label} ({restarts} restarts)", samples)
-    rng = as_rng(cfg.seed)
     excluded = cfg.excluded_diameter
-    scale = 0.25 * p.space.extent()
 
-    def objective(tup):
+    def ratio(tup):
         diam = diameter(p.space, tup)
         return _ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
 
-    def scalar_restarts(count, best):
-        for _ in range(count):
-            start = _random_member_tuple(p, rng, excluded)
-            tup, val, _ = _climb(p.space, objective, start, rng, scale, HILL_STEPS)
-            if val > best[0]:
-                best = val, tup
-        return best
+    def ratios(tups):
+        # -inf at or below the excluded radius, where p is not evaluated
+        import numpy as np
 
-    best = -math.inf, None
-    bounds = coordinate_bounds(p.space)
-    if bounds is not None:
-        n = p.arity
-        block = max(1, BLOCK_FLOATS // (max(HILL_STEPS + 1, (n - 1) // 2) * n * p.space.dim))
-        for first in range(0, restarts, block):
-            count = min(block, restarts - first)
-            saved = rng.getstate()
-            found = _lockstep_restarts(p, bounds, rng, count, scale, excluded)
-            if found is None:
-                rng.setstate(saved)
-                best = scalar_restarts(count, best)
-            elif found[0] > best[0]:
-                best = found
-    else:
-        best = scalar_restarts(restarts, best)
-    best_val, best_tup = best
-    if best_tup is None or best_val == -math.inf:
-        raise SamplingError("no usable tuple found during random lambda estimation")
-    return LambdaEstimate(best_val, best_tup, samples, excluded, method="random+hill")
-
-
-def _lockstep_restarts(p: QuasiMeanMap, bounds: tuple, rng, count: int, scale: float,
-                       excluded: float) -> Optional[tuple]:
-    """(value, tuple), the first maximum of ``count`` random+hill restarts
-    on a convex space with coordinate ``bounds``, all climbing in lockstep
-    on one block of draws, shaped (restart, start or step, point,
-    coordinate). Each operation is the scalar loop's
-    (``_random_member_tuple``, ``_perturb_tuple``, ``project``,
-    ``diameter``, ``_ratio``, ``_climb``) on arrays, so the result and the
-    generator's state equal that loop's bit for bit. None when a start
-    tuple's diameter is at or below ``excluded``, where the scalar loop
-    would draw it again."""
-    import numpy as np
-
-    lo, hi = (np.array(b) for b in bounds)
-    n, dim = p.arity, len(lo)
-    u = rng.u64_array(count * (HILL_STEPS + 1) * n * dim)
-    r = doubles(u).reshape(count, HILL_STEPS + 1, n, dim)
-
-    def values(tups, diam):
-        # the objective: -inf at or below the excluded radius, where p is
-        # not evaluated, else _ratio
+        diam = _diameters(p.space, tups)
         keep = (diam > 0.0) & (diam > excluded)
         val = np.full(len(tups), -np.inf)
         if keep.any():
             x = tups[keep]
-            out = p.apply([x[:, i] for i in range(n)])
+            out = p.apply([x[:, i] for i in range(p.arity)])
             val[keep] = _farthest(p.space, x, out) / diam[keep]
         return val
 
+    tup, val, _, route = _search(p, as_rng(cfg.seed), samples, excluded, ratio, ratios,
+                                 steps=HILL_STEPS)
+    if tup is None:
+        raise SamplingError("no usable tuple found during random lambda estimation")
+    return LambdaEstimate(val, tup, samples, excluded, method="random+hill", route=route)
+
+
+# ---------------------------------------------------------------------------
+# restart searches: random+hill and the solomonic search
+
+
+def _search(p: QuasiMeanMap, rng, budget: int, above: Optional[float], objective: Callable,
+            values: Callable, steps: Optional[int] = None, floor: float = 0.0,
+            stop: float = math.inf) -> tuple:
+    """Hill-climbing restarts that spend ``budget`` evaluations of
+    ``objective``, or end at the first restart whose value exceeds ``stop``.
+
+    Restart k draws its start tuple (``_start_tuple`` with ``above``) and
+    its steps from its own substream, Xoshiro256StarStar(seed_k), where
+    seed_k is the k-th ``next_u64`` of ``rng``, and climbs (``_climb``) from
+    a scale of 0.25 x extent down to ``floor``, for at most ``steps`` steps
+    (None: as many as the budget leaves). From SEARCH_BLOCK_BUDGET on a
+    space with coordinate bounds, blocks of restarts climb in lockstep
+    (``_lockstep_climbs``) on ``values``, the objective on an (m, n, dim)
+    array of tuples; the result and ``rng``'s final state equal the scalar
+    loop's bit for bit. Returns the first maximum's tuple (None when no
+    value exceeded -inf) and value, the evaluations spent and the route:
+    the lane, restarts and blocks the search took."""
+    scale = 0.25 * p.space.extent()
+    steps = budget if steps is None else steps
+
+    def climb(seed: int, cap: int) -> tuple:
+        sub = Xoshiro256StarStar(seed)
+        return _climb(p.space, objective, _start_tuple(p, sub, above), sub, scale, cap, floor)
+
+    bounds = coordinate_bounds(p.space)
+    lockstep = bounds is not None and budget >= SEARCH_BLOCK_BUDGET
+    best_tup, best_val, evals, restarts, blocks = None, -math.inf, 0, 0, 0
+    while evals < budget and best_val <= stop:
+        blocks += 1
+        left = budget - evals
+        climbs = (_lockstep_climbs(p, bounds, rng, left, scale, steps, floor, above, values,
+                                   climb)
+                  if lockstep else [climb(rng.next_u64(), min(steps, left - 1))])
+        for tup, val, used in climbs:
+            restarts += 1
+            evals += used
+            if val > best_val:
+                best_val, best_tup = val, tup
+            if best_val > stop:
+                break
+    route = (f"lockstep substreams, {restarts} restarts in {blocks} "
+             f"block{'' if blocks == 1 else 's'}" if lockstep
+             else f"scalar substreams, {restarts} restarts")
+    return best_tup, best_val, evals, route
+
+
+def _fewest_climb_evals(scale: float, floor: float, limit: int) -> int:
+    """The fewest evaluations after which ``_climb`` from ``scale`` stops
+    at ``floor``: its start and one failed step per shrink by 0.7 until the
+    scale is below the floor; ``limit`` when that takes more. An inf scale
+    or a floor of 0 never stops; from a finite scale a positive floor is
+    passed within about 2,100 shrinks, where the scale reaches 0."""
+    if not (math.isfinite(scale) and floor > 0.0):
+        return limit
+    evals = 1
+    while evals < limit:
+        evals += 1
+        scale *= 0.7
+        if scale < floor:
+            break
+    return evals
+
+
+def _lockstep_climbs(p: QuasiMeanMap, bounds: tuple, rng, remaining: int, scale: float,
+                     steps: int, floor: float, above: Optional[float], values: Callable,
+                     climb: Callable):
+    """The search's next restarts as its scalar loop climbs them, as
+    (tuple, value, evaluations) in restart order, up to ``remaining``
+    evaluations; each restart draws its seed from ``rng`` as it is yielded.
+
+    One block of restarts climbs in lockstep (``_climb_lanes``) on seeds
+    read ahead of ``rng``: enough restarts to spend ``remaining`` if each
+    stopped as early as a climb can, and at most BLOCK_FLOATS coordinates of
+    their tuples, or of their tuples' point pairs where there are more.
+    Restart k is capped at ``steps`` and at what k climbs as short as
+    possible leave. A restart whose start tuple ``_start_tuple`` would draw
+    again, and the first restart that crosses ``remaining``, climb again
+    through ``climb``, the scalar loop, on their own seeds."""
+    import numpy as np
+
+    n = p.arity
+    fewest = _fewest_climb_evals(scale, floor, min(remaining, steps + 1))
+    floats = max(n, n * (n - 1) // 2) * p.space.dim
+    count = min(-(-remaining // fewest), max(1, BLOCK_FLOATS // floats))
+    ahead = Xoshiro256StarStar(0)
+    ahead.setstate(rng.getstate())
+    seeds = [ahead.next_u64() for _ in range(count)]
+    caps = np.minimum(steps, remaining - 1 - fewest * np.arange(count))
+    tups, vals, used, redo = _climb_lanes(p, bounds, seeds, caps, scale, floor, above, values)
+    spent = 0
+    for k in range(count):
+        left = remaining - spent
+        if left <= 0:
+            return
+        seed = rng.next_u64()
+        if redo[k] or used[k] > left:
+            found = climb(seed, min(steps, left - 1))
+        else:
+            found = tuple(map(tuple, tups[k].tolist())), float(vals[k]), int(used[k])
+        spent += found[2]
+        yield found
+
+
+def _climb_lanes(p: QuasiMeanMap, bounds: tuple, seeds: list, caps, scale: float,
+                 floor: float, above: Optional[float], values: Callable) -> tuple:
+    """``_climb`` of each seed's restart, all in lockstep on arrays:
+    restart k samples its start tuple from Xoshiro256StarStar(seeds[k]),
+    draws its steps from the same substream and stops at the scale
+    ``floor`` or after caps[k] steps. Each operation is the scalar loop's
+    (``sample``, ``_perturb_tuple``, ``project``, ``_climb``) on arrays,
+    and ``values`` is the objective on an (m, n, dim) array of tuples.
+    Returns the final tuples, shaped (restart, point, coordinate), their
+    values, each restart's evaluations and whether its start tuple's
+    diameter is at or below ``above``, where ``_start_tuple`` draws again."""
+    import numpy as np
+
+    lo, hi = (np.array(b) for b in bounds)
+    n, dim, count = p.arity, len(lo), len(seeds)
+
+    def draws(states):
+        return doubles(lane_draws(states, n * dim)).reshape(-1, n, dim)
+
+    final = np.empty((count, n, dim))
+    final_vals = np.empty(count)
+    used = np.empty(count, dtype=np.int64)
+    live = np.arange(count)
+    states = substream_lanes(seeds)
     with np.errstate(all="ignore"):
-        tups = lo + (hi - lo) * r[:, 0]
-        diam = _diameters(p.space, tups)
-        if not (diam > excluded).all():
-            return None
-        val = values(tups, diam)
-        scales = np.full((count, 1, 1), scale)
-        for j in range(1, HILL_STEPS + 1):
-            cand = _perturbed(tups, scales, r[:, j], lo, hi)
-            cval = values(cand, _diameters(p.space, cand))
-            better = cval > val
+        tups = lo + (hi - lo) * draws(states)
+        redo = np.zeros(count, dtype=bool)
+        if above is not None:
+            redo = ~(_diameters(p.space, tups) > above)
+        vals = values(tups)
+        scales = np.full(count, scale)
+        steps = 0
+        stop = caps <= 0
+        while True:
+            if stop.any():
+                final[live[stop]], final_vals[live[stop]] = tups[stop], vals[stop]
+                used[live[stop]] = steps + 1
+                go = ~stop
+                live, tups, vals, scales, caps = live[go], tups[go], vals[go], scales[go], caps[go]
+                states = states[:, go]
+                if not live.size:
+                    return final, final_vals, used, redo
+            cand = _perturbed(tups, scales[:, None, None], draws(states), lo, hi)
+            cvals = values(cand)
+            better = cvals > vals
             tups = np.where(better[:, None, None], cand, tups)
-            val = np.where(better, cval, val)
-            scales = np.where(better[:, None, None], scales, scales * 0.7)
-    i = int(np.argmax(np.where(np.isnan(val), -np.inf, val)))
-    return float(val[i]), tuple(tuple(pt) for pt in tups[i].tolist())
+            vals = np.where(better, cvals, vals)
+            scales = np.where(better, scales, scales * 0.7)
+            steps += 1
+            stop = (scales < floor) | (caps <= steps)
 
 
 def _perturbed(tups, scales, r, lo, hi):
@@ -745,160 +849,32 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
     """Search for a tuple whose aggregate lands more than K away from
     every argument; reports the best margin when none is found.
 
-    Restarts hill-climb the minimum distance (``_climb`` from a scale of
-    0.25 x extent down to a floor of 1e-12 x extent, capped at the
-    evaluations the budget has left), and the first restart whose margin
-    exceeds K ends the search. Restart k draws its start and its steps from
-    its own substream, Xoshiro256StarStar(seed_k), where seed_k is the k-th
-    ``next_u64`` of the generator from ``seed_or_rng``. From
-    SEARCH_BLOCK_BUDGET on a space with coordinate bounds, blocks of
-    restarts climb in lockstep (``_lockstep_climbs``); the result and the
-    generator's final state equal the scalar loop's bit for bit. The budget
-    is checked against WORK_CAP before the first draw, and SamplingError is
-    raised when no margin was a number."""
-    if K <= 0:
+    Restarts (``_search``) hill-climb the minimum distance from a scale of
+    0.25 x extent down to a floor of 1e-12 x extent, each capped at the
+    evaluations the budget has left, and the first restart whose margin
+    exceeds K ends the search. Restart k climbs on its own substream,
+    Xoshiro256StarStar(seed_k), where seed_k is the k-th ``next_u64`` of
+    the generator from ``seed_or_rng``. The budget is checked against
+    WORK_CAP before the first draw, and SamplingError is raised when no
+    margin was a number."""
+    if not K > 0:
         raise ValueError("K must be positive")
     require_work(f"solomonic-search of {p.label}", budget)
-    rng = as_rng(seed_or_rng)
-    extent = p.space.extent()
-    scale, floor = 0.25 * extent, 1e-12 * extent
 
     def margin(tup) -> float:
         out = p.eval(list(tup))
         return min(p.space.d(x, out) for x in tup)
 
-    def climb(seed: int, steps: int) -> tuple:
-        sub = Xoshiro256StarStar(seed)
-        start = tuple(p.space.sample(sub, p.arity))
-        return _climb(p.space, margin, start, sub, scale, steps, floor)
+    def margins(tups):
+        return _nearest(p.space, tups, p.apply([tups[:, i] for i in range(p.arity)]))
 
-    def scalar_climbs(remaining: int):
-        yield climb(rng.next_u64(), remaining - 1)
-
-    def lockstep_climbs(remaining: int):
-        return _lockstep_climbs(p, bounds, rng, remaining, scale, floor, climb)
-
-    bounds = coordinate_bounds(p.space)
-    lockstep = bounds is not None and budget >= SEARCH_BLOCK_BUDGET
-    climbs = lockstep_climbs if lockstep else scalar_climbs
-    best_tup, best_val, evals, restarts, blocks = None, -math.inf, 0, 0, 0
-    while evals < budget and best_val <= K:
-        blocks += 1
-        for tup, val, used in climbs(budget - evals):
-            restarts += 1
-            evals += used
-            if val > best_val:
-                best_val, best_tup = val, tup
-            if best_val > K:
-                break
-    if best_tup is None:
+    tup, val, evals, route = _search(p, as_rng(seed_or_rng), budget, None, margin, margins,
+                                     floor=1e-12 * p.space.extent(), stop=K)
+    if tup is None:
         raise SamplingError("no usable tuple found during the solomonic search: "
                             "every margin was NaN")
-    route = (f"lockstep substreams, {restarts} restarts in {blocks} "
-             f"block{'' if blocks == 1 else 's'}" if lockstep
-             else f"scalar substreams, {restarts} restarts")
-    return SolomonicSearch(K, best_tup if best_val > K else None, best_val, evals,
+    return SolomonicSearch(K, tup if val > K else None, val, evals,
                            f"{route}, {evals} evaluations")
-
-
-def _fewest_climb_evals(scale: float, floor: float, limit: int) -> int:
-    """The fewest evaluations after which ``_climb`` from ``scale`` stops
-    at ``floor``: its start and one failed step per shrink by 0.7 until the
-    scale is below the floor; ``limit`` when that takes more. An inf scale
-    or a floor of 0 never stops; from a finite scale a positive floor is
-    passed within about 2,100 shrinks, where the scale reaches 0."""
-    if not (math.isfinite(scale) and floor > 0.0):
-        return limit
-    evals = 1
-    while evals < limit:
-        evals += 1
-        scale *= 0.7
-        if scale < floor:
-            break
-    return evals
-
-
-def _lockstep_climbs(p: QuasiMeanMap, bounds: tuple, rng, remaining: int, scale: float,
-                     floor: float, climb: Callable):
-    """The solomonic search's next restarts as its scalar loop climbs them,
-    as (tuple, margin, evaluations) in restart order, up to ``remaining``
-    evaluations; each restart draws its seed from ``rng`` as it is yielded.
-
-    One block of restarts climbs in lockstep (``_climb_lanes``) on seeds
-    read ahead of ``rng``: enough restarts to spend ``remaining`` if each
-    stopped as early as a climb can, and at most BLOCK_FLOATS coordinates
-    of their tuples. A prefix sum of their evaluation counts finds the
-    first restart that crosses ``remaining``; that one reruns through
-    ``climb``, the scalar loop, with the steps left to it."""
-    import numpy as np
-
-    fewest = _fewest_climb_evals(scale, floor, remaining)
-    count = min(-(-remaining // fewest), max(1, BLOCK_FLOATS // (p.arity * p.space.dim)))
-    ahead = Xoshiro256StarStar(0)
-    ahead.setstate(rng.getstate())
-    seeds = [ahead.next_u64() for _ in range(count)]
-    # restart k has at most what k climbs as short as possible leave
-    caps = remaining - 1 - fewest * np.arange(count)
-    tups, vals, used = _climb_lanes(p, bounds, seeds, caps, scale, floor)
-    spent = np.cumsum(used)
-    cross = int(np.searchsorted(spent, remaining, side="right"))
-    for k in range(cross):
-        rng.next_u64()
-        yield tuple(map(tuple, tups[k].tolist())), float(vals[k]), int(used[k])
-    left = remaining - (int(spent[cross - 1]) if cross else 0)
-    if cross < count and left > 0:
-        yield climb(rng.next_u64(), left - 1)
-
-
-def _climb_lanes(p: QuasiMeanMap, bounds: tuple, seeds: list, caps, scale: float,
-                 floor: float) -> tuple:
-    """``_climb`` of the solomonic margin for each seed's restart, all in
-    lockstep on arrays: restart k samples its start tuple from
-    Xoshiro256StarStar(seeds[k]), draws its steps from the same substream
-    and stops at the scale ``floor`` or after caps[k] steps. Each operation
-    is the scalar loop's (``sample``, ``_perturb_tuple``, ``project``, the
-    margin, ``_climb``) on arrays. Returns the final tuples, shaped
-    (restart, point, coordinate), their margins and each restart's
-    evaluations."""
-    import numpy as np
-
-    lo, hi = (np.array(b) for b in bounds)
-    n, dim, count = p.arity, len(lo), len(seeds)
-
-    def draws(states):
-        return doubles(lane_draws(states, n * dim)).reshape(-1, n, dim)
-
-    def margins(tups):
-        return _nearest(p.space, tups, p.apply([tups[:, i] for i in range(n)]))
-
-    final = np.empty((count, n, dim))
-    final_vals = np.empty(count)
-    used = np.empty(count, dtype=np.int64)
-    live = np.arange(count)
-    states = substream_lanes(seeds)
-    with np.errstate(all="ignore"):
-        tups = lo + (hi - lo) * draws(states)
-        vals = margins(tups)
-        scales = np.full(count, scale)
-        steps = 0
-        stop = caps <= 0
-        while True:
-            if stop.any():
-                final[live[stop]], final_vals[live[stop]] = tups[stop], vals[stop]
-                used[live[stop]] = steps + 1
-                go = ~stop
-                live, tups, vals, scales, caps = live[go], tups[go], vals[go], scales[go], caps[go]
-                states = states[:, go]
-                if not live.size:
-                    return final, final_vals, used
-            cand = _perturbed(tups, scales[:, None, None], draws(states), lo, hi)
-            cvals = margins(cand)
-            better = cvals > vals
-            tups = np.where(better[:, None, None], cand, tups)
-            vals = np.where(better, cvals, vals)
-            scales = np.where(better, scales, scales * 0.7)
-            steps += 1
-            stop = (scales < floor) | (caps <= steps)
 
 
 # ---------------------------------------------------------------------------

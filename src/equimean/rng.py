@@ -35,8 +35,9 @@ draws what that generator's ``next_u64`` calls would. Blackman & Vigna
 seed xoshiro's state from a 64-bit seed through splitmix64, as
 ``__init__`` does ("Scrambled linear pseudorandom number generators", ACM
 TOMS 47(4), 2021); with a period of 2^256 - 1, the streams of distinct
-seeds overlap with negligible probability. The solomonic search climbs
-each restart on its own substream.
+seeds overlap with negligible probability. Both restart searches,
+random+hill and the solomonic search, climb each restart on its own
+substream.
 """
 
 from __future__ import annotations

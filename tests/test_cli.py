@@ -211,10 +211,12 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
 
 
 def test_random_lambda_loads_numpy_only_to_step_in_lockstep(tmp_path):
-    # a circle's restarts run the scalar loop, so its start-up stays numpy-free
+    # 300 restarts plan 18,300 evaluations, over SEARCH_BLOCK_BUDGET; a
+    # circle's restarts still run the scalar loop, so its start-up stays
+    # numpy-free
     circle = write_config(tmp_path, {"space": {"kind": "circle", "params": {"radius": 1.0}},
-                                     "mean": "dictator:0", "restarts": 3}, "circle.json")
-    box = write_config(tmp_path, {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 3},
+                                     "mean": "dictator:0", "restarts": 300}, "circle.json")
+    box = write_config(tmp_path, {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 300},
                        "box.json")
     child = textwrap.dedent(f"""
         import sys
@@ -234,11 +236,14 @@ def test_random_lambda_loads_numpy_only_to_step_in_lockstep(tmp_path):
 
 
 def test_small_runs_load_no_numpy(tmp_path):
-    # these runs plan fewer law-check evaluations than LAW_BLOCK_EVALS: their
-    # sampled law gates run the scalar loop, and start-up stays numpy-free
+    # these runs plan fewer law-check evaluations than LAW_BLOCK_EVALS and
+    # fewer search evaluations than SEARCH_BLOCK_BUDGET (the random-lambda
+    # goldens 610 to 3,050): they run the scalar loops, and start-up stays
+    # numpy-free
     runs = [(json.loads((GOLDEN / f"{name}.json").read_text())["experiment"],
              str(GOLDEN / f"{name}.json"), str(tmp_path / name))
-            for name in ("solomonic", "symmetrize", "deform")]
+            for name in ("solomonic", "symmetrize", "deform", "random-lambda",
+                         "random-lambda-product", "random-lambda-retry")]
     child = textwrap.dedent(f"""
         import sys
         import equimean.cli
@@ -279,6 +284,18 @@ def test_solomonic_debug_line_names_its_lane(tmp_path, caplog):
     assert lines[-1].endswith(" s, lockstep substreams, 148 restarts in 1 block, "
                               "20000 evaluations")
     assert "substreams" not in (outdir / "report.json").read_text()
+
+
+def test_random_hill_debug_line_names_its_lane(tmp_path, caplog):
+    cfg = {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 300, "seed": 1}
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        code, outdir = run(tmp_path, "estimate-lambda", cfg)
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
+    assert lines[-1].endswith(" s, random+hill, lockstep substreams, 300 restarts in 1 block, "
+                              "18300 samples")
+    for name in ("report.json", "lambda.csv"):
+        assert "substreams" not in (outdir / name).read_text()
 
 
 def test_build_homotopy_loads_numpy_only_to_walk_many_times(tmp_path):
@@ -769,7 +786,7 @@ def test_a_product_whose_extent_overflows_runs(tmp_path, capsys, command, cfg):
     assert code == 0, capsys.readouterr().err
     results = read_report(outdir)["results"]
     if command == "estimate-lambda":
-        assert results["estimate"]["lambda_hat"] == 0.5000000000000003
+        assert results["estimate"]["lambda_hat"] == 0.5000000000000001
 
 
 def test_level_sweep_over_the_float_cap_exits_2(tmp_path, capsys):
@@ -1064,7 +1081,8 @@ GOLDEN_EXITS = {
     "solomonic": 0,
     "random-lambda": 0,
     "random-lambda-product": 0,
-    # seed 1 redraws a start tuple, so its lockstep block runs the scalar loop
+    # seed 55 draws the start tuple of its restart 30 again (see
+    # test_means.py::test_lambda_lockstep_blocks_span_the_restarts)
     "random-lambda-retry": 0,
     "trajectory-understated": 1,
 }

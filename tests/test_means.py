@@ -37,8 +37,7 @@ from equimean.means import (
     solomonic_witness_search,
 )
 from equimean.rng import Xoshiro256StarStar, as_rng
-from equimean.spaces import (Box, Circle, FinitePoints, Interval, Product, coordinate_bounds,
-                             diameter)
+from equimean.spaces import Box, Circle, FinitePoints, Interval, Product, coordinate_bounds
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
@@ -407,29 +406,6 @@ def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
     assert (est.lambda_hat, est.argmax_tuple, est.samples) == _double_loop_scan(p, step, 1e-6)
 
 
-def _scalar_estimate_random(p, cfg):
-    """The random+hill loop restart by restart, as it ran before restarts
-    stepped in lockstep: the oracle of the lockstep."""
-    rng = as_rng(cfg.seed)
-    excluded = cfg.excluded_diameter
-    scale = 0.25 * p.space.extent()
-
-    def objective(tup):
-        diam = diameter(p.space, tup)
-        return means._ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
-
-    best_val, best_tup, evals = -math.inf, None, 0
-    for _ in range(max(1, cfg.restarts)):
-        start = means._random_member_tuple(p, rng, excluded)
-        tup, val, used = means._climb(p.space, objective, start, rng, scale, means.HILL_STEPS)
-        evals += used
-        if val > best_val:
-            best_val, best_tup = val, tup
-    if best_tup is None or best_val == -math.inf:
-        raise SamplingError("no usable tuple found during random lambda estimation")
-    return means.LambdaEstimate(best_val, best_tup, evals, excluded, method="random+hill")
-
-
 def _nan_on_half(space, n):
     """arithmetic:n but NaN wherever the first point's first coordinate is
     above the middle of its range, in both forms."""
@@ -446,88 +422,10 @@ def _nan_on_half(space, n):
     return QuasiMeanMap(n, space, func, "nan-on-half", batch=batch)
 
 
-def _lockstep_outcomes(monkeypatch):
-    """Record whether each lockstep block ran (True) or went back to the
-    scalar loop (False)."""
-    outcomes = []
-    lockstep = means._lockstep_restarts
-
-    def recorded(*args):
-        found = lockstep(*args)
-        outcomes.append(found is not None)
-        return found
-
-    monkeypatch.setattr(means, "_lockstep_restarts", recorded)
-    return outcomes
-
-
-def _assert_matches_scalar_loop(p, restarts, seed, force_random=False):
-    def run(estimate):
-        rng = Xoshiro256StarStar(seed)
-        cfg = LambdaConfig(restarts=restarts, seed=rng, force_random=force_random)
-        est = estimate(p, cfg)
-        return est.to_json(), repr(est.lambda_hat), rng.getstate()
-
-    assert run(estimate_lambda) == run(_scalar_estimate_random)
-
-
+# on [-1e-3, 5e-4] a pair's diameter is at or below 1e-6 with probability
+# about 1.3e-3, so a few of some hundred start tuples are drawn again
 RETRY_BOX = Box([-1e-3], [5e-4])
 PRODUCT = Product([Interval(-0.5, 2.0), Box([-1.0, 0.0], [1.0, 3.0])])
-
-
-@pytest.mark.parametrize("make, restarts, seed, force_random", [
-    (lambda: arithmetic_mean(Box([-1.0], [2.0]), 2), 5, 3, False),
-    (lambda: arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3), 37, 4, False),
-    (lambda: arithmetic_mean(Box([0.0, -1.0, -2.0], [1.0, 1.0, 3.0]), 4), 5, 5, False),
-    (lambda: arithmetic_mean(UNIT, 2), 5, 6, True),
-    (lambda: geometric_mean(Interval(1.0, 4.0)), 37, 12, True),
-    (lambda: arithmetic_mean(PRODUCT, 3), 37, 7, False),
-    (lambda: dataclasses.replace(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
-                                 batch=None), 5, 8, False),
-    (lambda: _nan_on_half(Box([0.0, 0.0], [1.0, 1.0]), 2), 37, 9, False),
-    (lambda: dictator_mean(PRODUCT, 1, 3), 1, 10, False),
-    (lambda: min_plus_halfsquare_mean(UNIT), 1, 11, True),
-    # the extent, 0.25 of which is the first step's scale, is inf: every
-    # candidate is NaN and no climb moves
-    (lambda: arithmetic_mean(Product([Interval(0.0, 1.5e154), Interval(0.0, 1.0)]), 2),
-     3, 1, False),
-])
-def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, seed, force_random):
-    outcomes = _lockstep_outcomes(monkeypatch)
-    p = make()
-    _assert_matches_scalar_loop(p, restarts, seed, force_random)
-    assert outcomes and all(outcomes)  # the lockstep ran every restart
-    if p.label == "nan-on-half":
-        est = estimate_lambda(p, LambdaConfig(restarts=restarts, seed=seed))
-        assert not math.isnan(est.lambda_hat)  # a NaN never wins
-
-
-@pytest.mark.parametrize("seed, retried", [(1, True), (2, False), (3, False), (4, True),
-                                           (5, True)])
-def test_lambda_lockstep_block_with_a_retry_runs_the_scalar_loop(monkeypatch, seed, retried):
-    # on [-1e-3, 5e-4] a pair's diameter is at or below 1e-6 with
-    # probability about 1.3e-3, so some of 37 starts are drawn again
-    outcomes = _lockstep_outcomes(monkeypatch)
-    _assert_matches_scalar_loop(arithmetic_mean(RETRY_BOX, 2), 37, seed)
-    assert outcomes == [not retried]
-
-
-def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
-    # four restarts of 61 x 2 draws a block: 37 restarts take ten blocks,
-    # and a later one holds the retry
-    monkeypatch.setattr(means, "BLOCK_FLOATS", 4 * (means.HILL_STEPS + 1) * 2)
-    outcomes = _lockstep_outcomes(monkeypatch)
-    _assert_matches_scalar_loop(arithmetic_mean(RETRY_BOX, 2), 37, 1)
-    assert len(outcomes) == 10 and outcomes[0] and not all(outcomes)
-
-
-def test_lambda_lockstep_block_counts_the_point_pairs_of_a_large_arity(monkeypatch):
-    # arity 130 on a line counts 64 * 130 pairs a restart, more than its
-    # 61 * 130 draws: the cap holds one restart a block, not two
-    monkeypatch.setattr(means, "BLOCK_FLOATS", 2 * 64 * 130 - 1)
-    outcomes = _lockstep_outcomes(monkeypatch)
-    _assert_matches_scalar_loop(arithmetic_mean(Box([0.0], [1.0]), 130), 3, 2)
-    assert outcomes == [True, True, True]
 
 
 def test_arithmetic_mean_equals_per_coordinate_sums():
@@ -696,27 +594,55 @@ def test_solomonic_requires_positive_target():
         solomonic_witness_search(arithmetic_mean(UNIT, 2), 0.0)
 
 
-def _search(p, K, budget, seed, gate):
-    """The search's report (or its SamplingError), its route and the
-    config generator's final state, with the lockstep gate at ``gate``."""
+def test_solomonic_rejects_a_nan_target():
+    # NaN <= 0 is false too, and no margin exceeds NaN
+    with pytest.raises(ValueError, match="K must be positive"):
+        solomonic_witness_search(arithmetic_mean(UNIT, 2), math.nan, 300, 1)
+
+
+# ---------------------------------------------------------------------------
+# restart searches (random+hill and solomonic): lockstep lane and scalar loop
+
+
+def _solomonic(p, K, budget):
+    return lambda rng: solomonic_witness_search(p, K, budget, rng)
+
+
+def _random_hill(p, restarts, force_random=True):
+    return lambda rng: estimate_lambda(p, LambdaConfig(restarts=restarts, seed=rng,
+                                                       force_random=force_random))
+
+
+def _search(run, seed, gate):
+    """The report of ``run`` on a generator seeded with ``seed`` (or its
+    SamplingError), its route and the generator's final state, with the
+    lockstep gate at ``gate``."""
     rng = Xoshiro256StarStar(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(means, "SEARCH_BLOCK_BUDGET", gate)
         try:
-            result = solomonic_witness_search(p, K, budget, rng)
+            result = run(rng)
         except SamplingError as exc:
             return repr(exc), None, rng.getstate()
     return json.dumps(result.to_json()), result.route, rng.getstate()
 
 
-def _assert_search_lanes_agree(p, K, budget, seed):
-    scalar, scalar_route, scalar_state = _search(p, K, budget, seed, math.inf)
-    lockstep, lockstep_route, lockstep_state = _search(p, K, budget, seed, 0)
+def _assert_search_lanes_agree(run, seed):
+    scalar, scalar_route, scalar_state = _search(run, seed, math.inf)
+    lockstep, lockstep_route, lockstep_state = _search(run, seed, 0)
     assert (lockstep, lockstep_state) == (scalar, scalar_state)
     if scalar_route is not None:
         assert scalar_route.startswith("scalar substreams, ")
         assert lockstep_route.startswith("lockstep substreams, ")
     return scalar
+
+
+def _scalar_climbs(monkeypatch):
+    """The step caps of the climbs that run through the scalar loop."""
+    steps = []
+    climb = means._climb
+    monkeypatch.setattr(means, "_climb", lambda *args: steps.append(args[5]) or climb(*args))
+    return steps
 
 
 # the first factor's extent squares past the largest float, so the scale and
@@ -731,6 +657,8 @@ SEARCH_MAPS = {
     "eval-only": lambda space: dataclasses.replace(arithmetic_mean(space, 3), batch=None),
     "nan-on-half": lambda space: _nan_on_half(space, 2),
 }
+# BLOCK_FLOATS 1 and 24 split the restarts into several blocks
+BLOCK_SIZES = st.sampled_from([means.BLOCK_FLOATS, 1, 24])
 
 
 def _fewest(space):
@@ -743,8 +671,7 @@ def _fewest(space):
        budget=st.one_of(st.sampled_from(["fewest", "fewest+1", 1]), st.integers(1, 1200)),
        # K a third of the smallest side, which the constant at a corner
        # reaches from most starts, or 1e300, which no map here reaches
-       reachable=st.booleans(), block_floats=st.sampled_from([means.BLOCK_FLOATS, 1, 24]),
-       seed=st.integers(0, 2 ** 64 - 1))
+       reachable=st.booleans(), block_floats=BLOCK_SIZES, seed=st.integers(0, 2 ** 64 - 1))
 def test_solomonic_lanes_agree(space, name, budget, reachable, block_floats, seed):
     lo, hi = coordinate_bounds(space)
     K = min(b - a for a, b in zip(lo, hi)) / 3 if reachable or name == "constant" else 1e300
@@ -754,7 +681,83 @@ def test_solomonic_lanes_agree(space, name, budget, reachable, block_floats, see
         budget = min(_fewest(space), 1199) + 1
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(means, "BLOCK_FLOATS", block_floats)
-        _assert_search_lanes_agree(SEARCH_MAPS[name](space), K, budget, seed)
+        _assert_search_lanes_agree(_solomonic(SEARCH_MAPS[name](space), K, budget), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(space=st.sampled_from(SEARCH_SPACES + [RETRY_BOX]),
+       name=st.sampled_from(sorted(SEARCH_MAPS)), restarts=st.integers(1, 20),
+       block_floats=BLOCK_SIZES, seed=st.integers(0, 2 ** 64 - 1))
+def test_random_hill_lanes_agree(space, name, restarts, block_floats, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(means, "BLOCK_FLOATS", block_floats)
+        _assert_search_lanes_agree(_random_hill(SEARCH_MAPS[name](space), restarts), seed)
+
+
+@pytest.mark.parametrize("make, restarts, seed, force_random", [
+    (lambda: arithmetic_mean(Box([-1.0], [2.0]), 2), 5, 3, False),
+    (lambda: arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3), 37, 4, False),
+    (lambda: arithmetic_mean(Box([0.0, -1.0, -2.0], [1.0, 1.0, 3.0]), 4), 5, 5, False),
+    (lambda: arithmetic_mean(UNIT, 2), 5, 6, True),
+    (lambda: geometric_mean(Interval(1.0, 4.0)), 37, 12, True),
+    (lambda: arithmetic_mean(PRODUCT, 3), 37, 7, False),
+    (lambda: dataclasses.replace(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
+                                 batch=None), 5, 8, False),
+    (lambda: _nan_on_half(Box([0.0, 0.0], [1.0, 1.0]), 2), 37, 9, False),
+    (lambda: dictator_mean(PRODUCT, 1, 3), 1, 10, False),
+    (lambda: min_plus_halfsquare_mean(UNIT), 1, 11, True),
+    # the extent, 0.25 of which is the first step's scale, is inf: every
+    # candidate is NaN and no climb moves
+    (lambda: arithmetic_mean(HUGE_FACTOR_PRODUCT, 2), 3, 1, False),
+])
+def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, seed, force_random):
+    p = make()
+    report = _assert_search_lanes_agree(_random_hill(p, restarts, force_random), seed)
+    steps = _scalar_climbs(monkeypatch)
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    est = estimate_lambda(p, LambdaConfig(restarts=restarts, seed=seed, force_random=True))
+    # every restart climbed in the lockstep, none through the scalar loop
+    assert est.route == f"lockstep substreams, {restarts} restarts in 1 block"
+    assert steps == []
+    assert json.loads(report)["samples"] == restarts * (means.HILL_STEPS + 1)
+    assert not math.isnan(est.lambda_hat)  # a NaN never wins
+
+
+@pytest.mark.parametrize("seed, retried", [(1, True), (2, True), (3, False), (4, True),
+                                           (5, False)])
+def test_lambda_lockstep_block_with_a_retry_runs_the_scalar_loop(monkeypatch, seed, retried):
+    # of 300 restarts, the one whose start tuple is drawn again climbs
+    # through the scalar loop on its own seed, and the rest of the block in
+    # lockstep
+    run = _random_hill(arithmetic_mean(RETRY_BOX, 2), 300)
+    _assert_search_lanes_agree(run, seed)
+    steps = _scalar_climbs(monkeypatch)
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    assert run(Xoshiro256StarStar(seed)).route == "lockstep substreams, 300 restarts in 1 block"
+    assert steps == ([means.HILL_STEPS] if retried else [])
+
+
+def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
+    # four restarts of two points on a line a block: 37 restarts take ten
+    # blocks, and the eighth holds seed 55's retry, its restart 30
+    monkeypatch.setattr(means, "BLOCK_FLOATS", 4 * 2)
+    run = _random_hill(arithmetic_mean(RETRY_BOX, 2), 37)
+    _assert_search_lanes_agree(run, 55)
+    steps = _scalar_climbs(monkeypatch)
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    assert run(Xoshiro256StarStar(55)).route == "lockstep substreams, 37 restarts in 10 blocks"
+    assert steps == [means.HILL_STEPS]
+
+
+def test_lambda_lockstep_block_counts_the_point_pairs_of_a_large_arity(monkeypatch):
+    # arity 130 on a line counts its 130 * 129 / 2 point pairs a restart,
+    # which the diameter reads, not its 130 points: the cap holds one
+    # restart a block, not two
+    monkeypatch.setattr(means, "BLOCK_FLOATS", 2 * 130 * 129 // 2 - 1)
+    run = _random_hill(arithmetic_mean(Box([0.0], [1.0]), 130), 3)
+    _assert_search_lanes_agree(run, 2)
+    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    assert run(Xoshiro256StarStar(2)).route == "lockstep substreams, 3 restarts in 3 blocks"
 
 
 def test_solomonic_shortest_climb_on_a_box():
@@ -775,11 +778,9 @@ def test_solomonic_lockstep_reruns_the_restart_that_crosses_the_budget(monkeypat
     # the budget is the lockstep's own
     p = arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3)
     K = 4 * math.sqrt(2.0)
-    report = _assert_search_lanes_agree(p, K, budget, 1)
+    report = _assert_search_lanes_agree(_solomonic(p, K, budget), 1)
     assert json.loads(report)["evaluations"] == budget
-    steps = []
-    climb = means._climb
-    monkeypatch.setattr(means, "_climb", lambda *args: steps.append(args[5]) or climb(*args))
+    steps = _scalar_climbs(monkeypatch)
     monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
     result = solomonic_witness_search(p, K, budget, 1)
     assert result.route == f"lockstep substreams, {restarts} restarts in 1 block, {budget} evaluations"
@@ -790,7 +791,7 @@ def test_solomonic_lockstep_blocks_span_the_budget(monkeypatch):
     # two restarts of three 2-D points a block
     monkeypatch.setattr(means, "BLOCK_FLOATS", 12)
     p = arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3)
-    _assert_search_lanes_agree(p, 5.0, 2000, 3)
+    _assert_search_lanes_agree(_solomonic(p, 5.0, 2000), 3)
     monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
     route = solomonic_witness_search(p, 5.0, 2000, 3).route
     assert re.fullmatch(r"lockstep substreams, \d+ restarts in \d+ blocks, 2000 evaluations",
