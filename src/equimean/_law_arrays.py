@@ -1,5 +1,6 @@
-"""The array lane of ``means.check_laws``: verify-mean's laws scored on
-numpy arrays, with the reports of the scalar ``check_*`` loop.
+"""The array lane of ``means.check_laws``: the laws of verify-mean and of
+the mean-law gates scored on numpy arrays, with the reports of the scalar
+``check_*`` loop, drawing and scoring their samples a block at a time.
 
 ``means.check_laws`` imports this module only for a map with a batch form
 and a run that plans at least ``means.LAW_BLOCK_EVALS`` evaluations, so
@@ -8,91 +9,93 @@ the CLI's start-up neither loads numpy nor compiles this code.
 
 from __future__ import annotations
 
+import math
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupAction
+from .groups import GroupAction, Subgroup
 from .means import (BLOCK_FLOATS, QuasiMeanMap, _betweenness_report, _diameters, _farthest,
                     _permutations_to_check, _report, _require_same_space)
 from .rng import Xoshiro256StarStar, as_rng, doubles, randrange_accepts
-from .spaces import MetricSpace, coordinate_bounds, worst_array, worst_of_blocks
+from .spaces import MetricSpace, coordinate_bounds, worst_of_blocks
 
 
-def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
-                     tol: float, action: Optional[GroupAction]) -> dict:
+def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int, tol: float,
+                     action: Optional[GroupAction], subgroup: Optional[Subgroup] = None) -> dict:
     """``check_laws`` on arrays, through ``p.apply``, ``d_batch`` and
-    ``act_rows``: the samples are drawn as one array, and each law scores
-    its (sample, permutation or element) rows a block of at most
-    BLOCK_FLOATS floats at a time, in the scalar loop's order. Each
-    report, and a MembershipError for an image outside the space, equals
-    the scalar loop's."""
-    space, n, dim = p.space, p.arity, p.space.dim
-    # every law but M1 checks the tuples, whose first count points M1 checks
-    per_sample = n if set(laws) - {"M1"} else 1
-    points = sample_array(space, seed, count * per_sample)
-    tuples = points.reshape(count, per_sample, dim)
-    base = None  # p on each tuple, for M2 and equivariance
-
-    def witness(sample):
-        return tuple(map(tuple, tuples[sample].tolist()))
-
+    ``act_rows``: each law makes its own pass over the samples drawn from
+    ``seed`` (``sample_blocks``) and scores the (sample, permutation or
+    element) rows of a block of at most BLOCK_FLOATS floats at a time, in
+    the scalar loop's order. Each report, and a MembershipError for an
+    image outside the space, equals the scalar loop's."""
+    n, blocks = p.arity, partial(sample_blocks, p.space, seed, count)
     reports = {}
     with np.errstate(all="ignore"):
         for law in laws:
-            if law == "M1":
-                X = points[:count]
-                top, i, checked = worst_array(space.d_batch(p.apply([X] * n), X))
-                reports[law] = _report(law, top, None if i is None else (tuple(X[i].tolist()),),
-                                       checked, tol)
-            elif law == "strict-betweenness":
-                top, sample, checked = worst_of_blocks(betweenness_blocks(p, tuples))
-                reports[law] = _betweenness_report(
-                    top, None if sample is None else witness(sample), checked)
-            else:
-                if base is None:
-                    base = p.apply([tuples[:, i] for i in range(n)])
-                if law == "M2":
-                    blocks = anonymity_blocks(p, tuples, base, as_rng(seed))
-                else:  # equivariance
-                    blocks = equivariance_blocks(p, action, tuples, base)
-                top, sample, checked = worst_of_blocks(blocks)
-                reports[law] = _report(law, top, None if sample is None else witness(sample),
-                                       checked, tol)
+            if law == "M1":  # a point's row reads it n times
+                scored = ((p.space.d_batch(p.apply([b[:, 0]] * n), b[:, 0]), _witness(b, int))
+                          for b in blocks(1, n))
+            elif law == "M2":
+                orders = math.factorial(n) if n <= 5 else n * n
+                scored = anonymity_blocks(p, blocks(n, orders), as_rng(seed))
+            elif law == "equivariance":
+                elements = (subgroup.members if subgroup is not None
+                            else tuple(action.group.elements()))
+                scored = equivariance_blocks(p, action, elements, blocks(n, len(elements)))
+            else:  # strict-betweenness
+                scored = betweenness_blocks(p, blocks(n, n))
+            top, witness, checked = worst_of_blocks(scored)
+            reports[law] = (_betweenness_report(top, witness, checked)
+                            if law == "strict-betweenness" else
+                            _report(law, top, witness, checked, tol))
     return reports
 
 
-def sample_array(space: MetricSpace, seed: int, m: int):
-    """``space.sample(seed, m)`` as an (m, dim) float64 array. On a convex
-    space it comes from one block of draws, each coordinate formed as the
-    sampler forms it, lo + (hi - lo) * r."""
-    rng = as_rng(seed)
-    bounds = coordinate_bounds(space)
-    if bounds is None:
-        return np.array(space.sample(rng, m), dtype=np.float64).reshape(m, space.dim)
-    lo, hi = (np.array(b) for b in bounds)
-    return lo + (hi - lo) * doubles(rng.u64_array(m * len(lo)).reshape(m, len(lo)))
+def sample_blocks(space: MetricSpace, seed: int, count: int, n: int, rows: int):
+    """The tuples of ``sample_tuples(space, n, seed, count)`` in order, as
+    (k, n, dim) float64 arrays of as many tuples as fit BLOCK_FLOATS when a
+    tuple is scored on ``rows`` rows of n points, and at least one. On a
+    convex space each block comes from one block of draws, each coordinate
+    formed as the sampler forms it, lo + (hi - lo) * r."""
+    rng, dim, bounds = as_rng(seed), space.dim, coordinate_bounds(space)
+    step = max(1, BLOCK_FLOATS // (rows * n * dim))
+    for first in range(0, count, step):
+        k = min(step, count - first)
+        if bounds is None:
+            yield np.array(space.sample(rng, k * n), dtype=np.float64).reshape(k, n, dim)
+        else:
+            lo, hi = (np.array(b) for b in bounds)
+            yield lo + (hi - lo) * doubles(rng.u64_array(k * n * dim).reshape(k, n, dim))
 
 
-def anonymity_blocks(p: QuasiMeanMap, tuples, base, rng: Xoshiro256StarStar):
-    """``check_anonymity``'s defects, a block of (sample, permutation) rows
-    at a time: all n! orders for arity n <= 5, else the n^2 transpositions
-    per sample that ``_permutations_to_check`` draws from ``rng``."""
-    n, dim = p.arity, p.space.dim
-    if n <= 5:
-        perms = np.array(_permutations_to_check(n, rng))  # every order, no draw
-        per_sample = len(perms)
-    else:
-        per_sample = n * n
-    rows = len(tuples) * per_sample
-    step = max(1, BLOCK_FLOATS // (n * dim))
-    for first in range(0, rows, step):
-        row = np.arange(first, min(first + step, rows))
-        samples = row // per_sample
-        order = perms[row % per_sample] if n <= 5 else transpositions(rng, n, len(row))
-        X = tuples[samples[:, None], order]
-        out = p.apply([X[:, i] for i in range(n)])
-        yield p.space.d_batch(out, base[samples]), samples.__getitem__
+def _witness(block, sample):
+    """From a defect's index i to its witness, the tuple ``block[sample(i)]``
+    copied out: a numpy view would keep the whole block alive."""
+    return lambda i: tuple(map(tuple, block[sample(i)].tolist()))
+
+
+def _apply(p: QuasiMeanMap, tuples):
+    """p on each tuple of an (m, n, dim) array, as an (m, dim) array."""
+    return p.apply([tuples[:, i] for i in range(tuples.shape[1])])
+
+
+def anonymity_blocks(p: QuasiMeanMap, blocks, rng: Xoshiro256StarStar):
+    """``check_anonymity``'s defects, a block of samples at a time, each
+    on its (sample, permutation) rows: all n! orders for arity n <= 5, else
+    the n^2 transpositions per sample that ``_permutations_to_check`` draws
+    from ``rng``."""
+    n = p.arity
+    perms = np.array(_permutations_to_check(n, rng)) if n <= 5 else None  # no draw
+    per_sample = len(perms) if n <= 5 else n * n
+    for block in blocks:
+        rows = len(block) * per_sample
+        order = np.tile(perms, (len(block), 1)) if n <= 5 else transpositions(rng, n, rows)
+        samples = np.arange(rows) // per_sample
+        out = _apply(p, block[samples[:, None], order])
+        yield (p.space.d_batch(out, _apply(p, block)[samples]),
+               _witness(block, lambda i: i // per_sample))
 
 
 def transpositions(rng: Xoshiro256StarStar, n: int, m: int):
@@ -118,40 +121,34 @@ def transpositions(rng: Xoshiro256StarStar, n: int, m: int):
     return order
 
 
-def equivariance_blocks(p: QuasiMeanMap, action: GroupAction, tuples, base):
-    """``check_equivariance``'s defects over the whole group, a block of
+def equivariance_blocks(p: QuasiMeanMap, action: GroupAction, elements: tuple, blocks):
+    """``check_equivariance``'s defects over ``elements``, a block of
     samples at a time, with its membership checks: the first image outside
     the space, in (sample, element, point) order, raises MembershipError."""
     _require_same_space(p, action)
-    space, elements = p.space, tuple(action.group.elements())
-    count, n, dim = tuples.shape
-    step = max(1, BLOCK_FLOATS // (len(elements) * n * dim))
-    for first in range(0, count, step):
-        block = tuples[first:first + step]
+    space = p.space
+    for block in blocks:
+        k, n, dim = block.shape
         images = [action.act_rows(g, block.reshape(-1, dim)) for g in elements]
         inside = np.stack([space.contains_batch(gx).reshape(-1, n) for gx in images], axis=1)
         if not inside.all():
-            sample, k, i = np.unravel_index(np.argmin(inside), inside.shape)
-            space.require_member(tuple(images[k][sample * n + i].tolist()))
-        defects = np.empty((len(block), len(elements)))
-        for k, (g, gx) in enumerate(zip(elements, images)):
-            gx = gx.reshape(len(block), n, -1)
-            out = p.apply([gx[:, i] for i in range(n)])
-            defects[:, k] = space.d_batch(out, action.act_rows(g, base[first:first + step]))
-        samples = np.repeat(np.arange(first, first + len(block)), len(elements))
-        yield defects.ravel(), samples.__getitem__
+            sample, e, i = np.unravel_index(np.argmin(inside), inside.shape)
+            space.require_member(tuple(images[e][sample * n + i].tolist()))
+        base = _apply(p, block)
+        defects = np.empty((k, len(elements)))
+        for e, (g, gx) in enumerate(zip(elements, images)):
+            out = _apply(p, gx.reshape(k, n, -1))
+            defects[:, e] = space.d_batch(out, action.act_rows(g, base))
+        yield defects.ravel(), _witness(block, lambda i: i // len(elements))
 
 
-def betweenness_blocks(p: QuasiMeanMap, tuples):
+def betweenness_blocks(p: QuasiMeanMap, blocks):
     """``check_strict_betweenness``'s margins, a block of samples at a
     time, on the samples of positive diameter."""
-    space, (count, n, dim) = p.space, tuples.shape
-    step = max(1, BLOCK_FLOATS // (n * n * dim))
-    for first in range(0, count, step):
-        block = tuples[first:first + step]
+    space = p.space
+    for block in blocks:
         diam = _diameters(space, block)
         keep = np.flatnonzero(diam > 0.0)
         if len(keep):
             X = block[keep]
-            out = p.apply([X[:, i] for i in range(n)])
-            yield _farthest(space, X, out) - diam[keep], (first + keep).__getitem__
+            yield _farthest(space, X, _apply(p, X)) - diam[keep], _witness(block, keep.__getitem__)

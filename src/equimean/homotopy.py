@@ -36,7 +36,7 @@ from .means import (
     LawReport,
     QuasiMeanMap,
     check_contractivity,
-    check_equivariance,
+    check_laws,
     law_report,
     require,
     require_mean_laws,
@@ -409,7 +409,7 @@ class GHomotopy:
 
 def _aggregating_mean(p: Optional[QuasiMeanMap], action: GroupAction,
                      subgroup: Optional[Subgroup], tol: float, trust_laws: bool,
-                     seed, samples: int) -> Optional[QuasiMeanMap]:
+                     seed: int, samples: int) -> Optional[QuasiMeanMap]:
     """The mean that aggregates the translates by the subgroup (the whole
     group when None): None for a trivial one, else p, once its arity is
     checked and, unless trusted, its laws on samples."""
@@ -506,8 +506,8 @@ def equivariant_contraction(builder: ContractionBuilder, action: GroupAction,
     require("basepoint fixed-point",
             law_report("fixed-point", [(fixed_defect(action, G.elements(), theta), (theta,))], tol))
     if not trust_laws:
-        tuples = sample_tuples(builder.space, 2, seed, max(8, samples // 4))
-        require("binary map equivariance", check_equivariance(builder.p, action, tuples, tol))
+        reports = check_laws(builder.p, ["equivariance"], seed, max(8, samples // 4), tol, action)
+        require("binary map equivariance", reports["equivariance"])
     rng = as_rng(seed + 1)
     sp = builder.space
 

@@ -55,10 +55,10 @@ SEARCH_BLOCK_BUDGET = 6000
 UNANIMITY_SEED = 7
 # perturbations per random+hill restart
 HILL_STEPS = 60
-# floats one numpy block holds: a check_laws block (``_law_arrays``) takes as
-# many rows as fit, and at least one; a lockstep block of a restart search
-# (random+hill or solomonic) as many restarts as fit, and at least one, where
-# a restart counts the coordinates of its tuple, or of its tuple's point pairs
+# floats one numpy block holds: a check_laws block (``_law_arrays``) as many
+# samples as fit with their rows, a lockstep block of a restart search
+# (random+hill or solomonic) as many restarts as fit, each at least one; a
+# restart counts the coordinates of its tuple, or of its tuple's point pairs
 # from arity 4 on, which outnumber them and size a diameter's arrays
 BLOCK_FLOATS = 1 << 17
 
@@ -299,19 +299,17 @@ def check_contractivity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float) ->
 
 
 def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
-                      subgroup: Optional[Subgroup], seed_or_rng, samples: int) -> None:
-    """Sample-check that p is anonymous, then that it is equivariant under
-    the subgroup (the whole group when None), on ``samples`` tuples drawn
-    from one rng that the anonymity check then continues; raises
-    HypothesisError naming the first failed law, its defect and witness.
-    The planned evaluations (``law_evals``) are checked against WORK_CAP
-    before the first draw."""
+                      subgroup: Optional[Subgroup], seed: int, samples: int) -> None:
+    """Sample-check through ``check_laws`` that p is anonymous, then that it
+    is equivariant under the subgroup (the whole group when None), each on
+    the ``samples`` tuples drawn from ``seed``; raises HypothesisError
+    naming the first failed law, its defect and witness. The planned
+    evaluations of both (``law_evals``) are checked against WORK_CAP before
+    the first draw."""
     planned = law_evals(p, ["M2", "equivariance"], samples, action, subgroup)
     require_work(f"the law gate of {p.label} (M2, equivariance on {samples} samples)", planned)
-    rng = as_rng(seed_or_rng)
-    tuples = sample_tuples(p.space, p.arity, rng, samples)
-    require("anonymity", check_anonymity(p, tuples, tol, rng))
-    require("equivariance", check_equivariance(p, action, tuples, tol, subgroup))
+    for law, what in (("M2", "anonymity"), ("equivariance", "equivariance")):
+        require(what, check_laws(p, [law], seed, samples, tol, action, subgroup)[law])
 
 
 # ---------------------------------------------------------------------------
@@ -346,36 +344,38 @@ def require_work(what: str, planned: int) -> None:
 
 
 def check_laws(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
-               tol: float = DEFAULT_TOL, action: Optional[GroupAction] = None) -> dict:
-    """The reports of a verify-mean run, by law in the order of ``laws``
-    (M1, M2, equivariance under ``action``, strict-betweenness), on
-    ``count`` samples: M1 on ``space.sample(seed, count)``, the other laws
-    on ``sample_tuples(space, arity, seed, count)``, and M2's
-    transpositions from a third generator seeded with ``seed``.
+               tol: float = DEFAULT_TOL, action: Optional[GroupAction] = None,
+               subgroup: Optional[Subgroup] = None) -> dict:
+    """The reports of a verify-mean run or a law gate, by law in the order
+    of ``laws`` (M1, M2, equivariance under ``action``'s ``subgroup`` or
+    whole group, strict-betweenness), on ``count`` samples: M1 on
+    ``space.sample(seed, count)``, the other laws on ``sample_tuples(space,
+    arity, seed, count)``, and M2's transpositions from another generator
+    seeded with ``seed``.
 
     Its planned evaluations (``law_evals``) are checked against WORK_CAP
     before the first draw. From LAW_BLOCK_EVALS on, a map with a batch form
-    is scored on arrays; the reports equal the scalar ``check_*`` loop's,
-    which runs below it and loads no numpy."""
+    is scored on arrays, a block of samples at a time; the reports equal the
+    scalar ``check_*`` loop's, which runs below it and loads no numpy."""
     if "equivariance" in laws and action is None:
         raise ValueError("the equivariance law needs a group action")
-    planned = law_evals(p, laws, count, action)
+    planned = law_evals(p, laws, count, action, subgroup)
     require_work(f"verify-mean of {p.label} ({', '.join(laws)} on {count} samples)", planned)
     if p.batch is not None and planned >= LAW_BLOCK_EVALS:
         from . import _law_arrays
 
-        return _law_arrays.check_laws_array(p, laws, seed, count, tol, action)
-    return _check_laws_scalar(p, laws, seed, count, tol, action)
+        return _law_arrays.check_laws_array(p, laws, seed, count, tol, action, subgroup)
+    return _check_laws_scalar(p, laws, seed, count, tol, action, subgroup)
 
 
-def _check_laws_scalar(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
-                       tol: float, action: Optional[GroupAction]) -> dict:
+def _check_laws_scalar(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int, tol: float,
+                       action: Optional[GroupAction], subgroup: Optional[Subgroup] = None) -> dict:
     # every law but M1 checks the same tuples
     tuples = sample_tuples(p.space, p.arity, seed, count) if set(laws) - {"M1"} else []
     checks = {
         "M1": lambda: check_unanimity(p, p.space.sample(seed, count), tol),
         "M2": lambda: check_anonymity(p, tuples, tol, seed),
-        "equivariance": lambda: check_equivariance(p, action, tuples, tol),
+        "equivariance": lambda: check_equivariance(p, action, tuples, tol, subgroup),
         "strict-betweenness": lambda: check_strict_betweenness(p, tuples),
     }
     return {law: checks[law]() for law in laws}

@@ -14,8 +14,8 @@ from hypothesis import given, settings, strategies as st
 from equimean import _law_arrays, means
 from equimean.cli import main
 from equimean.errors import CapacityError, SamplingError
-from equimean.groups import GroupAction, action_from_json, cyclic
-from equimean._law_arrays import check_laws_array, sample_array, transpositions
+from equimean.groups import GroupAction, Subgroup, action_from_json, cyclic
+from equimean._law_arrays import check_laws_array, sample_blocks, transpositions
 from equimean.means import (
     QuasiMeanMap,
     _check_laws_scalar,
@@ -155,34 +155,97 @@ def test_the_dictator_fails_anonymity_at_the_same_witness():
     assert reports[0]["M2"].to_json() == reports[1]["M2"].to_json()
 
 
-@pytest.mark.parametrize("name", ["laws", "laws-dictator", "laws-transpositions"])
+def test_both_lanes_check_equivariance_over_a_subgroup():
+    # (x, y) -> (x_0, y_1) commutes with the half turn, not the quarter turn
+    p = QuasiMeanMap(2, BOX, lambda pts: (pts[0][0], pts[1][1]), "x0-y1",
+                     batch=lambda arrays: np.stack([arrays[0][..., 0], arrays[1][..., 1]], -1))
+    action = action_from_json({"name": "plane_rotation", "n": 4}, BOX)
+    for subgroup, order, passed in ((Subgroup(action.group, (0, 2)), 2, True), (None, 4, False)):
+        reports = [lane(p, ["equivariance"], 3, 40, 1e-9, action, subgroup)["equivariance"]
+                   for lane in (_check_laws_scalar, check_laws_array)]
+        assert reports[0].to_json() == reports[1].to_json()
+        assert reports[0].passed is passed and reports[0].samples_checked == 40 * order
+
+
+# the laws that each golden law gate checks on the array lane, one call each:
+# a failed anonymity check raises before equivariance runs
+GATE_LAWS = {
+    "symmetrize": [["M2"], ["equivariance"]],
+    "symmetrize-dictator": [["M2"]],
+    "deform": [["M2"], ["equivariance"]],
+    "deform-subgroup": [["M2"], ["equivariance"]],
+}
+
+
+@pytest.mark.parametrize("name", ["laws", "laws-dictator", "laws-transpositions",
+                                  *sorted(GATE_LAWS)])
 def test_the_array_lane_writes_the_golden_law_reports(tmp_path, monkeypatch, name):
     ran = []
 
-    def spy(*args):
-        ran.append(args)
-        return check_laws_array(*args)
+    def spy(p, laws, *args):
+        ran.append(list(laws))
+        return check_laws_array(p, laws, *args)
 
     # every planned count reaches the array lane
     monkeypatch.setattr(means, "LAW_BLOCK_EVALS", 0)
     monkeypatch.setattr(_law_arrays, "check_laws_array", spy)
     config = GOLDEN / f"{name}.json"
-    code = main(["verify-mean", "--config", str(config), "--out", str(tmp_path)])
-    assert code == (1 if name == "laws-dictator" else 0)
-    assert len(ran) == 1
+    cfg = json.loads(config.read_text())
+    code = main([cfg["experiment"], "--config", str(config), "--out", str(tmp_path)])
+    assert code == (1 if name.endswith("-dictator") else 0)
+    # verify-mean checks its laws in one call
+    assert ran == GATE_LAWS.get(name, [cfg.get("laws")])
     assert (tmp_path / "report.json").read_bytes() == \
         (GOLDEN / f"{name}.report.json").read_bytes()
 
 
 @pytest.mark.parametrize("space", [SYM, BOX, CUBE, CHORD, CROSS], ids=lambda s: s.kind)
-@given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(0, 40))
+@given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(0, 40), n=st.integers(1, 4),
+       rows=st.integers(1, 6), block=st.sampled_from([1, 5, 1 << 17]))
 @settings(max_examples=20, deadline=None)
-def test_sampled_arrays_are_the_sampled_points(space, seed, count):
-    points = sample_array(space, seed, 3 * count)
-    assert points.shape == (3 * count, space.dim)
-    tuples = sample_tuples(space, 3, seed, count)
-    assert [tuple(map(tuple, t)) for t in points.reshape(count, 3, space.dim).tolist()] == tuples
-    assert [tuple(x) for x in points[:count].tolist()] == space.sample(seed, count)
+def test_sampled_arrays_are_the_sampled_points(space, seed, count, n, rows, block):
+    # sample_blocks yields sample_tuples in order, in blocks of as many
+    # tuples as fit BLOCK_FLOATS at rows rows a tuple, and at least one
+    with mock.patch.object(_law_arrays, "BLOCK_FLOATS", block):
+        blocks = list(sample_blocks(space, seed, count, n, rows))
+        points = list(sample_blocks(space, seed, count, 1, rows))
+    step = max(1, block // (rows * n * space.dim))
+    assert [len(b) for b in blocks] == [min(step, count - i) for i in range(0, count, step)]
+    assert all(b.shape[1:] == (n, space.dim) and b.dtype == np.float64 for b in blocks)
+    tuples = [tuple(map(tuple, t)) for b in blocks for t in b.tolist()]
+    assert tuples == sample_tuples(space, n, seed, count)
+    # M1's pass, at n = 1, draws the space's own sample
+    assert [tuple(x) for b in points for (x,) in b.tolist()] == space.sample(seed, count)
+
+
+@pytest.mark.parametrize("arity, count", [(3, 1300), (6, 140)])
+def test_law_blocks_bound_the_floats_of_each_draw_and_batch(monkeypatch, arity, count):
+    # all four laws on a 2-D box, above the gate: no u64 draw and no batch
+    # call holds more than BLOCK_FLOATS floats, or one tuple's rows if more
+    floats = 64
+    monkeypatch.setattr(_law_arrays, "BLOCK_FLOATS", floats)
+    p = mean_from_name(f"arithmetic:{arity}", BOX)
+    action = action_from_json({"name": "plane_rotation", "n": 4}, BOX)
+    assert law_evals(p, LAWS, count, action) >= means.LAW_BLOCK_EVALS
+    orders = math.factorial(arity) if arity <= 5 else arity * arity
+    bound = max(floats, orders * arity * BOX.dim)
+    draws, batches = [], []
+    u64_array, batch = Xoshiro256StarStar.u64_array, p.batch
+
+    def draw(self, m):
+        draws.append(m)
+        return u64_array(self, m)
+
+    def spy(arrays):
+        batches.append(sum(np.asarray(a).size for a in arrays))
+        return batch(arrays)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "u64_array", draw)
+    p.batch = spy
+    reports = check_laws(p, LAWS, 5, count, 1e-9, action)
+    assert all(report.samples_checked > 0 for report in reports.values())
+    assert draws and batches
+    assert max(draws) <= bound and max(batches) <= bound
 
 
 def _rejected_first_draw_state(n):
@@ -223,7 +286,7 @@ def test_a_run_over_the_work_cap_raises_before_its_first_draw(monkeypatch):
     def no_draws(*args):
         raise AssertionError("drew samples")
 
-    monkeypatch.setattr(_law_arrays, "sample_array", no_draws)
+    monkeypatch.setattr(_law_arrays, "sample_blocks", no_draws)
     monkeypatch.setattr(means, "sample_tuples", no_draws)
     p = mean_from_name("arithmetic:2000", UNIT)
     with pytest.raises(CapacityError, match=r"plans 80000000000 mean evaluations, "

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equimean import _kernels, means
-from equimean.errors import CapacityError, HypothesisError, SamplingError
+from equimean.errors import CapacityError, HypothesisError, MembershipError, SamplingError
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
 from equimean.means import (
     LambdaConfig,
@@ -19,6 +19,7 @@ from equimean.means import (
     check_anonymity,
     check_contractivity,
     check_equivariance,
+    check_laws,
     check_strict_betweenness,
     check_unanimity,
     collapse_to_quasi_mean,
@@ -172,7 +173,7 @@ def test_orbit_average_error_names_the_point_that_is_not_fixed():
         orbit_average_point(skew, act, (0.3, 0.4))
 
 
-def test_mean_law_gate_checks_anonymity_then_equivariance_on_one_rng():
+def test_mean_law_gate_checks_anonymity_then_equivariance_through_check_laws():
     box = Box([-1, -1], [1, 1])
     act = reflection_action(box, axis=1)
     require_mean_laws(arithmetic_mean(box, 2), act, 1e-9, None, 3, 8)
@@ -180,15 +181,25 @@ def test_mean_law_gate_checks_anonymity_then_equivariance_on_one_rng():
     skew = QuasiMeanMap(2, box, lambda pts: (0.5 * (pts[0][0] + pts[1][0]), 0.25), "skew")
     with pytest.raises(HypothesisError, match=r"^equivariance defect 0\.5 exceeds tol 1e-09"):
         require_mean_laws(skew, act, 1e-9, None, 3, 8)
-    # arity 6 draws transpositions, which continue the rng that drew the tuples
+    # arity 6 checks transpositions, drawn as check_laws draws them: from a
+    # generator of their own seeded with the gate's seed. Here that differs
+    # from transpositions that continue the generator that drew the tuples
     lopsided = QuasiMeanMap(6, SYM, lambda pts: pts[0], "dictator:0/6")
+    report = check_laws(lopsided, ["M2"], 3, 2)["M2"]
     rng = as_rng(3)
-    report = check_anonymity(lopsided, sample_tuples(SYM, 6, rng, 4), 1e-9, rng)
+    continued = check_anonymity(lopsided, sample_tuples(SYM, 6, rng, 2), 1e-9, rng)
+    assert continued.max_violation != report.max_violation
     message = (f"anonymity defect {report.max_violation:.3g} exceeds tol 1e-09 "
                f"at witness {report.witness}")
     with pytest.raises(HypothesisError) as raised:
-        require_mean_laws(lopsided, negation_action(SYM), 1e-9, None, 3, 4)
+        require_mean_laws(lopsided, negation_action(SYM), 1e-9, None, 3, 2)
     assert str(raised.value) == message
+    # anonymity fails first, so the negation's images outside [0, 1] are
+    # never checked: no MembershipError
+    with pytest.raises(HypothesisError, match=r"^anonymity defect"):
+        require_mean_laws(dictator_mean(UNIT, 0, 2), negation_action(UNIT), 1e-9, None, 3, 8)
+    with pytest.raises(MembershipError):
+        require_mean_laws(arithmetic_mean(UNIT, 2), negation_action(UNIT), 1e-9, None, 3, 8)
 
 
 def test_contractivity_check_scores_the_sampled_ratios():
