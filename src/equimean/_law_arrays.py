@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .groups import GroupAction, Subgroup
 from .means import (BLOCK_FLOATS, QuasiMeanMap, _betweenness_report, _diameters, _farthest,
                     _permutations_to_check, _report, _require_same_space)
 from .rng import Xoshiro256StarStar, as_rng, doubles, randrange_accepts
 from .spaces import MetricSpace, coordinate_bounds, worst_of_blocks
+
+if TYPE_CHECKING:
+    from .groups import GroupAction, Subgroup
 
 
 def check_laws_array(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int, tol: float,

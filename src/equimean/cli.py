@@ -20,7 +20,6 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from . import dyadics, plotsvg
 from .errors import (
     CapacityError,
     EquimeanError,
@@ -28,23 +27,11 @@ from .errors import (
     PrecisionError,
     ToleranceError,
 )
-from .groups import Subgroup, action_from_json, full_subgroup
-from .homotopy import (
-    ContractionBuilder,
-    fixed_set_deformation,
-    straight_line_extension,
-    symmetrize,
-    verify_claim1,
-    verify_holder,
-)
-from .means import (
-    LambdaConfig,
-    check_laws,
-    estimate_lambda,
-    mean_from_name,
-    solomonic_witness_search,
-)
-from .spaces import as_point, space_from_json
+
+# Each runner imports the modules it uses, so a run compiles only those (with
+# PYTHONDONTWRITEBYTECODE set, every process compiles the package's source).
+# A function-level ``from .means import ...`` reads the module attribute at
+# call time, so wrappers installed on it still apply
 
 log = logging.getLogger("equimean")
 
@@ -212,14 +199,20 @@ def _need(cfg: dict, key: str, experiment: str):
 
 
 def _space(cfg: dict, experiment: str):
+    from .spaces import space_from_json
+
     return space_from_json(_need(cfg, "space", experiment))
 
 
 def _mean(cfg: dict, space, experiment: str):
+    from .means import mean_from_name
+
     return mean_from_name(_need(cfg, "mean", experiment), space)
 
 
 def _action(cfg: dict, space, experiment: str):
+    from .groups import action_from_json
+
     return action_from_json(_need(cfg, "action", experiment), space)
 
 
@@ -238,12 +231,18 @@ def _retraction(cfg: dict, space):
             return tuple(0.0 if i == axis else c for i, c in enumerate(x))
 
         return retract
+    from .spaces import as_point
+
     pt = as_point(spec["point"])  # "constant", the schema's other kind
     space.require_member(pt)
     return lambda x: pt
 
 
 def _base_homotopy(cfg: dict, space):
+    from .homotopy import ContractionBuilder, straight_line_extension
+    from .means import mean_from_name
+    from .spaces import as_point
+
     spec = cfg.get("base_homotopy", {"kind": "straight_line_to"})
     kind = spec.get("kind", "straight_line_to")
     if kind == "straight_line_to":
@@ -264,6 +263,8 @@ def _base_homotopy(cfg: dict, space):
 
 
 def run_verify_mean(cfg: dict, outdir: Path):
+    from .means import check_laws
+
     space = _space(cfg, "verify-mean")
     mean = _mean(cfg, space, "verify-mean")
     laws = cfg.get("laws", ["M1", "M2"])
@@ -279,6 +280,8 @@ def run_verify_mean(cfg: dict, outdir: Path):
 
 
 def run_estimate_lambda(cfg: dict, outdir: Path):
+    from .means import LambdaConfig, estimate_lambda
+
     space = _space(cfg, "estimate-lambda")
     mean = _mean(cfg, space, "estimate-lambda")
     lcfg = LambdaConfig(**_given(
@@ -300,12 +303,14 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
 
 
 def run_chain(cfg: dict, outdir: Path):
-    s = dyadics.parse_dyadic(_need(cfg, "s", "chain"))
-    t = dyadics.parse_dyadic(_need(cfg, "t", "chain"))
+    from .dyadics import chain_decompose, parse_dyadic, validate_chain
+
+    s = parse_dyadic(_need(cfg, "s", "chain"))
+    t = parse_dyadic(_need(cfg, "t", "chain"))
     if not s < t:
         raise ConfigError(f"chain needs s < t, got {s} >= {t}")
-    decomposition = dyadics.chain_decompose(s, t)
-    ok, violations = dyadics.validate_chain(s, t, decomposition)
+    decomposition = chain_decompose(s, t)
+    ok, violations = validate_chain(s, t, decomposition)
     results = {
         "s": str(s),
         "t": str(t),
@@ -318,6 +323,9 @@ def run_chain(cfg: dict, outdir: Path):
 
 
 def _builder_from(cfg: dict, experiment: str) -> tuple:
+    from .homotopy import ContractionBuilder
+    from .spaces import as_point
+
     space = _space(cfg, experiment)
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
@@ -327,6 +335,8 @@ def _builder_from(cfg: dict, experiment: str) -> tuple:
 
 def _start_point(cfg: dict, space):
     """The tracked point; sampled from the seed when the config omits it."""
+    from .spaces import as_point
+
     if "x" in cfg:
         return as_point(cfg["x"])
     return space.sample(cfg.get("seed", 1), 1)[0]
@@ -350,6 +360,8 @@ def run_build_homotopy(cfg: dict, outdir: Path):
             writer.writerow([repr(t)] + [repr(c) for c in point] + [repr(err)])
     artifacts = {"trajectory_csv": csv_name}
     if cfg.get("svg", False):
+        from . import plotsvg
+
         plotsvg.emit_plot(outdir / csv_name, outdir / "trajectory.svg")
         artifacts["svg"] = "trajectory.svg"
     results = {
@@ -364,6 +376,8 @@ def run_build_homotopy(cfg: dict, outdir: Path):
 
 
 def run_verify_claim1(cfg: dict, outdir: Path):
+    from .homotopy import verify_claim1
+
     space, mean, builder = _builder_from(cfg, "verify-claim1")
     x = _start_point(cfg, space)
     depth = cfg.get("depth", 12)
@@ -373,6 +387,8 @@ def run_verify_claim1(cfg: dict, outdir: Path):
 
 
 def run_verify_holder(cfg: dict, outdir: Path):
+    from .homotopy import verify_holder
+
     space, mean, builder = _builder_from(cfg, "verify-holder")
     x = _start_point(cfg, space)
     depth = cfg.get("depth", 12)
@@ -383,6 +399,8 @@ def run_verify_holder(cfg: dict, outdir: Path):
 
 
 def run_symmetrize(cfg: dict, outdir: Path):
+    from .homotopy import symmetrize
+
     space = _space(cfg, "symmetrize")
     action = _action(cfg, space, "symmetrize")
     mean = _mean(cfg, space, "symmetrize")
@@ -394,6 +412,9 @@ def run_symmetrize(cfg: dict, outdir: Path):
 
 
 def run_deform_fixed(cfg: dict, outdir: Path):
+    from .groups import Subgroup, full_subgroup
+    from .homotopy import fixed_set_deformation, straight_line_extension
+
     space = _space(cfg, "deform-fixed")
     action = _action(cfg, space, "deform-fixed")
     members = cfg.get("subgroup")
@@ -413,6 +434,8 @@ def run_deform_fixed(cfg: dict, outdir: Path):
 
 
 def run_solomonic_search(cfg: dict, outdir: Path):
+    from .means import solomonic_witness_search
+
     space = _space(cfg, "solomonic-search")
     mean = _mean(cfg, space, "solomonic-search")
     result = solomonic_witness_search(mean, _need(cfg, "K", "solomonic-search"),
@@ -483,6 +506,8 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     if args.command == "plot":
+        from . import plotsvg
+
         try:
             plotsvg.emit_plot(args.csv, args.svg)
         except (OSError, ValueError) as exc:

@@ -34,12 +34,13 @@ class Dyadic:
     def __init__(self, j: int, n: int):
         if n < 0:
             raise ValueError("level must be nonnegative")
-        if not 0 <= j <= (1 << n):
+        # j <= 2^n, read off j's bits: 2^n itself may not fit in memory
+        size = j.bit_length()
+        if j < 0 or size > n and (size > n + 1 or j & (j - 1)):
             raise ValueError(f"{j}/2^{n} lies outside [0, 1]")
-        if j == 0:
-            n = 0
-        elif not j & 1:
-            shift = min((j & -j).bit_length() - 1, n)
+        if not j & 1:
+            # j's trailing zeros bound the shift, whatever n is
+            shift = min((j & -j).bit_length() - 1, n) if j else n
             j >>= shift
             n -= shift
         if n > MAX_LEVEL:
@@ -103,18 +104,24 @@ def height(x: Dyadic) -> int:
 
 def parse_dyadic(text: str) -> Dyadic:
     """Parse '0', '1', 'j/2^n' or 'j/d' with d a power of two."""
-    text = text.strip()
-    if "/" not in text:
-        return Dyadic(int(text), 0)
-    num, den = text.split("/", 1)
-    j = int(num)
+    num, slash, den = text.strip().partition("/")
     den = den.strip()
-    if den.startswith("2^"):
-        return Dyadic(j, int(den[2:]))
-    d = int(den)
-    n = d.bit_length() - 1
-    if d != (1 << n):
-        raise ValueError(f"denominator {d} is not a power of two")
+    try:
+        j = int(num)
+        if not slash:
+            n = 0
+        elif den.startswith("2^"):
+            n = int(den[2:])
+        else:
+            d = int(den)
+            n = d.bit_length() - 1
+            if d <= 0 or d & (d - 1):
+                raise ValueError
+        if n < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"cannot read {text!r} as a dyadic: the forms are 0, 1, "
+                         "j/2^n and j/d with d a power of two") from None
     return Dyadic(j, n)
 
 

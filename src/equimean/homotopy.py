@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
-from .groups import GroupAction, Subgroup, fixed_defect
 from .means import (
     LAW_BLOCK_EVALS,
     LawReport,
@@ -45,6 +44,9 @@ from .means import (
 )
 from .rng import as_rng, randrange_accepts
 from .spaces import MetricSpace, Point, as_point, is_convex, worst_of_blocks
+
+if TYPE_CHECKING:
+    from .groups import GroupAction, Subgroup
 
 MAX_DYADIC_DEPTH = 40
 LEVEL_SWEEP_CAP = 20
@@ -460,6 +462,8 @@ def symmetrize(base: Callable, action: GroupAction, p: Optional[QuasiMeanMap],
 
 def _endpoint_report(base: Callable, evaluate: Callable, action: GroupAction,
                      tol: float, seed) -> dict:
+    from .groups import fixed_defect
+
     rng = as_rng(seed)
     sp = action.space
     pts = sp.sample(rng, ENDPOINT_SAMPLES)
@@ -502,6 +506,8 @@ def equivariant_contraction(builder: ContractionBuilder, action: GroupAction,
     """The dyadic construction itself commutes with the action when the
     basepoint is a fixed point and the binary map is equivariant; this is
     verified on sampled (point, element, dyadic time) triples."""
+    from .groups import fixed_defect
+
     G, theta = action.group, builder.theta
     require("basepoint fixed-point",
             law_report("fixed-point", [(fixed_defect(action, G.elements(), theta), (theta,))], tol))
@@ -560,6 +566,8 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
     extension calls; that plan is checked against WORK_CAP first, and the
     law gate's own plan next.
     """
+    from .groups import fixed_defect
+
     sp = action.space
     if H.parent is not action.group:
         raise ValueError("subgroup must belong to the action's group")

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from . import _kernels
 from .errors import CapacityError, HypothesisError, SamplingError
-from .groups import GroupAction, Subgroup, fixed_defect, full_subgroup
 from .rng import Xoshiro256StarStar, as_rng, doubles, lane_draws, substream_lanes
 from .spaces import (Interval, MetricSpace, Point, as_point, coordinate_bounds, diameter,
                      is_convex, worst)
+
+if TYPE_CHECKING:
+    from .groups import GroupAction, Subgroup
 
 DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
@@ -506,6 +507,8 @@ def _grid_points(a: float, b: float, step: float) -> int:
 
 
 def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
+    from . import _kernels
+
     a = p.space.a
     m = _grid_points(a, p.space.b, cfg.grid_step)
     lam, x, y, count = _kernels.grid_scan_interval(p, a, cfg.grid_step, m, cfg.excluded_diameter)
@@ -805,6 +808,8 @@ def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DE
     anonymous equivariant p the result is H-fixed, which is verified.
     With ``verify_laws`` the anonymity and equivariance of p are also
     sample-checked up front, on 32 tuples, instead of trusted."""
+    from .groups import fixed_defect, full_subgroup
+
     H = subgroup if subgroup is not None else full_subgroup(action.group)
     if p.arity != H.order:
         raise ValueError(f"mean arity {p.arity} != subgroup order {H.order}")

@@ -101,6 +101,13 @@ def test_chain_rejects_bad_order(tmp_path):
     assert main(["chain", "3/4", "1/8", "--out", str(outdir)]) == 2
 
 
+def test_chain_names_the_dyadic_forms_it_reads(tmp_path, capsys):
+    assert main(["chain", "1/0", "1/2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "equimean: cannot read '1/0' as a dyadic: the forms are 0, 1, j/2^n and j/d "
+        "with d a power of two\n")
+
+
 def test_verify_mean_dictator_anonymity_fails(tmp_path):
     cfg = {
         "space": {"kind": "circle", "params": {"radius": 1.0}},
@@ -484,7 +491,7 @@ def no_at_time(monkeypatch):
     def at_times(*args):
         raise LookupError("at_times reached")
 
-    monkeypatch.setattr(cli.ContractionBuilder, "at_times", at_times)
+    monkeypatch.setattr(homotopy.ContractionBuilder, "at_times", at_times)
 
 
 def test_build_homotopy_times_cap(tmp_path, no_at_time):
@@ -1099,3 +1106,56 @@ def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
     for path in recorded:
         output = tmp_path / path.name[len(name) + 1:]
         assert output.read_bytes() == path.read_bytes(), path.name
+
+
+# the equimean modules a fresh process holds after ``import equimean.cli`` and
+# one run: each run compiles only the modules its experiment uses
+STARTUP_MODULES = {"equimean", "equimean.cli", "equimean.errors"}
+MEANS_MODULES = STARTUP_MODULES | {"equimean.means", "equimean.rng", "equimean.spaces"}
+HOMOTOPY_MODULES = MEANS_MODULES | {"equimean.homotopy", "equimean.dyadics"}
+RUN_MODULES = {
+    "chain": STARTUP_MODULES | {"equimean.dyadics"},
+    "solomonic": MEANS_MODULES,
+    "random-lambda": MEANS_MODULES,
+    "random-lambda-product": MEANS_MODULES,
+    "random-lambda-retry": MEANS_MODULES,
+    "laws-transpositions": MEANS_MODULES,
+    "laws": MEANS_MODULES | {"equimean.groups"},
+    "laws-dictator": MEANS_MODULES | {"equimean.groups"},
+    "trajectory-understated": HOMOTOPY_MODULES,
+    "verify-claim1": HOMOTOPY_MODULES,
+    "verify-holder": HOMOTOPY_MODULES,
+    "symmetrize": HOMOTOPY_MODULES | {"equimean.groups"},
+    "symmetrize-dictator": HOMOTOPY_MODULES | {"equimean.groups"},
+    "deform": HOMOTOPY_MODULES | {"equimean.groups"},
+    "deform-subgroup": HOMOTOPY_MODULES | {"equimean.groups"},
+}
+
+
+def equimean_modules_after(code: str) -> set:
+    out = run_child("-c", "import sys\nimport equimean.cli\n" + textwrap.dedent(code) +
+                    "\nprint(*(m for m in sys.modules if m.split('.')[0] == 'equimean'))\n")
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
+
+
+def test_loading_configs_loads_only_the_cli():
+    # what the benchmark's set-up child does
+    configs = sorted(str(p) for p in GOLDEN.glob("*.json") if p.suffixes == [".json"])
+    assert len(configs) == len(GOLDEN_EXITS)
+    loaded = equimean_modules_after(f"for config in {configs!r}:\n"
+                                    "    equimean.cli.load_config(config)")
+    assert loaded == STARTUP_MODULES
+
+
+@pytest.mark.parametrize("name", sorted(RUN_MODULES))
+def test_each_run_loads_only_its_modules(tmp_path, name):
+    if name in GOLDEN_EXITS:
+        config = GOLDEN / f"{name}.json"
+        experiment = json.loads(config.read_text())["experiment"]
+    else:
+        config, experiment = write_config(tmp_path, RERUN_CONFIGS[name]), name
+    argv = [experiment, "--config", str(config), "--out", str(tmp_path / "out")]
+    loaded = equimean_modules_after(
+        f"assert equimean.cli.main({argv!r}) == {GOLDEN_EXITS.get(name, 0)}")
+    assert loaded == RUN_MODULES[name]

@@ -1,8 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import equimean
 from equimean.dyadics import (
     ONE,
     ZERO,
@@ -61,6 +68,46 @@ def test_parse_dyadic():
     assert parse_dyadic("6/8") == Dyadic(3, 2)
     with pytest.raises(ValueError):
         parse_dyadic("1/3")
+
+
+@pytest.mark.parametrize("text", ["1/0", "0/0", "3/2^x", "2^-1", ""])
+def test_parse_dyadic_names_the_forms_it_reads(text):
+    message = (f"cannot read {text!r} as a dyadic: the forms are 0, 1, j/2^n and j/d "
+               "with d a power of two")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_dyadic(text)
+
+
+def test_a_level_over_the_cap_raises_before_it_allocates():
+    # 2^400000000 takes 50 MB; 2^(10^12) would take 125 GB, so that case runs
+    # only once the first has passed
+    src = str(Path(equimean.__file__).parents[1])
+    child = textwrap.dedent("""
+        import resource
+        from equimean.dyadics import parse_dyadic
+        from equimean.errors import CapacityError
+
+        def peak_kb():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+        before = peak_kb()
+        try:
+            parse_dyadic("1/2^400000000")
+        except CapacityError as exc:
+            print(exc)
+        assert peak_kb() - before < 4096, peak_kb() - before
+        try:
+            parse_dyadic("1/2^1000000000000")
+        except CapacityError as exc:
+            print(exc)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         timeout=20, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["dyadic level 400000000 exceeds the cap 62",
+                                       "dyadic level 1000000000000 exceeds the cap 62"]
 
 
 def test_grid_steps_examples():
