@@ -19,8 +19,8 @@ _EXPORTS = {
     "groups": (
         "ActionReport", "FiniteGroup", "GroupAction", "Subgroup", "action_from_json",
         "check_action", "coordinate_permutation_action", "cyclic", "dihedral",
-        "enumerate_subgroups", "full_subgroup", "group_from_json", "is_fixed_by", "klein_four",
-        "make_group", "negation_action", "orbit", "plane_rotation_action", "reflection_action",
+        "enumerate_subgroups", "full_subgroup", "is_fixed_by", "klein_four", "make_group",
+        "negation_action", "orbit", "plane_rotation_action", "reflection_action",
         "rotation_action", "stabilizer", "subgroup_closure", "swap_axes_action", "symmetric",
         "trivial_action", "trivial_subgroup"
     ),

@@ -226,6 +226,9 @@ def _retraction(cfg: dict, space):
     spec = cfg.get("retraction", {"kind": "zero_coordinate"})
     if spec["kind"] == "zero_coordinate":
         axis = spec.get("axis", space.dim - 1)
+        if axis >= space.dim:
+            raise ConfigError(f"retraction axis {axis} is outside 0..{space.dim - 1} "
+                              f"of a space of dim {space.dim}")
 
         def retract(x):
             return tuple(0.0 if i == axis else c for i, c in enumerate(x))
@@ -233,7 +236,7 @@ def _retraction(cfg: dict, space):
         return retract
     from .spaces import as_point
 
-    pt = as_point(spec["point"])  # "constant", the schema's other kind
+    pt = as_point(_need(spec, "point", "a constant retraction"))  # the schema's other kind
     space.require_member(pt)
     return lambda x: pt
 
@@ -250,8 +253,10 @@ def _base_homotopy(cfg: dict, space):
         space.require_member(theta)
         return straight_line_extension(space, lambda x: theta)
     if kind == "dyadic":
-        mean = mean_from_name(spec["mean"], space)
-        builder = ContractionBuilder(space, mean, float(spec["lambda"]), as_point(spec["theta"]))
+        what = "a dyadic base homotopy"
+        builder = ContractionBuilder(mean_from_name(_need(spec, "mean", what), space),
+                                     float(_need(spec, "lambda", what)),
+                                     as_point(_need(spec, "theta", what)))
         eps = float(spec.get("eps", 1e-9))
         return lambda x, t: builder.at_time(x, t, eps)[0]
     raise ConfigError(f"unknown base homotopy kind {kind!r}")
@@ -284,9 +289,7 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
 
     space = _space(cfg, "estimate-lambda")
     mean = _mean(cfg, space, "estimate-lambda")
-    lcfg = LambdaConfig(**_given(
-        cfg, "grid_step", "excluded_diameter", "restarts", "seed", "force_random"
-    ))
+    lcfg = LambdaConfig(**_given(cfg, "grid_step", "excluded_diameter", "restarts", "seed"))
     estimate = estimate_lambda(mean, lcfg)
     with open(outdir / "lambda.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -330,7 +333,7 @@ def _builder_from(cfg: dict, experiment: str) -> tuple:
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
     theta = as_point(_need(cfg, "theta", experiment))
-    return space, mean, ContractionBuilder(space, mean, lam, theta)
+    return space, mean, ContractionBuilder(mean, lam, theta)
 
 
 def _start_point(cfg: dict, space):
@@ -406,7 +409,7 @@ def run_symmetrize(cfg: dict, outdir: Path):
     mean = _mean(cfg, space, "symmetrize")
     base = _base_homotopy(cfg, space)
     gh = symmetrize(base, action, mean, seed=cfg.get("seed", 1),
-                    **_given(cfg, "tol", "trust_laws", "samples"))
+                    **_given(cfg, "tol", "samples"))
     results = {"mean": mean.label, "action": action.name, "report": gh.report}
     return True, results, f"{action.group.order} translates per point"
 
@@ -423,7 +426,7 @@ def run_deform_fixed(cfg: dict, outdir: Path):
     retraction = _retraction(cfg, space)
     extension = straight_line_extension(space, retraction)
     gh = fixed_set_deformation(action, H, retraction, mean, extension, seed=cfg.get("seed", 1),
-                               **_given(cfg, "tol", "trust_laws", "samples"))
+                               **_given(cfg, "tol", "samples"))
     results = {
         "mean": mean.label,
         "action": action.name,

@@ -347,22 +347,6 @@ def symmetric(n: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"S{n}")
 
 
-def group_from_json(obj: dict) -> FiniteGroup:
-    """{"cayley": [[...]]} or {"name": "cyclic"|"dihedral"|"symmetric"|"klein_four", ...}."""
-    if "cayley" in obj:
-        return make_group(obj["cayley"], name=obj.get("name", "group"))
-    name = obj.get("name")
-    if name == "cyclic":
-        return cyclic(int(obj["n"]))
-    if name == "dihedral":
-        return dihedral(int(obj["n"]))
-    if name == "symmetric":
-        return symmetric(int(obj["n"]))
-    if name == "klein_four":
-        return klein_four()
-    raise ValueError(f"unknown group description {obj!r}")
-
-
 # ---------------------------------------------------------------------------
 # built-in actions
 
@@ -385,7 +369,11 @@ def negation_action(space: MetricSpace) -> GroupAction:
 
 
 def reflection_action(space: MetricSpace, axis: int) -> GroupAction:
-    """Order-2 action flipping the sign of one coordinate."""
+    """Order-2 action flipping the sign of coordinate ``axis``, one of the
+    space's 0..dim-1."""
+    if not 0 <= axis < space.dim:
+        raise ValueError(f"reflection axis {axis} is outside 0..{space.dim - 1} "
+                         f"of a space of dim {space.dim}")
 
     def apply(g: int, x: Point) -> Point:
         if g == 0:
@@ -393,7 +381,7 @@ def reflection_action(space: MetricSpace, axis: int) -> GroupAction:
         return tuple(-c if i == axis else c for i, c in enumerate(x))
 
     def act_batch(g: int, X):
-        if g == 0 or not 0 <= axis < X.shape[1]:
+        if g == 0:
             return X
         out = X.copy()
         out[:, axis] = -out[:, axis]

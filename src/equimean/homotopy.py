@@ -64,7 +64,8 @@ ENDPOINT_SAMPLES = 16
 
 
 class ContractionBuilder:
-    """Dyadic path construction for one binary map and basepoint.
+    """Dyadic path construction for one binary map and a basepoint in its
+    space.
 
     The builder samples the map's contractivity ratio on RATIO_PAIRS pairs
     drawn from RATIO_SEED and keeps the check as ``ratio_report``. When the
@@ -74,7 +75,7 @@ class ContractionBuilder:
     nothing themselves, still run.
     """
 
-    def __init__(self, space: MetricSpace, p: QuasiMeanMap, lam: float, theta):
+    def __init__(self, p: QuasiMeanMap, lam: float, theta):
         if p.arity != 2:
             raise ValueError(
                 "the dyadic builder needs a binary map; collapse higher arities first"
@@ -82,13 +83,13 @@ class ContractionBuilder:
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lambda must lie in (0, 1), got {lam}")
         theta = as_point(theta)
-        space.require_member(theta)
-        self.space = space
+        p.space.require_member(theta)
+        self.space = p.space
         self.p = p
         self.lam = lam
         self.theta = theta
         self.alpha = -math.log(lam) / math.log(2.0)
-        pairs = sample_tuples(space, 2, RATIO_SEED, RATIO_PAIRS)
+        pairs = sample_tuples(p.space, 2, RATIO_SEED, RATIO_PAIRS)
         self.ratio_report: LawReport = check_contractivity(p, pairs, lam + RATIO_SLACK)
 
     def holder_constant(self, x) -> float:
@@ -410,11 +411,11 @@ class GHomotopy:
 
 
 def _aggregating_mean(p: Optional[QuasiMeanMap], action: GroupAction,
-                     subgroup: Optional[Subgroup], tol: float, trust_laws: bool,
+                     subgroup: Optional[Subgroup], tol: float,
                      seed: int, samples: int) -> Optional[QuasiMeanMap]:
     """The mean that aggregates the translates by the subgroup (the whole
-    group when None): None for a trivial one, else p, once its arity is
-    checked and, unless trusted, its laws on samples."""
+    group when None): None for a trivial one, else p, once its arity and
+    its laws on samples are checked."""
     order, what, letter = ((action.group.order, "group", "G") if subgroup is None
                            else (subgroup.order, "subgroup", "H"))
     if order == 1:
@@ -423,8 +424,7 @@ def _aggregating_mean(p: Optional[QuasiMeanMap], action: GroupAction,
         raise ValueError(f"a mean of arity |{letter}| is required for a nontrivial {what}")
     if p.arity != order:
         raise ValueError(f"mean arity {p.arity} != {what} order {order}")
-    if not trust_laws:
-        require_mean_laws(p, action, tol, subgroup, seed, samples)
+    require_mean_laws(p, action, tol, subgroup, seed, samples)
     return p
 
 
@@ -442,18 +442,17 @@ def _symmetrized(base: Callable, action: GroupAction, p: Optional[QuasiMeanMap],
 
 
 def symmetrize(base: Callable, action: GroupAction, p: Optional[QuasiMeanMap],
-               tol: float = 1e-9, trust_laws: bool = False, seed: int = 23,
-               samples: int = 32) -> GHomotopy:
+               tol: float = 1e-9, seed: int = 23, samples: int = 32) -> GHomotopy:
     """Aggregate the conjugated translates of a homotopy into an
     equivariant one.
 
-    The mean must be anonymous and equivariant with arity |G| (checked on
-    samples unless trusted). For the trivial group the aggregation is the
+    The mean must be anonymous and equivariant with arity |G|, which is
+    checked on samples. For the trivial group the aggregation is the
     base homotopy itself and ``p`` may be None. Endpoint behaviour
     transfers: an identity time-0 slice stays the identity, and a
     constant time-1 slice becomes a constant at a G-fixed point.
     """
-    p = _aggregating_mean(p, action, None, tol, trust_laws, seed, samples)
+    p = _aggregating_mean(p, action, None, tol, seed, samples)
     elements = tuple(action.group.elements())
     evaluate = _symmetrized(base, action, p, elements)
     report = _endpoint_report(base, evaluate, action, tol, seed)
@@ -502,7 +501,7 @@ def _endpoint_report(base: Callable, evaluate: Callable, action: GroupAction,
 def equivariant_contraction(builder: ContractionBuilder, action: GroupAction,
                             tol: float = 1e-9, eps: float = 1e-9,
                             depth: int = 10, samples: int = 64,
-                            seed: int = 29, trust_laws: bool = False) -> GHomotopy:
+                            seed: int = 29) -> GHomotopy:
     """The dyadic construction itself commutes with the action when the
     basepoint is a fixed point and the binary map is equivariant; this is
     verified on sampled (point, element, dyadic time) triples."""
@@ -511,9 +510,8 @@ def equivariant_contraction(builder: ContractionBuilder, action: GroupAction,
     G, theta = action.group, builder.theta
     require("basepoint fixed-point",
             law_report("fixed-point", [(fixed_defect(action, G.elements(), theta), (theta,))], tol))
-    if not trust_laws:
-        reports = check_laws(builder.p, ["equivariance"], seed, max(8, samples // 4), tol, action)
-        require("binary map equivariance", reports["equivariance"])
+    reports = check_laws(builder.p, ["equivariance"], seed, max(8, samples // 4), tol, action)
+    require("binary map equivariance", reports["equivariance"])
     rng = as_rng(seed + 1)
     sp = builder.space
 
@@ -551,8 +549,7 @@ def straight_line_extension(space: MetricSpace, retraction: Callable) -> Callabl
 
 def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable,
                           p: Optional[QuasiMeanMap], extension: Callable,
-                          tol: float = 1e-9, trust_laws: bool = False,
-                          seed: int = 31, samples: int = 64) -> GHomotopy:
+                          tol: float = 1e-9, seed: int = 31, samples: int = 64) -> GHomotopy:
     """Deform the space onto the H-fixed set through an H-equivariant
     homotopy built from a retraction and a boundary-respecting extension.
 
@@ -573,7 +570,7 @@ def fixed_set_deformation(action: GroupAction, H: Subgroup, retraction: Callable
         raise ValueError("subgroup must belong to the action's group")
     require_work(f"deform-fixed over a subgroup of order {H.order} ({samples} samples)",
                  samples * (STATIONARITY_TIMES + 2) * H.order)
-    p = _aggregating_mean(p, action, H, tol, trust_laws, seed, max(8, samples // 4))
+    p = _aggregating_mean(p, action, H, tol, seed, max(8, samples // 4))
 
     rng = as_rng(seed + 1)
     pts = sp.sample(rng, samples)

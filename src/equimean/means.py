@@ -467,7 +467,6 @@ class LambdaConfig:
     excluded_diameter: float = EXCLUDED_DIAMETER
     restarts: int = 100
     seed: int = 1
-    force_random: bool = False
 
 
 def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> LambdaEstimate:
@@ -475,17 +474,11 @@ def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> Lamb
 
     Binary means on an interval are scanned over the dense step grid,
     which ends on the interval's end b even when the step does not divide
-    its length; higher tuple dimensions use seeded random tuples with hill
+    its length; every other map uses seeded random tuples with hill
     climbing.
     Tuples with diameter at or below the excluded radius are skipped.
     """
-    grid_applies = (
-        not cfg.force_random
-        and p.arity == 2
-        and isinstance(p.space, Interval)
-        and p.arity * p.space.dim <= 2
-    )
-    if grid_applies:
+    if p.arity == 2 and isinstance(p.space, Interval):
         return _estimate_grid(p, cfg)
     return _estimate_random(p, cfg)
 
@@ -802,19 +795,14 @@ def collapse_to_quasi_mean(p: QuasiMeanMap) -> QuasiMeanMap:
 
 
 def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DEFAULT_TOL,
-                        subgroup: Optional[Subgroup] = None,
-                        verify_laws: bool = False, seed: int = 13) -> Point:
+                        subgroup: Optional[Subgroup] = None) -> Point:
     """Aggregate the H-orbit images p(g_1 x, ..., g_n x); for an
-    anonymous equivariant p the result is H-fixed, which is verified.
-    With ``verify_laws`` the anonymity and equivariance of p are also
-    sample-checked up front, on 32 tuples, instead of trusted."""
+    anonymous equivariant p the result is H-fixed, which is verified."""
     from .groups import fixed_defect, full_subgroup
 
     H = subgroup if subgroup is not None else full_subgroup(action.group)
     if p.arity != H.order:
         raise ValueError(f"mean arity {p.arity} != subgroup order {H.order}")
-    if verify_laws:
-        require_mean_laws(p, action, tol, H, seed, 32)
     x = as_point(x)
     x0 = p.eval([action.act(g, x) for g in H.members])
     require("orbit average fixed-point",

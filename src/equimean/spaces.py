@@ -7,8 +7,8 @@ or arc metric), a finite point set, and a product of spaces with the
 Euclidean combination of the factor metrics.
 
 Every space is complete; completeness is assumed, never checked.
-Membership is tested to an absolute tolerance (default 1e-9) and each
-space offers ``project`` to snap a drifted point back onto it.
+Membership is tested to the absolute tolerance ``MEMBERSHIP_TOL`` (1e-9),
+and each space offers ``project`` to snap a drifted point back onto it.
 
 JSON schema (documented for the CLI): ``{"kind": <str>, "params": {...}}``
 with kinds ``interval {a, b}``, ``box {lo, hi}``,
@@ -134,16 +134,16 @@ def _square_overflows(t: float) -> bool:
     return not math.isfinite(t * t)
 
 
-def _within(X, lo: Sequence[float], hi: Sequence[float], tol: float):
+def _within(X, lo: Sequence[float], hi: Sequence[float]):
     """Whether each row of X has len(lo) coordinates, each within
-    [lo - tol, hi + tol]: the comparisons of the interval's and the box's
-    ``contains``, on arrays."""
+    ``MEMBERSHIP_TOL`` of [lo, hi]: the comparisons of the interval's and
+    the box's ``contains``, on arrays."""
     import numpy as np
 
     inside = np.full(len(X), X.shape[1] == len(lo))
     if inside.any():
         for k, (lo_k, hi_k) in enumerate(zip(lo, hi)):
-            inside &= (lo_k - tol <= X[:, k]) & (X[:, k] <= hi_k + tol)
+            inside &= (lo_k - MEMBERSHIP_TOL <= X[:, k]) & (X[:, k] <= hi_k + MEMBERSHIP_TOL)
     return inside
 
 
@@ -171,16 +171,16 @@ class MetricSpace:
         pairs = zip(map(tuple, A.tolist()), map(tuple, B.tolist()))
         return np.fromiter((self.d(a, b) for a, b in pairs), dtype=np.float64, count=len(A))
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, p: Point) -> bool:
         raise NotImplementedError
 
-    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+    def contains_batch(self, X):
         """``contains`` on each row of an (m, k) float64 array, as a boolean
         array. This form loops over ``contains``; intervals, boxes and
         their products have array forms with the same comparisons."""
         import numpy as np
 
-        return np.fromiter((self.contains(tuple(x), tol) for x in X.tolist()), dtype=bool,
+        return np.fromiter((self.contains(tuple(x)) for x in X.tolist()), dtype=bool,
                            count=len(X))
 
     def extent(self) -> float:
@@ -199,8 +199,8 @@ class MetricSpace:
     def _sample_one(self, rng: Xoshiro256StarStar) -> Point:
         raise NotImplementedError
 
-    def require_member(self, p: Point, tol: float = MEMBERSHIP_TOL) -> None:
-        if not self.contains(p, tol):
+    def require_member(self, p: Point) -> None:
+        if not self.contains(p):
             raise MembershipError(f"point {p} is not in {self!r}")
 
     def params(self) -> dict:
@@ -235,11 +235,11 @@ class Interval(MetricSpace):
     def d_batch(self, A, B):
         return abs(A[:, 0] - B[:, 0])
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return len(p) == 1 and self.a - tol <= p[0] <= self.b + tol
+    def contains(self, p: Point) -> bool:
+        return len(p) == 1 and self.a - MEMBERSHIP_TOL <= p[0] <= self.b + MEMBERSHIP_TOL
 
-    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
-        return _within(X, (self.a,), (self.b,), tol)
+    def contains_batch(self, X):
+        return _within(X, (self.a,), (self.b,))
 
     def extent(self) -> float:
         return self.b - self.a
@@ -282,13 +282,12 @@ class Box(MetricSpace):
     def d_batch(self, A, B):
         return _euclidean_batch(A, B)
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return len(p) == self.dim and all(
-            lo - tol <= c <= hi + tol for c, lo, hi in zip(p, self.lo, self.hi)
-        )
+    def contains(self, p: Point) -> bool:
+        return len(p) == self.dim and all(lo - MEMBERSHIP_TOL <= c <= hi + MEMBERSHIP_TOL
+                                          for c, lo, hi in zip(p, self.lo, self.hi))
 
-    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
-        return _within(X, self.lo, self.hi, tol)
+    def contains_batch(self, X):
+        return _within(X, self.lo, self.hi)
 
     def extent(self) -> float:
         return _euclidean(self.hi, self.lo)
@@ -340,8 +339,8 @@ class Circle(MetricSpace):
             return _euclidean_batch(A, B)
         return super().d_batch(A, B)
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
-        return len(p) == 2 and abs(math.hypot(p[0], p[1]) - self.radius) <= tol
+    def contains(self, p: Point) -> bool:
+        return len(p) == 2 and abs(math.hypot(p[0], p[1]) - self.radius) <= MEMBERSHIP_TOL
 
     def extent(self) -> float:
         return 2.0 * self.radius
@@ -390,10 +389,10 @@ class FinitePoints(MetricSpace):
     def d_batch(self, A, B):
         return _euclidean_batch(A, B)
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, p: Point) -> bool:
         if len(p) != self.dim:
             return False
-        return any(_euclidean(p, q) <= tol for q in self.points)
+        return any(_euclidean(p, q) <= MEMBERSHIP_TOL for q in self.points)
 
     def project(self, p: Point) -> Point:
         return min(self.points, key=lambda q: _euclidean(p, q))
@@ -441,19 +440,19 @@ class Product(MetricSpace):
 
         return _root_sum_squares_array(factor_distances(), len(A))
 
-    def contains(self, p: Point, tol: float = MEMBERSHIP_TOL) -> bool:
+    def contains(self, p: Point) -> bool:
         if len(p) != self.dim:
             return False
-        return all(s.contains(x, tol) for s, x in zip(self.spaces, self._split(p)))
+        return all(s.contains(x) for s, x in zip(self.spaces, self._split(p)))
 
-    def contains_batch(self, X, tol: float = MEMBERSHIP_TOL):
+    def contains_batch(self, X):
         import numpy as np
 
         inside = np.full(len(X), X.shape[1] == self.dim)
         if inside.any():
             i = 0
             for s in self.spaces:
-                inside &= s.contains_batch(X[:, i : i + s.dim], tol)
+                inside &= s.contains_batch(X[:, i : i + s.dim])
                 i += s.dim
         return inside
 

@@ -75,7 +75,7 @@ def test_criterion_3_minsq_counterexample():
 def _geometric_builder_12() -> ContractionBuilder:
     space = Interval(1.0, 2.0)
     lam = 2.0 - math.sqrt(2.0)
-    return ContractionBuilder(space, geometric_mean(space), lam, (2.0,))
+    return ContractionBuilder(geometric_mean(space), lam, (2.0,))
 
 
 def test_criterion_4_adjacent_step_sweep():
@@ -114,7 +114,7 @@ def test_criterion_6_exhaustive_chains():
 def test_criterion_7_equivariant_construction():
     space = Interval(-1.0, 1.0)
     action = negation_action(space)
-    builder = ContractionBuilder(space, arithmetic_mean(space, 2), 0.5, (0.0,))
+    builder = ContractionBuilder(arithmetic_mean(space, 2), 0.5, (0.0,))
     rng = Xoshiro256StarStar(2024)
     worst = 0.0
     for _ in range(1000):

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import equimean
 
-# every name ``equimean`` exported when its __init__ imported each module, by
-# home module; the lazy package must keep exactly these
+# every public name of ``equimean``, by home module; the lazy package must
+# keep exactly these
 PUBLIC_API = {
     "dyadics": ["ChainDecomposition", "Dyadic", "chain_decompose", "grid_steps", "height",
                 "nearest_dyadic", "parse_dyadic", "validate_chain"],
@@ -16,8 +16,8 @@ PUBLIC_API = {
                "MembershipError", "PrecisionError", "SamplingError", "ToleranceError"],
     "groups": ["ActionReport", "FiniteGroup", "GroupAction", "Subgroup", "action_from_json",
                "check_action", "coordinate_permutation_action", "cyclic", "dihedral",
-               "enumerate_subgroups", "full_subgroup", "group_from_json", "is_fixed_by",
-               "klein_four", "make_group", "negation_action", "orbit", "plane_rotation_action",
+               "enumerate_subgroups", "full_subgroup", "is_fixed_by", "klein_four",
+               "make_group", "negation_action", "orbit", "plane_rotation_action",
                "reflection_action", "rotation_action", "stabilizer", "subgroup_closure",
                "swap_axes_action", "symmetric", "trivial_action", "trivial_subgroup"],
     "homotopy": ["ContractionBuilder", "GHomotopy", "HolderReport", "LevelBoundReport",

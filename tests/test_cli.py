@@ -432,7 +432,7 @@ def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_pat
 
 def test_valid_configs_load_no_jsonschema(tmp_path):
     valid = write_config(tmp_path, {"space": INTERVAL01, "mean": "minsq", "grid_step": 0.01,
-                                    "x": [0.5], "theta": 0.25, "trust_laws": False})
+                                    "x": [0.5], "theta": 0.25})
     laws = write_config(tmp_path, {"space": SYM_BOX, "mean": "arithmetic:2",
                                    "laws": ["M1", "M2"], "samples": 20}, "laws.json")
     invalid = write_config(tmp_path, {"space": INTERVAL01, "grid_step": -0.5}, "bad.json")
@@ -460,7 +460,7 @@ def test_nan_tolerance_is_refused_before_it_passes_every_check(tmp_path, capsys)
     # image is not fixed (defect 1) with exit 0
     cfg = {"space": SYM_BOX, "action": {"name": "reflection", "axis": 1},
            "mean": "arithmetic:2", "retraction": {"kind": "constant", "point": [0.5, 0.5]},
-           "trust_laws": True, "tol": 1e-9}
+           "tol": 1e-9}
     code, _ = run(tmp_path, "deform-fixed", cfg, out="finite")
     assert code == 1
     path = tmp_path / "nan.json"
@@ -1106,6 +1106,42 @@ def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
     for path in recorded:
         output = tmp_path / path.name[len(name) + 1:]
         assert output.read_bytes() == path.read_bytes(), path.name
+
+
+AXIS_OUTSIDE = "axis {} is outside 0..1 of a space of dim 2"
+DYADIC_NEEDS = "a dyadic base homotopy requires the config field {!r}"
+# (golden config, edit, what stderr must say): each edit is a config error,
+# which must exit 2 with a message naming its key
+MISCONFIGURED = {
+    **{f"action-axis-{a}": ("deform", lambda cfg, a=a: cfg["action"].update(axis=a),
+                            "reflection " + AXIS_OUTSIDE.format(a)) for a in (2, 7, -1)},
+    **{f"retraction-axis-{a}": ("deform", lambda cfg, a=a: cfg["retraction"].update(axis=a),
+                                "retraction " + AXIS_OUTSIDE.format(a)) for a in (2, 7)},
+    "retraction-axis--1": ("deform", lambda cfg: cfg["retraction"].update(axis=-1),
+                           "$.retraction.axis: -1 is less than the minimum of 0"),
+    "retraction-point": ("deform", lambda cfg: cfg.update(retraction={"kind": "constant"}),
+                         "a constant retraction requires the config field 'point'"),
+    **{f"dyadic-{key}": ("symmetrize", lambda cfg, key=key: cfg["base_homotopy"].pop(key),
+                         DYADIC_NEEDS.format(key)) for key in ("mean", "lambda", "theta")},
+    "trust_laws": ("symmetrize-dictator", lambda cfg: cfg.update(trust_laws=True),
+                   "'trust_laws' was unexpected"),
+    "force_random": ("random-lambda", lambda cfg: cfg.update(force_random=True),
+                     "'force_random' was unexpected"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISCONFIGURED))
+def test_a_misconfigured_golden_exits_2_naming_its_key(tmp_path, capsys, case):
+    name, edit, message = MISCONFIGURED[case]
+    cfg = json.loads((GOLDEN / f"{name}.json").read_text())
+    edit(cfg)
+    code, outdir = run(tmp_path, cfg["experiment"], cfg)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert message in err
+    assert "unexpected error" not in err
+    assert not re.fullmatch(r"equimean: '[^']*'\n", err)
+    assert not (outdir / "report.json").exists()
 
 
 # the equimean modules a fresh process holds after ``import equimean.cli`` and

@@ -18,7 +18,6 @@ from equimean.groups import (
     enumerate_subgroups,
     fixed_defect,
     full_subgroup,
-    group_from_json,
     is_fixed_by,
     klein_four,
     make_group,
@@ -182,7 +181,6 @@ BUILTIN_ACTIONS = {
     "trivial": trivial_action(Box([-1, -1], [1, 1]), cyclic(3)),
     "negation": negation_action(Interval(-1.0, 1.0)),
     "reflection": reflection_action(Box([-1, -1], [1, 1]), axis=1),
-    "reflection-past-the-last-axis": reflection_action(Interval(-1.0, 1.0), axis=3),
     "rotation": rotation_action(Circle(2.0, "geodesic"), 5),
     "plane-rotation": plane_rotation_action(Box([-1, -1], [1, 1]), 4),
     "plane-rotation-of-3-coordinates": plane_rotation_action(CUBE, 3),
@@ -305,16 +303,6 @@ def test_coordinate_permutation_requires_closure():
     assert act.group.order == 3
     report = check_action(act, seed_or_rng=2, samples=30)
     assert report.passed and report.isometry_defect <= 1e-12
-
-
-def test_group_from_json():
-    assert group_from_json({"name": "cyclic", "n": 5}).order == 5
-    assert group_from_json({"name": "dihedral", "n": 3}).order == 6
-    assert group_from_json({"name": "symmetric", "n": 3}).order == 6
-    assert group_from_json({"name": "klein_four"}).order == 4
-    assert group_from_json({"cayley": [[0, 1], [1, 0]]}).order == 2
-    with pytest.raises(ValueError):
-        group_from_json({"name": "monster"})
 
 
 def test_dihedral_structure():

@@ -48,16 +48,16 @@ GEO_LAMBDA = 2.0 - math.sqrt(2.0)  # contractivity constant of sqrt(xy) on [1, 2
 
 def geometric_builder(**kw) -> ContractionBuilder:
     space = Interval(1.0, 2.0)
-    return ContractionBuilder(space, geometric_mean(space), GEO_LAMBDA, (2.0,), **kw)
+    return ContractionBuilder(geometric_mean(space), GEO_LAMBDA, (2.0,), **kw)
 
 
 def arithmetic_builder(space=UNIT, theta=(0.0,), **kw) -> ContractionBuilder:
-    return ContractionBuilder(space, arithmetic_mean(space, 2), 0.5, theta, **kw)
+    return ContractionBuilder(arithmetic_mean(space, 2), 0.5, theta, **kw)
 
 
 def minsq_builder() -> ContractionBuilder:
     # minsq has no contractivity constant below 1; the path is still defined
-    return ContractionBuilder(UNIT, min_plus_halfsquare_mean(UNIT), 0.99, (0.0,))
+    return ContractionBuilder(min_plus_halfsquare_mean(UNIT), 0.99, (0.0,))
 
 
 def lopsided_builder() -> ContractionBuilder:
@@ -67,12 +67,12 @@ def lopsided_builder() -> ContractionBuilder:
         return (0.75 * x + 0.25 * y,)
 
     p = QuasiMeanMap(2, UNIT, lopsided, "weighted")
-    return ContractionBuilder(UNIT, p, 0.75, (0.0,))
+    return ContractionBuilder(p, 0.75, (0.0,))
 
 
 def constant_builder() -> ContractionBuilder:
     # every odd node is 1/2, so the first and last steps of each level tie
-    return ContractionBuilder(UNIT, constant_mean(UNIT, (0.5,)), 0.5, (0.0,))
+    return ContractionBuilder(constant_mean(UNIT, (0.5,)), 0.5, (0.0,))
 
 
 def holey(pts):
@@ -88,7 +88,7 @@ def holey_batch(arrays):
 
 
 def nan_nodes_builder() -> ContractionBuilder:
-    return ContractionBuilder(UNIT, QuasiMeanMap(2, UNIT, holey, "holey"), 0.5, (0.0,))
+    return ContractionBuilder(QuasiMeanMap(2, UNIT, holey, "holey"), 0.5, (0.0,))
 
 
 BOX2 = Box([-1.0, -1.0], [1.0, 1.0])
@@ -174,7 +174,7 @@ def test_recursion_argument_order():
         return (0.75 * x + 0.25 * y,)
 
     p = QuasiMeanMap(2, UNIT, lopsided, "weighted")
-    b = ContractionBuilder(UNIT, p, 0.75, (0.0,))
+    b = ContractionBuilder(p, 0.75, (0.0,))
     x = (1.0,)
     assert b.at_dyadic(x, Dyadic(1, 1)) == (0.75,)          # p(x, theta)
     assert b.at_dyadic(x, Dyadic(1, 2)) == (0.75 * 1.0 + 0.25 * 0.75,)  # p(x, mid)
@@ -208,7 +208,7 @@ def test_level_arrays_reject_bad_batch_shape():
     space = Interval(1.0, 2.0)
     p = geometric_mean(space)
     flat = QuasiMeanMap(2, space, p.eval, "flat", batch=lambda arrays: p.batch(arrays)[:, 0])
-    b = ContractionBuilder(space, flat, GEO_LAMBDA, (2.0,))
+    b = ContractionBuilder(flat, GEO_LAMBDA, (2.0,))
     with pytest.raises(ValueError, match="shape"):
         list(b.level_arrays((1.0,), 3))
     with mock.patch.object(homotopy, "LAW_BLOCK_EVALS", 0):
@@ -261,7 +261,7 @@ WALK_CASES = {
        st.lists(st.floats(0.0, 1.0), max_size=8), st.integers(0, 39))
 def test_at_times_array_walk_equals_the_scalar_walk(case, data, ts, level):
     space, make, lam, theta = WALK_CASES[case]
-    b = ContractionBuilder(space, make(space), lam, theta)
+    b = ContractionBuilder(make(space), lam, theta)
     # the dictators and the constant map fail the ratio check for any
     # lambda < 1; the lanes are compared on their values alone
     b.ratio_report = arithmetic_builder().ratio_report
@@ -305,7 +305,7 @@ def test_scalar_walk_equals_the_recursion_at_odd_numerators(n, data):
 
 def test_a_nan_map_is_refused_by_at_time():
     p = QuasiMeanMap(2, SYM, lambda pts: (math.nan,), "nan")
-    b = ContractionBuilder(SYM, p, 0.5, (0.0,))
+    b = ContractionBuilder(p, 0.5, (0.0,))
     assert math.isnan(b.ratio_report.max_violation)
     with pytest.raises(HypothesisError, match=r"^sampled contractivity ratio nan at the pair "):
         b.at_time((0.5,), 0.3, 1e-6)
@@ -319,16 +319,16 @@ def test_level_cap_enforced():
 
 def test_builder_rejects_bad_inputs():
     with pytest.raises(ValueError, match="binary"):
-        ContractionBuilder(UNIT, arithmetic_mean(UNIT, 3), 0.7, (0.0,))
+        ContractionBuilder(arithmetic_mean(UNIT, 3), 0.7, (0.0,))
     with pytest.raises(ValueError, match="lambda"):
-        ContractionBuilder(UNIT, arithmetic_mean(UNIT, 2), 1.0, (0.0,))
+        ContractionBuilder(arithmetic_mean(UNIT, 2), 1.0, (0.0,))
     with pytest.raises(Exception, match="not in"):
-        ContractionBuilder(UNIT, arithmetic_mean(UNIT, 2), 0.5, (2.0,))
+        ContractionBuilder(arithmetic_mean(UNIT, 2), 0.5, (2.0,))
 
 
 def test_builder_keeps_the_sampled_ratio_and_its_pair():
     space = Interval(1.0, 2.0)
-    b = ContractionBuilder(space, geometric_mean(space), 0.3, (2.0,))
+    b = ContractionBuilder(geometric_mean(space), 0.3, (2.0,))
     report = b.ratio_report
     assert (report.law, report.samples_checked, report.tol) == ("contractivity", 16, 0.3 + 1e-9)
     x, y = report.witness
@@ -348,7 +348,7 @@ def test_at_times_refuses_an_understated_lambda_that_the_sweeps_report():
     evals = []
     mean = arithmetic_mean(UNIT, 2)
     p = QuasiMeanMap(2, UNIT, lambda pts: evals.append(pts) or mean.eval(pts), "counted")
-    b = ContractionBuilder(UNIT, p, 0.3, (0.0,))  # the arithmetic mean has lambda 1/2
+    b = ContractionBuilder(p, 0.3, (0.0,))  # the arithmetic mean has lambda 1/2
     del evals[:]
     for call in (lambda: b.at_times((1.0,), [0.25, 0.5], 1e-3),
                  lambda: b.at_time((1.0,), 0.5, 1e-3)):
@@ -411,7 +411,7 @@ def test_a_bound_that_is_not_positive_scores_0_for_a_zero_step_and_inf_for_other
 def test_a_path_that_leaves_x_equal_to_its_basepoint_fails_both_sweeps():
     # d(x, theta) = 0 makes every bound 0, so each nonzero step is an inf ratio
     stuck = QuasiMeanMap(2, UNIT, lambda pts: (0.5,), "stuck")
-    b = ContractionBuilder(UNIT, stuck, 0.5, (0.0,))
+    b = ContractionBuilder(stuck, 0.5, (0.0,))
     claim1 = verify_claim1(b, (0.0,), 4)
     assert claim1.max_ratio == math.inf and not claim1.passed
     assert (claim1.worst_level, claim1.worst_index) == (1, 0)
@@ -422,7 +422,7 @@ def test_a_path_that_leaves_x_equal_to_its_basepoint_fails_both_sweeps():
 
 def test_level_sweep_floats_are_capped_before_level_0():
     box = Box([0.0] * 64, [1.0] * 64)
-    b = ContractionBuilder(box, arithmetic_mean(box, 2), 0.5, (0.0,) * 64)
+    b = ContractionBuilder(arithmetic_mean(box, 2), 0.5, (0.0,) * 64)
     rng = Xoshiro256StarStar(53)
     message = rf"depth 16 in dim 64 exceeds the cap of {LEVEL_FLOATS_CAP} floats"
     with pytest.raises(CapacityError, match=message):
@@ -712,7 +712,7 @@ def test_equivariant_contraction_error_names_the_map_witness():
         (x,), (y,) = pts
         return (0.5 * (x + y) + (0.05 if x > 0.0 else 0.0),)
 
-    b = ContractionBuilder(SYM, QuasiMeanMap(2, SYM, nudged, "nudged"), 0.5, (0.0,))
+    b = ContractionBuilder(QuasiMeanMap(2, SYM, nudged, "nudged"), 0.5, (0.0,))
     with pytest.raises(HypothesisError, match=r"^binary map equivariance defect 0\.05 exceeds tol "
                                               r"1e-09 at witness \(\(-?0\.\d+,\), \(-?0\.\d+,\)\)$"):
         equivariant_contraction(b, negation_action(SYM))
@@ -721,7 +721,7 @@ def test_equivariant_contraction_error_names_the_map_witness():
 def test_equivariant_contraction_swap_axes_box():
     box = Box([0.0, 0.0], [1.0, 1.0])
     act = swap_axes_action(box)
-    b = ContractionBuilder(box, arithmetic_mean(box, 2), 0.5, (0.5, 0.5))
+    b = ContractionBuilder(arithmetic_mean(box, 2), 0.5, (0.5, 0.5))
     gh = equivariant_contraction(b, act, tol=1e-12, depth=10, samples=100)
     assert gh.report["equivariance_defect"] <= 1e-12
 

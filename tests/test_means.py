@@ -119,15 +119,6 @@ def test_equivariance_broken_action_hits_membership():
         check_equivariance(p, shift, tuples, 1e-9)
 
 
-def test_orbit_average_verify_laws_flag():
-    box = Box([-1, -1], [1, 1])
-    act = reflection_action(box, axis=1)
-    p = arithmetic_mean(box, 2)
-    assert orbit_average_point(p, act, (0.3, 0.4), verify_laws=True) == (0.3, 0.0)
-    with pytest.raises(HypothesisError, match="anonymity defect .* at witness"):
-        orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4), verify_laws=True)
-
-
 def _nan_where_positive(space):
     """Midpoint map that is NaN wherever its first argument is positive, so
     that a NaN defect usually follows finite ones in sample order."""
@@ -295,7 +286,7 @@ def test_lambda_monotone_under_grid_refinement():
 
 def test_lambda_random_lane_close_to_grid():
     p = geometric_mean(Interval(1.0, 4.0))
-    est = estimate_lambda(p, LambdaConfig(force_random=True, restarts=60, seed=12))
+    est = means._estimate_random(p, LambdaConfig(restarts=60, seed=12))
     assert est.method == "random+hill"
     assert 0.55 <= est.lambda_hat <= 2.0 / 3.0 + 1e-9
 
@@ -568,6 +559,10 @@ def test_orbit_average_detects_nonequivariant_mean():
     )
     with pytest.raises(HypothesisError):
         orbit_average_point(skew, act, (0.3, 0.4))
+    # a dictator is equivariant but not anonymous: it returns x, which the
+    # reflection moves
+    with pytest.raises(HypothesisError, match=r"^orbit average fixed-point defect 0\.8 "):
+        orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4))
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +614,8 @@ def _solomonic(p, K, budget):
     return lambda rng: solomonic_witness_search(p, K, budget, rng)
 
 
-def _random_hill(p, restarts, force_random=True):
-    return lambda rng: estimate_lambda(p, LambdaConfig(restarts=restarts, seed=rng,
-                                                       force_random=force_random))
+def _random_hill(p, restarts):
+    return lambda rng: means._estimate_random(p, LambdaConfig(restarts=restarts, seed=rng))
 
 
 def _search(run, seed, gate):
@@ -705,7 +699,9 @@ def test_random_hill_lanes_agree(space, name, restarts, block_floats, seed):
         _assert_search_lanes_agree(_random_hill(SEARCH_MAPS[name](space), restarts), seed)
 
 
-@pytest.mark.parametrize("make, restarts, seed, force_random", [
+# ``interval``: a binary map on an interval, which estimate_lambda scans on
+# the grid, so its random lane is called directly
+@pytest.mark.parametrize("make, restarts, seed, interval", [
     (lambda: arithmetic_mean(Box([-1.0], [2.0]), 2), 5, 3, False),
     (lambda: arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3), 37, 4, False),
     (lambda: arithmetic_mean(Box([0.0, -1.0, -2.0], [1.0, 1.0, 3.0]), 4), 5, 5, False),
@@ -721,12 +717,14 @@ def test_random_hill_lanes_agree(space, name, restarts, block_floats, seed):
     # candidate is NaN and no climb moves
     (lambda: arithmetic_mean(HUGE_FACTOR_PRODUCT, 2), 3, 1, False),
 ])
-def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, seed, force_random):
+def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, seed, interval):
     p = make()
-    report = _assert_search_lanes_agree(_random_hill(p, restarts, force_random), seed)
+    method = estimate_lambda(p, LambdaConfig(grid_step=0.1, restarts=1)).method
+    assert method == ("grid" if interval else "random+hill")
+    report = _assert_search_lanes_agree(_random_hill(p, restarts), seed)
     steps = _scalar_climbs(monkeypatch)
     monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
-    est = estimate_lambda(p, LambdaConfig(restarts=restarts, seed=seed, force_random=True))
+    est = means._estimate_random(p, LambdaConfig(restarts=restarts, seed=seed))
     # every restart climbed in the lockstep, none through the scalar loop
     assert est.route == f"lockstep substreams, {restarts} restarts in 1 block"
     assert steps == []
