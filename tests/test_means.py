@@ -119,6 +119,18 @@ def test_equivariance_broken_action_hits_membership():
         check_equivariance(p, shift, tuples, 1e-9)
 
 
+def test_orbit_average_verify_laws_flag():
+    # the law checks once behind a flag always run: a lawful mean gives the
+    # fixed point, and a dictator, equivariant but not anonymous, returns x,
+    # which the reflection moves
+    box = Box([-1, -1], [1, 1])
+    act = reflection_action(box, axis=1)
+    p = arithmetic_mean(box, 2)
+    assert orbit_average_point(p, act, (0.3, 0.4)) == (0.3, 0.0)
+    with pytest.raises(HypothesisError, match=r"^orbit average fixed-point defect 0\.8 "):
+        orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4))
+
+
 def _nan_where_positive(space):
     """Midpoint map that is NaN wherever its first argument is positive, so
     that a NaN defect usually follows finite ones in sample order."""
@@ -559,10 +571,6 @@ def test_orbit_average_detects_nonequivariant_mean():
     )
     with pytest.raises(HypothesisError):
         orbit_average_point(skew, act, (0.3, 0.4))
-    # a dictator is equivariant but not anonymous: it returns x, which the
-    # reflection moves
-    with pytest.raises(HypothesisError, match=r"^orbit average fixed-point defect 0\.8 "):
-        orbit_average_point(dictator_mean(box, 0), act, (0.3, 0.4))
 
 
 # ---------------------------------------------------------------------------
