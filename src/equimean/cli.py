@@ -2,9 +2,10 @@
 
 Usage: ``equimean <subcommand> --config path [--seed N] [--out dir]``.
 Every run writes ``report.json`` into the output directory (plus a CSV
-or SVG where the experiment produces one) and exits 0 when all checks
-passed, 1 on a check failure (the witness is in the report), 2 on a
-usage or configuration error. Set EQUIMEAN_LOG=debug for verbose logs.
+where the experiment produces one) and exits 0 when all checks passed,
+1 on a check failure (the witness is in the report), 2 on a usage or
+configuration error; ``equimean plot <csv> <svg>`` renders a trajectory.
+Set EQUIMEAN_LOG=debug for verbose logs.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _non_finite_path(value, path=()):
     return None
 
 
-# The config schema's keywords that _conforms interprets, and those it
+# The config schema's keywords that _checked interprets, and those it
 # skips; any other keyword raises, so a schema edit cannot quietly go
 # unchecked. The packaged schema is checked against its meta-schema by the
 # test suite, not on every run.
@@ -97,12 +98,59 @@ _TYPES = {
 }
 
 
-def _conforms(value, schema: dict, root: dict) -> bool:
-    """Whether ``value`` is valid under ``schema`` (a node of ``root``) in
-    Draft 2020-12 as jsonschema applies it, for the keywords in
-    ``_CHECKED_KEYWORDS``. The numeric bounds skip non-numbers and fail
-    only on jsonschema's own comparisons, so NaN passes them as it does
-    there."""
+def _fault(value, schema: dict):
+    """jsonschema's message for the first keyword of ``schema`` that
+    ``value`` itself violates, or None; ``_checked`` walks into an object's
+    properties and an array's items. The numeric bounds skip non-numbers
+    and fail only on jsonschema's own comparisons, so NaN passes them as it
+    does there."""
+    if "type" in schema:
+        names = schema["type"]
+        names = [names] if isinstance(names, str) else names
+        if not any(_TYPES[n](value) for n in names):
+            return f"{value!r} is not of type {', '.join(map(repr, names))}"
+    if "enum" in schema:
+        # a string equals only itself, also under jsonschema; other members
+        # would need its rule that True is not 1
+        if not all(isinstance(e, str) for e in schema["enum"]):
+            raise NotImplementedError("config schema enums must hold only strings")
+        if not (isinstance(value, str) and value in schema["enum"]):
+            return f"{value!r} is not one of {schema['enum']!r}"
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{key!r} is a required property"
+        extras = sorted(value.keys() - schema.get("properties", {}).keys())
+        if "additionalProperties" in schema and extras:
+            listed = ", ".join(map(repr, extras))
+            verb = "was" if len(extras) == 1 else "were"
+            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
+    if isinstance(value, list):
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if len(value) < low:
+            return f"{value!r} " + ("should be non-empty" if low == 1 else "is too short")
+        if len(value) > high:
+            return f"{value!r} " + ("is expected to be empty" if high == 0 else "is too long")
+    if _TYPES["number"](value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{value!r} is less than the minimum of {schema['minimum']!r}"
+        low, high = schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum")
+        if low is not None and value <= low:
+            return f"{value!r} is less than or equal to the minimum of {low!r}"
+        if high is not None and value >= high:
+            return f"{value!r} is greater than or equal to the maximum of {high!r}"
+    return None
+
+
+def _checked(value, schema: dict, root: dict, path=()):
+    """``value`` checked against ``schema`` (a node of ``root``) in Draft
+    2020-12 as jsonschema applies it, for the keywords in
+    ``_CHECKED_KEYWORDS``, with every float at an ``integer`` position made
+    an int: the schema accepts an integral float such as 3.0 there, and the
+    runners pass these values to ``range()``. The first violation raises
+    ``ConfigError`` with its JSON path and jsonschema's message for it; a
+    node's own keywords come before its children, and the children in the
+    config's order."""
     unknown = schema.keys() - _CHECKED_KEYWORDS - _SKIPPED_KEYWORDS
     if unknown:
         raise NotImplementedError(f"config schema keywords {sorted(unknown)} have no check")
@@ -112,57 +160,18 @@ def _conforms(value, schema: dict, root: dict) -> bool:
         ref = schema["$ref"]
         if not ref.startswith("#/$defs/"):
             raise NotImplementedError(f"config schema $ref {ref!r} is not local")
-        if not _conforms(value, root["$defs"][ref[len("#/$defs/"):]], root):
-            return False
-    if "type" in schema:
-        names = schema["type"]
-        if not any(_TYPES[n](value) for n in ([names] if isinstance(names, str) else names)):
-            return False
-    if "enum" in schema:
-        # a string equals only itself, also under jsonschema; other members
-        # would need its rule that True is not 1
-        if not all(isinstance(e, str) for e in schema["enum"]):
-            raise NotImplementedError("config schema enums must hold only strings")
-        if not (isinstance(value, str) and value in schema["enum"]):
-            return False
+        value = _checked(value, root["$defs"][ref[len("#/$defs/"):]], root, path)
+    fault = _fault(value, schema)
+    if fault is not None:
+        raise ConfigError(f"{_where(path)}: {fault}")
     if isinstance(value, dict):
         props = schema.get("properties", {})
-        if "additionalProperties" in schema and not value.keys() <= props.keys():
-            return False
-        return all(k in value for k in schema.get("required", ())) and all(
-            _conforms(value[k], sub, root) for k, sub in props.items() if k in value
-        )
-    if isinstance(value, list):
-        return (
-            len(value) >= schema.get("minItems", 0)
-            and len(value) <= schema.get("maxItems", len(value))
-            and all(_conforms(v, schema.get("items", {}), root) for v in value)
-        )
-    if _TYPES["number"](value):
-        return not (
-            "minimum" in schema and value < schema["minimum"]
-            or "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]
-            or "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]
-        )
-    return True
-
-
-def _integral_floats_to_int(value, schema: dict, root: dict):
-    """``value``, valid under ``schema`` (a node of ``root``), with every
-    float at an ``integer`` position made an int. The schema accepts an
-    integral float such as 3.0 there, as Draft 2020-12 does, and the
-    runners pass these values to ``range()``."""
-    ref = schema.get("$ref")
-    if ref is not None:
-        value = _integral_floats_to_int(value, root["$defs"][ref[len("#/$defs/"):]], root)
-    if schema.get("type") == "integer" and isinstance(value, float):
-        return int(value)
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        return {k: _integral_floats_to_int(v, props[k], root) if k in props else v
+        return {k: _checked(v, props[k], root, path + (k,)) if k in props else v
                 for k, v in value.items()}
     if isinstance(value, list) and "items" in schema:
-        return [_integral_floats_to_int(v, schema["items"], root) for v in value]
+        return [_checked(v, schema["items"], root, path + (i,)) for i, v in enumerate(value)]
+    if isinstance(value, float) and schema.get("type") == "integer":
+        return int(value)
     return value
 
 
@@ -179,17 +188,10 @@ def load_config(path: str) -> dict:
     if bad is not None:
         raise ConfigError(f"{path}: {_where(bad)}: not a finite number")
     schema = _schema()
-    if _conforms(cfg, schema, schema):
-        return _integral_floats_to_int(cfg, schema, schema)
-    # rejected: jsonschema explains why, with what jsonschema.validate
-    # raises (less its meta-schema check of the schema)
-    import jsonschema
-
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(cfg))
-    if error is None:
-        raise RuntimeError(f"{path}: the in-package schema check and jsonschema disagree")
-    raise ConfigError(f"{path}: {_where(error.absolute_path)}: {error.message}") from error
+    try:
+        return _checked(cfg, schema, schema)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _need(cfg: dict, key: str, experiment: str):
@@ -361,19 +363,13 @@ def run_build_homotopy(cfg: dict, outdir: Path):
         writer.writerow(["t"] + [f"x{i}" for i in range(space.dim)] + ["error"])
         for t, (point, err) in zip(ts, values):
             writer.writerow([repr(t)] + [repr(c) for c in point] + [repr(err)])
-    artifacts = {"trajectory_csv": csv_name}
-    if cfg.get("svg", False):
-        from . import plotsvg
-
-        plotsvg.emit_plot(outdir / csv_name, outdir / "trajectory.svg")
-        artifacts["svg"] = "trajectory.svg"
     results = {
         "mean": mean.label,
         "eps": eps,
         "times": times,
         "max_certified_error": max(err for _, err in values),
         "alpha": builder.alpha,
-        **artifacts,
+        "trajectory_csv": csv_name,
     }
     return True, results, f"at_times, {times} times"
 

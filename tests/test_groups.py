@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equimean.errors import CapacityError, GroupConstructionError, ToleranceError
+from equimean import groups
 from equimean.groups import (
+    CYCLIC_ORDER_CAP,
     FiniteGroup,
     GroupAction,
     Subgroup,
@@ -134,6 +136,17 @@ def test_subgroup_rejects_ids_outside_the_group(members):
 def test_enumerate_subgroups_capacity():
     with pytest.raises(CapacityError):
         enumerate_subgroups(cyclic(65))
+
+
+def test_cyclic_refuses_an_order_over_the_cap_before_building_its_table(monkeypatch):
+    built = []
+    monkeypatch.setattr(groups, "FiniteGroup", lambda table, name: built.append(len(table)))
+    cyclic(CYCLIC_ORDER_CAP)
+    for make in (cyclic, lambda n: plane_rotation_action(Box([-1, -1], [1, 1]), n)):
+        with pytest.raises(CapacityError,
+                           match=f"order {CYCLIC_ORDER_CAP + 1} exceeds the cap {CYCLIC_ORDER_CAP}"):
+            make(CYCLIC_ORDER_CAP + 1)
+    assert built == [CYCLIC_ORDER_CAP]
 
 
 def test_orbit_examples():
@@ -281,6 +294,20 @@ def test_broken_action_reported():
     report = check_action(shift, seed_or_rng=5, samples=30)
     assert not report.membership_ok
     assert not report.passed
+
+
+@pytest.mark.parametrize("whole, integral_float", [
+    ({"name": "reflection", "axis": 1}, {"name": "reflection", "axis": 1.0}),
+    ({"name": "plane_rotation", "n": 4}, {"name": "plane_rotation", "n": 4.0}),
+    ({"name": "coordinate_permutation", "perms": [[0, 1], [1, 0]]},
+     {"name": "coordinate_permutation", "perms": [[0.0, 1], [1.0, 0]]}),
+])
+def test_action_fields_read_an_integral_float_as_its_int(whole, integral_float):
+    # as the config schema's integer type does
+    box = Box([-1, -1], [1, 1])
+    want, got = action_from_json(whole, box), action_from_json(integral_float, box)
+    assert (got.name, got.group.cayley) == (want.name, want.group.cayley)
+    assert got.act(1, (0.25, 0.5)) == want.act(1, (0.25, 0.5))
 
 
 def test_a_nan_isometry_defect_is_not_isometric():
