@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
@@ -43,7 +44,7 @@ from .means import (
     sample_tuples,
 )
 from .rng import as_rng, randrange_accepts
-from .spaces import MetricSpace, Point, as_point, is_convex, worst_of_blocks
+from .spaces import MetricSpace, Point, as_point, is_convex, worst, worst_array, worst_of_blocks
 
 if TYPE_CHECKING:
     from .groups import GroupAction, Subgroup
@@ -53,6 +54,12 @@ LEVEL_SWEEP_CAP = 20
 # floats the finest level of a sweep may hold (32 MiB as float64): a 2-D box
 # sweeps to depth 20, a 64-D one to depth 15
 LEVEL_FLOATS_CAP = 1 << 22
+# floats a sweep's chunk may hold on its finest level (256 KiB as float64), so
+# that a chunk and its temporaries stay in a 2 MiB L2 cache: ``level_chunks``
+# refines the path below level depth - k one interval at a time, with
+# 2^k x dim <= this. Of 2^12..2^17, 2^15 and 2^16 swept a 2-D box to depth 20
+# fastest on a 2-vCPU Xeon; below them, the per-chunk calls add up.
+CHUNK_FLOATS = 1 << 15
 RATIO_SLACK = 1e-9
 # the pairs on which every builder samples its map's contractivity ratio
 RATIO_SEED = 5
@@ -71,7 +78,7 @@ class ContractionBuilder:
     drawn from RATIO_SEED and keeps the check as ``ratio_report``. When the
     sampled ratio exceeds the declared lambda, ``at_times`` and ``at_time``,
     which return certified errors, raise HypothesisError naming the worst
-    pair; ``at_dyadic``, ``level_arrays`` and the sweeps, which certify
+    pair; ``at_dyadic``, ``level_chunks`` and the sweeps, which certify
     nothing themselves, still run.
     """
 
@@ -180,12 +187,18 @@ class ContractionBuilder:
         """``at_times`` at a single time."""
         return self.at_times(x, (t,), eps)[0]
 
-    def level_arrays(self, x, depth: int):
+    def level_chunks(self, x, depth: int):
         """An iterator over the path values on the grids of levels 0..depth,
-        as (2^n + 1, dim) float64 arrays; row j of level n is the value at
-        j/2^n and equals ``at_dyadic`` there.
+        in chunks (n, start, rows): ``rows`` is an (m, dim) float64 array
+        whose row i is the value at (start + i)/2^n and equals ``at_dyadic``
+        there.
 
-        Level n is level n-1 interleaved with p applied to each pair of
+        Levels 0..c come whole, with c = max(0, depth - k) and k the most
+        levels whose 2^k x dim floats fit CHUNK_FLOATS. Then each level-c
+        interval in turn is refined alone down to ``depth``, one chunk a
+        level, so a sweep holds O(CHUNK_FLOATS) floats at any depth;
+        neighbouring chunks of a level share their end row. Each finer level
+        interleaves its coarser one with p applied to each pair of
         neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP,
         and the finest level's floats at LEVEL_FLOATS_CAP, on the call.
         """
@@ -197,21 +210,28 @@ class ContractionBuilder:
         if ((1 << depth) + 1) * dim > LEVEL_FLOATS_CAP:
             raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
                                 f"of {LEVEL_FLOATS_CAP} floats on its finest level")
-        return _refinements(self.p, np.array([as_point(x), self.theta], dtype=np.float64), depth)
+        coarse = max(0, depth - max(1, (CHUNK_FLOATS // dim).bit_length() - 1))
+        level = np.array([as_point(x), self.theta], dtype=np.float64)
+        p = self.p
 
+        def refined(rows):
+            finer = np.empty((2 * len(rows) - 1, dim))
+            finer[0::2] = rows
+            finer[1::2] = _midpoints(p, rows[:-1], rows[1:])
+            return finer
 
-def _refinements(p: QuasiMeanMap, level, depth: int):
-    """``level`` and its next ``depth`` refinements through p."""
-    import numpy as np
+        def chunks(level):
+            yield 0, 0, level
+            for n in range(1, coarse + 1):
+                level = refined(level)
+                yield n, 0, level
+            for i in range(len(level) - 1):
+                rows = level[i:i + 2]
+                for n in range(coarse + 1, depth + 1):
+                    rows = refined(rows)
+                    yield n, i << (n - coarse), rows
 
-    yield level
-    for _ in range(depth):
-        mids = _midpoints(p, level[:-1], level[1:])
-        finer = np.empty((2 * len(level) - 1, level.shape[1]))
-        finer[0::2] = level
-        finer[1::2] = mids
-        level = finer
-        yield level
+        return chunks(level)
 
 
 def _midpoints(p: QuasiMeanMap, left, right):
@@ -272,16 +292,18 @@ def verify_claim1(builder: ContractionBuilder, x, depth: int) -> LevelBoundRepor
     """Sweep all adjacent dyadic pairs at levels 0..depth and compare each
     step against the per-level geometric bound. The worst pair is the
     first one, in level then index order, whose ratio is NaN, or else the
-    first one that attains the maximum."""
+    first one that attains the maximum: each chunk's own winner
+    (``worst_array``) goes to ``worst`` in that order."""
     x = as_point(x)
     dx = builder.space.d(x, builder.theta)
-
-    def levels():
-        for n, level in enumerate(builder.level_arrays(x, depth)):
-            steps = builder.space.d_batch(level[:-1], level[1:])
-            yield _step_ratios(steps, (builder.lam ** n) * dx), lambda j, n=n: (n, j)
-
-    top, witness, checked = worst_of_blocks(levels(), 0.0)
+    winners, checked = [], 0
+    for n, start, rows in builder.level_chunks(x, depth):
+        steps = builder.space.d_batch(rows[:-1], rows[1:])
+        top, i, count = worst_array(_step_ratios(steps, (builder.lam ** n) * dx), 0.0)
+        checked += count
+        if i is not None:
+            winners.append((top, (n, start + i)))
+    top, witness, _ = worst(sorted(winners, key=lambda w: w[1]), 0.0)
     wl, wi = witness or (-1, -1)
     return LevelBoundReport(top, wl, wi, checked, builder.lam, dx)
 
@@ -351,41 +373,38 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     displacement against the Holder bound.
 
     Every sampled time lies on the level-``depth`` grid, so the path is
-    built once at that level and each pair reads two of its rows; the
-    time gap |i - k| 2^-depth is exact. Depth is capped at LEVEL_SWEEP_CAP,
-    and the pairs plus the sweep's 2^depth - 1 midpoints at WORK_CAP. A NaN
-    ratio counts as a violation, and the first one is the worst pair. The
-    pairs are those of ``_random_grid_index`` drawn in turn, left then
-    right, taken a block of draws at a time.
+    built once at that level, from ``level_chunks`` into one array, and
+    each pair reads two of its rows; the time gap |i - k| 2^-depth is
+    exact. Each pair's bound is computed in its block, so that beside that
+    array the check holds O(HOLDER_BLOCK) floats. Depth is capped at
+    LEVEL_SWEEP_CAP, and the pairs plus the sweep's 2^depth - 1 midpoints
+    at WORK_CAP. A NaN ratio counts as a violation, and the first one is
+    the worst pair. The pairs are those of ``_random_grid_index`` drawn in
+    turn, left then right, taken a block of draws at a time.
     """
     import numpy as np
 
     x = as_point(x)
-    levels = builder.level_arrays(x, depth)
+    chunks = builder.level_chunks(x, depth)
     require_work(f"verify-holder of {builder.p.label} ({pairs} pairs at depth {depth})",
                  pairs + (1 << depth) - 1)
-    for fine in levels:
-        pass  # only the finest level is kept
+    fine = np.empty(((1 << depth) + 1, builder.space.dim))
+    for n, start, rows in chunks:
+        if n == depth:  # only the finest level is kept
+            fine[start:start + len(rows)] = rows
     rng = as_rng(seed_or_rng)
     C = builder.holder_constant(x)
     cell = math.ldexp(1.0, -depth)
-    # the bound of each gap |i - k|, filled in as gaps occur
-    gap_bounds = np.empty(len(fine))
-    known = np.zeros(len(fine), dtype=bool)
     violations = 0
 
     def blocks():
         nonlocal violations
         for start in range(0, pairs, HOLDER_BLOCK):
             left, right = _grid_index_pairs(rng, depth, min(HOLDER_BLOCK, pairs - start))
-            gaps = np.abs(left - right)
-            fresh = np.zeros_like(known)
-            fresh[gaps] = True
-            new = np.flatnonzero(fresh & ~known)
-            # Python's ** for the bound: numpy's power rounds differently
-            gap_bounds[new] = [C * (g * cell) ** builder.alpha for g in new.tolist()]
-            known[new] = True
-            ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), gap_bounds[gaps])
+            spans = (np.abs(left - right) * cell).tolist()
+            # Python's pow for the bound: numpy's power rounds differently
+            bounds = C * np.fromiter(map(pow, spans, repeat(builder.alpha)), float, len(spans))
+            ratios = _step_ratios(builder.space.d_batch(fine[left], fine[right]), bounds)
             violations += int(np.count_nonzero(~(ratios <= 1.0 + RATIO_SLACK)))
             yield ratios, lambda j, left=left, right=right: (Dyadic(int(left[j]), depth),
                                                              Dyadic(int(right[j]), depth))

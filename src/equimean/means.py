@@ -964,20 +964,31 @@ def _require_convex(space: MetricSpace, what: str) -> None:
         raise ValueError(f"{what} is not closed on a {space.kind} space")
 
 
+MEAN_NAMES = ("arithmetic[:n] with an integer n >= 2, geometric, dictator[:i] with i 0 or 1, "
+              "constant:c0[,c1,...] or minsq")
+
+
 def mean_from_name(name: str, space: MetricSpace) -> QuasiMeanMap:
-    """Resolve registry names: arithmetic:n, geometric, dictator:i,
-    constant:c0[,c1...], minsq."""
-    head, _, tail = name.partition(":")
-    if head == "arithmetic":
-        return arithmetic_mean(space, int(tail) if tail else 2)
-    if head == "geometric":
-        return geometric_mean(space)
-    if head == "dictator":
-        return dictator_mean(space, int(tail) if tail else 0)
+    """The mean a registry name gives, one of MEAN_NAMES: arithmetic has
+    arity 2 and dictator index 0 when the name omits them. Any other name
+    raises ValueError naming it and MEAN_NAMES."""
+    head, colon, tail = name.partition(":")
+    if not colon and head in ("geometric", "minsq"):
+        return geometric_mean(space) if head == "geometric" else min_plus_halfsquare_mean(space)
     if head == "constant":
-        if not tail:
-            raise ValueError("constant mean needs coordinates, e.g. constant:0.5")
-        return constant_mean(space, [float(v) for v in tail.split(",")])
-    if head == "minsq":
-        return min_plus_halfsquare_mean(space)
-    raise ValueError(f"unknown mean name {name!r}")
+        try:
+            coords = [float(v) for v in tail.split(",")]
+        except ValueError:  # no coordinates, or one that is no float
+            coords = None
+        if coords is not None:
+            return constant_mean(space, coords)
+    if head in ("arithmetic", "dictator"):
+        if not colon:
+            return arithmetic_mean(space, 2) if head == "arithmetic" else dictator_mean(space, 0)
+        if tail.isascii() and tail.isdigit():
+            number = int(tail)
+            if head == "arithmetic" and number >= 2:
+                return arithmetic_mean(space, number)
+            if head == "dictator" and number < 2:
+                return dictator_mean(space, number)
+    raise ValueError(f"unknown mean name {name!r}; the names are {MEAN_NAMES}")

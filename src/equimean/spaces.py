@@ -478,18 +478,76 @@ class Product(MetricSpace):
 _KINDS = {cls.kind: cls for cls in (Interval, Box, Circle, FinitePoints, Product)}
 
 
+def _number(value):
+    """``value`` if the config schema's ``number`` reads it: an int or a
+    float; a bool is none."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{value!r} is not a number")
+
+
+def _string(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise TypeError(f"{value!r} is not a string")
+
+
+def _list_of(read):
+    """A reader of a list whose every item ``read`` reads."""
+    def read_list(value) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"{value!r} is not a list")
+        return [read(v) for v in value]
+
+    return read_list
+
+
+_numbers = _list_of(_number)
+# each kind's parameters: name -> (reader, what it reads, required)
+_PARAMS = {
+    "interval": {"a": (_number, "a number", True), "b": (_number, "a number", True)},
+    "box": {"lo": (_numbers, "a list of numbers", True),
+            "hi": (_numbers, "a list of numbers", True)},
+    "circle": {"radius": (_number, "a number", False), "metric": (_string, "a string", False)},
+    "finite_points": {"points": (_list_of(_numbers), "a list of lists of numbers", True)},
+    "product": {"spaces": (_list_of(lambda v: v), "a list of spaces", True)},
+}
+
+
 def space_from_json(obj: dict) -> MetricSpace:
-    """Rebuild a space from its ``{"kind", "params"}`` description."""
+    """Rebuild a space from its ``{"kind", "params"}`` description. A
+    missing, extra or ill-typed parameter raises ValueError naming the kind
+    and the key, as ``space.params.<key>``."""
+    return _space_at(obj, "space")
+
+
+def _space_at(obj: dict, path: str) -> MetricSpace:
     try:
         kind = obj["kind"]
         params = dict(obj.get("params", {}))
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed space description: {obj!r}") from exc
     if kind not in _KINDS:
         raise ValueError(f"unknown space kind {kind!r}")
+    fields = _PARAMS[kind]
+    for key in params:
+        if key not in fields:
+            raise ValueError(f"{kind} space has no parameter {path}.params.{key}")
+    args = {}
+    for key, (read, what, required) in fields.items():
+        if key not in params:
+            if required:
+                raise ValueError(f"{kind} space requires the parameter {path}.params.{key}")
+            continue
+        try:
+            args[key] = read(params[key])
+        except TypeError:
+            raise ValueError(f"{kind} space parameter {path}.params.{key} must be {what}, "
+                             f"got {params[key]!r}") from None
     if kind == "product":
-        return Product([space_from_json(s) for s in params["spaces"]])
-    return _KINDS[kind](**params)
+        return Product([_space_at(s, f"{path}.params.spaces[{i}]")
+                        for i, s in enumerate(args["spaces"])])
+    return _KINDS[kind](**args)
 
 
 def coordinate_bounds(space: MetricSpace) -> Optional[tuple[tuple, tuple]]:

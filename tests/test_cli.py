@@ -1143,6 +1143,28 @@ MISCONFIGURED = {
                               "name": "coordinate_permutation", "perms": [0, 1]}),
                           "coordinate_permutation action field 'perms' must be a list of lists "
                           "of integers, got [0, 1]"),
+    "space-hi-true": ("deform", lambda cfg: cfg["space"]["params"]["hi"].__setitem__(1, True),
+                      "box space parameter space.params.hi must be a list of numbers, "
+                      "got [1.0, True]"),
+    "space-no-params": ("deform", lambda cfg: cfg["space"].pop("params"),
+                        "box space requires the parameter space.params.lo"),
+    "space-no-hi": ("deform", lambda cfg: cfg["space"]["params"].pop("hi"),
+                    "box space requires the parameter space.params.hi"),
+    "space-interval-b-x": ("deform", lambda cfg: cfg.update(space={
+                               "kind": "interval", "params": {"a": 0, "b": "x"}}),
+                           "interval space parameter space.params.b must be a number, got 'x'"),
+    "space-interval-c": ("deform", lambda cfg: cfg.update(space={
+                             "kind": "interval", "params": {"a": 0, "b": 1, "c": 2}}),
+                         "interval space has no parameter space.params.c"),
+    "space-product-factor": ("deform", lambda cfg: cfg.update(space={
+                                 "kind": "product", "params": {"spaces": [
+                                     {"kind": "interval", "params": {"a": 0, "b": 1}},
+                                     {"kind": "circle", "params": {"radius": "1"}}]}}),
+                             "circle space parameter space.params.spaces[1].params.radius "
+                             "must be a number, got '1'"),
+    **{f"mean-{name}": ("deform", lambda cfg, name=name: cfg.update(mean=name),
+                        f"unknown mean name {name!r}; the names are arithmetic[:n]")
+       for name in ("arithmetic:0", "arithmetic:1", "arithmetic:x", "dictator:x", "dictator:2")},
 }
 
 

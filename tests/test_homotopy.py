@@ -192,16 +192,46 @@ def test_arithmetic_path_matches_straight_line():
             assert abs(got - (1.0 - d.value)) <= 1e-12
 
 
+# CHUNK_FLOATS: the sweeps' own, under which a 1-D or 2-D path is whole to
+# depth 10, and three under which its chunks span 1, 2, or 5 and 6 levels
+CHUNK_SIZES = (homotopy.CHUNK_FLOATS, 2, 4, 64)
+
+
+def chunk_table(b, x, depth):
+    """{(n, j): row} of every row ``level_chunks`` yields, checking that the
+    chunks of each level start at 0, share their end rows and end at 2^n."""
+    table, ends = {}, {}
+    for n, start, rows in b.level_chunks(x, depth):
+        assert start == ends.get(n, 0), (n, start)
+        ends[n] = start + len(rows) - 1
+        for i, row in enumerate(rows.tolist()):
+            # reprs, in which NaN equals NaN: a shared end row is the same in both chunks
+            assert repr(table.setdefault((n, start + i), tuple(row))) == repr(tuple(row))
+    assert ends == {n: 1 << n for n in range(depth + 1)}
+    return table
+
+
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_level_arrays_equal_at_dyadic_at_every_node(case):
     make, x = SWEEP_CASES[case]
     b = make()
-    levels = list(b.level_arrays(x, 10))
-    assert len(levels) == 11
-    for n, level in enumerate(levels):
-        assert level.shape == ((1 << n) + 1, len(x))
-        for j, row in enumerate(level.tolist()):
-            assert repr(tuple(row)) == repr(b.at_dyadic(x, Dyadic(j, n))), (n, j)
+    for size in CHUNK_SIZES:
+        with mock.patch.object(homotopy, "CHUNK_FLOATS", size):
+            table = chunk_table(b, x, 10)
+        assert len(table) == sum((1 << n) + 1 for n in range(11))
+        for (n, j), row in table.items():
+            assert repr(row) == repr(b.at_dyadic(x, Dyadic(j, n))), (size, n, j)
+
+
+def test_level_chunks_sweep_whole_levels_then_one_interval_at_a_time():
+    b = arithmetic_builder(BOX2, (0.0, 0.0))
+    with mock.patch.object(homotopy, "CHUNK_FLOATS", 4):  # k = 1 level in dim 2
+        order = [(n, start, len(rows)) for n, start, rows in b.level_chunks((1.0, 1.0), 3)]
+    assert order == [(0, 0, 2), (1, 0, 3), (2, 0, 5),
+                     (3, 0, 3), (3, 2, 3), (3, 4, 3), (3, 6, 3)]
+    with mock.patch.object(homotopy, "CHUNK_FLOATS", 8):  # k = 2 levels
+        order = [(n, start, len(rows)) for n, start, rows in b.level_chunks((1.0, 1.0), 3)]
+    assert order == [(0, 0, 2), (1, 0, 3), (2, 0, 3), (3, 0, 5), (2, 2, 3), (3, 4, 5)]
 
 
 def test_level_arrays_reject_bad_batch_shape():
@@ -210,7 +240,7 @@ def test_level_arrays_reject_bad_batch_shape():
     flat = QuasiMeanMap(2, space, p.eval, "flat", batch=lambda arrays: p.batch(arrays)[:, 0])
     b = ContractionBuilder(flat, GEO_LAMBDA, (2.0,))
     with pytest.raises(ValueError, match="shape"):
-        list(b.level_arrays((1.0,), 3))
+        list(b.level_chunks((1.0,), 3))
     with mock.patch.object(homotopy, "LAW_BLOCK_EVALS", 0):
         with pytest.raises(ValueError, match="shape"):
             b.at_times((1.0,), [0.25, 0.5], 1e-2)
@@ -426,14 +456,14 @@ def test_level_sweep_floats_are_capped_before_level_0():
     rng = Xoshiro256StarStar(53)
     message = rf"depth 16 in dim 64 exceeds the cap of {LEVEL_FLOATS_CAP} floats"
     with pytest.raises(CapacityError, match=message):
-        next(b.level_arrays((1.0,) * 64, 16))
+        b.level_chunks((1.0,) * 64, 16)
     with pytest.raises(CapacityError, match=message):
         verify_holder(b, (1.0,) * 64, 10, 16, seed_or_rng=rng)
     assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
     assert (1 + (1 << 15)) * 64 <= LEVEL_FLOATS_CAP < (1 + (1 << 16)) * 64
     # a 2-D box still sweeps to the depth cap
     assert (1 + (1 << LEVEL_SWEEP_CAP)) * 2 <= LEVEL_FLOATS_CAP
-    assert next(arithmetic_builder(BOX2, (0.0, 0.0)).level_arrays((1.0, 1.0), 20)).shape == (2, 2)
+    assert next(arithmetic_builder(BOX2, (0.0, 0.0)).level_chunks((1.0, 1.0), 20))[2].shape == (2, 2)
 
 
 def test_verify_holder_depth_cap_before_sampling():
@@ -465,6 +495,64 @@ def test_sweeps_equal_recursive_reference(case, depth):
     for seed in (1, 45, 2 ** 40 + 3):
         got = verify_holder(b, x, 400, depth, seed_or_rng=seed)
         assert repr(got) == repr(holder_reference(b, x, 400, depth, seed))
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_chunked_sweeps_equal_whole_level_sweeps(case):
+    make, x = SWEEP_CASES[case]
+    b = make()
+    whole = repr(verify_claim1(b, x, 10)), repr(verify_holder(b, x, 400, 10, seed_or_rng=45))
+    for size in CHUNK_SIZES[1:]:
+        with mock.patch.object(homotopy, "CHUNK_FLOATS", size):
+            chunked = repr(verify_claim1(b, x, 10)), repr(verify_holder(b, x, 400, 10, seed_or_rng=45))
+        assert chunked == whole, size
+
+
+def two_holes(pts):
+    # holey, and NaN too where the midpoint lies in (0.9003, 0.9005): the
+    # path from 1 to 0 first meets that hole at 51/512, after 25/64
+    m = holey(pts)[0]
+    return (math.nan if 0.9003 < m < 0.9005 else m,)
+
+
+@pytest.mark.parametrize("size", CHUNK_SIZES)
+def test_chunked_claim1_keeps_the_first_nan_and_the_first_tied_step(size):
+    # every step of level n is 2^-n against the bound 0.4^n: the ratio grows
+    # with n and ties across the 4096 steps of level 12
+    tied_builder = ContractionBuilder(arithmetic_mean(UNIT, 2), 0.4, (0.0,))
+    with mock.patch.object(homotopy, "CHUNK_FLOATS", size):
+        nan = verify_claim1(nan_nodes_builder(), (1.0,), 10)
+        # at 64 floats the chunk of (9, 50) comes before that of (6, 24)
+        nans = verify_claim1(ContractionBuilder(QuasiMeanMap(2, UNIT, two_holes, "two holes"),
+                                                0.5, (0.0,)), (1.0,), 10)
+        tied = verify_claim1(tied_builder, (1.0,), 12)
+    assert (nan.worst_level, nan.worst_index) == (6, 24)
+    assert (nans.worst_level, nans.worst_index) == (6, 24)
+    assert (tied.worst_level, tied.worst_index) == (12, 0)
+    assert tied.max_ratio == 0.5 ** 12 / 0.4 ** 12
+
+
+def traced_peak(run) -> int:
+    """Peak bytes that tracemalloc, which sees numpy's data, traces in run()."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sweeps_to_the_depth_cap_hold_bounded_memory():
+    # a 2-D box at depth 20: the finest level alone is 2 x (2^20 + 1) floats
+    b = arithmetic_builder(BOX2, (0.25, -0.5))
+    x = (-1.0, 0.75)
+    verify_claim1(b, x, 2)
+    verify_holder(b, x, 10, 2)  # imports and first-call caches stay outside the peaks
+    fine = ((1 << LEVEL_SWEEP_CAP) + 1) * 2 * 8
+    assert traced_peak(lambda: verify_claim1(b, x, LEVEL_SWEEP_CAP)) < 4 << 20
+    assert traced_peak(lambda: verify_holder(b, x, 10_000, LEVEL_SWEEP_CAP)) < fine + (4 << 20)
 
 
 @pytest.mark.parametrize("case", SWEEP_CASES)

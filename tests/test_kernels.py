@@ -8,6 +8,7 @@ from equimean import _kernels
 from equimean._kernels import grid_scan_interval
 from equimean.cli import main
 from equimean.means import (
+    MEAN_NAMES,
     _grid_points,
     arithmetic_mean,
     constant_mean,
@@ -159,4 +160,5 @@ def test_unknown_kernel_code(tmp_path, capsys):
                     ' "mean": "median", "grid_step": 0.1}')
     code = main(["estimate-lambda", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert capsys.readouterr().err.strip() == "equimean: unknown mean name 'median'"
+    err = capsys.readouterr().err.strip()
+    assert err == f"equimean: unknown mean name 'median'; the names are {MEAN_NAMES}"

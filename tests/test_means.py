@@ -845,6 +845,15 @@ def test_registry_names():
         mean_from_name("constant", UNIT)
 
 
+@pytest.mark.parametrize("name", ["arithmetic:0", "arithmetic:1", "arithmetic:x", "arithmetic:",
+                                  "dictator:x", "dictator:2", "dictator:-1", "geometric:3",
+                                  "constant:x", "constant:0.5,", "minsq:2"])
+def test_registry_names_the_mean_and_its_forms_for_a_bad_tail(name):
+    with pytest.raises(ValueError) as info:
+        mean_from_name(name, UNIT)
+    assert str(info.value) == f"unknown mean name {name!r}; the names are {means.MEAN_NAMES}"
+
+
 def test_registry_rejects_incompatible_spaces():
     with pytest.raises(ValueError):
         mean_from_name("arithmetic:2", Circle(1.0))

@@ -283,6 +283,36 @@ def test_space_from_json_errors():
         space_from_json(["interval"])
 
 
+@pytest.mark.parametrize("desc, message", [
+    ({"kind": "interval", "params": {"a": 0}}, "interval space requires the parameter space.params.b"),
+    ({"kind": "interval", "params": {"a": 0, "b": 1, "c": 2}},
+     "interval space has no parameter space.params.c"),
+    ({"kind": "interval", "params": {"a": False, "b": 1}},
+     "interval space parameter space.params.a must be a number, got False"),
+    ({"kind": "box", "params": {"lo": [0, 0], "hi": [1, True]}},
+     r"box space parameter space.params.hi must be a list of numbers, got \[1, True\]"),
+    ({"kind": "box", "params": {"lo": 0, "hi": [1]}},
+     "box space parameter space.params.lo must be a list of numbers, got 0"),
+    ({"kind": "circle", "params": {"metric": 2}},
+     "circle space parameter space.params.metric must be a string, got 2"),
+    ({"kind": "finite_points", "params": {"points": [0.0, 1.0]}},
+     "finite_points space parameter space.params.points must be a list of lists of numbers"),
+    ({"kind": "product", "params": {"spaces": [{"kind": "box", "params": {"lo": [0]}}]}},
+     r"box space requires the parameter space.params.spaces\[0\].params.hi"),
+    ({"kind": "product", "params": {"spaces": {"kind": "interval"}}},
+     "product space parameter space.params.spaces must be a list of spaces"),
+])
+def test_space_params_are_checked_where_the_space_is_built(desc, message):
+    with pytest.raises(ValueError, match=message):
+        space_from_json(desc)
+
+
+def test_space_params_keep_their_defaults_and_ints():
+    assert space_from_json({"kind": "circle"}).to_json() == Circle(1.0).to_json()
+    assert space_from_json({"kind": "interval", "params": {"a": 0, "b": 2}}).params() == {
+        "a": 0.0, "b": 2.0}
+
+
 def test_is_convex():
     assert is_convex(Interval(0, 1))
     assert is_convex(Box([0, 0], [1, 1]))
