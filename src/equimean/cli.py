@@ -21,13 +21,7 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from .errors import (
-    CapacityError,
-    EquimeanError,
-    HypothesisError,
-    PrecisionError,
-    ToleranceError,
-)
+from .errors import CapacityError, EquimeanError, HypothesisError, ToleranceError
 
 # Each runner imports the modules it uses, so a run compiles only those (with
 # PYTHONDONTWRITEBYTECODE set, every process compiles the package's source).
@@ -225,43 +219,49 @@ def _given(cfg: dict, *keys) -> dict:
 
 
 def _retraction(cfg: dict, space):
-    spec = cfg.get("retraction", {"kind": "zero_coordinate"})
-    if spec["kind"] == "zero_coordinate":
-        axis = spec.get("axis", space.dim - 1)
-        if axis >= space.dim:
+    from .spaces import _integer, _point, _read_kinded
+
+    def zero_coordinate(args):
+        axis = args.get("axis", space.dim - 1)
+        if not 0 <= axis < space.dim:
             raise ConfigError(f"retraction axis {axis} is outside 0..{space.dim - 1} "
                               f"of a space of dim {space.dim}")
+        return lambda x: tuple(0.0 if i == axis else c for i, c in enumerate(x))
 
-        def retract(x):
-            return tuple(0.0 if i == axis else c for i, c in enumerate(x))
+    def constant(args):
+        space.require_member(args["point"])
+        return lambda x: args["point"]
 
-        return retract
-    from .spaces import as_point
-
-    pt = as_point(_need(spec, "point", "a constant retraction"))  # the schema's other kind
-    space.require_member(pt)
-    return lambda x: pt
+    kinds = {"zero_coordinate": ({"axis": (_integer, "an integer", False)}, zero_coordinate),
+             "constant": ({"point": (_point, "a point", True)}, constant)}
+    build, args = _read_kinded(cfg.get("retraction", {"kind": "zero_coordinate"}), "kind",
+                               kinds, "retraction", "retraction")
+    return build(args)
 
 
 def _base_homotopy(cfg: dict, space):
     from .homotopy import ContractionBuilder, straight_line_extension
     from .means import mean_from_name
-    from .spaces import as_point
+    from .spaces import _number, _point, _read_kinded, _string, as_point
 
-    spec = cfg.get("base_homotopy", {"kind": "straight_line_to"})
-    kind = spec.get("kind", "straight_line_to")
-    if kind == "straight_line_to":
-        theta = as_point(spec.get("theta", cfg.get("theta", 0.0)))
+    def straight_line_to(args):
+        theta = args["theta"] if "theta" in args else as_point(cfg.get("theta", 0.0))
         space.require_member(theta)
         return straight_line_extension(space, lambda x: theta)
-    if kind == "dyadic":
-        what = "a dyadic base homotopy"
-        builder = ContractionBuilder(mean_from_name(_need(spec, "mean", what), space),
-                                     float(_need(spec, "lambda", what)),
-                                     as_point(_need(spec, "theta", what)))
-        eps = float(spec.get("eps", 1e-9))
+
+    def dyadic(args):
+        mean = mean_from_name(args["mean"], space)
+        builder = ContractionBuilder(mean, float(args["lambda"]), args["theta"])
+        eps = float(args.get("eps", 1e-9))
         return lambda x, t: builder.at_time(x, t, eps)[0]
-    raise ConfigError(f"unknown base homotopy kind {kind!r}")
+
+    kinds = {"straight_line_to": ({"theta": (_point, "a point", False)}, straight_line_to),
+             "dyadic": ({"mean": (_string, "a string", True), "lambda": (_number, "a number", True),
+                         "theta": (_point, "a point", True), "eps": (_number, "a number", False)},
+                        dyadic)}
+    build, args = _read_kinded(cfg.get("base_homotopy", {}), "kind", kinds, "base homotopy",
+                               "base_homotopy", default="straight_line_to")
+    return build(args)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,8 @@ def run_chain(cfg: dict, outdir: Path):
 
 
 def _builder_from(cfg: dict, experiment: str) -> tuple:
+    """(mean, builder, x): the config's dyadic contraction and its start
+    point."""
     from .homotopy import ContractionBuilder
     from .spaces import as_point
 
@@ -335,32 +337,33 @@ def _builder_from(cfg: dict, experiment: str) -> tuple:
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
     theta = as_point(_need(cfg, "theta", experiment))
-    return space, mean, ContractionBuilder(mean, lam, theta)
+    return mean, ContractionBuilder(mean, lam, theta), _start_point(cfg, space)
 
 
 def _start_point(cfg: dict, space):
-    """The tracked point; sampled from the seed when the config omits it."""
+    """The tracked point, a member of ``space``; sampled from the seed when
+    the config omits it."""
     from .spaces import as_point
 
-    if "x" in cfg:
-        return as_point(cfg["x"])
-    return space.sample(cfg.get("seed", 1), 1)[0]
+    if "x" not in cfg:
+        return space.sample(cfg.get("seed", 1), 1)[0]
+    x = as_point(cfg["x"])
+    space.require_member(x)
+    return x
 
 
 def run_build_homotopy(cfg: dict, outdir: Path):
     times = cfg.get("times", 65)
     if times > TIMES_CAP:
         raise CapacityError(f"build-homotopy times {times} exceed the cap {TIMES_CAP}")
-    space, mean, builder = _builder_from(cfg, "build-homotopy")
-    x = _start_point(cfg, space)
-    space.require_member(x)
+    mean, builder, x = _builder_from(cfg, "build-homotopy")
     eps = cfg.get("eps", 1e-6)
     ts = [i / (times - 1) for i in range(times)]
     values = builder.at_times(x, ts, eps)
     csv_name = "trajectory.csv"
     with open(outdir / csv_name, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x{i}" for i in range(space.dim)] + ["error"])
+        writer.writerow(["t"] + [f"x{i}" for i in range(builder.space.dim)] + ["error"])
         for t, (point, err) in zip(ts, values):
             writer.writerow([repr(t)] + [repr(c) for c in point] + [repr(err)])
     results = {
@@ -377,8 +380,7 @@ def run_build_homotopy(cfg: dict, outdir: Path):
 def run_verify_claim1(cfg: dict, outdir: Path):
     from .homotopy import verify_claim1
 
-    space, mean, builder = _builder_from(cfg, "verify-claim1")
-    x = _start_point(cfg, space)
+    mean, builder, x = _builder_from(cfg, "verify-claim1")
     depth = cfg.get("depth", 12)
     report = verify_claim1(builder, x, depth)
     results = {"mean": mean.label, "depth": depth, "report": report.to_json()}
@@ -388,8 +390,7 @@ def run_verify_claim1(cfg: dict, outdir: Path):
 def run_verify_holder(cfg: dict, outdir: Path):
     from .homotopy import verify_holder
 
-    space, mean, builder = _builder_from(cfg, "verify-holder")
-    x = _start_point(cfg, space)
+    mean, builder, x = _builder_from(cfg, "verify-holder")
     depth = cfg.get("depth", 12)
     pairs = cfg.get("pairs", 10000)
     report = verify_holder(builder, x, pairs, depth, cfg.get("seed", 1))
@@ -556,7 +557,9 @@ def main(argv=None) -> int:
             pass
         print(f"equimean: check failed: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, PrecisionError, EquimeanError, ValueError, KeyError, OSError) as exc:
+    # a library range check raises ValueError naming its key, as in "lambda
+    # must lie in (0, 1), got 1.5"; any other exception is a bug
+    except (ConfigError, EquimeanError, ValueError, OSError) as exc:
         print(f"equimean: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never crash with a traceback; debug logs show it

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Circle, MetricSpace, Point, worst
+from .spaces import Circle, MetricSpace, Point, _integer, _list_of, _read_kinded, worst
 
 POINT_TOL = 1e-9
 
@@ -431,6 +431,10 @@ def coordinate_permutation_action(space: MetricSpace, perms: Sequence[Sequence[i
     ptups = [tuple(p) for p in perms]
     if not ptups or ptups[0] != tuple(range(len(ptups[0]))):
         raise ValueError("perms[0] must be the identity permutation")
+    for i, p in enumerate(ptups):
+        if sorted(p) != list(ptups[0]):
+            raise ValueError(f"perms[{i}] = {list(p)} is not a permutation of "
+                             f"0..{len(ptups[0]) - 1}")
     index = {p: i for i, p in enumerate(ptups)}
 
     def compose(p, q):
@@ -466,45 +470,25 @@ def swap_axes_action(space: MetricSpace) -> GroupAction:
     return coordinate_permutation_action(space, [(0, 1), (1, 0)])
 
 
-def _integer(value) -> int:
-    """``value`` as the config schema's ``integer`` reads it: an int, or an
-    integral float such as 1.0; a bool is none."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"{value!r} is not an integer")
-
-
-def _field(obj: dict, key: str, read=_integer, what: str = "an integer"):
-    """``read(obj[key])`` for the action that ``obj`` describes; raises
-    ValueError naming the action and the key when the key is missing or
-    ``read`` refuses its value."""
-    if key not in obj:
-        raise ValueError(f"{obj['name']} action requires the field {key!r}")
-    try:
-        return read(obj[key])
-    except TypeError:
-        raise ValueError(f"{obj['name']} action field {key!r} must be {what}, "
-                         f"got {obj[key]!r}") from None
+_INTEGER = (_integer, "an integer", True)
+# each action's fields and builder, by name: the builder takes the space and
+# the fields that the config sets
+_ACTIONS = {
+    "trivial": ({}, trivial_action),
+    "negation": ({}, negation_action),
+    "reflection": ({"axis": _INTEGER}, reflection_action),
+    "rotation": ({"n": _INTEGER}, rotation_action),
+    "plane_rotation": ({"n": _INTEGER}, plane_rotation_action),
+    "coordinate_permutation": ({"perms": (_list_of(_list_of(_integer)),
+                                          "a list of lists of integers", True)},
+                               coordinate_permutation_action),
+    "swap_axes": ({}, swap_axes_action),
+}
 
 
 def action_from_json(obj: dict, space: MetricSpace) -> GroupAction:
-    name = obj.get("name")
-    if name == "trivial":
-        return trivial_action(space)
-    if name == "negation":
-        return negation_action(space)
-    if name == "reflection":
-        return reflection_action(space, _field(obj, "axis"))
-    if name == "rotation":
-        return rotation_action(space, _field(obj, "n"))
-    if name == "plane_rotation":
-        return plane_rotation_action(space, _field(obj, "n"))
-    if name == "coordinate_permutation":
-        perms = _field(obj, "perms", lambda v: [[_integer(i) for i in p] for p in v],
-                       "a list of lists of integers")
-        return coordinate_permutation_action(space, perms)
-    if name == "swap_axes":
-        return swap_axes_action(space)
-    raise ValueError(f"unknown action description {obj!r}")
+    """The action that ``obj`` describes on ``space``: ``name`` is one of
+    ``_ACTIONS``, and a missing, unknown or ill-typed field raises ValueError
+    naming the action and the field as ``action.<key>``."""
+    build, args = _read_kinded(obj, "name", _ACTIONS, "action", "action")
+    return build(space, **args)

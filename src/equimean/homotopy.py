@@ -51,8 +51,10 @@ if TYPE_CHECKING:
 
 MAX_DYADIC_DEPTH = 40
 LEVEL_SWEEP_CAP = 20
-# floats the finest level of a sweep may hold (32 MiB as float64): a 2-D box
-# sweeps to depth 20, a 64-D one to depth 15
+# floats one array of a sweep may hold (32 MiB as float64): ``level_chunks``
+# caps the whole levels it holds, and verify_holder its finest level, so a
+# 2-D box sweeps to depth 20 in both checks, and a 64-D one to depth 15 in
+# verify_holder
 LEVEL_FLOATS_CAP = 1 << 22
 # floats a sweep's chunk may hold on its finest level (256 KiB as float64), so
 # that a chunk and its temporaries stay in a 2 MiB L2 cache: ``level_chunks``
@@ -200,17 +202,18 @@ class ContractionBuilder:
         neighbouring chunks of a level share their end row. Each finer level
         interleaves its coarser one with p applied to each pair of
         neighbours through ``p.apply``. Depth is capped at LEVEL_SWEEP_CAP,
-        and the finest level's floats at LEVEL_FLOATS_CAP, on the call.
+        and the floats of level c at LEVEL_FLOATS_CAP, on the call.
         """
         import numpy as np
 
         if not 0 <= depth <= LEVEL_SWEEP_CAP:
             raise CapacityError(f"level sweep needs depth in 0..{LEVEL_SWEEP_CAP}, got {depth}")
         dim = self.space.dim
-        if ((1 << depth) + 1) * dim > LEVEL_FLOATS_CAP:
-            raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
-                                f"of {LEVEL_FLOATS_CAP} floats on its finest level")
         coarse = max(0, depth - max(1, (CHUNK_FLOATS // dim).bit_length() - 1))
+        if ((1 << coarse) + 1) * dim > LEVEL_FLOATS_CAP:
+            raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
+                                f"of {LEVEL_FLOATS_CAP} floats on level {coarse}, which it "
+                                f"holds whole")
         level = np.array([as_point(x), self.theta], dtype=np.float64)
         p = self.p
 
@@ -377,18 +380,23 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
     each pair reads two of its rows; the time gap |i - k| 2^-depth is
     exact. Each pair's bound is computed in its block, so that beside that
     array the check holds O(HOLDER_BLOCK) floats. Depth is capped at
-    LEVEL_SWEEP_CAP, and the pairs plus the sweep's 2^depth - 1 midpoints
-    at WORK_CAP. A NaN ratio counts as a violation, and the first one is
-    the worst pair. The pairs are those of ``_random_grid_index`` drawn in
-    turn, left then right, taken a block of draws at a time.
+    LEVEL_SWEEP_CAP, that array's floats at LEVEL_FLOATS_CAP, and the pairs
+    plus the sweep's 2^depth - 1 midpoints at WORK_CAP. A NaN ratio counts
+    as a violation, and the first one is the worst pair. The pairs are
+    those of ``_random_grid_index`` drawn in turn, left then right, taken a
+    block of draws at a time.
     """
     import numpy as np
 
     x = as_point(x)
     chunks = builder.level_chunks(x, depth)
+    dim = builder.space.dim
+    if ((1 << depth) + 1) * dim > LEVEL_FLOATS_CAP:
+        raise CapacityError(f"a level sweep to depth {depth} in dim {dim} exceeds the cap "
+                            f"of {LEVEL_FLOATS_CAP} floats on its finest level")
     require_work(f"verify-holder of {builder.p.label} ({pairs} pairs at depth {depth})",
                  pairs + (1 << depth) - 1)
-    fine = np.empty(((1 << depth) + 1, builder.space.dim))
+    fine = np.empty(((1 << depth) + 1, dim))
     for n, start, rows in chunks:
         if n == depth:  # only the finest level is kept
             fine[start:start + len(rows)] = rows

@@ -10,10 +10,9 @@ Every space is complete; completeness is assumed, never checked.
 Membership is tested to the absolute tolerance ``MEMBERSHIP_TOL`` (1e-9),
 and each space offers ``project`` to snap a drifted point back onto it.
 
-JSON schema (documented for the CLI): ``{"kind": <str>, "params": {...}}``
-with kinds ``interval {a, b}``, ``box {lo, hi}``,
-``circle {radius, metric}``, ``finite_points {points}`` and
-``product {spaces}``.
+A space reads from JSON as ``{"kind": <str>, "params": {...}}``, with
+each kind's params in ``_PARAMS``; ``_read_fields`` reads every kinded
+config object (space params, actions, retractions, base homotopies).
 """
 
 from __future__ import annotations
@@ -486,6 +485,16 @@ def _number(value):
     raise TypeError(f"{value!r} is not a number")
 
 
+def _integer(value) -> int:
+    """``value`` as the config schema's ``integer`` reads it: an int, or an
+    integral float such as 1.0; a bool is none."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"{value!r} is not an integer")
+
+
 def _string(value) -> str:
     if isinstance(value, str):
         return value
@@ -503,6 +512,53 @@ def _list_of(read):
 
 
 _numbers = _list_of(_number)
+
+
+def _point(value) -> Point:
+    """A number or a nonempty list of numbers, as a point."""
+    return as_point(_numbers(value) if isinstance(value, (list, tuple)) else _number(value))
+
+
+def _read_fields(obj: dict, fields: dict, label: str, path: str) -> dict:
+    """The keys that ``obj``, the config object at ``path``, sets, each read
+    by its entry of ``fields``, a table key -> (reader, what it reads,
+    required). An unknown key, a missing required key and a value that its
+    reader refuses (TypeError or ValueError) raise ValueError naming
+    ``label`` and the key's path; the keys of a space's ``params`` are its
+    parameters, and other keys are fields."""
+    noun = "parameter" if path.endswith("params") else "field"
+    for key in obj:
+        if key not in fields:
+            raise ValueError(f"{label} has no {noun} {path}.{key}")
+    args = {}
+    for key, (read, what, required) in fields.items():
+        if key not in obj:
+            if required:
+                raise ValueError(f"{label} requires the {noun} {path}.{key}")
+            continue
+        try:
+            args[key] = read(obj[key])
+        except (TypeError, ValueError):
+            raise ValueError(f"{label} {noun} {path}.{key} must be {what}, "
+                             f"got {obj[key]!r}") from None
+    return args
+
+
+def _read_kinded(obj: dict, key: str, kinds: dict, what: str, path: str, default=None):
+    """(builder, arguments) of the config object ``obj`` at ``path``, whose
+    ``key`` names its kind (``default`` where absent) in ``kinds``, a table
+    kind -> (fields, builder); ``_read_fields`` reads the other keys."""
+    kind = obj.get(key, default)
+    if kind is None:
+        raise ValueError(f"{what} requires the field {path}.{key}")
+    if not (isinstance(kind, str) and kind in kinds):
+        raise ValueError(f"unknown {what} {key} {kind!r} at {path}.{key}; "
+                         f"the {key}s are {', '.join(kinds)}")
+    fields, build = kinds[kind]
+    rest = {k: v for k, v in obj.items() if k != key}
+    return build, _read_fields(rest, fields, f"{kind} {what}", path)
+
+
 # each kind's parameters: name -> (reader, what it reads, required)
 _PARAMS = {
     "interval": {"a": (_number, "a number", True), "b": (_number, "a number", True)},
@@ -527,23 +583,12 @@ def _space_at(obj: dict, path: str) -> MetricSpace:
         params = dict(obj.get("params", {}))
     except (TypeError, KeyError, ValueError) as exc:
         raise ValueError(f"malformed space description: {obj!r}") from exc
-    if kind not in _KINDS:
+    if not (isinstance(kind, str) and kind in _KINDS):
         raise ValueError(f"unknown space kind {kind!r}")
-    fields = _PARAMS[kind]
-    for key in params:
-        if key not in fields:
-            raise ValueError(f"{kind} space has no parameter {path}.params.{key}")
-    args = {}
-    for key, (read, what, required) in fields.items():
-        if key not in params:
-            if required:
-                raise ValueError(f"{kind} space requires the parameter {path}.params.{key}")
-            continue
-        try:
-            args[key] = read(params[key])
-        except TypeError:
-            raise ValueError(f"{kind} space parameter {path}.params.{key} must be {what}, "
-                             f"got {params[key]!r}") from None
+    extra = [key for key in obj if key not in ("kind", "params")]
+    if extra:
+        raise ValueError(f"{kind} space has no field {path}.{extra[0]}")
+    args = _read_fields(params, _PARAMS[kind], f"{kind} space", f"{path}.params")
     if kind == "product":
         return Product([_space_at(s, f"{path}.params.spaces[{i}]")
                         for i, s in enumerate(args["spaces"])])

@@ -808,13 +808,18 @@ def test_a_product_whose_extent_overflows_runs(tmp_path, capsys, command, cfg):
 
 
 def test_level_sweep_over_the_float_cap_exits_2(tmp_path, capsys):
-    box = {"kind": "box", "params": {"lo": [0.0] * 64, "hi": [1.0] * 64}}
-    cfg = {"space": box, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0] * 64,
-           "x": [1.0] * 64, "depth": 20}
-    code, outdir = run(tmp_path, "verify-claim1", cfg)
-    assert code == 2
-    assert "depth 20 in dim 64 exceeds the cap" in capsys.readouterr().err
-    assert not (outdir / "report.json").exists()
+    # verify-holder holds its finest level whole; in 4096-D a chunk of
+    # verify-claim1 spans 3 levels, so it holds level 17 of 20 whole
+    for command, dim, where in (("verify-holder", 64, "on its finest level"),
+                                ("verify-claim1", 4096, "on level 17, which it holds whole")):
+        box = {"kind": "box", "params": {"lo": [0.0] * dim, "hi": [1.0] * dim}}
+        cfg = {"space": box, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0] * dim,
+               "x": [1.0] * dim, "depth": 20}
+        code, outdir = run(tmp_path, command, cfg)
+        assert code == 2
+        assert (f"depth 20 in dim {dim} exceeds the cap of 4194304 floats {where}"
+                in capsys.readouterr().err)
+        assert not (outdir / "report.json").exists()
 
 
 def test_build_homotopy_trajectory_and_svg(tmp_path):
@@ -1106,7 +1111,7 @@ def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
 
 
 AXIS_OUTSIDE = "axis {} is outside 0..1 of a space of dim 2"
-DYADIC_NEEDS = "a dyadic base homotopy requires the config field {!r}"
+DYADIC_NEEDS = "dyadic base homotopy requires the field base_homotopy.{}"
 # (golden config, edit, what stderr must say): each edit is a config error,
 # which must exit 2 with a message naming its key
 MISCONFIGURED = {
@@ -1117,7 +1122,7 @@ MISCONFIGURED = {
     "retraction-axis--1": ("deform", lambda cfg: cfg["retraction"].update(axis=-1),
                            "$.retraction.axis: -1 is less than the minimum of 0"),
     "retraction-point": ("deform", lambda cfg: cfg.update(retraction={"kind": "constant"}),
-                         "a constant retraction requires the config field 'point'"),
+                         "constant retraction requires the field retraction.point"),
     **{f"dyadic-{key}": ("symmetrize", lambda cfg, key=key: cfg["base_homotopy"].pop(key),
                          DYADIC_NEEDS.format(key)) for key in ("mean", "lambda", "theta")},
     "trust_laws": ("symmetrize-dictator", lambda cfg: cfg.update(trust_laws=True),
@@ -1127,22 +1132,52 @@ MISCONFIGURED = {
     "svg": ("trajectory-understated", lambda cfg: cfg.update(svg=True),
             "'svg' was unexpected"),
     **{f"action-axis-{a!r}": ("deform", lambda cfg, a=a: cfg["action"].update(axis=a),
-                              f"reflection action field 'axis' must be an integer, got {a!r}")
+                              f"reflection action field action.axis must be an integer, got {a!r}")
        for a in (1.5, "x", True)},
     "action-n-true": ("deform", lambda cfg: cfg.update(action={"name": "plane_rotation",
                                                                "n": True}),
-                      "plane_rotation action field 'n' must be an integer, got True"),
+                      "plane_rotation action field action.n must be an integer, got True"),
     "action-n-2000": ("deform", lambda cfg: cfg.update(action={"name": "plane_rotation",
                                                                "n": 2000}),
                       "cyclic group order 2000 exceeds the cap 1024"),
     **{f"action-no-{key}": ("deform", lambda cfg, name=name: cfg.update(action={"name": name}),
-                            f"{name} action requires the field {key!r}")
+                            f"{name} action requires the field action.{key}")
        for name, key in (("reflection", "axis"), ("plane_rotation", "n"),
                          ("coordinate_permutation", "perms"))},
     "action-perms-flat": ("deform", lambda cfg: cfg.update(action={
                               "name": "coordinate_permutation", "perms": [0, 1]}),
-                          "coordinate_permutation action field 'perms' must be a list of lists "
-                          "of integers, got [0, 1]"),
+                          "coordinate_permutation action field action.perms must be a list of "
+                          "lists of integers, got [0, 1]"),
+    "action-perms-not-permutations": ("deform", lambda cfg: cfg.update(action={
+                                          "name": "coordinate_permutation",
+                                          "perms": [[0, 1], [5, 0]]}),
+                                      "perms[1] = [5, 0] is not a permutation of 0..1"),
+    "action-no-name": ("deform", lambda cfg: cfg["action"].pop("name"),
+                       "action requires the field action.name"),
+    "action-name-x": ("deform", lambda cfg: cfg["action"].update(name="x"),
+                      "unknown action name 'x' at action.name; the names are trivial, negation"),
+    **{f"{key}-extra": (name, lambda cfg, key=key: cfg[key].update(extra=1),
+                        f"{kind} has no field {key}.extra")
+       for name, key, kind in (("deform", "action", "reflection action"),
+                               ("deform", "retraction", "zero_coordinate retraction"),
+                               ("symmetrize", "base_homotopy", "dyadic base homotopy"))},
+    "base_homotopy-mean-5": ("symmetrize", lambda cfg: cfg["base_homotopy"].update(mean=5),
+                             "dyadic base homotopy field base_homotopy.mean must be a string, "
+                             "got 5"),
+    **{f"base_homotopy-{key}-true": ("symmetrize",
+                                     lambda cfg, key=key: cfg["base_homotopy"].update({key: True}),
+                                     f"dyadic base homotopy field base_homotopy.{key} must be "
+                                     f"{what}, got True")
+       for key, what in (("theta", "a point"), ("eps", "a number"), ("lambda", "a number"))},
+    "base_homotopy-kind-x": ("symmetrize", lambda cfg: cfg["base_homotopy"].update(kind="x"),
+                             "unknown base homotopy kind 'x' at base_homotopy.kind; the kinds "
+                             "are straight_line_to, dyadic"),
+    "straight-line-mean": ("symmetrize", lambda cfg: cfg.update(base_homotopy={"mean": "x"}),
+                           "straight_line_to base homotopy has no field base_homotopy.mean"),
+    "retraction-point-true": ("deform-subgroup",
+                              lambda cfg: cfg["retraction"]["point"].__setitem__(0, True),
+                              "constant retraction field retraction.point must be a point, "
+                              "got [True, 0.0]"),
     "space-hi-true": ("deform", lambda cfg: cfg["space"]["params"]["hi"].__setitem__(1, True),
                       "box space parameter space.params.hi must be a list of numbers, "
                       "got [1.0, True]"),
@@ -1162,6 +1197,12 @@ MISCONFIGURED = {
                                      {"kind": "circle", "params": {"radius": "1"}}]}}),
                              "circle space parameter space.params.spaces[1].params.radius "
                              "must be a number, got '1'"),
+    "space-product-factor-kind": ("random-lambda-product", lambda cfg: cfg["space"]["params"][
+                                      "spaces"][0].update(kind=[]),
+                                  "unknown space kind []"),
+    "space-product-factor-extra": ("random-lambda-product", lambda cfg: cfg["space"]["params"][
+                                       "spaces"][1].update(extra=1),
+                                   "box space has no field space.params.spaces[1].extra"),
     **{f"mean-{name}": ("deform", lambda cfg, name=name: cfg.update(mean=name),
                         f"unknown mean name {name!r}; the names are arithmetic[:n]")
        for name in ("arithmetic:0", "arithmetic:1", "arithmetic:x", "dictator:x", "dictator:2")},
@@ -1179,6 +1220,80 @@ def test_a_misconfigured_golden_exits_2_naming_its_key(tmp_path, capsys, case):
     assert message in err
     assert "unexpected error" not in err
     assert not re.fullmatch(r"equimean: '[^']*'\n", err)
+    assert not (outdir / "report.json").exists()
+
+
+KINDED = ("space", "action", "retraction", "base_homotopy")
+# what the sweep writes over each value of a kinded object; "x", True and []
+# are no number
+SWEEP_VALUES = ("x", -1, 1e308, True, [])
+DROP = object()
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _single_mutations(value, path):
+    """(path, new value or DROP, whether no run may pass) for each single
+    mutation inside ``value``, a kinded object at ``path``: an unknown key
+    added to each object, each key dropped, and each value of an object or
+    a list set to each of SWEEP_VALUES."""
+    if isinstance(value, dict):
+        yield path + ("unknown",), 1, True
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        if isinstance(value, dict):
+            yield path + (key,), DROP, False
+        for new in SWEEP_VALUES:
+            yield path + (key,), new, _is_number(item) and not _is_number(new)
+        yield from _single_mutations(item, path + (key,))
+
+
+def _mutated(cfg: dict, path: tuple, new) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if new is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = new
+    return cfg
+
+
+def test_every_single_mutation_of_a_kinded_object_exits_cleanly(tmp_path, capsys):
+    # no run crashes or prints a bare key, and none passes with an unknown
+    # key or with a string, a bool or a list where a number was
+    faults, runs = [], 0
+    for config in sorted(GOLDEN.glob("*.json")):
+        if config.suffixes != [".json"]:
+            continue
+        cfg = json.loads(config.read_text())
+        for key in KINDED:
+            for path, new, must_fail in _single_mutations(cfg.get(key), (key,)):
+                code, _ = run(tmp_path, cfg["experiment"], _mutated(cfg, path, new))
+                err = capsys.readouterr().err
+                runs += 1
+                if (code not in (0, 1, 2) or "unexpected error" in err
+                        or re.fullmatch(r"equimean: '[^']*'\n", err) or must_fail and code == 0):
+                    faults.append((config.stem, path, new, code, err))
+    assert runs == 670  # the sweep covers every golden's kinded objects
+    assert faults == []
+
+
+@pytest.mark.parametrize("command", ["verify-claim1", "verify-holder", "build-homotopy"])
+def test_a_start_point_outside_the_space_exits_2(tmp_path, capsys, command):
+    cfg = {"space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}}, "mean": "geometric",
+           "lambda": 0.5, "theta": [2.0], "x": [50.0], "depth": 4}
+    code, outdir = run(tmp_path, command, cfg)
+    assert code == 2
+    assert capsys.readouterr().err == ("equimean: point (50.0,) is not in "
+                                       "Interval(a=1.0, b=2.0)\n")
     assert not (outdir / "report.json").exists()
 
 

@@ -455,11 +455,17 @@ def test_level_sweep_floats_are_capped_before_level_0():
     b = ContractionBuilder(arithmetic_mean(box, 2), 0.5, (0.0,) * 64)
     rng = Xoshiro256StarStar(53)
     message = rf"depth 16 in dim 64 exceeds the cap of {LEVEL_FLOATS_CAP} floats"
-    with pytest.raises(CapacityError, match=message):
-        b.level_chunks((1.0,) * 64, 16)
+    # claim 1 holds levels 0..7 whole here, and verify_holder level 16
+    assert verify_claim1(b, (1.0,) * 64, 16).passed
     with pytest.raises(CapacityError, match=message):
         verify_holder(b, (1.0,) * 64, 10, 16, seed_or_rng=rng)
     assert rng.next_u64() == Xoshiro256StarStar(53).next_u64()  # no draw was made
+    # in 4096-D a chunk spans 3 levels, so level 17 of a depth-20 sweep is whole
+    wide = Box([0.0] * 4096, [1.0] * 4096)
+    b = ContractionBuilder(arithmetic_mean(wide, 2), 0.5, (0.0,) * 4096)
+    with pytest.raises(CapacityError, match=r"depth 20 in dim 4096 exceeds the cap of "
+                                            rf"{LEVEL_FLOATS_CAP} floats on level 17"):
+        b.level_chunks((1.0,) * 4096, 20)  # on the call, before level 0
     assert (1 + (1 << 15)) * 64 <= LEVEL_FLOATS_CAP < (1 + (1 << 16)) * 64
     # a 2-D box still sweeps to the depth cap
     assert (1 + (1 << LEVEL_SWEEP_CAP)) * 2 <= LEVEL_FLOATS_CAP
