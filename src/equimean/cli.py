@@ -242,7 +242,7 @@ def _retraction(cfg: dict, space):
 def _base_homotopy(cfg: dict, space):
     from .homotopy import ContractionBuilder, straight_line_extension
     from .means import mean_from_name
-    from .spaces import _number, _point, _read_kinded, _string, as_point
+    from .spaces import _fraction, _point, _positive, _read_kinded, _string, as_point
 
     def straight_line_to(args):
         theta = args["theta"] if "theta" in args else as_point(cfg.get("theta", 0.0))
@@ -256,8 +256,10 @@ def _base_homotopy(cfg: dict, space):
         return lambda x, t: builder.at_time(x, t, eps)[0]
 
     kinds = {"straight_line_to": ({"theta": (_point, "a point", False)}, straight_line_to),
-             "dyadic": ({"mean": (_string, "a string", True), "lambda": (_number, "a number", True),
-                         "theta": (_point, "a point", True), "eps": (_number, "a number", False)},
+             "dyadic": ({"mean": (_string, "a string", True),
+                         "lambda": (_fraction, "a number in (0, 1)", True),
+                         "theta": (_point, "a point", True),
+                         "eps": (_positive, "a positive number", False)},
                         dyadic)}
     build, args = _read_kinded(cfg.get("base_homotopy", {}), "kind", kinds, "base homotopy",
                                "base_homotopy", default="straight_line_to")

@@ -79,6 +79,16 @@ class QuasiMeanMap:
     ``symmetric`` promises a binary map with p(x, y) == p(y, x) bit for
     bit; the grid scan of ``estimate_lambda`` then scores each unordered
     pair once.
+
+    ``enclose`` (optional, binary maps) bounds the map on a box of the
+    plane: ``enclose(lo, hi)`` takes its corners lo = [xl, yl] and hi =
+    [xh, yh] as arrays the way ``batch`` takes points, with xh < yl, and
+    returns arrays (p_lo, p_hi) with p_lo <= ``batch([x, y])`` <= p_hi bit
+    for bit for every float x in [xl, xh] and y in [yl, yh]. A correctly
+    rounded operation (+, -, *, /, sqrt) is monotone in each argument, so a
+    formula built of them that is monotone in x and y is enclosed by its
+    values at the two corners; the symmetric grid scan then skips the tiles
+    whose bound lies below the best ratio it has found.
     """
 
     arity: int
@@ -87,6 +97,7 @@ class QuasiMeanMap:
     label: str
     batch: Optional[Callable] = None
     symmetric: bool = False
+    enclose: Optional[Callable] = None
 
     def __call__(self, *points) -> Point:
         pts = [as_point(p) for p in points]
@@ -436,7 +447,8 @@ class LambdaEstimate:
     samples: int
     excluded_diagonal_radius: float
     method: str = "grid"
-    # the lane and restarts random+hill took; logged, never reported
+    # the lane and restarts random+hill took, or the pairs a grid scan
+    # scored and skipped; logged, never reported
     route: str = field(default="", compare=False)
 
     def to_json(self) -> dict:
@@ -504,10 +516,12 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
 
     a = p.space.a
     m = _grid_points(a, p.space.b, cfg.grid_step)
-    lam, x, y, count = _kernels.grid_scan_interval(p, a, cfg.grid_step, m, cfg.excluded_diameter)
+    scan = _kernels.grid_scan_interval(p, a, cfg.grid_step, m, cfg.excluded_diameter)
+    lam, x, y, count = scan
     if count == 0:
         raise SamplingError("every grid tuple fell inside the excluded diagonal radius")
-    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter)
+    route = f"{scan.scored} pairs scored, {count - scan.scored} skipped by enclosure bounds"
+    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, route=route)
 
 
 def _start_tuple(p: QuasiMeanMap, rng, above: Optional[float]) -> tuple:
@@ -874,6 +888,12 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
 # built-in registry
 
 
+def _corners(batch: Callable) -> Callable:
+    """The enclosure of a binary map whose ``batch`` is nondecreasing in
+    each argument: its values at the box's two corners."""
+    return lambda lo, hi: (batch(lo), batch(hi))
+
+
 def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
     _require_convex(space, "arithmetic mean")
 
@@ -888,7 +908,7 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
         return total / arity
 
     return QuasiMeanMap(arity, space, func, f"arithmetic:{arity}", batch=batch,
-                        symmetric=arity == 2)
+                        symmetric=arity == 2, enclose=_corners(batch) if arity == 2 else None)
 
 
 def geometric_mean(space: Interval) -> QuasiMeanMap:
@@ -904,7 +924,9 @@ def geometric_mean(space: Interval) -> QuasiMeanMap:
 
         return np.sqrt(arrays[0] * arrays[1])
 
-    return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True)
+    # a > 0, so x * y grows with x and with y
+    return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True,
+                        enclose=_corners(batch))
 
 
 def dictator_mean(space: MetricSpace, index: int = 0, arity: int = 2) -> QuasiMeanMap:
@@ -933,7 +955,8 @@ def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
         return np.broadcast_to(np.asarray(pt), arrays[0].shape).copy()
 
     label = "constant:" + ",".join(repr(c) for c in pt)
-    return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2)
+    return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2,
+                        enclose=_corners(batch) if arity == 2 else None)
 
 
 def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
@@ -956,7 +979,14 @@ def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
         half_square *= 0.5
         return np.add(np.minimum(X, Y), half_square, out=half_square)
 
-    return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True)
+    def enclose(lo, hi):
+        # the box has x < y, so min(x, y) is x, and x - y lies in
+        # [xl - yh, xh - yl], all <= 0, where the square decreases
+        (xl, yl), (xh, yh) = lo, hi
+        near, far = xh - yl, xl - yh
+        return xl + near * near * 0.5, xh + far * far * 0.5
+
+    return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True, enclose=enclose)
 
 
 def _require_convex(space: MetricSpace, what: str) -> None:

@@ -485,6 +485,19 @@ def _number(value):
     raise TypeError(f"{value!r} is not a number")
 
 
+def _fraction(value):
+    """A number strictly between 0 and 1."""
+    if 0 < _number(value) < 1:
+        return value
+    raise ValueError(f"{value!r} is not in (0, 1)")
+
+
+def _positive(value):
+    if _number(value) > 0:
+        return value
+    raise ValueError(f"{value!r} is not positive")
+
+
 def _integer(value) -> int:
     """``value`` as the config schema's ``integer`` reads it: an int, or an
     integral float such as 1.0; a bool is none."""

@@ -533,7 +533,20 @@ def test_grid_report_does_not_name_the_lane(tmp_path, caplog):
     assert results["estimate"]["method"] == "grid"
     assert (outdir / "lambda.csv").read_text().splitlines()[1].split(",")[3] == "grid"
     lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
-    assert lines[-1].endswith(" s, grid, 20 samples")
+    assert lines[-1].endswith(" s, grid, 20 pairs scored, 0 skipped by enclosure bounds, "
+                              "20 samples")
+
+
+def test_grid_log_counts_the_pairs_its_enclosure_skipped(tmp_path, caplog):
+    cfg = json.loads((DATA / "golden" / "grid-geometric.json").read_text())
+    with caplog.at_level(logging.DEBUG, logger="equimean"):
+        code, _ = run(tmp_path, "estimate-lambda", cfg)
+    assert code == 0
+    scored, skipped, samples = map(int, re.search(
+        r" s, grid, (\d+) pairs scored, (\d+) skipped by enclosure bounds, (\d+) samples$",
+        caplog.records[-1].getMessage()).groups())
+    assert scored + skipped == samples == 3001 * 3000
+    assert 0 < scored < skipped
 
 
 C4_BOX = {"space": SYM_BOX, "action": {"name": "plane_rotation", "n": 4},
@@ -1094,6 +1107,9 @@ GOLDEN_EXITS = {
     # test_means.py::test_lambda_lockstep_blocks_span_the_restarts)
     "random-lambda-retry": 0,
     "trajectory-understated": 1,
+    # dense grid scans, which skip the tiles their enclosure bounds
+    "grid-geometric": 0,
+    "grid-minsq": 0,
 }
 
 
@@ -1168,7 +1184,15 @@ MISCONFIGURED = {
                                      lambda cfg, key=key: cfg["base_homotopy"].update({key: True}),
                                      f"dyadic base homotopy field base_homotopy.{key} must be "
                                      f"{what}, got True")
-       for key, what in (("theta", "a point"), ("eps", "a number"), ("lambda", "a number"))},
+       for key, what in (("theta", "a point"), ("eps", "a positive number"),
+                         ("lambda", "a number in (0, 1)"))},
+    "base_homotopy-lambda-1.5": ("symmetrize",
+                                 lambda cfg: cfg["base_homotopy"].update({"lambda": 1.5}),
+                                 "dyadic base homotopy field base_homotopy.lambda must be a "
+                                 "number in (0, 1), got 1.5"),
+    "base_homotopy-eps--1": ("symmetrize", lambda cfg: cfg["base_homotopy"].update(eps=-1),
+                             "dyadic base homotopy field base_homotopy.eps must be a positive "
+                             "number, got -1"),
     "base_homotopy-kind-x": ("symmetrize", lambda cfg: cfg["base_homotopy"].update(kind="x"),
                              "unknown base homotopy kind 'x' at base_homotopy.kind; the kinds "
                              "are straight_line_to, dyadic"),
@@ -1282,7 +1306,7 @@ def test_every_single_mutation_of_a_kinded_object_exits_cleanly(tmp_path, capsys
                 if (code not in (0, 1, 2) or "unexpected error" in err
                         or re.fullmatch(r"equimean: '[^']*'\n", err) or must_fail and code == 0):
                     faults.append((config.stem, path, new, code, err))
-    assert runs == 670  # the sweep covers every golden's kinded objects
+    assert runs == 722  # the sweep covers every golden's kinded objects
     assert faults == []
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from equimean import _kernels
 from equimean._kernels import grid_scan_interval
@@ -88,15 +89,110 @@ REFERENCE_GRIDS = [
 @pytest.mark.parametrize("kernel", sorted(BUILT_INS))
 def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_cells):
     # small blocks: several per scan, multi-row ones and a ragged last one;
-    # the dictators take the whole-row path, the others the upper triangle
+    # the dictators take the whole-row path, the others the upper triangle,
+    # in strips whose enclosure skips tiles of 2, 5 or TILE columns, and
+    # without an enclosure in whole rows
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", block_cells)
     a, b, step, excluded = grid
     p = built_in(kernel, a, b)
     assert p.symmetric is not kernel.startswith("dict")
-    got = scan(p, step, excluded)
-    assert got == full_square_scan(BUILT_INS[kernel][1], a, b, step, excluded)
+    assert (p.enclose is None) is kernel.startswith("dict")
+    want = full_square_scan(BUILT_INS[kernel][1], a, b, step, excluded)
+    for tile in (2, 5, _kernels.TILE):
+        monkeypatch.setattr(_kernels, "TILE", tile)
+        for q in (p, dataclasses.replace(p, enclose=None)):
+            assert scan(q, step, excluded) == want
     if excluded >= b - a:
-        assert got == (-1.0, 0.0, 0.0, 0)
+        assert want == (-1.0, 0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("tile", [2, 5])
+@pytest.mark.parametrize("kernel, a, b", [("geom", 1.0, 4.0), ("minsq", 0.0, 1.0)])
+def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, tile):
+    # geometric's maximum lies at the corner (1, 4), minsq's next to the
+    # diagonal, so once a strip has found it most tiles far from the
+    # diagonal lie below it; every pair is counted, scored or not
+    monkeypatch.setattr(_kernels, "TILE", tile)
+    p = built_in(kernel, a, b)
+    got, plain = scan(p, 1e-2, 1e-6), scan(dataclasses.replace(p, enclose=None), 1e-2, 1e-6)
+    assert got == plain == full_square_scan(BUILT_INS[kernel][1], a, b, 1e-2, 1e-6)
+    m = _grid_points(a, b, 1e-2)
+    assert got[3] == plain.scored == m * (m - 1)
+    assert 0 < got.scored < got[3]
+
+
+@pytest.mark.parametrize("kernel", ["arith2", "geom", "minsq", "const"])
+def test_a_tile_is_kept_while_it_may_hold_the_best_ratio(monkeypatch, kernel):
+    # a tile's bound is at least each of its ratios, so with best set to the
+    # largest ratio of a strip's tile that tile is kept: a skipped cell can
+    # neither win nor tie
+    monkeypatch.setattr(_kernels, "TILE", 4)
+    p = built_in(kernel, 0.5, 2.0)
+    xs = 0.5 + np.arange(301) * 5e-3
+    xs[-1] = 2.0
+    corners = _kernels._tile_corners(xs)
+    skipped = 0
+    for r0 in (0, 36, 148, 276):
+        r1 = r0 + 4
+        X = xs[r0:r1, None, None]
+        for t0 in range(r1, len(xs), 4):
+            Y = xs[None, t0:t0 + 4, None]
+            P = p.batch([X, Y])
+            best = float((np.maximum(P - X, Y - P) / (Y - X)).max())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kept = _kernels._kept_columns(p, xs, corners, r0, r1, 1e-6, best)
+            if kept is not None:
+                assert set(range(t0, min(t0 + 4, len(xs)))) <= set(kept.tolist())
+                skipped += len(xs) - r0 - 1 - len(kept)
+    assert skipped > 0 or kernel == "arith2"
+
+
+def _box(draw, lo, hi):
+    """Corners xl <= xh < yl <= yh in [lo, hi], some of them equal or a few
+    ulps apart, and points of each side: both ends and some between."""
+    def above(v):
+        """v, up to 4 ulps above v, or any float of [v, hi]."""
+        ulps = draw(st.one_of(st.integers(0, 4), st.floats(v, hi)))
+        if isinstance(ulps, float):
+            return ulps
+        for _ in range(ulps):
+            v = math.nextafter(v, math.inf)
+        return min(v, hi)
+
+    xl = draw(st.floats(lo, hi))
+    xh = above(xl)
+    assume(xh < hi)
+    yl = max(above(xh), math.nextafter(xh, math.inf))
+    yh = above(yl)
+    xs = [xl, xh] + draw(st.lists(st.floats(xl, xh), max_size=6))
+    ys = [yl, yh] + draw(st.lists(st.floats(yl, yh), max_size=6))
+    return (xl, yl), (xh, yh), xs, ys
+
+
+# (a built-in binary mean on [a, b], the range its intervals' ends lie in):
+# arithmetic and the constant on any interval, geometric with a > 0, and
+# minsq on intervals of length up to 2
+ENCLOSED = {
+    "arith2": (lambda a, b: arithmetic_mean(Interval(a, b), 2), (-1e300, 1e300)),
+    "geom": (lambda a, b: geometric_mean(Interval(a, b)), (5e-324, 1e150)),
+    "minsq": (lambda a, b: min_plus_halfsquare_mean(Interval(a, b)), (-10.0, 10.0)),
+    "const": (lambda a, b: constant_mean(Interval(a, b), [a / 2 + b / 2]), (-1e300, 1e300)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(ENCLOSED)), data=st.data())
+def test_enclosure_holds_every_batch_value_of_its_box(name, data):
+    make, (lo, hi) = ENCLOSED[name]
+    a = data.draw(st.floats(lo, hi))
+    b = data.draw(st.floats(a, min(hi, a + 2.0) if name == "minsq" else hi))
+    assume(a < b)
+    (xl, yl), (xh, yh), xs, ys = _box(data.draw, a, b)
+    p = make(a, b)
+    corner = lambda *v: [np.array([[c]]) for c in v]
+    p_lo, p_hi = p.enclose(corner(xl, yl), corner(xh, yh))
+    P = p.batch([np.array(xs)[:, None, None], np.array(ys)[None, :, None]])
+    assert (p_lo <= P).all() and (P <= p_hi).all()
 
 
 @pytest.mark.parametrize("kernel", ["dict0", "dict1"])
