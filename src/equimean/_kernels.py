@@ -3,31 +3,48 @@
 The scan evaluates the mean on cache-sized blocks of the square grid
 through ``QuasiMeanMap.apply``: the map's ``batch`` on broadcast views of
 the grid, or ``eval`` row by row for a map without one. A symmetric map
-with an ``enclose`` skips the tiles of the grid that its enclosure proves
-below the best ratio found so far (branch and bound). numpy is imported
-inside the function, so importing this module, and the CLI with it, loads
-no numpy.
+with a ``ratio_bound`` is scanned best first: each tile of the upper
+triangle is bounded once, and the tiles are scored in decreasing order of
+bound until the rest lie below the best ratio computed (branch and bound).
+numpy is imported inside the function, so importing this module, and the
+CLI with it, loads no numpy.
+
+A built-in's ratio bound on a tile [xl, xh] x [yl, yh], xh < yl, is (r + E /
+(yl - xh)) (1 + 8u), u = 2^-53: r >= 1/2 is the largest exact ratio on the
+tile, in closed form, and E bounds |P - p(x, y)| there, P = batch([x, y]).
+With P within E of p, the float ratio is at most (r + E / (y - x)) (1 + u) /
+(1 - u): a subtraction is exact or within a factor 1 +- u, and a float that
+bounds a quotient bounds it rounded. The bound computes r within a factor
+1 - 3u (geometric's four operations err by at most 2.75u, minsq's by 2u
+against r >= 1/2; an underflow moves r by under 2^-537), E with a margin of
+at least 0.2% that covers its own rounding and the division's, and the sum
+and the product within 1 - u each: (1 - 3u)(1 - u)^2 (1 + 8u) > (1 + u) / (1
+- u). The constants' bound is the scan's own operations at the far corners,
+fl(max(c - xl, yh - c) / (yl - xh)): correctly rounded, hence monotone.
 """
 
 # cells per block: a block's few float64 temporaries (128 KB each) stay in
 # a per-core cache instead of streaming through memory
 BLOCK_CELLS = 16_384
-# rows of a strip, and columns of a tile, of the pruned scan: a tile's bound
-# is only as tight as its width (minsq prunes no tile closer to the diagonal
-# than about 2 sqrt(TILE step)), while each strip costs one pass over its
-# m / TILE tiles and at least one block. On geometric and minsq at steps 4e-4
-# and 2e-4, 16 scored fewer pairs than 24 or 32 in about the same time
+# side of a tile of the best-first scan, and the most tiles a side. A bound is
+# only as tight as its tile is wide (minsq scores the tiles on and next to the
+# diagonal, 1.5 m TILE cells, 1% of its pairs at step 2e-4), while each tile
+# costs a bound; past TILES a side (m = 8,192), tiles grow, so bounds stay 2 MB
 TILE = 16
+TILES = 512
 
 
 class GridScan(tuple):
     """(max_ratio, argmax_x, argmax_y, pairs) of a grid scan, which also
-    carries ``scored``: how many of the pairs had their ratio computed; the
-    others lay in tiles that the map's enclosure skipped."""
+    carries ``scored``, how many of the pairs had their ratio computed (the
+    others lay in tiles that a ratio bound skipped), and ``route``, the
+    line of the debug log that names the tiles and pairs."""
 
-    def __new__(cls, values, scored: int):
+    def __new__(cls, values, scored: int, tiles: tuple):
         scan = super().__new__(cls, values)
         scan.scored = scored
+        scan.route = (f"{tiles[0]} tiles bounded, {tiles[1]} tiles and {scored} pairs scored, "
+                      f"{values[3] - scored} pairs skipped by ratio bounds")
         return scan
 
 
@@ -39,8 +56,9 @@ def grid_scan_interval(p, a: float, step: float, m: int, excluded: float) -> Gri
     pairs counts the ordered pairs with gap above ``excluded`` (which must
     be >= 0), and the argmax is the first maximum of the full square in
     row-major order. A ``symmetric`` map has each unordered pair scored
-    once, over the upper triangle j > i, in strips of TILE rows when it has
-    an ``enclose``; any other map has whole rows of the full square scored.
+    once, over the upper triangle j > i: in tiles, best first, when it has
+    a ``ratio_bound``, else in whole rows; any other map has whole rows of
+    the full square scored.
     """
     # Upper triangle: p(x, y) == p(y, x) bit for bit, so ratio(i, j) ==
     # ratio(j, i): |x - p| and |y - p| swap, max commutes and |x - y| ==
@@ -55,121 +73,143 @@ def grid_scan_interval(p, a: float, step: float, m: int, excluded: float) -> Gri
         raise ValueError(f"excluded radius must be >= 0, got {excluded!r}")
     xs = a + np.arange(m, dtype=np.float64) * step
     xs[-1] = p.space.b
-    upper = p.symmetric
-    prune = upper and p.enclose is not None
-    # rows 0 .. stop-1 are scanned; the widest row has m - 1 (upper) or m cells
-    stop = m - 1 if upper else m
-    # one workspace for every block, so a scan allocates (and page-faults)
-    # its temporaries once instead of once per block; a block has at most
-    # max(BLOCK_CELLS, stop) cells, and never more than stop^2
-    cells = min(max(BLOCK_CELLS, stop), stop * stop)
-    work = np.empty((3, cells))
-    dead_work = np.empty(cells, dtype=bool)
-    best, bi, bj, count, skipped = -1.0, -1, -1, 0, 0
-    # blocks end at check, where a pruned scan bounds its next strip
-    lo, check, wait, kept = 0, 0 if prune else stop, TILE, None
-    corners = _tile_corners(xs) if prune else None
     with np.errstate(divide="ignore", invalid="ignore"):
-        while lo < stop:
-            if prune and lo >= check:
-                # a strip of rows lo .. check-1, up to the next multiple of
-                # TILE, scores only the columns its enclosure keeps. When it
-                # skips no tile, whole rows j > i are scored, in the blocks
-                # of an unpruned scan, and the next strip is checked twice
-                # as many rows later, so a map whose bounds never prune
-                # (arithmetic) pays for few checks
-                check = min(stop, (lo // TILE + 1) * TILE)
-                kept = _kept_columns(p, xs, corners, lo, check, excluded, best)
-                if kept is None:
-                    wait *= 2
-                    check = min(stop, lo + wait)
-                else:
-                    wait = TILE
-                    skipped += (check - lo) * (m - lo - 1 - len(kept))
-                    Y_kept = xs[None, kept, None]
-            c0 = lo + 1 if upper else 0
-            Y = xs[None, c0:, None] if kept is None else Y_kept
-            width = Y.shape[1]
-            hi = min(check, lo + max(1, BLOCK_CELLS // width))
-            shape = (hi - lo, width, 1)
-            n = shape[0] * width
-            D, R, T = (w[:n].reshape(shape) for w in work)
-            dead = dead_work[:n].reshape(shape)
-            X = xs[lo:hi, None, None]
-            # xs is nondecreasing, so in the upper triangle Y - X equals
-            # |x - y| where j > i and is <= 0, hence never live, elsewhere
-            np.subtract(Y, X, out=D)
-            if not upper:
-                np.abs(D, out=D)
-            P = p.apply([X, Y])
-            if upper:
-                # x <= y, so x - p <= y - p after rounding too, and
-                # max(|x - p|, |y - p|) == max(p - x, y - p) bit for bit
-                np.subtract(P, X, out=T)
-                np.subtract(Y, P, out=R)
-            else:
-                np.abs(np.subtract(X, P, out=T), out=T)
-                np.abs(np.subtract(Y, P, out=R), out=R)
-            np.maximum(T, R, out=R)
-            np.less_equal(D, excluded, out=dead)
-            count += n - int(np.count_nonzero(dead))
-            R /= D
-            np.copyto(R, -np.inf, where=dead)
-            k = int(np.argmax(R))
-            if np.isnan(R.flat[k]):
-                # argmax stops at the first NaN; a NaN ratio is never the maximum
-                np.copyto(R, -np.inf, where=np.isnan(R))
-                k = int(np.argmax(R))
-            val = float(R.flat[k])
-            if val > best:
-                best, bi = val, lo + k // width
-                bj = c0 + k % width if kept is None else int(kept[k % width])
-            lo = hi
-    scored = count
-    count += skipped
-    if upper:
+        if p.symmetric and p.ratio_bound is not None:
+            best, bi, bj, count, scored, tiles = _best_first(p, xs, excluded)
+        else:
+            best, bi, bj, count, scored, tiles = _rows(p, xs, excluded)
+    if p.symmetric:
         scored, count = 2 * scored, 2 * count
     if bi < 0:
-        return GridScan((-1.0, 0.0, 0.0, count), scored)
-    return GridScan((best, float(xs[bi]), float(xs[bj]), count), scored)
+        return GridScan((-1.0, 0.0, 0.0, count), scored, tiles)
+    return GridScan((best, float(xs[bi]), float(xs[bj]), count), scored, tiles)
 
 
-def _tile_corners(xs):
-    """The first and the last point of every TILE columns of the grid
-    ``xs``, as an array of shape (2, tiles, 1)."""
+def _rows(p, xs, excluded):
+    """The scan in blocks of whole rows, in row-major order: j > i for a
+    symmetric map, every j otherwise."""
     import numpy as np
 
-    starts = np.arange(0, len(xs), TILE)
-    return np.stack([xs[starts], xs[np.minimum(starts + TILE, len(xs)) - 1]])[..., None]
+    upper, m = p.symmetric, len(xs)
+    # rows 0 .. stop-1 are scanned, the widest with stop cells, so a block has
+    # at most max(BLOCK_CELLS, stop) cells, and never more than stop^2
+    stop = m - 1 if upper else m
+    work = np.empty((3, min(max(BLOCK_CELLS, stop), stop * stop)))
+    best, bi, bj, count, lo = -1.0, -1, -1, 0, 0
+    while lo < stop:
+        c0 = lo + 1 if upper else 0
+        width = m - c0
+        hi = min(stop, lo + max(1, BLOCK_CELLS // width))
+        R, live, k = _ratios(p, xs[lo:hi, None, None], xs[None, c0:, None], excluded, upper, work)
+        count += live
+        if R.flat[k] > best:
+            best, bi, bj = float(R.flat[k]), lo + k // width, c0 + k % width
+        lo = hi
+    return best, bi, bj, count, count, (0, 0)
 
 
-def _kept_columns(p, xs, corners, r0: int, r1: int, excluded: float, best: float):
-    """The columns j > r0 that the strip of rows r0 .. r1-1 must score, in
-    ascending order, or None when the enclosure of ``p`` skips no tile.
+def _best_first(p, xs, excluded):
+    """The scan of a symmetric map with a ``ratio_bound`` over tiles of the
+    upper triangle, best first.
 
-    A tile is the TILE columns from a multiple of TILE on, and ``corners``
-    holds the first and the last grid point of every tile. A tile wholly
-    right of the strip that lies gap = fl(yl - xh) above ``excluded`` from
-    it has every cell live, and its bound U = fl(max(fl(p_hi - xl), fl(yh -
-    p_lo)) / gap) is at least each of its cells' ratios: for x in [xl, xh]
-    and y in [yl, yh], fl(p - x) <= fl(p_hi - xl), fl(y - p) <= fl(yh - p_lo)
-    and fl(y - x) >= gap, since correctly rounded operations are monotone,
-    and the numerator is >= 0. The tile is skipped when U < best, a ratio
-    the scan has already computed, so a skipped cell neither wins nor ties;
-    a NaN bound skips nothing. The bounds take O(m / TILE) floats, and the
-    kept columns O(m), as ``xs`` does.
+    The tiles within the excluded radius of the diagonal, and those whose
+    bound is NaN, are scored first, in any order; the others best first,
+    the tile of the highest bound alone and then blocks of the highest
+    bounds left, and a tile is dropped once its bound lies strictly below
+    the best ratio computed, so a dropped cell can neither win nor tie, and
+    its pairs, all live, are counted unscored. Ties across blocks keep the
+    pair first in row-major order. With at most TILES tiles a side, the
+    bounds take at most TILES^2 floats besides the O(m) grid.
     """
     import numpy as np
 
-    first = -(-r1 // TILE)  # the first tile wholly right of the strip
-    yl, yh = corners[:, first:]
-    xl, xh = xs[r0:r0 + 1, None], xs[r1 - 1:r1, None]
-    p_lo, p_hi = p.enclose([xl, yl], [xh, yh])
-    gap = yl - xh
-    skip = np.maximum(p_hi - xl, yh - p_lo) / gap < best
-    skip &= gap > excluded
-    if not skip.any():
-        return None
-    keep = np.ones(len(xs) - r0 - 1, dtype=bool)
-    keep[first * TILE - r0 - 1:] = np.repeat(~skip[:, 0], TILE)[:len(xs) - first * TILE]
-    return np.flatnonzero(keep) + (r0 + 1)
+    m = len(xs)
+    side = max(TILE, -(-m // TILES))
+    starts = np.arange(0, m, side)
+    cells = starts[:, None] + np.arange(side)
+    # a tile pads its last rows with b and its last columns with a, whose
+    # cells have gap <= 0 and so are dead
+    xr, xc = xs[np.minimum(cells, m - 1)], xs[np.where(cells < m, cells, 0)]
+    n, xl, xh = len(starts), xr[:, 0], xr[:, -1]
+    # bound[i, j] of the tile of rows i and columns j: -inf below the
+    # diagonal, never scored, and +inf where the tile is always scored;
+    # computed a few rows at a time, so that its temporaries stay small
+    bound = np.full((n, n), -np.inf)
+    rows = max(1, BLOCK_CELLS // n)
+    with np.errstate(over="ignore"):
+        for i in range(0, n, rows):
+            lo, hi = (xl[i:i + rows, None], xl[i:]), (xh[i:i + rows, None], xh[i:])
+            b = p.ratio_bound(lo, hi)
+            bound[i:i + rows, i:] = np.where((lo[1] - hi[0] > excluded) & ~np.isnan(b), b, np.inf)
+    bound[np.tri(n, k=-1, dtype=bool)] = -np.inf
+    flat = bound.ravel()
+    work = np.empty((3, max(BLOCK_CELLS, side * side)))
+    per = max(1, BLOCK_CELLS // (side * side))
+    best, first, count, tiles = -1.0, -1, 0, 0
+
+    def blocks():
+        # a scored tile's bound becomes -inf. Scoring the tile of the highest
+        # bound alone first lets few tiles pass the first filter
+        forced = np.flatnonzero(flat == np.inf)
+        yield from (forced[s:s + per] for s in range(0, len(forced), per))
+        top = np.argmax(flat, keepdims=True)
+        yield from [top] if flat[top[0]] >= best else []
+        left = np.flatnonzero(flat >= best)
+        while len(left := left[flat[left] >= best]):
+            yield left[np.argpartition(flat[left], -per)[-per:]] if len(left) > per else left
+
+    for t in blocks():
+        flat[t] = -np.inf
+        tiles += len(t)
+        I, J = np.divmod(t, n)
+        R, live, k = _ratios(p, xr[I, :, None, None], xc[J, None, :, None], excluded, True, work)
+        count += live
+        val = float(R.flat[k])
+        if val >= best:
+            # the block's cells that reach val, as row-major positions i m + j
+            b, r, c, _ = np.nonzero(R == val)
+            at = int(((starts[I[b]] + r) * m + starts[J[b]] + c).min())
+            if val > best or at < first:
+                best, first = val, at
+    # the tiles left with a finite bound were skipped; each lies above the
+    # diagonal, so it has side rows
+    skipped = side * int(np.isfinite(bound).sum(axis=0) @ np.minimum(side, m - starts))
+    bi, bj = divmod(first, m) if first >= 0 else (-1, -1)
+    return best, bi, bj, count + skipped, count, (n * (n + 1) // 2, tiles)
+
+
+def _ratios(p, X, Y, excluded: float, upper: bool, work):
+    """The ratios of the cells X x Y: -inf where the gap is at most
+    ``excluded``, and -inf for NaN if the block holds one; with the number
+    of live cells and the flat index of the first maximum. Every block of a
+    scan computes them in the rows of ``work``, so that the scan allocates
+    (and page-faults) its float temporaries once instead of once a block."""
+    import numpy as np
+
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    n = int(np.prod(shape))
+    D, R, T = (w[:n].reshape(shape) for w in work)
+    # xs is nondecreasing, so in the upper triangle Y - X equals |x - y|
+    # where j > i and is <= 0, hence never live, elsewhere
+    np.subtract(Y, X, out=D)
+    if not upper:
+        np.abs(D, out=D)
+    P = p.apply([X, Y])
+    if upper:
+        # x <= y, so x - p <= y - p after rounding too, and
+        # max(|x - p|, |y - p|) == max(p - x, y - p) bit for bit
+        np.subtract(P, X, out=T)
+        np.subtract(Y, P, out=R)
+    else:
+        np.abs(np.subtract(X, P, out=T), out=T)
+        np.abs(np.subtract(Y, P, out=R), out=R)
+    np.maximum(T, R, out=R)
+    dead = D <= excluded
+    R /= D
+    np.copyto(R, -np.inf, where=dead)
+    k = int(np.argmax(R))
+    if np.isnan(R.flat[k]):
+        # argmax stops at the first NaN; a NaN ratio is never the maximum
+        np.copyto(R, -np.inf, where=np.isnan(R))
+        k = int(np.argmax(R))
+    return R, n - int(np.count_nonzero(dead)), k

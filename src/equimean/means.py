@@ -80,15 +80,12 @@ class QuasiMeanMap:
     bit; the grid scan of ``estimate_lambda`` then scores each unordered
     pair once.
 
-    ``enclose`` (optional, binary maps) bounds the map on a box of the
-    plane: ``enclose(lo, hi)`` takes its corners lo = [xl, yl] and hi =
-    [xh, yh] as arrays the way ``batch`` takes points, with xh < yl, and
-    returns arrays (p_lo, p_hi) with p_lo <= ``batch([x, y])`` <= p_hi bit
-    for bit for every float x in [xl, xh] and y in [yl, yh]. A correctly
-    rounded operation (+, -, *, /, sqrt) is monotone in each argument, so a
-    formula built of them that is monotone in x and y is enclosed by its
-    values at the two corners; the symmetric grid scan then skips the tiles
-    whose bound lies below the best ratio it has found.
+    ``ratio_bound`` (optional, symmetric maps on an interval) bounds the
+    ratio fl(max(P - x, y - P) / (y - x)), P = ``batch([x, y])``, that the
+    grid scan computes: ``ratio_bound(lo, hi)`` takes the corners lo = (xl,
+    yl) and hi = (xh, yh) of tiles with xh < yl, as numpy arrays that
+    broadcast, and bounds that ratio at every float x in [xl, xh] and y in
+    [yl, yh] (NaN bounds nothing; ``_kernels`` derives the built-ins').
     """
 
     arity: int
@@ -97,7 +94,7 @@ class QuasiMeanMap:
     label: str
     batch: Optional[Callable] = None
     symmetric: bool = False
-    enclose: Optional[Callable] = None
+    ratio_bound: Optional[Callable] = None
 
     def __call__(self, *points) -> Point:
         pts = [as_point(p) for p in points]
@@ -520,8 +517,7 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     lam, x, y, count = scan
     if count == 0:
         raise SamplingError("every grid tuple fell inside the excluded diagonal radius")
-    route = f"{scan.scored} pairs scored, {count - scan.scored} skipped by enclosure bounds"
-    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, route=route)
+    return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, route=scan.route)
 
 
 def _start_tuple(p: QuasiMeanMap, rng, above: Optional[float]) -> tuple:
@@ -888,10 +884,9 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
 # built-in registry
 
 
-def _corners(batch: Callable) -> Callable:
-    """The enclosure of a binary map whose ``batch`` is nondecreasing in
-    each argument: its values at the box's two corners."""
-    return lambda lo, hi: (batch(lo), batch(hi))
+def _ratio_bound(ratio: Callable, error: Callable) -> Callable:
+    """(r + E / (yl - xh)) (1 + 8u), r = ``ratio(*lo, *hi)``, E = ``error(*lo, *hi)``."""
+    return lambda lo, hi: (ratio(*lo, *hi) + error(*lo, *hi) / (lo[1] - hi[0])) * (1 + 2.0**-50)
 
 
 def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
@@ -907,13 +902,18 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
             total = total + arr
         return total / arity
 
+    # ratio 1/2; fl(x + y) / 2 errs by u |x + y| / 2 (u = 2^-53 = 1.11e-16) + 2^-1075
+    bound = _ratio_bound(lambda *corners: 0.5,
+                         lambda xl, yl, xh, yh: 5.6e-17 * (abs(xl + yl) + abs(xh + yh)) + 5e-324)
     return QuasiMeanMap(arity, space, func, f"arithmetic:{arity}", batch=batch,
-                        symmetric=arity == 2, enclose=_corners(batch) if arity == 2 else None)
+                        symmetric=arity == 2, ratio_bound=bound if arity == 2 else None)
 
 
 def geometric_mean(space: Interval) -> QuasiMeanMap:
     if not isinstance(space, Interval) or space.a <= 0:
         raise ValueError("geometric mean needs an interval with a > 0")
+    if space.b > 2.0**511:  # where x * y can overflow
+        raise ValueError(f"geometric mean needs b <= 2^511, got b = {space.b!r}")
 
     def func(points):
         (x,), (y,) = points
@@ -924,9 +924,10 @@ def geometric_mean(space: Interval) -> QuasiMeanMap:
 
         return np.sqrt(arrays[0] * arrays[1])
 
-    # a > 0, so x * y grows with x and with y
-    return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True,
-                        enclose=_corners(batch))
+    # ratio 1 / (1 + sqrt(x / y)), largest at (xl, yh); batch errs by 1.5u sqrt(xy) + 2^-537.5
+    bound = _ratio_bound(lambda xl, yl, xh, yh: 1 / (1 + (xl / yh) ** 0.5),
+                         lambda xl, yl, xh, yh: 1.67e-16 * (xh * yh) ** 0.5 + 2.0**-537)
+    return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True, ratio_bound=bound)
 
 
 def dictator_mean(space: MetricSpace, index: int = 0, arity: int = 2) -> QuasiMeanMap:
@@ -954,9 +955,10 @@ def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
 
         return np.broadcast_to(np.asarray(pt), arrays[0].shape).copy()
 
+    bound = lambda lo, hi: (pt[0] - lo[0]).clip(hi[1] - pt[0]) / (lo[1] - hi[0])  # monotone
     label = "constant:" + ",".join(repr(c) for c in pt)
     return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2,
-                        enclose=_corners(batch) if arity == 2 else None)
+                        ratio_bound=bound if arity == 2 else None)
 
 
 def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
@@ -979,14 +981,12 @@ def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
         half_square *= 0.5
         return np.add(np.minimum(X, Y), half_square, out=half_square)
 
-    def enclose(lo, hi):
-        # the box has x < y, so min(x, y) is x, and x - y lies in
-        # [xl - yh, xh - yl], all <= 0, where the square decreases
-        (xl, yl), (xh, yh) = lo, hi
-        near, far = xh - yl, xl - yh
-        return xl + near * near * 0.5, xh + far * far * 0.5
-
-    return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True, enclose=enclose)
+    # g = y - x, ratio max(g / 2, 1 - g / 2) (a.clip(b) is max(a, b)); batch errs by u |p|
+    # + 1.5u g^2 + 2^-1074, where |p| <= max(|xl|, |yh|) + g^2 / 2
+    bound = _ratio_bound(lambda xl, yl, xh, yh: ((yh - xl) / 2).clip(1 - (yl - xh) / 2),
+                         lambda xl, yl, xh, yh: 1.12e-16 * (abs(xl).clip(abs(yh))
+                                                            + 2 * (yh - xl) ** 2) + 2.0**-1073)
+    return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True, ratio_bound=bound)
 
 
 def _require_convex(space: MetricSpace, what: str) -> None:

@@ -87,6 +87,22 @@ def test_estimate_lambda_grid_over_pairs_cap_exits_2(tmp_path, capsys):
     assert not (outdir / "report.json").exists()
 
 
+def test_geometric_mean_past_2_to_the_511_exits_2(tmp_path, capsys):
+    # x * y would overflow to inf there, and lambda_hat with it
+    cfg = {"space": {"kind": "interval", "params": {"a": 1e160, "b": 1e161}},
+           "mean": "geometric", "grid_step": 1e159}
+    code, outdir = run(tmp_path, "estimate-lambda", cfg)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        "equimean: geometric mean needs b <= 2^511, got b = 1e+161")
+    assert not (outdir / "report.json").exists()
+    cfg["space"]["params"] = {"a": 1e-300, "b": 2.0**511}
+    cfg["grid_step"] = 2.0**508
+    code, outdir = run(tmp_path, "estimate-lambda", cfg, out="edge")
+    assert code == 0
+    assert 0.5 < read_report(outdir)["results"]["estimate"]["lambda_hat"] <= 1.0
+
+
 def test_chain_positional(tmp_path):
     outdir = tmp_path / "out"
     code = main(["chain", "1/8", "3/4", "--out", str(outdir)])
@@ -533,8 +549,8 @@ def test_grid_report_does_not_name_the_lane(tmp_path, caplog):
     assert results["estimate"]["method"] == "grid"
     assert (outdir / "lambda.csv").read_text().splitlines()[1].split(",")[3] == "grid"
     lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
-    assert lines[-1].endswith(" s, grid, 20 pairs scored, 0 skipped by enclosure bounds, "
-                              "20 samples")
+    assert lines[-1].endswith(" s, grid, 1 tiles bounded, 1 tiles and 20 pairs scored, "
+                              "0 pairs skipped by ratio bounds, 20 samples")
 
 
 def test_grid_log_counts_the_pairs_its_enclosure_skipped(tmp_path, caplog):
@@ -542,11 +558,16 @@ def test_grid_log_counts_the_pairs_its_enclosure_skipped(tmp_path, caplog):
     with caplog.at_level(logging.DEBUG, logger="equimean"):
         code, _ = run(tmp_path, "estimate-lambda", cfg)
     assert code == 0
-    scored, skipped, samples = map(int, re.search(
-        r" s, grid, (\d+) pairs scored, (\d+) skipped by enclosure bounds, (\d+) samples$",
+    bounded, tiles, scored, skipped, samples = map(int, re.search(
+        r" s, grid, (\d+) tiles bounded, (\d+) tiles and (\d+) pairs scored, "
+        r"(\d+) pairs skipped by ratio bounds, (\d+) samples$",
         caplog.records[-1].getMessage()).groups())
+    # 3001 points make 188 tiles of 16 a side, 188 x 189 / 2 of them in the
+    # upper triangle
+    assert bounded == 188 * 189 // 2
+    assert 188 <= tiles < bounded
     assert scored + skipped == samples == 3001 * 3000
-    assert 0 < scored < skipped
+    assert 0 < scored < 0.01 * samples
 
 
 C4_BOX = {"space": SYM_BOX, "action": {"name": "plane_rotation", "n": 4},
@@ -1107,7 +1128,7 @@ GOLDEN_EXITS = {
     # test_means.py::test_lambda_lockstep_blocks_span_the_restarts)
     "random-lambda-retry": 0,
     "trajectory-understated": 1,
-    # dense grid scans, which skip the tiles their enclosure bounds
+    # dense grid scans, which skip the tiles their ratio bounds
     "grid-geometric": 0,
     "grid-minsq": 0,
 }

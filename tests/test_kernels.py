@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from equimean._kernels import grid_scan_interval
 from equimean.cli import main
 from equimean.means import (
     MEAN_NAMES,
+    QuasiMeanMap,
     _grid_points,
     arithmetic_mean,
     constant_mean,
@@ -90,17 +92,17 @@ REFERENCE_GRIDS = [
 def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_cells):
     # small blocks: several per scan, multi-row ones and a ragged last one;
     # the dictators take the whole-row path, the others the upper triangle,
-    # in strips whose enclosure skips tiles of 2, 5 or TILE columns, and
-    # without an enclosure in whole rows
+    # best first in tiles of 2, 5 or TILE a side, and without a ratio bound
+    # in whole rows
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", block_cells)
     a, b, step, excluded = grid
     p = built_in(kernel, a, b)
     assert p.symmetric is not kernel.startswith("dict")
-    assert (p.enclose is None) is kernel.startswith("dict")
+    assert (p.ratio_bound is None) is kernel.startswith("dict")
     want = full_square_scan(BUILT_INS[kernel][1], a, b, step, excluded)
     for tile in (2, 5, _kernels.TILE):
         monkeypatch.setattr(_kernels, "TILE", tile)
-        for q in (p, dataclasses.replace(p, enclose=None)):
+        for q in (p, dataclasses.replace(p, ratio_bound=None)):
             assert scan(q, step, excluded) == want
     if excluded >= b - a:
         assert want == (-1.0, 0.0, 0.0, 0)
@@ -110,11 +112,11 @@ def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_
 @pytest.mark.parametrize("kernel, a, b", [("geom", 1.0, 4.0), ("minsq", 0.0, 1.0)])
 def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, tile):
     # geometric's maximum lies at the corner (1, 4), minsq's next to the
-    # diagonal, so once a strip has found it most tiles far from the
+    # diagonal, so once the scan has found it most tiles far from the
     # diagonal lie below it; every pair is counted, scored or not
     monkeypatch.setattr(_kernels, "TILE", tile)
     p = built_in(kernel, a, b)
-    got, plain = scan(p, 1e-2, 1e-6), scan(dataclasses.replace(p, enclose=None), 1e-2, 1e-6)
+    got, plain = scan(p, 1e-2, 1e-6), scan(dataclasses.replace(p, ratio_bound=None), 1e-2, 1e-6)
     assert got == plain == full_square_scan(BUILT_INS[kernel][1], a, b, 1e-2, 1e-6)
     m = _grid_points(a, b, 1e-2)
     assert got[3] == plain.scored == m * (m - 1)
@@ -123,28 +125,23 @@ def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, tile):
 
 @pytest.mark.parametrize("kernel", ["arith2", "geom", "minsq", "const"])
 def test_a_tile_is_kept_while_it_may_hold_the_best_ratio(monkeypatch, kernel):
-    # a tile's bound is at least each of its ratios, so with best set to the
-    # largest ratio of a strip's tile that tile is kept: a skipped cell can
-    # neither win nor tie
+    # every tile's bound is at least each of its cells' ratios, so a tile is
+    # scored while its largest ratio may reach the best: a skipped cell can
+    # neither win nor tie. Tiles of 4 on a grid of 301 points
     monkeypatch.setattr(_kernels, "TILE", 4)
     p = built_in(kernel, 0.5, 2.0)
     xs = 0.5 + np.arange(301) * 5e-3
     xs[-1] = 2.0
-    corners = _kernels._tile_corners(xs)
-    skipped = 0
     for r0 in (0, 36, 148, 276):
-        r1 = r0 + 4
-        X = xs[r0:r1, None, None]
-        for t0 in range(r1, len(xs), 4):
+        X = xs[r0:r0 + 4, None, None]
+        for t0 in range(r0 + 4, len(xs), 4):
             Y = xs[None, t0:t0 + 4, None]
             P = p.batch([X, Y])
-            best = float((np.maximum(P - X, Y - P) / (Y - X)).max())
-            with np.errstate(divide="ignore", invalid="ignore"):
-                kept = _kernels._kept_columns(p, xs, corners, r0, r1, 1e-6, best)
-            if kept is not None:
-                assert set(range(t0, min(t0 + 4, len(xs)))) <= set(kept.tolist())
-                skipped += len(xs) - r0 - 1 - len(kept)
-    assert skipped > 0 or kernel == "arith2"
+            ratios = np.maximum(P - X, Y - P) / (Y - X)
+            assert (ratios <= p.ratio_bound((X[0], Y[0, 0]), (X[-1], Y[0, -1]))).all()
+    got = scan(p, 5e-3, 1e-6)
+    assert got == scan(dataclasses.replace(p, ratio_bound=None), 5e-3, 1e-6)
+    assert got.scored < got[3]
 
 
 def _box(draw, lo, hi):
@@ -170,29 +167,149 @@ def _box(draw, lo, hi):
 
 
 # (a built-in binary mean on [a, b], the range its intervals' ends lie in):
-# arithmetic and the constant on any interval, geometric with a > 0, and
-# minsq on intervals of length up to 2
+# arithmetic and the constant on any interval, geometric with 0 < a < b <=
+# 2^511, also where x y is subnormal, and minsq on intervals of length up to 2
 ENCLOSED = {
     "arith2": (lambda a, b: arithmetic_mean(Interval(a, b), 2), (-1e300, 1e300)),
-    "geom": (lambda a, b: geometric_mean(Interval(a, b)), (5e-324, 1e150)),
+    "geom": (lambda a, b: geometric_mean(Interval(a, b)), (5e-324, 2.0**511)),
+    "geom-subnormal": (lambda a, b: geometric_mean(Interval(a, b)), (5e-324, 1e-155)),
     "minsq": (lambda a, b: min_plus_halfsquare_mean(Interval(a, b)), (-10.0, 10.0)),
     "const": (lambda a, b: constant_mean(Interval(a, b), [a / 2 + b / 2]), (-1e300, 1e300)),
 }
 
 
-@settings(max_examples=300, deadline=None)
+def _ratios_of_cells(p, xs, ys):
+    """The ratio of each cell of xs x ys (xs below ys), as the scan
+    computes it."""
+    X, Y = np.array(xs)[:, None, None], np.array(ys)[None, :, None]
+    P = p.batch([X, Y])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.maximum(P - X, Y - P) / (Y - X)
+
+
+@settings(max_examples=400, deadline=None)
 @given(name=st.sampled_from(sorted(ENCLOSED)), data=st.data())
-def test_enclosure_holds_every_batch_value_of_its_box(name, data):
+def test_ratio_bound_holds_every_ratio_of_its_tile(name, data):
     make, (lo, hi) = ENCLOSED[name]
     a = data.draw(st.floats(lo, hi))
     b = data.draw(st.floats(a, min(hi, a + 2.0) if name == "minsq" else hi))
     assume(a < b)
     (xl, yl), (xh, yh), xs, ys = _box(data.draw, a, b)
     p = make(a, b)
-    corner = lambda *v: [np.array([[c]]) for c in v]
-    p_lo, p_hi = p.enclose(corner(xl, yl), corner(xh, yh))
-    P = p.batch([np.array(xs)[:, None, None], np.array(ys)[None, :, None]])
-    assert (p_lo <= P).all() and (P <= p_hi).all()
+    with np.errstate(over="ignore"):  # an inf bound holds, as the scan takes it
+        bound = p.ratio_bound((np.array(xl), np.array(yl)), (np.array(xh), np.array(yh)))
+    assert (_ratios_of_cells(p, xs, ys) <= bound).all()
+
+
+@pytest.mark.parametrize("decades", [3, 5, 8])
+def test_ratio_bound_covers_the_rounding_of_the_scan(decades):
+    # on 64 points spread evenly in log scale over [1, 10^decades], tiles of
+    # 8 a side far from the diagonal have cells whose float ratio lies an ulp
+    # or two above r + E / (yl - xh): the factor 1 + 8u must cover them
+    xs = np.geomspace(1.0, 10.0**decades, 64)
+    p = geometric_mean(Interval(xs[0], xs[-1]))
+    ratios = _ratios_of_cells(p, xs, xs)
+    for i in range(0, 56, 8):
+        for j in range(i + 8, 64, 8):
+            tile = (np.array(xs[i]), np.array(xs[j])), (np.array(xs[i + 7]), np.array(xs[j + 7]))
+            assert ratios[i:i + 8, j:j + 8].max() <= p.ratio_bound(*tile)
+
+
+# (a built-in, the point tiles (a, b) on which its bound is checked, and the
+# paper's closed form of its ratio at (a, b))
+CLOSED_FORMS = [
+    ("geom", [(a, a + 3.0) for a in (1.0, 1.5, 2.0, 2.5, 3.0)] + [(1.0, 2.0), (0.5, 4.0)],
+     lambda a, b: (b - math.sqrt(a * b)) / (b - a)),
+    ("arith2", [(0.0, 1.0), (-1.0, 1.0), (0.25, 0.5), (-3.0, 5.0)], lambda a, b: 0.5),
+    ("minsq", [(0.0, 1.0), (0.0, 0.5), (0.0, 2e-4), (-1.0, 1.0), (0.2, 0.3)],
+     lambda a, b: max((b - a) / 2, 1 - (b - a) / 2)),
+]
+
+
+@pytest.mark.parametrize("kernel, tiles, closed", CLOSED_FORMS, ids=[c[0] for c in CLOSED_FORMS])
+def test_ratio_bound_of_a_point_tile_is_the_closed_form(kernel, tiles, closed):
+    # on the point tile ({a}, {b}) the bound is the paper's closed form of the
+    # ratio plus its rounding terms: the batch error E / (b - a) and the
+    # factor 1 + 8u, which together stay within 2e-15 of it here
+    for a, b in tiles:
+        p = built_in(kernel, a, b)
+        bound = float(p.ratio_bound((np.array(a), np.array(b)), (np.array(a), np.array(b))))
+        assert float(_ratios_of_cells(p, [a], [b])[0, 0, 0]) <= bound
+        assert closed(a, b) <= bound <= closed(a, b) * (1 + 2e-15)
+
+
+@pytest.mark.parametrize("kernel, a, b, step", [("geom", a, a + 3.0, 4e-4)
+                                                 for a in (1.0, 1.5, 2.0, 2.5, 3.0)]
+                         + [("minsq", 0.0, 1.0, 2e-4), ("arith2", 0.0, 1.0, 2e-4)])
+def test_best_first_scan_equals_the_whole_row_scan(kernel, a, b, step):
+    # the lambda-grid benchmark's scans: the same 4-tuple from under 1% of
+    # the pairs
+    p = built_in(kernel, a, b)
+    got = scan(p, step, 1e-6)
+    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 1e-6)
+    assert got.scored < 0.01 * got[3]
+
+
+def _two_peaks(space, peaks, ratio_bound):
+    """A symmetric map whose ratio is exactly 2 at the grid pairs ``peaks``
+    (x < y) and 1/2 elsewhere on a dyadic grid, with the given bound."""
+    def func(points):
+        lo, hi = sorted((points[0][0], points[1][0]))
+        return (2 * hi - lo if (lo, hi) in peaks else (lo + hi) / 2,)
+
+    def batch(arrays):
+        lo, hi = np.minimum(*arrays), np.maximum(*arrays)
+        peak = np.zeros(lo.shape, dtype=bool)
+        for x, y in peaks:
+            peak |= (lo == x) & (hi == y)
+        return np.where(peak, 2 * hi - lo, (lo + hi) / 2)
+
+    return QuasiMeanMap(2, space, func, "two-peaks", batch=batch, symmetric=True,
+                        ratio_bound=ratio_bound)
+
+
+def test_equal_maxima_in_different_blocks_keep_the_first_pair(monkeypatch):
+    # one tile a block, and bounds that grow with the row: the tile of the
+    # later peak (3, 3.75) is scored first, and the earlier peak (0.5, 2.25)
+    # ties it in a later block and wins, as it comes first in row-major order.
+    # Its tile's bound equals the peak's ratio 2, so only a bound strictly
+    # below the best drops a tile
+    monkeypatch.setattr(_kernels, "TILE", 2)
+    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 4)
+    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25), (3.0, 3.75)}, lambda lo, hi: 1.5 + lo[0])
+    want = (2.0, 0.5, 2.25, 17 * 16)
+    assert scan(p, 0.25, 1e-6) == scan(dataclasses.replace(p, ratio_bound=None), 0.25, 1e-6) == want
+    assert full_square_scan(lambda X, Y: p.batch([X, Y]), 0.0, 4.0, 0.25, 1e-6) == want
+
+
+def test_a_tile_with_a_nan_bound_is_scored(monkeypatch):
+    # the tiles of the first two rows have NaN bounds, the peak's among them;
+    # every other tile has a valid bound below the peak's ratio and is skipped
+    monkeypatch.setattr(_kernels, "TILE", 2)
+    bound = lambda lo, hi: np.where(lo[0] <= 0.5, np.nan, 0.75) + 0 * hi[1]
+    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25)}, bound)
+    got = scan(p, 0.25, 1e-6)
+    assert got == (2.0, 0.5, 2.25, 17 * 16)
+    assert got.scored < got[3]
+
+
+def test_a_large_scan_holds_o_of_m_memory_and_scores_under_1_percent():
+    # geometric on [1, 4] at step 1e-4, m = 30,001 points: beside the grid,
+    # its tile rows and a block (O(m + BLOCK_CELLS) floats) the scan holds
+    # one bound per tile of the square, at most TILES^2 floats, where an
+    # uncapped tiling of 16 a side would hold 3.5 million
+    p = geometric_mean(Interval(1.0, 4.0))
+    m = _grid_points(1.0, 4.0, 1e-4)
+    assert m == 30_001
+    tracemalloc.start()
+    try:
+        got = scan(p, 1e-4, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got[:3] == (2.0 / 3.0, 1.0, 4.0) and got[3] == m * (m - 1)
+    assert got.scored < 0.01 * got[3]
+    assert peak < 8 * (8 * m + 8 * _kernels.BLOCK_CELLS + 2 * _kernels.TILES**2)
 
 
 @pytest.mark.parametrize("kernel", ["dict0", "dict1"])

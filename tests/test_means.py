@@ -414,14 +414,14 @@ def _double_loop_scan(p, step, excluded):
         "square-of-max-eval", "nan-eval"])
 @pytest.mark.parametrize("step", [0.05, 0.07])
 def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
-    # geometric and minsq keep their enclosure without a batch, so their
-    # scan skips tiles: of 2 and 3 columns, and of the default width
+    # geometric and minsq keep their ratio bound without a batch, so their
+    # scan runs best first, in tiles of 2, 5 and the default side
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 37)
     p = make()
     want = _double_loop_scan(p, step, 1e-6)
-    for tile in (2, 3, _kernels.TILE):
+    for tile in (2, 5, _kernels.TILE):
         monkeypatch.setattr(_kernels, "TILE", tile)
-        for q in (p, dataclasses.replace(p, enclose=None)):
+        for q in (p, dataclasses.replace(p, ratio_bound=None)):
             est = estimate_lambda(q, LambdaConfig(grid_step=step))
             assert (est.lambda_hat, est.argmax_tuple, est.samples) == want
 
