@@ -1,37 +1,50 @@
 """Contractivity-ratio grid scan of a binary mean on an interval.
 
-The scan evaluates the mean on cache-sized blocks of the square grid
-through ``QuasiMeanMap.apply``: the map's ``batch`` on broadcast views of
-the grid, or ``eval`` row by row for a map without one. A symmetric map
-with a ``ratio_bound`` is scanned best first: each tile of the upper
-triangle is bounded once, and the tiles are scored in decreasing order of
-bound until the rest lie below the best ratio computed (branch and bound).
-numpy is imported inside the function, so importing this module, and the
-CLI with it, loads no numpy.
+The grid a, a + step, ..., a + (m - 2) step, b is a list of Python floats,
+bit for bit numpy's a + arange(m) * step. A symmetric map with a
+``ratio_bound`` is scanned in plain Python by best-first branch and bound
+over a tree of tiles of the upper triangle (Ratschek and Rokne, *New
+Computer Methods for Global Optimization*, 1988): the tile of the highest
+bound is taken first, a leaf of at most LEAF cells is scored through
+``p.eval`` and a larger tile split, until the highest bound left lies
+below the best ratio computed. Any other map is scanned on
+cache-sized blocks of whole rows through ``QuasiMeanMap.apply``, in numpy.
+That path alone imports numpy, inside its function, so importing this
+module, or scanning a built-in bounded mean, loads no numpy.
 
-A built-in's ratio bound on a tile [xl, xh] x [yl, yh], xh < yl, is (r + E /
-(yl - xh)) (1 + 8u), u = 2^-53: r >= 1/2 is the largest exact ratio on the
-tile, in closed form, and E bounds |P - p(x, y)| there, P = batch([x, y]).
-With P within E of p, the float ratio is at most (r + E / (y - x)) (1 + u) /
-(1 - u): a subtraction is exact or within a factor 1 +- u, and a float that
-bounds a quotient bounds it rounded. The bound computes r within a factor
-1 - 3u (geometric's four operations err by at most 2.75u, minsq's by 2u
-against r >= 1/2; an underflow moves r by under 2^-537), E with a margin of
-at least 0.2% that covers its own rounding and the division's, and the sum
-and the product within 1 - u each: (1 - 3u)(1 - u)^2 (1 + 8u) > (1 + u) / (1
-- u). The constants' bound is the scan's own operations at the far corners,
-fl(max(c - xl, yh - c) / (yl - xh)): correctly rounded, hence monotone.
+A built-in's ratio bound on a tile [xl, xh] x [yl, yh] is (r + E / gap) (1
++ 8u), u = 2^-53, where gap > 0 is at most fl(y - x) at each cell x < y the
+bound covers: fl(yl - xh) off the diagonal, the grid's smallest adjacent
+difference on it (that of b and the point before it only where the tile
+holds b), and in the scan never below the excluded radius, which a live
+cell's difference exceeds. r >= 1/2 is the largest exact ratio on the
+tile in closed form (minsq's from the smallest difference gap), and E
+bounds |P - p(x, y)| there, P = eval([x, y]). With P within E of p, the
+float ratio is at most (r + E / (y - x)) (1 + u) / (1 - u): a subtraction
+is exact or within a factor 1 +- u, and a float that bounds a quotient
+bounds it rounded. As fl(y - x) >= gap, y - x >= gap / (1 + u), so E / (y -
+x) <= (1 + u) E / gap. The bound computes r within a factor 1 - 3u
+(geometric's four operations err by at most 2.75u; minsq's by 2u against r
+>= 1/2, counting the u by which an exact difference may lie below gap; an
+underflow moves r by under 2^-537), E with a margin of at least 0.2% that
+covers its own rounding, the factor 1 + u of gap and the division's, and
+the sum and the product within 1 - u each: (1 - 3u)(1 - u)^2 (1 + 8u) > (1
++ u) / (1 - u). The constants' bound is the scan's own operations at the
+far corners, fl(max(c - xl, yh - c) / gap): correctly rounded, hence
+monotone, and no cell's fl(y - x) lies below gap.
 """
 
-# cells per block: a block's few float64 temporaries (128 KB each) stay in
-# a per-core cache instead of streaming through memory
+import math
+from heapq import heappop, heappush
+from operator import sub
+
+# cells of a leaf of the branch and bound: a tile of at most LEAF cells (rows
+# x columns) is scored, a larger one split. Each tile costs a bound and a
+# heap entry, each leaf cell an evaluation, whether it can win or not
+LEAF = 32
+# cells per block of the whole-row scan: a block's few float64 temporaries
+# (128 KB each) stay in a per-core cache instead of streaming through memory
 BLOCK_CELLS = 16_384
-# side of a tile of the best-first scan, and the most tiles a side. A bound is
-# only as tight as its tile is wide (minsq scores the tiles on and next to the
-# diagonal, 1.5 m TILE cells, 1% of its pairs at step 2e-4), while each tile
-# costs a bound; past TILES a side (m = 8,192), tiles grow, so bounds stay 2 MB
-TILE = 16
-TILES = 512
 
 
 class GridScan(tuple):
@@ -56,8 +69,8 @@ def grid_scan_interval(p, a: float, step: float, m: int, excluded: float) -> Gri
     pairs counts the ordered pairs with gap above ``excluded`` (which must
     be >= 0), and the argmax is the first maximum of the full square in
     row-major order. A ``symmetric`` map has each unordered pair scored
-    once, over the upper triangle j > i: in tiles, best first, when it has
-    a ``ratio_bound``, else in whole rows; any other map has whole rows of
+    once, over the upper triangle j > i: by branch and bound when it has a
+    ``ratio_bound``, else in whole rows; any other map has whole rows of
     the full square scored.
     """
     # Upper triangle: p(x, y) == p(y, x) bit for bit, so ratio(i, j) ==
@@ -67,115 +80,141 @@ def grid_scan_interval(p, a: float, step: float, m: int, excluded: float) -> Gri
     # mirror (j, i) earlier in row-major order, so the full square's first
     # maximum is the first maximum of the upper triangle read in row-major
     # order. Each live unordered pair stands for two ordered ones.
-    import numpy as np
-
     if not excluded >= 0.0:
         raise ValueError(f"excluded radius must be >= 0, got {excluded!r}")
-    xs = a + np.arange(m, dtype=np.float64) * step
+    xs = [a + k * step for k in range(m)]
     xs[-1] = p.space.b
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if p.symmetric and p.ratio_bound is not None:
-            best, bi, bj, count, scored, tiles = _best_first(p, xs, excluded)
-        else:
-            best, bi, bj, count, scored, tiles = _rows(p, xs, excluded)
+    if p.symmetric and p.ratio_bound is not None:
+        best, first, count, scored, tiles = _branch_and_bound(p, xs, excluded)
+    else:
+        best, first, count, scored, tiles = _rows(p, xs, excluded)
     if p.symmetric:
         scored, count = 2 * scored, 2 * count
-    if bi < 0:
+    if first < 0:
         return GridScan((-1.0, 0.0, 0.0, count), scored, tiles)
-    return GridScan((best, float(xs[bi]), float(xs[bj]), count), scored, tiles)
+    i, j = divmod(first, m)
+    return GridScan((best, xs[i], xs[j], count), scored, tiles)
+
+
+def _branch_and_bound(p, xs, excluded):
+    """The scan of a symmetric map with a ``ratio_bound``: best first over
+    a tree of tiles of the upper triangle, in plain Python.
+
+    A tile holds the cells (i, j), j > i, of index ranges [i0, i1) x [j0,
+    j1): a triangle, the pairs of [i0, i1] (j0 = i0 + 1, j1 = i1 + 1), or a
+    rectangle off the diagonal (i1 <= j0). It is bounded once, when it is
+    made; a NaN bound counts as +inf. The tile of the highest bound is taken
+    first: one of at most LEAF cells is scored, a larger rectangle split in
+    two along its longer side, and a larger triangle into the triangles
+    of the two halves of its range and the rectangle between them, so that
+    every adjacent pair lies in a triangle. A tile is dropped once its
+    bound lies strictly below the best ratio computed, and the search stops
+    once the highest bound left does, so a dropped cell can neither win nor
+    tie; its pairs, counted in one pass, are counted unscored. Equal ratios
+    keep the pair first in row-major order. Beside the O(m) grid, the
+    search holds its heap of tiles.
+    """
+    m, ratio_bound, evaluate = len(xs), p.ratio_bound, p.eval
+    # the smallest fl(y - x) of a cell on the diagonal: a pair j > i lies no
+    # closer than i and i + 1, and rounding is monotone. b, the last point,
+    # may lie far closer to the one before it than a step does, so only the
+    # triangles that hold it take its gap
+    near = min(map(sub, xs[1:-1], xs), default=math.inf)
+    near_b = min(near, xs[-1] - xs[-2])
+    heap, best, first, scored, bounded, leaves = [], -1.0, -1, 0, 0, 0
+
+    def push(i0, i1, j0, j1):
+        nonlocal bounded
+        xl, xh, yl, yh = xs[i0], xs[i1 - 1], xs[j0], xs[j1 - 1]
+        if not yh - xl > excluded:  # no live cell
+            return
+        if i1 <= j0:
+            gap = max(yl - xh, excluded)
+        else:
+            gap = max(near if j1 < m else near_b, excluded)
+        bound = ratio_bound(xl, xh, yl, yh, gap) if gap > 0.0 else math.inf
+        bounded += 1
+        if not bound < best:
+            heappush(heap, (-bound if bound == bound else -math.inf, i0, i1, j0, j1))
+
+    push(0, m - 1, 1, m)
+    while heap:
+        top, i0, i1, j0, j1 = heappop(heap)
+        if -top < best:
+            break
+        if (i1 - i0) * (j1 - j0) > LEAF:
+            if i1 > j0:  # a triangle
+                h = (i0 + i1) // 2
+                push(i0, h, j0, h + 1)
+                push(h, i1, h + 1, j1)
+                push(i0, h, h + 1, j1)
+            elif i1 - i0 >= j1 - j0:
+                h = (i0 + i1) // 2
+                push(i0, h, j0, j1)
+                push(h, i1, j0, j1)
+            else:
+                h = (j0 + j1) // 2
+                push(i0, i1, j0, h)
+                push(i0, i1, h, j1)
+            continue
+        leaves += 1
+        for i in range(i0, i1):
+            x, row = xs[i], i * m
+            for j in range(max(j0, i + 1), j1):
+                y = xs[j]
+                d = y - x
+                if d > excluded:
+                    scored += 1
+                    P = evaluate([(x,), (y,)])[0]
+                    # P - x and y - P are NaN together, when P is, so the
+                    # ratio is NaN then, and a NaN ratio never wins
+                    below, above = P - x, y - P
+                    ratio = (below if below > above else above) / d
+                    if ratio >= best and (ratio > best or row + j < first):
+                        best, first = ratio, row + j
+    return best, first, _live_pairs(xs, excluded, near_b), scored, (bounded, leaves)
+
+
+def _live_pairs(xs, excluded, near):
+    """The pairs j > i with fl(xs[j] - xs[i]) > excluded: all of them when
+    the smallest adjacent difference ``near`` exceeds it, else counted in
+    one pass, as that difference grows with j and shrinks with i, so the
+    first live j of a row is never below the previous row's."""
+    m, j, count = len(xs), 1, 0
+    if near > excluded:
+        return m * (m - 1) // 2
+    for i, x in enumerate(xs):
+        j = max(j, i + 1)
+        while j < m and not xs[j] - x > excluded:
+            j += 1
+        count += m - j
+    return count
 
 
 def _rows(p, xs, excluded):
-    """The scan in blocks of whole rows, in row-major order: j > i for a
-    symmetric map, every j otherwise."""
+    """The scan in numpy, in blocks of whole rows in row-major order: j > i
+    for a symmetric map, every j otherwise."""
     import numpy as np
 
     upper, m = p.symmetric, len(xs)
+    xs = np.array(xs)
     # rows 0 .. stop-1 are scanned, the widest with stop cells, so a block has
     # at most max(BLOCK_CELLS, stop) cells, and never more than stop^2
     stop = m - 1 if upper else m
     work = np.empty((3, min(max(BLOCK_CELLS, stop), stop * stop)))
-    best, bi, bj, count, lo = -1.0, -1, -1, 0, 0
-    while lo < stop:
-        c0 = lo + 1 if upper else 0
-        width = m - c0
-        hi = min(stop, lo + max(1, BLOCK_CELLS // width))
-        R, live, k = _ratios(p, xs[lo:hi, None, None], xs[None, c0:, None], excluded, upper, work)
-        count += live
-        if R.flat[k] > best:
-            best, bi, bj = float(R.flat[k]), lo + k // width, c0 + k % width
-        lo = hi
-    return best, bi, bj, count, count, (0, 0)
-
-
-def _best_first(p, xs, excluded):
-    """The scan of a symmetric map with a ``ratio_bound`` over tiles of the
-    upper triangle, best first.
-
-    The tiles within the excluded radius of the diagonal, and those whose
-    bound is NaN, are scored first, in any order; the others best first,
-    the tile of the highest bound alone and then blocks of the highest
-    bounds left, and a tile is dropped once its bound lies strictly below
-    the best ratio computed, so a dropped cell can neither win nor tie, and
-    its pairs, all live, are counted unscored. Ties across blocks keep the
-    pair first in row-major order. With at most TILES tiles a side, the
-    bounds take at most TILES^2 floats besides the O(m) grid.
-    """
-    import numpy as np
-
-    m = len(xs)
-    side = max(TILE, -(-m // TILES))
-    starts = np.arange(0, m, side)
-    cells = starts[:, None] + np.arange(side)
-    # a tile pads its last rows with b and its last columns with a, whose
-    # cells have gap <= 0 and so are dead
-    xr, xc = xs[np.minimum(cells, m - 1)], xs[np.where(cells < m, cells, 0)]
-    n, xl, xh = len(starts), xr[:, 0], xr[:, -1]
-    # bound[i, j] of the tile of rows i and columns j: -inf below the
-    # diagonal, never scored, and +inf where the tile is always scored;
-    # computed a few rows at a time, so that its temporaries stay small
-    bound = np.full((n, n), -np.inf)
-    rows = max(1, BLOCK_CELLS // n)
-    with np.errstate(over="ignore"):
-        for i in range(0, n, rows):
-            lo, hi = (xl[i:i + rows, None], xl[i:]), (xh[i:i + rows, None], xh[i:])
-            b = p.ratio_bound(lo, hi)
-            bound[i:i + rows, i:] = np.where((lo[1] - hi[0] > excluded) & ~np.isnan(b), b, np.inf)
-    bound[np.tri(n, k=-1, dtype=bool)] = -np.inf
-    flat = bound.ravel()
-    work = np.empty((3, max(BLOCK_CELLS, side * side)))
-    per = max(1, BLOCK_CELLS // (side * side))
-    best, first, count, tiles = -1.0, -1, 0, 0
-
-    def blocks():
-        # a scored tile's bound becomes -inf. Scoring the tile of the highest
-        # bound alone first lets few tiles pass the first filter
-        forced = np.flatnonzero(flat == np.inf)
-        yield from (forced[s:s + per] for s in range(0, len(forced), per))
-        top = np.argmax(flat, keepdims=True)
-        yield from [top] if flat[top[0]] >= best else []
-        left = np.flatnonzero(flat >= best)
-        while len(left := left[flat[left] >= best]):
-            yield left[np.argpartition(flat[left], -per)[-per:]] if len(left) > per else left
-
-    for t in blocks():
-        flat[t] = -np.inf
-        tiles += len(t)
-        I, J = np.divmod(t, n)
-        R, live, k = _ratios(p, xr[I, :, None, None], xc[J, None, :, None], excluded, True, work)
-        count += live
-        val = float(R.flat[k])
-        if val >= best:
-            # the block's cells that reach val, as row-major positions i m + j
-            b, r, c, _ = np.nonzero(R == val)
-            at = int(((starts[I[b]] + r) * m + starts[J[b]] + c).min())
-            if val > best or at < first:
-                best, first = val, at
-    # the tiles left with a finite bound were skipped; each lies above the
-    # diagonal, so it has side rows
-    skipped = side * int(np.isfinite(bound).sum(axis=0) @ np.minimum(side, m - starts))
-    bi, bj = divmod(first, m) if first >= 0 else (-1, -1)
-    return best, bi, bj, count + skipped, count, (n * (n + 1) // 2, tiles)
+    best, first, count, lo = -1.0, -1, 0, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while lo < stop:
+            c0 = lo + 1 if upper else 0
+            width = m - c0
+            hi = min(stop, lo + max(1, BLOCK_CELLS // width))
+            R, live, k = _ratios(p, xs[lo:hi, None, None], xs[None, c0:, None], excluded, upper,
+                                 work)
+            count += live
+            if R.flat[k] > best:
+                best, first = float(R.flat[k]), (lo + k // width) * m + c0 + k % width
+            lo = hi
+    return best, first, count, count, (0, 0)
 
 
 def _ratios(p, X, Y, excluded: float, upper: bool, work):

@@ -81,11 +81,12 @@ class QuasiMeanMap:
     pair once.
 
     ``ratio_bound`` (optional, symmetric maps on an interval) bounds the
-    ratio fl(max(P - x, y - P) / (y - x)), P = ``batch([x, y])``, that the
-    grid scan computes: ``ratio_bound(lo, hi)`` takes the corners lo = (xl,
-    yl) and hi = (xh, yh) of tiles with xh < yl, as numpy arrays that
-    broadcast, and bounds that ratio at every float x in [xl, xh] and y in
-    [yl, yh] (NaN bounds nothing; ``_kernels`` derives the built-ins').
+    ratio fl(max(P - x, y - P) / (y - x)), P = ``eval([x, y])``, that the
+    grid scan computes: ``ratio_bound(xl, xh, yl, yh, gap)`` takes floats,
+    the corners of a tile [xl, xh] x [yl, yh] and a gap > 0, and bounds
+    that ratio at every float x in [xl, xh] and y in [yl, yh] with fl(y -
+    x) >= gap. The tile may straddle the diagonal; gap keeps x < y. NaN
+    bounds nothing; ``_kernels`` derives the built-ins'.
     """
 
     arity: int
@@ -885,12 +886,21 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
 
 
 def _ratio_bound(ratio: Callable, error: Callable) -> Callable:
-    """(r + E / (yl - xh)) (1 + 8u), r = ``ratio(*lo, *hi)``, E = ``error(*lo, *hi)``."""
-    return lambda lo, hi: (ratio(*lo, *hi) + error(*lo, *hi) / (lo[1] - hi[0])) * (1 + 2.0**-50)
+    """(r + E / gap) (1 + 8u), r = ``ratio(xl, xh, yl, yh, gap)``, E = ``error(xl, xh, yl, yh)``."""
+    return lambda xl, xh, yl, yh, gap: ((ratio(xl, xh, yl, yh, gap)
+                                         + error(xl, xh, yl, yh) / gap) * (1 + 2.0**-50))
 
 
 def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
     _require_convex(space, "arithmetic mean")
+    # a sum of arity coordinates of at most 2^top each in absolute value stays
+    # below 2^1024 after each rounding: arity < 2^bit_length
+    top = 1024 - arity.bit_length()
+    lo, hi = coordinate_bounds(space)
+    widest = max(map(abs, lo + hi))
+    if widest > 2.0**top:
+        raise ValueError(f"arithmetic:{arity} mean needs coordinates of absolute value "
+                         f"<= 2^{top}, got {widest!r}")
 
     def func(points):
         # start at -0.0, as batch does in effect: 0 + -0.0 would drop the sign
@@ -903,8 +913,8 @@ def arithmetic_mean(space: MetricSpace, arity: int = 2) -> QuasiMeanMap:
         return total / arity
 
     # ratio 1/2; fl(x + y) / 2 errs by u |x + y| / 2 (u = 2^-53 = 1.11e-16) + 2^-1075
-    bound = _ratio_bound(lambda *corners: 0.5,
-                         lambda xl, yl, xh, yh: 5.6e-17 * (abs(xl + yl) + abs(xh + yh)) + 5e-324)
+    bound = _ratio_bound(lambda *tile: 0.5,
+                         lambda xl, xh, yl, yh: 5.6e-17 * max(abs(xl + yl), abs(xh + yh)) + 5e-324)
     return QuasiMeanMap(arity, space, func, f"arithmetic:{arity}", batch=batch,
                         symmetric=arity == 2, ratio_bound=bound if arity == 2 else None)
 
@@ -925,8 +935,8 @@ def geometric_mean(space: Interval) -> QuasiMeanMap:
         return np.sqrt(arrays[0] * arrays[1])
 
     # ratio 1 / (1 + sqrt(x / y)), largest at (xl, yh); batch errs by 1.5u sqrt(xy) + 2^-537.5
-    bound = _ratio_bound(lambda xl, yl, xh, yh: 1 / (1 + (xl / yh) ** 0.5),
-                         lambda xl, yl, xh, yh: 1.67e-16 * (xh * yh) ** 0.5 + 2.0**-537)
+    bound = _ratio_bound(lambda xl, xh, yl, yh, gap: 1 / (1 + math.sqrt(xl / yh)),
+                         lambda xl, xh, yl, yh: 1.67e-16 * math.sqrt(xh * yh) + 2.0**-537)
     return QuasiMeanMap(2, space, func, "geometric", batch=batch, symmetric=True, ratio_bound=bound)
 
 
@@ -955,7 +965,7 @@ def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
 
         return np.broadcast_to(np.asarray(pt), arrays[0].shape).copy()
 
-    bound = lambda lo, hi: (pt[0] - lo[0]).clip(hi[1] - pt[0]) / (lo[1] - hi[0])  # monotone
+    bound = lambda xl, xh, yl, yh, gap: max(pt[0] - xl, yh - pt[0]) / gap  # monotone
     label = "constant:" + ",".join(repr(c) for c in pt)
     return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2,
                         ratio_bound=bound if arity == 2 else None)
@@ -981,11 +991,12 @@ def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:
         half_square *= 0.5
         return np.add(np.minimum(X, Y), half_square, out=half_square)
 
-    # g = y - x, ratio max(g / 2, 1 - g / 2) (a.clip(b) is max(a, b)); batch errs by u |p|
-    # + 1.5u g^2 + 2^-1074, where |p| <= max(|xl|, |yh|) + g^2 / 2
-    bound = _ratio_bound(lambda xl, yl, xh, yh: ((yh - xl) / 2).clip(1 - (yl - xh) / 2),
-                         lambda xl, yl, xh, yh: 1.12e-16 * (abs(xl).clip(abs(yh))
-                                                            + 2 * (yh - xl) ** 2) + 2.0**-1073)
+    # g = y - x >= gap, ratio max(g / 2, 1 - g / 2); batch errs by u |p| + 1.5u g^2 +
+    # 2^-1074, where |p| <= max(|xl|, |yh|) + g^2 / 2
+    bound = _ratio_bound(lambda xl, xh, yl, yh, gap: max((yh - xl) / 2, 1 - gap / 2),
+                         lambda xl, xh, yl, yh: 1.12e-16 * (max(abs(xl), abs(yh))
+                                                            + 2 * (yh - xl) * (yh - xl))
+                         + 2.0**-1073)
     return QuasiMeanMap(2, space, func, "minsq", batch=batch, symmetric=True, ratio_bound=bound)
 
 

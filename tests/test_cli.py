@@ -220,7 +220,10 @@ def test_packaged_schema_is_valid_against_its_meta_schema():
 
 
 def test_numpy_loads_only_for_grid_scans(tmp_path):
+    # of a map without a ratio bound: a bounded built-in's scan is plain Python
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.01})
+    rows = write_config(tmp_path, {"space": INTERVAL01, "mean": "dictator:0", "grid_step": 0.01},
+                        "rows.json")
     child = textwrap.dedent(f"""
         import sys
         import equimean, equimean.cli
@@ -229,7 +232,10 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
         assert "numpy" not in sys.modules, "chain"
         assert equimean.cli.main(["estimate-lambda", "--config", {cfg!r},
                                   "--out", {str(tmp_path / "grid")!r}]) == 0
-        assert "numpy" in sys.modules, "grid scan"
+        assert "numpy" not in sys.modules, "bounded grid scan"
+        assert equimean.cli.main(["estimate-lambda", "--config", {rows!r},
+                                  "--out", {str(tmp_path / "rows")!r}]) == 0
+        assert "numpy" in sys.modules, "whole-row grid scan"
         from equimean._kernels import grid_scan_interval
         from equimean.means import mean_from_name
         from equimean.spaces import Interval
@@ -428,7 +434,8 @@ def test_strict_betweenness_on_one_point_exits_2(tmp_path, capsys):
 
 
 def test_main_runs_openblas_on_one_thread_unless_the_user_says_otherwise(tmp_path):
-    cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.1})
+    # a dictator has no ratio bound, so its grid scan loads numpy
+    cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "dictator:0", "grid_step": 0.1})
     child = textwrap.dedent(f"""
         import os, sys
         os.environ.pop("OPENBLAS_NUM_THREADS", None)
@@ -562,10 +569,10 @@ def test_grid_log_counts_the_pairs_its_enclosure_skipped(tmp_path, caplog):
         r" s, grid, (\d+) tiles bounded, (\d+) tiles and (\d+) pairs scored, "
         r"(\d+) pairs skipped by ratio bounds, (\d+) samples$",
         caplog.records[-1].getMessage()).groups())
-    # 3001 points make 188 tiles of 16 a side, 188 x 189 / 2 of them in the
-    # upper triangle
-    assert bounded == 188 * 189 // 2
-    assert 188 <= tiles < bounded
+    # the maximum lies at the corner (1, 4): on its way down the tree of 3001
+    # points to that corner the search bounds two or three tiles a level,
+    # and it scores one leaf
+    assert tiles == 1 and bounded < 50
     assert scored + skipped == samples == 3001 * 3000
     assert 0 < scored < 0.01 * samples
 
@@ -761,17 +768,31 @@ def test_reruns_are_byte_identical(experiment, seed):
         assert outputs[0] == outputs[1]
 
 
-def test_verify_mean_fails_at_nan_when_the_mean_overflows(tmp_path):
-    # 85 of these 200 pairs sum past the largest float: their mean is inf,
-    # and the distance between two infs is NaN
-    cfg = {"space": {"kind": "interval", "params": {"a": 0.0, "b": 1.7e308}},
-           "mean": "arithmetic:2", "laws": ["M2"], "samples": 200, "seed": 1}
-    code, outdir = run(tmp_path, "verify-mean", cfg)
-    assert code == 1
-    m2 = read_report(outdir)["results"]["laws"]["M2"]
-    assert math.isnan(m2["max_violation"]) and m2["passed"] is False
-    (x,), (y,) = m2["witness"]
-    assert math.isinf(x + y)
+# (experiment, its config): runs whose arithmetic means could sum past the
+# largest float, which read lambda_hat Infinity (not JSON) and failed M1 and
+# M2 at inf or NaN before the mean refused them
+OVERFLOWING_SUMS = {
+    "estimate-lambda": ("estimate-lambda", {"mean": "arithmetic:2", "grid_step": 1e306,
+                                            "space": {"kind": "interval",
+                                                      "params": {"a": 8e307, "b": 1.7e308}}}),
+    "verify-mean-M1": ("verify-mean", {"mean": "arithmetic:3", "laws": ["M1"], "samples": 20,
+                                       "space": {"kind": "interval",
+                                                 "params": {"a": 8e307, "b": 1.7e308}}}),
+    "verify-mean-M2": ("verify-mean", {"mean": "arithmetic:2", "laws": ["M2"], "samples": 200,
+                                       "space": {"kind": "interval",
+                                                 "params": {"a": 0.0, "b": 1.7e308}}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SUMS))
+def test_an_arithmetic_mean_whose_sums_may_overflow_exits_2(tmp_path, capsys, name):
+    experiment, cfg = OVERFLOWING_SUMS[name]
+    code, outdir = run(tmp_path, experiment, cfg)
+    assert code == 2
+    assert capsys.readouterr().err.strip() == (
+        f"equimean: {cfg['mean']} mean needs coordinates of absolute value <= 2^1022, "
+        "got 1.7e+308")
+    assert not (outdir / "report.json").exists()
 
 
 def test_a_space_whose_length_overflows_exits_2(tmp_path, capsys):

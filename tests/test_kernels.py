@@ -1,11 +1,19 @@
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import equimean
 from equimean import _kernels
 from equimean._kernels import grid_scan_interval
 from equimean.cli import main
@@ -92,29 +100,29 @@ REFERENCE_GRIDS = [
 def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_cells):
     # small blocks: several per scan, multi-row ones and a ragged last one;
     # the dictators take the whole-row path, the others the upper triangle,
-    # best first in tiles of 2, 5 or TILE a side, and without a ratio bound
-    # in whole rows
+    # by branch and bound with leaves of 1, 5 or LEAF cells, and without a
+    # ratio bound in whole rows
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", block_cells)
     a, b, step, excluded = grid
     p = built_in(kernel, a, b)
     assert p.symmetric is not kernel.startswith("dict")
     assert (p.ratio_bound is None) is kernel.startswith("dict")
     want = full_square_scan(BUILT_INS[kernel][1], a, b, step, excluded)
-    for tile in (2, 5, _kernels.TILE):
-        monkeypatch.setattr(_kernels, "TILE", tile)
+    for leaf in (1, 5, _kernels.LEAF):
+        monkeypatch.setattr(_kernels, "LEAF", leaf)
         for q in (p, dataclasses.replace(p, ratio_bound=None)):
             assert scan(q, step, excluded) == want
     if excluded >= b - a:
         assert want == (-1.0, 0.0, 0.0, 0)
 
 
-@pytest.mark.parametrize("tile", [2, 5])
+@pytest.mark.parametrize("leaf", [2, 5])
 @pytest.mark.parametrize("kernel, a, b", [("geom", 1.0, 4.0), ("minsq", 0.0, 1.0)])
-def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, tile):
+def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, leaf):
     # geometric's maximum lies at the corner (1, 4), minsq's next to the
     # diagonal, so once the scan has found it most tiles far from the
     # diagonal lie below it; every pair is counted, scored or not
-    monkeypatch.setattr(_kernels, "TILE", tile)
+    monkeypatch.setattr(_kernels, "LEAF", leaf)
     p = built_in(kernel, a, b)
     got, plain = scan(p, 1e-2, 1e-6), scan(dataclasses.replace(p, ratio_bound=None), 1e-2, 1e-6)
     assert got == plain == full_square_scan(BUILT_INS[kernel][1], a, b, 1e-2, 1e-6)
@@ -123,30 +131,45 @@ def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, tile):
     assert 0 < got.scored < got[3]
 
 
+def _ratio(p, x, y):
+    """The ratio of the cell (x, y), x < y, as the scan computes it."""
+    P = p.eval([(x,), (y,)])[0]
+    return max(P - x, y - P) / (y - x)
+
+
+def _near(xs):
+    """The smallest adjacent difference of the sorted points xs."""
+    return min(y - x for x, y in zip(xs, xs[1:]))
+
+
 @pytest.mark.parametrize("kernel", ["arith2", "geom", "minsq", "const"])
 def test_a_tile_is_kept_while_it_may_hold_the_best_ratio(monkeypatch, kernel):
     # every tile's bound is at least each of its cells' ratios, so a tile is
     # scored while its largest ratio may reach the best: a skipped cell can
-    # neither win nor tie. Tiles of 4 on a grid of 301 points
-    monkeypatch.setattr(_kernels, "TILE", 4)
+    # neither win nor tie. Tiles of 4 a side on a grid of 301 points, off the
+    # diagonal with gap fl(yl - xh), on it with the grid's smallest adjacent
+    # difference; leaves of 4 cells
+    monkeypatch.setattr(_kernels, "LEAF", 4)
     p = built_in(kernel, 0.5, 2.0)
-    xs = 0.5 + np.arange(301) * 5e-3
+    xs = [0.5 + k * 5e-3 for k in range(301)]
     xs[-1] = 2.0
+    near = _near(xs)
     for r0 in (0, 36, 148, 276):
-        X = xs[r0:r0 + 4, None, None]
-        for t0 in range(r0 + 4, len(xs), 4):
-            Y = xs[None, t0:t0 + 4, None]
-            P = p.batch([X, Y])
-            ratios = np.maximum(P - X, Y - P) / (Y - X)
-            assert (ratios <= p.ratio_bound((X[0], Y[0, 0]), (X[-1], Y[0, -1]))).all()
+        rows = xs[r0:r0 + 4]
+        for t0 in range(r0, len(xs), 4):
+            cols = xs[t0:t0 + 4]
+            gap = cols[0] - rows[-1] if t0 > r0 else near
+            bound = p.ratio_bound(rows[0], rows[-1], cols[0], cols[-1], gap)
+            assert all(_ratio(p, x, y) <= bound for x in rows for y in cols if y > x)
     got = scan(p, 5e-3, 1e-6)
     assert got == scan(dataclasses.replace(p, ratio_bound=None), 5e-3, 1e-6)
     assert got.scored < got[3]
 
 
 def _box(draw, lo, hi):
-    """Corners xl <= xh < yl <= yh in [lo, hi], some of them equal or a few
-    ulps apart, and points of each side: both ends and some between."""
+    """A tile off the diagonal, (xl, xh, yl, yh, gap) with corners xl <= xh
+    < yl <= yh in [lo, hi], some of them equal or a few ulps apart, and gap
+    fl(yl - xh); and points of each side: both ends and some between."""
     def above(v):
         """v, up to 4 ulps above v, or any float of [v, hi]."""
         ulps = draw(st.one_of(st.integers(0, 4), st.floats(v, hi)))
@@ -163,12 +186,28 @@ def _box(draw, lo, hi):
     yh = above(yl)
     xs = [xl, xh] + draw(st.lists(st.floats(xl, xh), max_size=6))
     ys = [yl, yh] + draw(st.lists(st.floats(yl, yh), max_size=6))
-    return (xl, yl), (xh, yh), xs, ys
+    return (xl, xh, yl, yh, yl - xh), xs, ys
+
+
+def _diagonal_tile(draw, lo, hi):
+    """A tile on the diagonal of a grid of a few distinct points of [lo,
+    hi], some a few ulps apart: rows xs[:-1], columns xs[1:], and as gap
+    the grid's smallest adjacent difference or a larger excluded radius;
+    the cells are the pairs x < y whose difference reaches the gap."""
+    xs = sorted(set(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=8))))
+    if draw(st.booleans()):
+        xs.insert(1, min(math.nextafter(xs[0], math.inf), hi))
+    xs = sorted(set(xs))
+    assume(len(xs) >= 2)
+    gap = max(_near(xs), draw(st.sampled_from([0.0, 0.0, (xs[-1] - xs[0]) / 3])))
+    cells = [(x, y) for x in xs for y in xs if y > x and y - x >= gap]
+    return (xs[0], xs[-2], xs[1], xs[-1], gap), cells
 
 
 # (a built-in binary mean on [a, b], the range its intervals' ends lie in):
-# arithmetic and the constant on any interval, geometric with 0 < a < b <=
-# 2^511, also where x y is subnormal, and minsq on intervals of length up to 2
+# arithmetic and the constant on any interval they accept, geometric with 0 <
+# a < b <= 2^511, also where x y is subnormal, and minsq on intervals of
+# length up to 2
 ENCLOSED = {
     "arith2": (lambda a, b: arithmetic_mean(Interval(a, b), 2), (-1e300, 1e300)),
     "geom": (lambda a, b: geometric_mean(Interval(a, b)), (5e-324, 2.0**511)),
@@ -178,27 +217,23 @@ ENCLOSED = {
 }
 
 
-def _ratios_of_cells(p, xs, ys):
-    """The ratio of each cell of xs x ys (xs below ys), as the scan
-    computes it."""
-    X, Y = np.array(xs)[:, None, None], np.array(ys)[None, :, None]
-    P = p.batch([X, Y])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.maximum(P - X, Y - P) / (Y - X)
-
-
 @settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(sorted(ENCLOSED)), data=st.data())
-def test_ratio_bound_holds_every_ratio_of_its_tile(name, data):
+@given(name=st.sampled_from(sorted(ENCLOSED)), diagonal=st.booleans(), data=st.data())
+def test_ratio_bound_holds_every_ratio_of_its_tile(name, diagonal, data):
+    # off the diagonal the gap is fl(yl - xh); on it, as the scan bounds it,
+    # the grid's smallest adjacent difference, or an excluded radius above it
     make, (lo, hi) = ENCLOSED[name]
     a = data.draw(st.floats(lo, hi))
     b = data.draw(st.floats(a, min(hi, a + 2.0) if name == "minsq" else hi))
     assume(a < b)
-    (xl, yl), (xh, yh), xs, ys = _box(data.draw, a, b)
     p = make(a, b)
-    with np.errstate(over="ignore"):  # an inf bound holds, as the scan takes it
-        bound = p.ratio_bound((np.array(xl), np.array(yl)), (np.array(xh), np.array(yh)))
-    assert (_ratios_of_cells(p, xs, ys) <= bound).all()
+    if diagonal:
+        tile, cells = _diagonal_tile(data.draw, a, b)
+    else:
+        tile, xs, ys = _box(data.draw, a, b)
+        cells = [(x, y) for x in xs for y in ys]
+    bound = p.ratio_bound(*tile)  # an inf bound holds, as the scan takes it
+    assert all(_ratio(p, x, y) <= bound for x, y in cells)
 
 
 @pytest.mark.parametrize("decades", [3, 5, 8])
@@ -206,13 +241,12 @@ def test_ratio_bound_covers_the_rounding_of_the_scan(decades):
     # on 64 points spread evenly in log scale over [1, 10^decades], tiles of
     # 8 a side far from the diagonal have cells whose float ratio lies an ulp
     # or two above r + E / (yl - xh): the factor 1 + 8u must cover them
-    xs = np.geomspace(1.0, 10.0**decades, 64)
+    xs = np.geomspace(1.0, 10.0**decades, 64).tolist()
     p = geometric_mean(Interval(xs[0], xs[-1]))
-    ratios = _ratios_of_cells(p, xs, xs)
     for i in range(0, 56, 8):
         for j in range(i + 8, 64, 8):
-            tile = (np.array(xs[i]), np.array(xs[j])), (np.array(xs[i + 7]), np.array(xs[j + 7]))
-            assert ratios[i:i + 8, j:j + 8].max() <= p.ratio_bound(*tile)
+            bound = p.ratio_bound(xs[i], xs[i + 7], xs[j], xs[j + 7], xs[j] - xs[i + 7])
+            assert max(_ratio(p, x, y) for x in xs[i:i + 8] for y in xs[j:j + 8]) <= bound
 
 
 # (a built-in, the point tiles (a, b) on which its bound is checked, and the
@@ -233,8 +267,8 @@ def test_ratio_bound_of_a_point_tile_is_the_closed_form(kernel, tiles, closed):
     # factor 1 + 8u, which together stay within 2e-15 of it here
     for a, b in tiles:
         p = built_in(kernel, a, b)
-        bound = float(p.ratio_bound((np.array(a), np.array(b)), (np.array(a), np.array(b))))
-        assert float(_ratios_of_cells(p, [a], [b])[0, 0, 0]) <= bound
+        bound = p.ratio_bound(a, a, b, b, b - a)
+        assert _ratio(p, a, b) <= bound
         assert closed(a, b) <= bound <= closed(a, b) * (1 + 2e-15)
 
 
@@ -248,6 +282,54 @@ def test_best_first_scan_equals_the_whole_row_scan(kernel, a, b, step):
     got = scan(p, step, 1e-6)
     assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 1e-6)
     assert got.scored < 0.01 * got[3]
+
+
+# (a bounded built-in, its interval's left end and its length, both drawn
+# from the ranges it accepts)
+CROSS_CHECKED = {
+    "arith2": (lambda a, b: arithmetic_mean(Interval(a, b), 2), (-1e6, 1e6), (1e-3, 1e6)),
+    "geom": (lambda a, b: geometric_mean(Interval(a, b)), (1e-3, 1e3), (1e-3, 1e3)),
+    "minsq": (lambda a, b: min_plus_halfsquare_mean(Interval(a, b)), (-10.0, 10.0), (1e-3, 2.0)),
+    "const": (lambda a, b: constant_mean(Interval(a, b), [a + (b - a) / 3]),
+              (-1e6, 1e6), (1e-3, 1e6)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(sorted(CROSS_CHECKED)), data=st.data())
+def test_branch_and_bound_equals_the_whole_row_scan(name, data):
+    # a random interval, a step that divides its length or not (the grid then
+    # ends on b, closer than a step to the point before it, and when the step
+    # falls just short of a divisor far closer), an excluded radius of 0 to
+    # 10 steps, and leaves of 1, 5 or LEAF cells
+    make, (lo, hi), (short, long) = CROSS_CHECKED[name]
+    a = data.draw(st.floats(lo, hi))
+    b = a + data.draw(st.floats(short, long))
+    assume(a < b)
+    points = data.draw(st.integers(2, 90))
+    step = (b - a) / (points - 1)
+    if data.draw(st.booleans()):
+        step *= data.draw(st.floats(0.5, 1.5) | st.just(1 - 1e-7))
+    assume(_grid_points(a, b, step) <= 100)
+    excluded = data.draw(st.sampled_from([0.0, 1e-6 * step, step, 2.5 * step])
+                         | st.floats(0.0, 10.0).map(lambda k: k * step))
+    p = make(a, b)
+    with mock.patch.object(_kernels, "LEAF", data.draw(st.sampled_from([1, 5, _kernels.LEAF]))):
+        got = scan(p, step, excluded)
+    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, excluded)
+
+
+@pytest.mark.parametrize("step", [0.04999999, 0.0199999999])
+def test_a_triangle_holding_b_takes_the_gap_of_b(step):
+    # the grid ends on b = -0.5 a few 1e-8 after the point before it, and the
+    # sum there rounds, so its ratio, 1/2 plus that error over the tiny gap,
+    # is the maximum. A triangle holding b bounded with the step's gap, the
+    # smallest elsewhere, would lie below ratios near a = -1.5, whose sums
+    # are larger, and be dropped
+    p = arithmetic_mean(Interval(-1.5, -0.5), 2)
+    got = scan(p, step, 0.0)
+    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 0.0)
+    assert got[2] == -0.5 and got[2] - got[1] < 1e-6 and got[0] > 0.5 + 1e-10
 
 
 def _two_peaks(space, peaks, ratio_bound):
@@ -269,47 +351,51 @@ def _two_peaks(space, peaks, ratio_bound):
 
 
 def test_equal_maxima_in_different_blocks_keep_the_first_pair(monkeypatch):
-    # one tile a block, and bounds that grow with the row: the tile of the
+    # one cell a leaf, and bounds that grow with the last row: the leaf of the
     # later peak (3, 3.75) is scored first, and the earlier peak (0.5, 2.25)
-    # ties it in a later block and wins, as it comes first in row-major order.
-    # Its tile's bound equals the peak's ratio 2, so only a bound strictly
+    # ties it in a later leaf and wins, as it comes first in row-major order.
+    # Its leaf's bound equals the peak's ratio 2, so only a bound strictly
     # below the best drops a tile
-    monkeypatch.setattr(_kernels, "TILE", 2)
-    monkeypatch.setattr(_kernels, "BLOCK_CELLS", 4)
-    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25), (3.0, 3.75)}, lambda lo, hi: 1.5 + lo[0])
+    monkeypatch.setattr(_kernels, "LEAF", 1)
+    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25), (3.0, 3.75)},
+                   lambda xl, xh, yl, yh, gap: 1.5 + xh)
     want = (2.0, 0.5, 2.25, 17 * 16)
     assert scan(p, 0.25, 1e-6) == scan(dataclasses.replace(p, ratio_bound=None), 0.25, 1e-6) == want
     assert full_square_scan(lambda X, Y: p.batch([X, Y]), 0.0, 4.0, 0.25, 1e-6) == want
 
 
 def test_a_tile_with_a_nan_bound_is_scored(monkeypatch):
-    # the tiles of the first two rows have NaN bounds, the peak's among them;
-    # every other tile has a valid bound below the peak's ratio and is skipped
-    monkeypatch.setattr(_kernels, "TILE", 2)
-    bound = lambda lo, hi: np.where(lo[0] <= 0.5, np.nan, 0.75) + 0 * hi[1]
-    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25)}, bound)
+    # the tiles that reach the first three rows have NaN bounds, the peak's
+    # among them; every other tile has a valid bound below the peak's ratio
+    # and is skipped
+    monkeypatch.setattr(_kernels, "LEAF", 4)
+    p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25)},
+                   lambda xl, xh, yl, yh, gap: math.nan if xl <= 0.5 else 0.75)
     got = scan(p, 0.25, 1e-6)
     assert got == (2.0, 0.5, 2.25, 17 * 16)
     assert got.scored < got[3]
 
 
 def test_a_large_scan_holds_o_of_m_memory_and_scores_under_1_percent():
-    # geometric on [1, 4] at step 1e-4, m = 30,001 points: beside the grid,
-    # its tile rows and a block (O(m + BLOCK_CELLS) floats) the scan holds
-    # one bound per tile of the square, at most TILES^2 floats, where an
-    # uncapped tiling of 16 a side would hold 3.5 million
-    p = geometric_mean(Interval(1.0, 4.0))
-    m = _grid_points(1.0, 4.0, 1e-4)
-    assert m == 30_001
-    tracemalloc.start()
-    try:
-        got = scan(p, 1e-4, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got[:3] == (2.0 / 3.0, 1.0, 4.0) and got[3] == m * (m - 1)
-    assert got.scored < 0.01 * got[3]
-    assert peak < 8 * (8 * m + 8 * _kernels.BLOCK_CELLS + 2 * _kernels.TILES**2)
+    # WORK_CAP's grids, m = 30,001 and 31,251 points: the scan holds the grid
+    # as Python floats (a float and its list slot, 32 bytes, and 8 more for
+    # the slice that finds its smallest adjacent difference) and a heap of
+    # tiles, each a tuple of a float and four ints (under 256 bytes), where
+    # a full square of ratios would hold m^2 floats
+    for kernel, a, b, step in [("geom", 1.0, 4.0, 1e-4), ("minsq", 0.0, 1.0, 3.2e-5)]:
+        p = built_in(kernel, a, b)
+        m = _grid_points(a, b, step)
+        tracemalloc.start()
+        try:
+            got = scan(p, step, 1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[3] == m * (m - 1) and got.scored < 0.01 * got[3]
+        if kernel == "geom":
+            assert (m, got[:3]) == (30_001, (2.0 / 3.0, 1.0, 4.0))
+        tiles = int(got.route.split()[0])
+        assert peak < 48 * m + 256 * tiles
 
 
 @pytest.mark.parametrize("kernel", ["dict0", "dict1"])
@@ -363,6 +449,41 @@ def test_excluded_radius_counts():
     assert count == m * m - m
     lam, _, _, count = scan(arithmetic_mean(UNIT, 2), 0.1, 2.0)
     assert count == 0 and lam == -1.0
+
+
+def test_a_bounded_built_in_scans_without_numpy(tmp_path):
+    # estimate-lambda in a fresh interpreter: the branch and bound of a
+    # bounded built-in runs in plain Python and loads no numpy; dictator:0,
+    # which has no bound, then scans in numpy's whole rows, as before
+    runs = [(mean, tmp_path / mean.replace(":", "-"))
+            for mean in ("geometric", "minsq", "arithmetic:2", "constant:1.0", "dictator:0")]
+    for mean, outdir in runs:
+        a, step = (0.0, 0.1) if mean == "dictator:0" else (0.5, 0.01)
+        outdir.with_suffix(".json").write_text(json.dumps(
+            {"space": {"kind": "interval", "params": {"a": a, "b": a + 1.0}},
+             "mean": mean, "grid_step": step}))
+    code = f"""
+        import sys
+        from equimean.cli import main
+        runs = {[(str(out.with_suffix(".json")), str(out)) for _, out in runs]!r}
+        for config, outdir in runs[:-1]:
+            assert main(["estimate-lambda", "--config", config, "--out", outdir]) == 0
+        assert "numpy" not in sys.modules, "a bounded scan loaded numpy"
+        config, outdir = runs[-1]
+        assert main(["estimate-lambda", "--config", config, "--out", outdir]) == 0
+        assert "numpy" in sys.modules
+    """
+    src = str(Path(equimean.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    for mean, outdir in runs:
+        estimate = json.loads((outdir / "report.json").read_text())["results"]["estimate"]
+        assert estimate["samples"] == (110 if mean == "dictator:0" else 101 * 100)
+    assert estimate == {"argmax_tuple": [[0.0], [0.1]], "excluded_diagonal_radius": 1e-06,
+                        "lambda_hat": 1.0, "method": "grid", "samples": 110}
 
 
 def test_unknown_kernel_code(tmp_path, capsys):

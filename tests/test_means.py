@@ -415,12 +415,12 @@ def _double_loop_scan(p, step, excluded):
 @pytest.mark.parametrize("step", [0.05, 0.07])
 def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
     # geometric and minsq keep their ratio bound without a batch, so their
-    # scan runs best first, in tiles of 2, 5 and the default side
+    # scan runs by branch and bound, with leaves of 2, 5 and LEAF cells
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 37)
     p = make()
     want = _double_loop_scan(p, step, 1e-6)
-    for tile in (2, 5, _kernels.TILE):
-        monkeypatch.setattr(_kernels, "TILE", tile)
+    for leaf in (2, 5, _kernels.LEAF):
+        monkeypatch.setattr(_kernels, "LEAF", leaf)
         for q in (p, dataclasses.replace(p, ratio_bound=None)):
             est = estimate_lambda(q, LambdaConfig(grid_step=step))
             assert (est.lambda_hat, est.argmax_tuple, est.samples) == want
@@ -455,6 +455,25 @@ def test_arithmetic_mean_equals_per_coordinate_sums():
             dim = len(tup[0])
             want = tuple(sum(pt[i] for pt in tup) / n for i in range(dim))
             assert p.eval(list(tup)) == want
+
+
+@pytest.mark.parametrize("n, top", [(2, 1022), (3, 1022), (4, 1021), (7, 1021), (8, 1020)])
+def test_arithmetic_mean_refuses_coordinates_whose_sum_may_overflow(n, top):
+    # n coordinates of at most 2^top = 2^(1024 - n.bit_length()) each sum to
+    # under 2^1024 after each rounding, both in eval and in batch; one ulp
+    # more on any coordinate, of an interval or a product, is refused (a box
+    # never gets there: it needs (hi - lo)^2 finite)
+    edge = 2.0**top
+    p = arithmetic_mean(Product([Interval(-1.0, 0.0), Interval(-edge, edge)]), n)
+    for sign in (1.0, -1.0):
+        tup = [(0.0, sign * edge)] * n
+        assert p.eval(tup) == (0.0, sign * edge)
+        assert p.batch([np.array(pt) for pt in tup]).tolist() == [0.0, sign * edge]
+    above = math.nextafter(edge, math.inf)
+    for space in (Interval(-above, 0.0), Product([Interval(0.0, 1.0), Interval(0.0, above)])):
+        with pytest.raises(ValueError, match=rf"^arithmetic:{n} mean needs coordinates of "
+                                             rf"absolute value <= 2\^{top}, got "):
+            arithmetic_mean(space, n)
 
 
 def test_lambda_estimate_serialization():
