@@ -14,10 +14,12 @@ module, or scanning a built-in bounded mean, loads no numpy.
 
 A built-in's ratio bound on a tile [xl, xh] x [yl, yh] is (r + E / gap) (1
 + 8u), u = 2^-53, where gap > 0 is at most fl(y - x) at each cell x < y the
-bound covers: fl(yl - xh) off the diagonal, the grid's smallest adjacent
-difference on it (that of b and the point before it only where the tile
-holds b), and in the scan never below the excluded radius, which a live
-cell's difference exceeds. r >= 1/2 is the largest exact ratio on the
+bound covers: fl(yl - xh) off the diagonal; on it, where the tiles of
+adjacent pairs are bounded apart from those of pairs two or more apart,
+the grid's smallest adjacent difference and its smallest two-step
+difference fl(x_{i+2} - x_i) (those that end on b only where the tile holds
+b); and in the scan never below the excluded radius, which a live cell's
+difference exceeds. r >= 1/2 is the largest exact ratio on the
 tile in closed form (minsq's from the smallest difference gap), and E
 bounds |P - p(x, y)| there, P = eval([x, y]). With P within E of p, the
 float ratio is at most (r + E / (y - x)) (1 + u) / (1 - u): a subtraction
@@ -100,53 +102,68 @@ def _branch_and_bound(p, xs, excluded):
     """The scan of a symmetric map with a ``ratio_bound``: best first over
     a tree of tiles of the upper triangle, in plain Python.
 
-    A tile holds the cells (i, j), j > i, of index ranges [i0, i1) x [j0,
-    j1): a triangle, the pairs of [i0, i1] (j0 = i0 + 1, j1 = i1 + 1), or a
-    rectangle off the diagonal (i1 <= j0). It is bounded once, when it is
-    made; a NaN bound counts as +inf. The tile of the highest bound is taken
-    first: one of at most LEAF cells is scored, a larger rectangle split in
-    two along its longer side, and a larger triangle into the triangles
-    of the two halves of its range and the rectangle between them, so that
-    every adjacent pair lies in a triangle. A tile is dropped once its
-    bound lies strictly below the best ratio computed, and the search stops
-    once the highest bound left does, so a dropped cell can neither win nor
-    tie; its pairs, counted in one pass, are counted unscored. Equal ratios
-    keep the pair first in row-major order. Beside the O(m) grid, the
-    search holds its heap of tiles.
+    A tile holds cells (i, j) of index ranges [i0, i1) x [j0, j1): a band,
+    the adjacent pairs (i, i + 1) of rows [i0, i1) (j0 = i0 + 1, j1 = i1 +
+    1); a triangle, the pairs of [i0, i1 + 1] at least two apart (j0 = i0 +
+    2, j1 = i1 + 2); or a rectangle off the diagonal (i1 < j0), whose pairs
+    are at least two apart too. It is bounded once, when it is made; a NaN
+    bound counts as +inf. The tile of the highest bound is taken first: a
+    band of at most LEAF pairs, or another tile of at most LEAF cells of
+    its ranges, is scored, a larger band halved, a larger rectangle split
+    in two along its longer side, and a larger triangle into the triangles
+    of the two halves of its points and the rectangle between them. A tile
+    is dropped once its bound lies strictly below the best ratio computed,
+    and the search stops once the highest bound left does, so a dropped
+    cell can neither win nor tie; its pairs, counted in one pass, are
+    counted unscored. Equal ratios keep the pair first in row-major order.
+    Beside the O(m) grid, the search holds its heap of tiles.
     """
     m, ratio_bound, evaluate = len(xs), p.ratio_bound, p.eval
-    # the smallest fl(y - x) of a cell on the diagonal: a pair j > i lies no
-    # closer than i and i + 1, and rounding is monotone. b, the last point,
-    # may lie far closer to the one before it than a step does, so only the
-    # triangles that hold it take its gap
+    # the smallest fl(y - x) of an adjacent pair, and of a pair two or more
+    # apart: a pair j > i lies no closer than i and i + 1, or i and i + 2,
+    # and rounding is monotone. b, the last point, may lie far closer to the
+    # one before it than a step does, so only the tiles that hold it take
+    # the differences that end on b
     near = min(map(sub, xs[1:-1], xs), default=math.inf)
     near_b = min(near, xs[-1] - xs[-2])
+    near2 = min(map(sub, xs[2:-1], xs), default=math.inf)
+    near2_b = min(near2, xs[-1] - xs[-3]) if m > 2 else math.inf
     heap, best, first, scored, bounded, leaves = [], -1.0, -1, 0, 0, 0
 
     def push(i0, i1, j0, j1):
         nonlocal bounded
+        if i1 <= i0:  # a triangle of under three points holds no pair two apart
+            return
         xl, xh, yl, yh = xs[i0], xs[i1 - 1], xs[j0], xs[j1 - 1]
         if not yh - xl > excluded:  # no live cell
             return
-        if i1 <= j0:
+        if j0 - i0 == 1:  # a band
+            gap = max(near if j1 < m else near_b, excluded)
+        elif i1 < j0:
             gap = max(yl - xh, excluded)
         else:
-            gap = max(near if j1 < m else near_b, excluded)
+            gap = max(near2 if j1 < m else near2_b, excluded)
         bound = ratio_bound(xl, xh, yl, yh, gap) if gap > 0.0 else math.inf
         bounded += 1
         if not bound < best:
             heappush(heap, (-bound if bound == bound else -math.inf, i0, i1, j0, j1))
 
     push(0, m - 1, 1, m)
+    push(0, m - 2, 2, m)
     while heap:
         top, i0, i1, j0, j1 = heappop(heap)
         if -top < best:
             break
-        if (i1 - i0) * (j1 - j0) > LEAF:
-            if i1 > j0:  # a triangle
+        band = j0 - i0 == 1
+        if (i1 - i0 if band else (i1 - i0) * (j1 - j0)) > LEAF:
+            if band:
                 h = (i0 + i1) // 2
                 push(i0, h, j0, h + 1)
                 push(h, i1, h + 1, j1)
+            elif i1 >= j0:  # a triangle of the points i0 .. i1 + 1
+                h = (i0 + i1 + 1) // 2
+                push(i0, h - 1, j0, h + 1)
+                push(h, i1, h + 2, j1)
                 push(i0, h, h + 1, j1)
             elif i1 - i0 >= j1 - j0:
                 h = (i0 + i1) // 2
@@ -160,7 +177,7 @@ def _branch_and_bound(p, xs, excluded):
         leaves += 1
         for i in range(i0, i1):
             x, row = xs[i], i * m
-            for j in range(max(j0, i + 1), j1):
+            for j in range(i + 1, i + 2) if band else range(max(j0, i + 2), j1):
                 y = xs[j]
                 d = y - x
                 if d > excluded:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import math
 import os
 import sys
@@ -27,8 +26,6 @@ from .errors import CapacityError, EquimeanError, HypothesisError, ToleranceErro
 # PYTHONDONTWRITEBYTECODE set, every process compiles the package's source).
 # A function-level ``from .means import ...`` reads the module attribute at
 # call time, so wrappers installed on it still apply
-
-log = logging.getLogger("equimean")
 
 # times a build-homotopy run may evaluate. Its at_times call walks that many
 # times down the levels on arrays: at this cap and level 40 on a 2-D box
@@ -486,9 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
+def _debug(msg: str, *args, exc_info: bool = False) -> None:
+    """Log ``msg % args`` at DEBUG on the ``equimean`` logger, through
+    ``basicConfig`` at EQUIMEAN_LOG's level. ``logging`` (with the
+    ``traceback`` and ``string`` it loads, some 6 ms of start-up) is imported
+    only when EQUIMEAN_LOG lets debug lines through or a caller has already
+    imported it, as a test that captures records has; else nothing could
+    print the line."""
     level = os.environ.get("EQUIMEAN_LOG", "warning").upper()
+    if level not in ("DEBUG", "NOTSET") and "logging" not in sys.modules:
+        return
+    import logging
+
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    logging.getLogger("equimean").debug(msg, *args, exc_info=exc_info)
 
 
 def _write_report(outdir: Path, report: dict) -> None:
@@ -501,7 +509,6 @@ def main(argv=None) -> int:
     # before any runner imports numpy: the package makes no BLAS call, and
     # starting OpenBLAS's thread pool is a large share of numpy's import time
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
@@ -536,7 +543,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
         passed, results, path = RUNNERS[args.command](cfg, outdir)
-        log.debug("%s: %.3f s, %s", args.command, time.perf_counter() - start, path)
+        _debug("%s: %.3f s, %s", args.command, time.perf_counter() - start, path)
         report = {
             "experiment": args.command,
             "config": cfg,
@@ -565,7 +572,7 @@ def main(argv=None) -> int:
         print(f"equimean: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never crash with a traceback; debug logs show it
-        log.debug("unexpected error in %s", args.command, exc_info=True)
+        _debug("unexpected error in %s", args.command, exc_info=True)
         print(f"equimean: unexpected error: {exc}", file=sys.stderr)
         return 2
 

@@ -503,10 +503,21 @@ def _grid_points(a: float, b: float, step: float) -> int:
         m += 1
     if m * (m - 1) > WORK_CAP:
         raise CapacityError(
-            f"grid step {step!r} on [{a!r}, {b!r}] gives {m} points, whose "
-            f"{m * (m - 1)} ordered pairs exceed the cap {WORK_CAP}"
+            f"grid step {step!r} on [{a!r}, {b!r}] gives {_count(m)} points, whose "
+            f"{_count(m * (m - 1))} ordered pairs exceed the cap {WORK_CAP}"
         )
     return m
+
+
+def _count(n) -> str:
+    """A count as a message states it: in full up to 10^15, beyond that to
+    three digits (a tiny grid step makes counts of hundreds of digits, and
+    pair counts past a float's range)."""
+    if n == math.inf or n <= 10**15:
+        return str(n)
+    from decimal import Decimal
+
+    return f"{Decimal(n):.3g}"
 
 
 def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:

@@ -219,8 +219,10 @@ def test_packaged_schema_is_valid_against_its_meta_schema():
     jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
-def test_numpy_loads_only_for_grid_scans(tmp_path):
-    # of a map without a ratio bound: a bounded built-in's scan is plain Python
+def test_numpy_loads_only_for_grid_scans(tmp_path, monkeypatch):
+    # of a map without a ratio bound: a bounded built-in's scan is plain
+    # Python; and logging loads only when EQUIMEAN_LOG asks for debug lines
+    monkeypatch.delenv("EQUIMEAN_LOG", raising=False)
     cfg = write_config(tmp_path, {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": 0.01})
     rows = write_config(tmp_path, {"space": INTERVAL01, "mean": "dictator:0", "grid_step": 0.01},
                         "rows.json")
@@ -229,10 +231,10 @@ def test_numpy_loads_only_for_grid_scans(tmp_path):
         import equimean, equimean.cli
         assert "numpy" not in sys.modules, "import"
         assert equimean.cli.main(["chain", "1/8", "3/4", "--out", {str(tmp_path / "chain")!r}]) == 0
-        assert "numpy" not in sys.modules, "chain"
+        assert "numpy" not in sys.modules and "logging" not in sys.modules, "chain"
         assert equimean.cli.main(["estimate-lambda", "--config", {cfg!r},
                                   "--out", {str(tmp_path / "grid")!r}]) == 0
-        assert "numpy" not in sys.modules, "bounded grid scan"
+        assert "numpy" not in sys.modules and "logging" not in sys.modules, "bounded grid scan"
         assert equimean.cli.main(["estimate-lambda", "--config", {rows!r},
                                   "--out", {str(tmp_path / "rows")!r}]) == 0
         assert "numpy" in sys.modules, "whole-row grid scan"
@@ -556,7 +558,7 @@ def test_grid_report_does_not_name_the_lane(tmp_path, caplog):
     assert results["estimate"]["method"] == "grid"
     assert (outdir / "lambda.csv").read_text().splitlines()[1].split(",")[3] == "grid"
     lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
-    assert lines[-1].endswith(" s, grid, 1 tiles bounded, 1 tiles and 20 pairs scored, "
+    assert lines[-1].endswith(" s, grid, 2 tiles bounded, 2 tiles and 20 pairs scored, "
                               "0 pairs skipped by ratio bounds, 20 samples")
 
 
@@ -988,23 +990,47 @@ def test_verify_holder_depth_cap_exits_2(tmp_path, capsys):
     assert not (outdir / "report.json").exists()
 
 
+# a verify-claim1 run whose debug line names its level arrays
+GEOMETRIC_CLAIM1 = {
+    "space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
+    "mean": "geometric",
+    "lambda": 0.5857864376269049,
+    "theta": [2.0],
+    "x": [1.0],
+    "depth": 5,
+}
+
+
 def test_debug_log_names_the_path_and_stays_out_of_the_report(tmp_path, caplog):
-    cfg = {
-        "space": {"kind": "interval", "params": {"a": 1.0, "b": 2.0}},
-        "mean": "geometric",
-        "lambda": 0.5857864376269049,
-        "theta": [2.0],
-        "x": [1.0],
-        "depth": 5,
-    }
     with caplog.at_level(logging.DEBUG, logger="equimean"):
-        code, outdir = run(tmp_path, "verify-claim1", cfg)
+        code, outdir = run(tmp_path, "verify-claim1", GEOMETRIC_CLAIM1)
     assert code == 0
     lines = [r.getMessage() for r in caplog.records if r.name == "equimean"]
     assert len(lines) == 1
     assert lines[0].startswith("verify-claim1: ")
     assert lines[0].endswith(" s, level arrays 0..5, 63 pairs")
     assert "level arrays" not in (outdir / "report.json").read_text()
+
+
+@pytest.mark.parametrize("level", ["debug", None], ids=["debug", "unset"])
+def test_equimean_log_debug_prints_the_debug_line_to_stderr(tmp_path, monkeypatch, level):
+    # a fresh process, where nothing has imported logging: EQUIMEAN_LOG=debug
+    # prints the run's one debug line in basicConfig's format, and a run
+    # without it prints nothing
+    if level is None:
+        monkeypatch.delenv("EQUIMEAN_LOG", raising=False)
+    else:
+        monkeypatch.setenv("EQUIMEAN_LOG", level)
+    cfg = write_config(tmp_path, GEOMETRIC_CLAIM1)
+    out = run_child("-m", "equimean.cli", "verify-claim1", "--config", cfg,
+                    "--out", str(tmp_path / "out"))
+    assert out.returncode == 0, out.stderr
+    if level is None:
+        assert out.stderr == ""
+        return
+    (line,) = out.stderr.splitlines()
+    assert re.fullmatch(r"DEBUG:equimean:verify-claim1: \d+\.\d{3} s, level arrays 0\.\.5, 63 pairs",
+                        line)
 
 
 def test_symmetrize_cli(tmp_path):

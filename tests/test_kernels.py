@@ -284,6 +284,17 @@ def test_best_first_scan_equals_the_whole_row_scan(kernel, a, b, step):
     assert got.scored < 0.01 * got[3]
 
 
+@pytest.mark.parametrize("kernel, pairs", [("minsq", 26_820), ("arith2", 15_440)])
+def test_bands_halve_the_pairs_scored_on_the_diagonal(kernel, pairs):
+    # the maxima of minsq and arithmetic:2 lie on adjacent pairs. Tiles on the
+    # diagonal bounded with the smallest adjacent difference alone, adjacent
+    # pairs and wider ones together, scored ``pairs`` pairs at step 2e-4;
+    # with bands of adjacent pairs apart, the triangles of wider pairs take
+    # the two-step gap and drop below the maximum
+    got = scan(built_in(kernel, 0.0, 1.0), 2e-4, 1e-6)
+    assert got.scored <= pairs // 2
+
+
 # (a bounded built-in, its interval's left end and its length, both drawn
 # from the ranges it accepts)
 CROSS_CHECKED = {
@@ -298,21 +309,24 @@ CROSS_CHECKED = {
 @settings(max_examples=200, deadline=None)
 @given(name=st.sampled_from(sorted(CROSS_CHECKED)), data=st.data())
 def test_branch_and_bound_equals_the_whole_row_scan(name, data):
-    # a random interval, a step that divides its length or not (the grid then
-    # ends on b, closer than a step to the point before it, and when the step
-    # falls just short of a divisor far closer), an excluded radius of 0 to
-    # 10 steps, and leaves of 1, 5 or LEAF cells
+    # a random interval of 2, 3 or more points, a step that divides its
+    # length or not (the grid then ends on b, closer than a step to the point
+    # before it, and when the step falls just short of a divisor far closer),
+    # an excluded radius of 0 to 10 steps, among them radii between one and
+    # two steps, which leave adjacent pairs dead and pairs two apart live, and
+    # leaves of 1, 5 or LEAF cells
     make, (lo, hi), (short, long) = CROSS_CHECKED[name]
     a = data.draw(st.floats(lo, hi))
     b = a + data.draw(st.floats(short, long))
     assume(a < b)
-    points = data.draw(st.integers(2, 90))
+    points = data.draw(st.sampled_from([2, 3]) | st.integers(2, 90))
     step = (b - a) / (points - 1)
     if data.draw(st.booleans()):
         step *= data.draw(st.floats(0.5, 1.5) | st.just(1 - 1e-7))
     assume(_grid_points(a, b, step) <= 100)
     excluded = data.draw(st.sampled_from([0.0, 1e-6 * step, step, 2.5 * step])
-                         | st.floats(0.0, 10.0).map(lambda k: k * step))
+                         | st.floats(0.0, 10.0).map(lambda k: k * step)
+                         | st.floats(1.0, 2.0).map(lambda k: k * step))
     p = make(a, b)
     with mock.patch.object(_kernels, "LEAF", data.draw(st.sampled_from([1, 5, _kernels.LEAF]))):
         got = scan(p, step, excluded)
@@ -323,13 +337,31 @@ def test_branch_and_bound_equals_the_whole_row_scan(name, data):
 def test_a_triangle_holding_b_takes_the_gap_of_b(step):
     # the grid ends on b = -0.5 a few 1e-8 after the point before it, and the
     # sum there rounds, so its ratio, 1/2 plus that error over the tiny gap,
-    # is the maximum. A triangle holding b bounded with the step's gap, the
-    # smallest elsewhere, would lie below ratios near a = -1.5, whose sums
-    # are larger, and be dropped
+    # is the maximum. A band of adjacent pairs holding b bounded with the
+    # step's gap, the smallest elsewhere, would lie below ratios near a =
+    # -1.5, whose sums are larger, and be dropped once bands of a few pairs
+    # keep b apart from a
     p = arithmetic_mean(Interval(-1.5, -0.5), 2)
-    got = scan(p, step, 0.0)
-    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 0.0)
-    assert got[2] == -0.5 and got[2] - got[1] < 1e-6 and got[0] > 0.5 + 1e-10
+    for leaf in (_kernels.LEAF, 4):
+        with mock.patch.object(_kernels, "LEAF", leaf):
+            got = scan(p, step, 0.0)
+        assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 0.0)
+        assert got[2] == -0.5 and got[2] - got[1] < 1e-6 and got[0] > 0.5 + 1e-10
+
+
+@pytest.mark.parametrize("steps", [7, 20, 40])
+def test_a_triangle_holding_b_takes_the_two_step_gap_of_b(steps):
+    # the grid ends on b = 1 half a step after the point before it, and an
+    # excluded radius of 1.2 steps leaves every adjacent pair dead, so the
+    # pair 1.5 steps apart that ends on b has the largest ratio of the
+    # constant 0.55, 0.45 / (1.5 step), above 0.55 / (2 step) at a. A
+    # triangle holding b bounded with the grid-wide two-step gap, 2 step,
+    # would lie below the ratios at a once it lies right of 0.1 and be dropped
+    step = 1 / (steps + 0.5)
+    p = constant_mean(UNIT, [0.55])
+    got = scan(p, step, 1.2 * step)
+    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 1.2 * step)
+    assert got[2] == 1.0 and got[1] == (steps - 1) * step and got[0] > 0.29 / step
 
 
 def _two_peaks(space, peaks, ratio_bound):

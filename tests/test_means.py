@@ -321,12 +321,22 @@ def test_lambda_grid_pairs_cap_fires_before_the_scan():
     # cap 10^9: 31,623 points make 999,982,506 ordered pairs, 31,624 make
     # 1,000,045,752
     assert _grid_points(0.0, 1.0, 1.0 / 31622) == 31623
-    with pytest.raises(CapacityError, match=f"cap {WORK_CAP}"):
+    # the message states counts up to 10^15 in full
+    with pytest.raises(CapacityError) as small:
         _grid_points(0.0, 1.0, 1.0 / 31623)
-    # about 10^12 pairs, and a step whose point count overflows a float
-    for step in (1e-6, 5e-324):
-        with pytest.raises(CapacityError, match="cap"):
+    assert str(small.value) == (f"grid step {1.0 / 31623!r} on [0.0, 1.0] gives 31624 points, "
+                                f"whose 1000045752 ordered pairs exceed the cap {WORK_CAP}")
+    # about 10^12 pairs, 10^300 points, whose 10^600 pairs no float holds,
+    # and a step whose point count overflows a float: each message stays
+    # short, its counts past 10^15 given to three digits
+    for step in (1e-6, 1e-300, 5e-324):
+        with pytest.raises(CapacityError, match="cap") as got:
             estimate_lambda(arithmetic_mean(UNIT, 2), LambdaConfig(grid_step=step))
+        assert len(str(got.value)) < 120
+    with pytest.raises(CapacityError, match=r"gives 1\.00e\+300 points, whose 1\.00e\+600 "):
+        _grid_points(0.0, 1.0, 1e-300)
+    with pytest.raises(CapacityError, match=r"gives 100000001 points, whose 1\.00e\+16 "):
+        _grid_points(0.0, 1.0, 1e-8)
 
 
 def test_lambda_grid_ends_on_the_interval_end():
