@@ -15,25 +15,38 @@ module, or scanning a built-in bounded mean, loads no numpy.
 A built-in's ratio bound on a tile [xl, xh] x [yl, yh] is (r + E / gap) (1
 + 8u), u = 2^-53, where gap > 0 is at most fl(y - x) at each cell x < y the
 bound covers: fl(yl - xh) off the diagonal; on it, where the tiles of
-adjacent pairs are bounded apart from those of pairs two or more apart,
-the grid's smallest adjacent difference and its smallest two-step
-difference fl(x_{i+2} - x_i) (those that end on b only where the tile holds
-b); and in the scan never below the excluded radius, which a live cell's
-difference exceeds. r >= 1/2 is the largest exact ratio on the
-tile in closed form (minsq's from the smallest difference gap), and E
-bounds |P - p(x, y)| there, P = eval([x, y]). With P within E of p, the
-float ratio is at most (r + E / (y - x)) (1 + u) / (1 - u): a subtraction
-is exact or within a factor 1 +- u, and a float that bounds a quotient
-bounds it rounded. As fl(y - x) >= gap, y - x >= gap / (1 + u), so E / (y -
-x) <= (1 + u) E / gap. The bound computes r within a factor 1 - 3u
-(geometric's four operations err by at most 2.75u; minsq's by 2u against r
->= 1/2, counting the u by which an exact difference may lie below gap; an
-underflow moves r by under 2^-537), E with a margin of at least 0.2% that
-covers its own rounding, the factor 1 + u of gap and the division's, and
-the sum and the product within 1 - u each: (1 - 3u)(1 - u)^2 (1 + 8u) > (1
-+ u) / (1 - u). The constants' bound is the scan's own operations at the
-far corners, fl(max(c - xl, yh - c) / gap): correctly rounded, hence
-monotone, and no cell's fl(y - x) lies below gap.
+adjacent pairs are bounded apart from those of pairs two or more apart, the
+grid's smallest adjacent difference near and 2 near, a lower bound of every
+two-step difference fl(x_{i+2} - x_i) (those that end on b taken apart,
+only where the tile holds b); and in the scan never below the excluded
+radius, which a live cell's difference exceeds. r >= 1/2 is the largest
+exact ratio on the tile in closed form (minsq's from the smallest
+difference gap), and E bounds |P - p(x, y)| there, P = eval([x, y]). With P
+within E of p, the float ratio is at most (r + E / (y - x)) (1 + u) / (1 -
+u): a subtraction is exact or within a factor 1 +- u, and a float that
+bounds a quotient bounds it rounded. As fl(y - x) >= gap, y - x >= gap / (1
++ u), so E / (y - x) <= (1 + u) E / gap. The bound computes r within a
+factor 1 - 3u (geometric's four operations err by at most 2.75u; minsq's by
+2u against r >= 1/2, counting the u by which an exact difference may lie
+below gap; an underflow moves r by under 2^-537), E with a margin of at
+least 0.2% that covers its own rounding, the factor 1 + u of gap and the
+division's, and the sum and the product within 1 - u each: (1 - 3u)(1 -
+u)^2 (1 + 8u) > (1 + u) / (1 - u). The constants' bound is the scan's own
+operations at the far corners, fl(max(c - xl, yh - c) / gap): correctly
+rounded, hence monotone, and no cell's fl(y - x) lies below gap.
+
+The two-step gap is 2 near, from the grid's smallest adjacent difference
+near, not the smallest fl(x_{i+2} - x_i), which would take a second pass over
+the grid. With the reals d = x_{i+1} - x_i and d' = x_{i+2} - x_{i+1}, near <=
+min(fl(d), fl(d')) = fl(min(d, d')) <= fl((d + d') / 2), as rounding is
+monotone. Where (d + d') / 2 >= 2^-1022, halving commutes with rounding, so
+fl((d + d') / 2) = fl(d + d') / 2 and 2 near <= fl(x_{i+2} - x_i). Below
+that, the subnormal case, d + d' < 2^-1021; a difference of floats is a
+multiple of 2^-1074, and every such multiple below 2^-1021 is a float, so d,
+d' and d + d' are exact and 2 near <= d + d' = fl(x_{i+2} - x_i). The product
+2 near is exact: it is at most such a difference, hence finite, wherever four
+points or more give a two-step difference that does not end on b; with
+fewer, it enters only near2_b's minimum.
 """
 
 import math
@@ -119,14 +132,15 @@ def _branch_and_bound(p, xs, excluded):
     Beside the O(m) grid, the search holds its heap of tiles.
     """
     m, ratio_bound, evaluate = len(xs), p.ratio_bound, p.eval
-    # the smallest fl(y - x) of an adjacent pair, and of a pair two or more
-    # apart: a pair j > i lies no closer than i and i + 1, or i and i + 2,
+    # the smallest fl(y - x) of an adjacent pair, and a lower bound of those
+    # of pairs two or more apart: a pair j > i lies no closer than i and i +
+    # 1, or i and i + 2,
     # and rounding is monotone. b, the last point, may lie far closer to the
     # one before it than a step does, so only the tiles that hold it take
     # the differences that end on b
     near = min(map(sub, xs[1:-1], xs), default=math.inf)
     near_b = min(near, xs[-1] - xs[-2])
-    near2 = min(map(sub, xs[2:-1], xs), default=math.inf)
+    near2 = _two_step_gap(near)
     near2_b = min(near2, xs[-1] - xs[-3]) if m > 2 else math.inf
     heap, best, first, scored, bounded, leaves = [], -1.0, -1, 0, 0, 0
 
@@ -190,6 +204,13 @@ def _branch_and_bound(p, xs, excluded):
                     if ratio >= best and (ratio > best or row + j < first):
                         best, first = ratio, row + j
     return best, first, _live_pairs(xs, excluded, near_b), scored, (bounded, leaves)
+
+
+def _two_step_gap(near: float) -> float:
+    """2 near: a lower bound of every fl(x_{i+2} - x_i) of a grid whose
+    adjacent differences fl(x_{i+1} - x_i) are all at least near (module
+    docstring), in O(1) where the smallest two-step difference takes a pass."""
+    return 2.0 * near
 
 
 def _live_pairs(xs, excluded, near):

@@ -17,9 +17,10 @@ import math
 import os
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
+from ._readers import (_coordinates, _fraction, _integer_in, _list_of, _non_negative, _number,
+                       _object, _one_of, _positive, _read_fields, _read_kinded, _string, _within)
 from .errors import CapacityError, EquimeanError, HypothesisError, ToleranceError
 
 # Each runner imports the modules it uses, so a run compiles only those (with
@@ -35,11 +36,6 @@ TIMES_CAP = 100_000
 
 class ConfigError(Exception):
     """Anything that makes the run unusable before checks start."""
-
-
-def _schema() -> dict:
-    text = resources.files("equimean").joinpath("schemas/config.schema.json").read_text()
-    return json.loads(text)
 
 
 def _where(path) -> str:
@@ -65,107 +61,6 @@ def _non_finite_path(value, path=()):
     return None
 
 
-# The config schema's keywords that _checked interprets, and those it
-# skips; any other keyword raises, so a schema edit cannot quietly go
-# unchecked. The packaged schema is checked against its meta-schema by the
-# test suite, not on every run.
-_CHECKED_KEYWORDS = frozenset({
-    "type", "enum", "properties", "additionalProperties", "required", "items",
-    "minimum", "exclusiveMinimum", "exclusiveMaximum", "minItems", "maxItems", "$ref",
-})
-_SKIPPED_KEYWORDS = frozenset({"$schema", "title", "$defs"})
-
-# Draft 2020-12 types as jsonschema checks them: a bool is no number, and
-# an integral float such as 3.0 is an integer
-_TYPES = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "boolean": lambda v: isinstance(v, bool),
-    "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
-                          or isinstance(v, float) and v.is_integer()),
-}
-
-
-def _fault(value, schema: dict):
-    """jsonschema's message for the first keyword of ``schema`` that
-    ``value`` itself violates, or None; ``_checked`` walks into an object's
-    properties and an array's items. The numeric bounds skip non-numbers
-    and fail only on jsonschema's own comparisons, so NaN passes them as it
-    does there."""
-    if "type" in schema:
-        names = schema["type"]
-        names = [names] if isinstance(names, str) else names
-        if not any(_TYPES[n](value) for n in names):
-            return f"{value!r} is not of type {', '.join(map(repr, names))}"
-    if "enum" in schema:
-        # a string equals only itself, also under jsonschema; other members
-        # would need its rule that True is not 1
-        if not all(isinstance(e, str) for e in schema["enum"]):
-            raise NotImplementedError("config schema enums must hold only strings")
-        if not (isinstance(value, str) and value in schema["enum"]):
-            return f"{value!r} is not one of {schema['enum']!r}"
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                return f"{key!r} is a required property"
-        extras = sorted(value.keys() - schema.get("properties", {}).keys())
-        if "additionalProperties" in schema and extras:
-            listed = ", ".join(map(repr, extras))
-            verb = "was" if len(extras) == 1 else "were"
-            return f"Additional properties are not allowed ({listed} {verb} unexpected)"
-    if isinstance(value, list):
-        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if len(value) < low:
-            return f"{value!r} " + ("should be non-empty" if low == 1 else "is too short")
-        if len(value) > high:
-            return f"{value!r} " + ("is expected to be empty" if high == 0 else "is too long")
-    if _TYPES["number"](value):
-        if "minimum" in schema and value < schema["minimum"]:
-            return f"{value!r} is less than the minimum of {schema['minimum']!r}"
-        low, high = schema.get("exclusiveMinimum"), schema.get("exclusiveMaximum")
-        if low is not None and value <= low:
-            return f"{value!r} is less than or equal to the minimum of {low!r}"
-        if high is not None and value >= high:
-            return f"{value!r} is greater than or equal to the maximum of {high!r}"
-    return None
-
-
-def _checked(value, schema: dict, root: dict, path=()):
-    """``value`` checked against ``schema`` (a node of ``root``) in Draft
-    2020-12 as jsonschema applies it, for the keywords in
-    ``_CHECKED_KEYWORDS``, with every float at an ``integer`` position made
-    an int: the schema accepts an integral float such as 3.0 there, and the
-    runners pass these values to ``range()``. The first violation raises
-    ``ConfigError`` with its JSON path and jsonschema's message for it; a
-    node's own keywords come before its children, and the children in the
-    config's order."""
-    unknown = schema.keys() - _CHECKED_KEYWORDS - _SKIPPED_KEYWORDS
-    if unknown:
-        raise NotImplementedError(f"config schema keywords {sorted(unknown)} have no check")
-    if schema.get("additionalProperties", False) is not False:
-        raise NotImplementedError("config schema additionalProperties must be false")
-    if "$ref" in schema:
-        ref = schema["$ref"]
-        if not ref.startswith("#/$defs/"):
-            raise NotImplementedError(f"config schema $ref {ref!r} is not local")
-        value = _checked(value, root["$defs"][ref[len("#/$defs/"):]], root, path)
-    fault = _fault(value, schema)
-    if fault is not None:
-        raise ConfigError(f"{_where(path)}: {fault}")
-    if isinstance(value, dict):
-        props = schema.get("properties", {})
-        return {k: _checked(v, props[k], root, path + (k,)) if k in props else v
-                for k, v in value.items()}
-    if isinstance(value, list) and "items" in schema:
-        return [_checked(v, schema["items"], root, path + (i,)) for i, v in enumerate(value)]
-    if isinstance(value, float) and schema.get("type") == "integer":
-        return int(value)
-    return value
-
-
 def load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -178,11 +73,15 @@ def load_config(path: str) -> dict:
     bad = _non_finite_path(cfg)
     if bad is not None:
         raise ConfigError(f"{path}: {_where(bad)}: not a finite number")
-    schema = _schema()
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: a config must be an object, got {cfg!r}")
     try:
-        return _checked(cfg, schema, schema)
-    except ConfigError as exc:
+        read = _read_fields(cfg, CONFIG_FIELDS, "config", "")
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    # the file's values, as the readers return them: an integral float at an
+    # integer position reads as its int, as the runners pass it to range()
+    return {key: read[key] for key in cfg}
 
 
 def _need(cfg: dict, key: str, experiment: str):
@@ -216,20 +115,18 @@ def _given(cfg: dict, *keys) -> dict:
 
 
 def _retraction(cfg: dict, space):
-    from .spaces import _integer, _point, _read_kinded
+    from .spaces import _point
 
     def zero_coordinate(args):
         axis = args.get("axis", space.dim - 1)
-        if not 0 <= axis < space.dim:
-            raise ConfigError(f"retraction axis {axis} is outside 0..{space.dim - 1} "
-                              f"of a space of dim {space.dim}")
         return lambda x: tuple(0.0 if i == axis else c for i, c in enumerate(x))
 
     def constant(args):
         space.require_member(args["point"])
         return lambda x: args["point"]
 
-    kinds = {"zero_coordinate": ({"axis": (_integer, "an integer", False)}, zero_coordinate),
+    axis = (_integer_in(0, space.dim - 1), f"an integer in 0..{space.dim - 1}", False)
+    kinds = {"zero_coordinate": ({"axis": axis}, zero_coordinate),
              "constant": ({"point": (_point, "a point", True)}, constant)}
     build, args = _read_kinded(cfg.get("retraction", {"kind": "zero_coordinate"}), "kind",
                                kinds, "retraction", "retraction")
@@ -239,7 +136,7 @@ def _retraction(cfg: dict, space):
 def _base_homotopy(cfg: dict, space):
     from .homotopy import ContractionBuilder, straight_line_extension
     from .means import mean_from_name
-    from .spaces import _fraction, _point, _positive, _read_kinded, _string, as_point
+    from .spaces import _point, as_point
 
     def straight_line_to(args):
         theta = args["theta"] if "theta" in args else as_point(cfg.get("theta", 0.0))
@@ -328,27 +225,20 @@ def run_chain(cfg: dict, outdir: Path):
 
 def _builder_from(cfg: dict, experiment: str) -> tuple:
     """(mean, builder, x): the config's dyadic contraction and its start
-    point."""
+    point. theta and x are read as points of the space, and x is sampled
+    from the seed when the config omits it."""
     from .homotopy import ContractionBuilder
-    from .spaces import as_point
+    from .spaces import _point
 
     space = _space(cfg, experiment)
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
-    theta = as_point(_need(cfg, "theta", experiment))
-    return mean, ContractionBuilder(mean, lam, theta), _start_point(cfg, space)
-
-
-def _start_point(cfg: dict, space):
-    """The tracked point, a member of ``space``; sampled from the seed when
-    the config omits it."""
-    from .spaces import as_point
-
-    if "x" not in cfg:
-        return space.sample(cfg.get("seed", 1), 1)[0]
-    x = as_point(cfg["x"])
-    space.require_member(x)
-    return x
+    _need(cfg, "theta", experiment)
+    point = (_within(_point, space.contains), f"a point of {space!r}", False)
+    points = _read_fields(_given(cfg, "theta", "x"), dict.fromkeys(("theta", "x"), point),
+                          "config", "")
+    x = points["x"] if "x" in points else space.sample(cfg.get("seed", 1), 1)[0]
+    return mean, ContractionBuilder(mean, lam, points["theta"]), x
 
 
 def run_build_homotopy(cfg: dict, outdir: Path):
@@ -456,6 +346,47 @@ RUNNERS = {
 }
 
 
+def _retraction_object(value) -> dict:
+    """An object, whose integral float ``axis`` reads as its int, as where
+    the retraction is built; its other keys are read there."""
+    axis = _object(value).get("axis")
+    return {**value, "axis": int(axis)} if isinstance(axis, float) and axis.is_integer() else value
+
+
+LAWS = ("M1", "M2", "equivariance", "strict-betweenness")
+# each top-level config key, as the packaged schema describes it: key ->
+# (reader, what it reads, required). The runners say which keys they need,
+# and the four kinded objects are read where they are built
+CONFIG_FIELDS = {
+    "experiment": (_one_of(RUNNERS), "one of " + ", ".join(RUNNERS), False),
+    "space": (_object, "an object", False),
+    "action": (_object, "an object", False),
+    "subgroup": (_list_of(_integer_in(0)), "a list of integers >= 0", False),
+    "mean": (_string, "a string", False),
+    "laws": (_list_of(_one_of(LAWS), 1), "a nonempty list of " + ", ".join(LAWS), False),
+    "tol": (_positive, "a positive number", False),
+    "eps": (_positive, "a positive number", False),
+    "grid_step": (_positive, "a positive number", False),
+    "excluded_diameter": (_non_negative, "a number >= 0", False),
+    "restarts": (_integer_in(1), "an integer >= 1", False),
+    "depth": (_integer_in(0), "an integer >= 0", False),
+    "pairs": (_integer_in(1), "an integer >= 1", False),
+    "samples": (_integer_in(1), "an integer >= 1", False),
+    "times": (_integer_in(2), "an integer >= 2", False),
+    "seed": (_integer_in(0, 2**64 - 1), "an integer in 0..2^64 - 1", False),
+    "budget": (_integer_in(1), "an integer >= 1", False),
+    "K": (_positive, "a positive number", False),
+    "s": (_string, "a string", False),
+    "t": (_string, "a string", False),
+    "lambda": (_fraction, "a number in (0, 1)", False),
+    "theta": (_coordinates, "a number or a list of numbers", False),
+    "x": (_coordinates, "a number or a list of numbers", False),
+    "expect_lambda": (_list_of(_number, 2, 2), "a list of exactly 2 numbers", False),
+    "retraction": (_retraction_object, "an object", False),
+    "base_homotopy": (_object, "an object", False),
+}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -526,19 +457,16 @@ def main(argv=None) -> int:
     cfg = None
     try:
         cfg = load_config(args.config) if args.config else {}
-        if args.command == "chain":
-            if getattr(args, "s", None) is not None:
-                cfg["s"] = args.s
-            if getattr(args, "t", None) is not None:
-                cfg["t"] = args.t
+        # chain's dyadics and --seed are read as the config's keys, and
+        # override them
+        given = {k: v for k, v in vars(args).items() if k in ("s", "t", "seed") and v is not None}
+        cfg.update(_read_fields(given, CONFIG_FIELDS, "command line", ""))
         declared = cfg.get("experiment")
         if declared is not None and declared != args.command:
             raise ConfigError(
                 f"config declares experiment {declared!r} but the subcommand is "
                 f"{args.command!r}"
             )
-        if args.seed is not None:
-            cfg["seed"] = args.seed
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()

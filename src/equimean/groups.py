@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
-from .spaces import Circle, MetricSpace, Point, _integer, _list_of, _read_kinded, worst
+from ._readers import _integer, _integer_in, _list_of, _read_kinded
+from .spaces import Circle, MetricSpace, Point, worst
 
 POINT_TOL = 1e-9
 
@@ -470,25 +471,23 @@ def swap_axes_action(space: MetricSpace) -> GroupAction:
     return coordinate_permutation_action(space, [(0, 1), (1, 0)])
 
 
-_INTEGER = (_integer, "an integer", True)
-# each action's fields and builder, by name: the builder takes the space and
-# the fields that the config sets
-_ACTIONS = {
-    "trivial": ({}, trivial_action),
-    "negation": ({}, negation_action),
-    "reflection": ({"axis": _INTEGER}, reflection_action),
-    "rotation": ({"n": _INTEGER}, rotation_action),
-    "plane_rotation": ({"n": _INTEGER}, plane_rotation_action),
-    "coordinate_permutation": ({"perms": (_list_of(_list_of(_integer)),
-                                          "a list of lists of integers", True)},
-                               coordinate_permutation_action),
-    "swap_axes": ({}, swap_axes_action),
-}
-
-
 def action_from_json(obj: dict, space: MetricSpace) -> GroupAction:
-    """The action that ``obj`` describes on ``space``: ``name`` is one of
-    ``_ACTIONS``, and a missing, unknown or ill-typed field raises ValueError
+    """The action that ``obj`` describes on ``space``: a missing, unknown or
+    ill-typed field, or an axis outside the space's, raises ValueError
     naming the action and the field as ``action.<key>``."""
-    build, args = _read_kinded(obj, "name", _ACTIONS, "action", "action")
+    axis = (_integer_in(0, space.dim - 1), f"an integer in 0..{space.dim - 1}", True)
+    # each action's fields and builder, by name: the builder takes the space
+    # and the fields that the config sets
+    actions = {
+        "trivial": ({}, trivial_action),
+        "negation": ({}, negation_action),
+        "reflection": ({"axis": axis}, reflection_action),
+        "rotation": ({"n": (_integer, "an integer", True)}, rotation_action),
+        "plane_rotation": ({"n": (_integer, "an integer", True)}, plane_rotation_action),
+        "coordinate_permutation": ({"perms": (_list_of(_list_of(_integer)),
+                                              "a list of lists of integers", True)},
+                                   coordinate_permutation_action),
+        "swap_axes": ({}, swap_axes_action),
+    }
+    build, args = _read_kinded(obj, "name", actions, "action", "action")
     return build(space, **args)

@@ -499,7 +499,8 @@ def _grid_points(a: float, b: float, step: float) -> int:
     CapacityError when their ordered pairs exceed WORK_CAP."""
     span = (b - a) / step + 1e-9
     m = int(math.floor(span)) + 1 if math.isfinite(span) else math.inf
-    if m < math.inf and b - (a + (m - 1) * step) > 1e-9 * step:
+    # else a step of 10^9 (b - a) or more would leave the one point a
+    if m < math.inf and (m == 1 or b - (a + (m - 1) * step) > 1e-9 * step):
         m += 1
     if m * (m - 1) > WORK_CAP:
         raise CapacityError(
@@ -874,7 +875,7 @@ def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
     margin was a number."""
     if not K > 0:
         raise ValueError("K must be positive")
-    require_work(f"solomonic-search of {p.label}", budget)
+    require_work(f"solomonic-search of {p.label} (its budget)", budget)
 
     def margin(tup) -> float:
         out = p.eval(list(tup))

@@ -11,8 +11,8 @@ Membership is tested to the absolute tolerance ``MEMBERSHIP_TOL`` (1e-9),
 and each space offers ``project`` to snap a drifted point back onto it.
 
 A space reads from JSON as ``{"kind": <str>, "params": {...}}``, with
-each kind's params in ``_PARAMS``; ``_read_fields`` reads every kinded
-config object (space params, actions, retractions, base homotopies).
+each kind's params in ``_PARAMS``, through the config readers of
+``_readers``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, Optional, Sequence
 
+from ._readers import (_coordinates, _list_of, _number, _numbers, _object, _read_fields,
+                       _read_kinded, _string)
 from .errors import MembershipError
 from .rng import Xoshiro256StarStar, as_rng
 
@@ -474,102 +476,14 @@ class Product(MetricSpace):
         return {"spaces": [s.to_json() for s in self.spaces]}
 
 
-_KINDS = {cls.kind: cls for cls in (Interval, Box, Circle, FinitePoints, Product)}
-
-
-def _number(value):
-    """``value`` if the config schema's ``number`` reads it: an int or a
-    float; a bool is none."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"{value!r} is not a number")
-
-
-def _fraction(value):
-    """A number strictly between 0 and 1."""
-    if 0 < _number(value) < 1:
-        return value
-    raise ValueError(f"{value!r} is not in (0, 1)")
-
-
-def _positive(value):
-    if _number(value) > 0:
-        return value
-    raise ValueError(f"{value!r} is not positive")
-
-
-def _integer(value) -> int:
-    """``value`` as the config schema's ``integer`` reads it: an int, or an
-    integral float such as 1.0; a bool is none."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise TypeError(f"{value!r} is not an integer")
-
-
-def _string(value) -> str:
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"{value!r} is not a string")
-
-
-def _list_of(read):
-    """A reader of a list whose every item ``read`` reads."""
-    def read_list(value) -> list:
-        if not isinstance(value, (list, tuple)):
-            raise TypeError(f"{value!r} is not a list")
-        return [read(v) for v in value]
-
-    return read_list
-
-
-_numbers = _list_of(_number)
+# each kind's one field beside its kind, and its class
+_KINDS = {cls.kind: ({"params": (_object, "an object", False)}, cls)
+          for cls in (Interval, Box, Circle, FinitePoints, Product)}
 
 
 def _point(value) -> Point:
     """A number or a nonempty list of numbers, as a point."""
-    return as_point(_numbers(value) if isinstance(value, (list, tuple)) else _number(value))
-
-
-def _read_fields(obj: dict, fields: dict, label: str, path: str) -> dict:
-    """The keys that ``obj``, the config object at ``path``, sets, each read
-    by its entry of ``fields``, a table key -> (reader, what it reads,
-    required). An unknown key, a missing required key and a value that its
-    reader refuses (TypeError or ValueError) raise ValueError naming
-    ``label`` and the key's path; the keys of a space's ``params`` are its
-    parameters, and other keys are fields."""
-    noun = "parameter" if path.endswith("params") else "field"
-    for key in obj:
-        if key not in fields:
-            raise ValueError(f"{label} has no {noun} {path}.{key}")
-    args = {}
-    for key, (read, what, required) in fields.items():
-        if key not in obj:
-            if required:
-                raise ValueError(f"{label} requires the {noun} {path}.{key}")
-            continue
-        try:
-            args[key] = read(obj[key])
-        except (TypeError, ValueError):
-            raise ValueError(f"{label} {noun} {path}.{key} must be {what}, "
-                             f"got {obj[key]!r}") from None
-    return args
-
-
-def _read_kinded(obj: dict, key: str, kinds: dict, what: str, path: str, default=None):
-    """(builder, arguments) of the config object ``obj`` at ``path``, whose
-    ``key`` names its kind (``default`` where absent) in ``kinds``, a table
-    kind -> (fields, builder); ``_read_fields`` reads the other keys."""
-    kind = obj.get(key, default)
-    if kind is None:
-        raise ValueError(f"{what} requires the field {path}.{key}")
-    if not (isinstance(kind, str) and kind in kinds):
-        raise ValueError(f"unknown {what} {key} {kind!r} at {path}.{key}; "
-                         f"the {key}s are {', '.join(kinds)}")
-    fields, build = kinds[kind]
-    rest = {k: v for k, v in obj.items() if k != key}
-    return build, _read_fields(rest, fields, f"{kind} {what}", path)
+    return as_point(_coordinates(value))
 
 
 # each kind's parameters: name -> (reader, what it reads, required)
@@ -579,33 +493,22 @@ _PARAMS = {
             "hi": (_numbers, "a list of numbers", True)},
     "circle": {"radius": (_number, "a number", False), "metric": (_string, "a string", False)},
     "finite_points": {"points": (_list_of(_numbers), "a list of lists of numbers", True)},
-    "product": {"spaces": (_list_of(lambda v: v), "a list of spaces", True)},
+    "product": {"spaces": (_list_of(_object), "a list of spaces", True)},
 }
 
 
-def space_from_json(obj: dict) -> MetricSpace:
-    """Rebuild a space from its ``{"kind", "params"}`` description. A
-    missing, extra or ill-typed parameter raises ValueError naming the kind
-    and the key, as ``space.params.<key>``."""
-    return _space_at(obj, "space")
-
-
-def _space_at(obj: dict, path: str) -> MetricSpace:
-    try:
-        kind = obj["kind"]
-        params = dict(obj.get("params", {}))
-    except (TypeError, KeyError, ValueError) as exc:
-        raise ValueError(f"malformed space description: {obj!r}") from exc
-    if not (isinstance(kind, str) and kind in _KINDS):
-        raise ValueError(f"unknown space kind {kind!r}")
-    extra = [key for key in obj if key not in ("kind", "params")]
-    if extra:
-        raise ValueError(f"{kind} space has no field {path}.{extra[0]}")
-    args = _read_fields(params, _PARAMS[kind], f"{kind} space", f"{path}.params")
-    if kind == "product":
-        return Product([_space_at(s, f"{path}.params.spaces[{i}]")
+def space_from_json(obj: dict, path: str = "space") -> MetricSpace:
+    """Rebuild a space from its ``{"kind", "params"}`` description, the
+    config object at ``path``. A missing, unknown or ill-typed kind or
+    parameter raises ValueError naming its path, as ``space.kind`` or
+    ``space.params.<key>``."""
+    cls, fields = _read_kinded(obj, "kind", _KINDS, "space", path)
+    args = _read_fields(fields.get("params", {}), _PARAMS[cls.kind], f"{cls.kind} space",
+                        f"{path}.params")
+    if cls is Product:
+        return Product([space_from_json(s, f"{path}.params.spaces[{i}]")
                         for i, s in enumerate(args["spaces"])])
-    return _KINDS[kind](**args)
+    return cls(**args)
 
 
 def coordinate_bounds(space: MetricSpace) -> Optional[tuple[tuple, tuple]]:

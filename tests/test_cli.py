@@ -1,4 +1,3 @@
-import ast
 import json
 import logging
 import math
@@ -188,29 +187,41 @@ def _packaged_schema() -> dict:
     return json.loads(text)
 
 
-@pytest.mark.parametrize("cfg", [
-    {"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": -0.5},
-    {"space": INTERVAL01, "mean": "arithmetic:2", "girdstep": 0.1},
-    {"space": INTERVAL01, "laws": ["M1", "M3"], "subgroup": [0, -1]},
-    {"space": {"kind": "interval"}, "mean": 3, "times": "many"},
-    ["not", "an", "object"],
-    {"space": {"kind": "interval", "extra": 1}, "mean": "arithmetic:2"},
-    {"space": INTERVAL01, "expect_lambda": [0.25, 0.5, 0.75]},
-    {"space": INTERVAL01, "seed": 1.5},
-])
-def test_config_errors_are_those_of_jsonschema_validate(tmp_path, cfg):
+# (config, a fault that jsonschema finds in it: the top-level key it lies
+# under, or the keyword it fails at the top, and the reader's message)
+CONFIG_FAULTS = [
+    ({"space": INTERVAL01, "mean": "arithmetic:2", "grid_step": -0.5}, "grid_step",
+     "config field grid_step must be a positive number, got -0.5"),
+    ({"space": INTERVAL01, "mean": "arithmetic:2", "girdstep": 0.1}, "additionalProperties",
+     "config has no field girdstep"),
+    ({"space": INTERVAL01, "laws": ["M1", "M3"], "subgroup": [0, -1]}, "subgroup",
+     "config field subgroup must be a list of integers >= 0, got [0, -1]"),
+    ({"space": {"kind": "interval"}, "mean": 3, "times": "many"}, "mean",
+     "config field mean must be a string, got 3"),
+    (["not", "an", "object"], "type", "a config must be an object, got ['not', 'an', 'object']"),
+    # a fault inside a kinded object is met where the object is built
+    ({"space": {"kind": "interval", "extra": 1}, "mean": "arithmetic:2"}, "space",
+     "interval space has no field space.extra"),
+    ({"space": INTERVAL01, "expect_lambda": [0.25, 0.5, 0.75]}, "expect_lambda",
+     "config field expect_lambda must be a list of exactly 2 numbers, got [0.25, 0.5, 0.75]"),
+    ({"space": INTERVAL01, "seed": 1.5}, "seed",
+     "config field seed must be an integer in 0..2^64 - 1, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("cfg, fault, message", CONFIG_FAULTS,
+                         ids=[f"cfg{i}" for i in range(len(CONFIG_FAULTS))])
+def test_config_errors_are_those_of_jsonschema_validate(tmp_path, capsys, cfg, fault, message):
+    errors = jsonschema.Draft202012Validator(_packaged_schema()).iter_errors(cfg)
+    assert fault in {e.absolute_path[0] if e.absolute_path else e.validator for e in errors}
     path = write_config(tmp_path, cfg)
-    with pytest.raises(ConfigError) as got:
-        load_config(path)
-    errors = list(jsonschema.Draft202012Validator(_packaged_schema()).iter_errors(cfg))
-    if len(errors) == 1:
-        # what jsonschema.validate raises
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(cfg, _packaged_schema())
-        errors = [want.value]
-    # with more faults, the first in the config's order; validate ranks them
-    assert str(got.value) in {f"{path}: {cli._where(e.absolute_path)}: {e.message}"
-                              for e in errors}
+    if fault in KINDED:
+        code = main(["estimate-lambda", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == 2 and capsys.readouterr().err == f"equimean: {message}\n"
+    else:
+        with pytest.raises(ConfigError) as got:
+            load_config(path)
+        assert str(got.value) == f"{path}: {message}"
 
 
 def test_packaged_schema_is_valid_against_its_meta_schema():
@@ -410,7 +421,7 @@ def test_a_law_gated_run_over_the_work_cap_exits_2_at_once(tmp_path, name, messa
     ("estimate-lambda", {"space": SYM_BOX, "mean": "arithmetic:3", "restarts": 10**8},
      "random+hill estimate of arithmetic:3 (100000000 restarts) plans 6100000000"),
     ("solomonic-search", {"space": SYM_BOX, "mean": "arithmetic:3", "K": 5.0, "budget": 10**10},
-     "solomonic-search of arithmetic:3 plans 10000000000"),
+     "solomonic-search of arithmetic:3 (its budget) plans 10000000000"),
 ], ids=["strict-betweenness", "random+hill", "solomonic"])
 def test_a_run_over_the_work_cap_exits_2_before_its_first_generator(tmp_path, capsys, monkeypatch,
                                                                     experiment, cfg, message):
@@ -488,7 +499,7 @@ def test_valid_configs_load_no_jsonschema(tmp_path):
     out = run_child("-c", child)
     assert out.returncode == 0, out.stderr
     assert out.stderr == (f"equimean: {invalid}: "
-                          "$.grid_step: -0.5 is less than or equal to the minimum of 0\n")
+                          "config field grid_step must be a positive number, got -0.5\n")
 
 
 def test_nan_tolerance_is_refused_before_it_passes_every_check(tmp_path, capsys):
@@ -632,11 +643,11 @@ def test_integral_float_runs_as_its_int(tmp_path, field, command, cfg):
 
 @pytest.mark.parametrize("key", ["k", "group", "extension"])
 def test_removed_config_keys_exit_2(tmp_path, capsys, key):
-    # no runner read them; the schema now rejects them as unknown keys
+    # no runner read them; the config reader now rejects them as unknown keys
     cfg = {"space": SYM_BOX, "mean": "arithmetic:2", "samples": 5, key: 3}
     code, outdir = run(tmp_path, "verify-mean", cfg)
     assert code == 2
-    assert f"{key!r} was unexpected" in capsys.readouterr().err
+    assert f"config has no field {key}\n" in capsys.readouterr().err
     assert not (outdir / "report.json").exists()
 
 
@@ -671,6 +682,24 @@ def test_seed_override_changes_report(tmp_path):
     assert main(["estimate-lambda", "--config", path, "--out", str(out1)]) == 0
     assert main(["estimate-lambda", "--config", path, "--seed", "9", "--out", str(out2)]) == 0
     assert json.loads((out2 / "report.json").read_text())["config"]["seed"] == 9
+
+
+@pytest.mark.parametrize("option, seed, source", [
+    ("-1", 1, "command line"),
+    (str(2**64), 1, "command line"),
+    (None, 2**64, "config"),
+], ids=["option--1", "option-2^64", "config-2^64"])
+def test_a_seed_outside_0_to_2_to_the_64_exits_2(tmp_path, capsys, option, seed, source):
+    # the generator masks its seed to 64 bits, so -1 used to run seed
+    # 2^64 - 1 and 2^64 seed 0, and a report of --seed -1 could not be replayed
+    cfg = {**json.loads((GOLDEN / "laws.json").read_text()), "seed": seed}
+    code, outdir = run(tmp_path, "verify-mean", cfg, extra=() if option is None else
+                       ("--seed", option))
+    assert code == 2
+    got = option if option is not None else seed
+    assert capsys.readouterr().err.endswith(
+        f"{source} field seed must be an integer in 0..2^64 - 1, got {got}\n")
+    assert not (outdir / "report.json").exists()
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -720,35 +749,35 @@ def test_schema_experiments_are_the_runners():
     assert sorted(_packaged_schema()["properties"]["experiment"]["enum"]) == sorted(cli.RUNNERS)
 
 
-def _config_keys_read(tree) -> set:
-    """The string keys that code reads from a dict named ``cfg``: ``cfg[k]``,
-    ``cfg.get(k, ...)``, ``k in cfg`` and ``f(cfg, k, ...)``."""
-    def is_cfg(node):
-        return isinstance(node, ast.Name) and node.id == "cfg"
+class _Reads(dict):
+    """A config that records the keys its reader asks for."""
 
-    keys = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Subscript) and is_cfg(node.value):
-            candidates = [node.slice]
-        elif isinstance(node, ast.Compare) and any(map(is_cfg, node.comparators)):
-            candidates = [node.left]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and is_cfg(node.func.value):
-            candidates = node.args[:1]
-        elif isinstance(node, ast.Call) and node.args and is_cfg(node.args[0]):
-            candidates = node.args[1:]
-        else:
-            continue
-        keys.update(c.value for c in candidates
-                    if isinstance(c, ast.Constant) and isinstance(c.value, str))
-    return keys
+    def __init__(self, values, asked: set):
+        super().__init__(values)
+        self.asked = asked
+
+    def __getitem__(self, key):
+        self.asked.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.asked.add(key)
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.asked.add(key)
+        return super().__contains__(key)
 
 
-def test_the_cli_reads_every_config_key():
-    # a key the schema accepts and no runner reads is dead: it passes the
-    # check and changes nothing
-    read = _config_keys_read(ast.parse(Path(cli.__file__).read_text()))
-    assert sorted(_packaged_schema()["properties"].keys() - read) == []
+def test_the_cli_reads_every_config_key(tmp_path, monkeypatch):
+    # the reader's table names the schema's keys, and a key that no run asks
+    # for is dead: it passes the reader and changes nothing
+    assert cli.CONFIG_FIELDS.keys() == _packaged_schema()["properties"].keys()
+    asked = set()
+    for experiment, cfg in RERUN_CONFIGS.items():
+        monkeypatch.setattr(cli, "load_config", lambda path, cfg=cfg: _Reads(cfg, asked))
+        assert main([experiment, "--config", "-", "--out", str(tmp_path / experiment)]) == 0
+    assert sorted(cli.CONFIG_FIELDS.keys() - asked) == []
 
 
 @settings(max_examples=25, deadline=None)
@@ -1194,30 +1223,27 @@ def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
         assert output.read_bytes() == path.read_bytes(), path.name
 
 
-AXIS_OUTSIDE = "axis {} is outside 0..1 of a space of dim 2"
+AXIS_OUTSIDE = "axis must be an integer in 0..1, got {!r}"
 DYADIC_NEEDS = "dyadic base homotopy requires the field base_homotopy.{}"
 # (golden config, edit, what stderr must say): each edit is a config error,
 # which must exit 2 with a message naming its key
 MISCONFIGURED = {
-    **{f"action-axis-{a}": ("deform", lambda cfg, a=a: cfg["action"].update(axis=a),
-                            "reflection " + AXIS_OUTSIDE.format(a)) for a in (2, 7, -1)},
+    **{f"action-axis-{a!r}": ("deform", lambda cfg, a=a: cfg["action"].update(axis=a),
+                            "reflection action field action." + AXIS_OUTSIDE.format(a))
+       for a in (2, 7, -1, 1.5, "x", True)},
     **{f"retraction-axis-{a}": ("deform", lambda cfg, a=a: cfg["retraction"].update(axis=a),
-                                "retraction " + AXIS_OUTSIDE.format(a)) for a in (2, 7)},
-    "retraction-axis--1": ("deform", lambda cfg: cfg["retraction"].update(axis=-1),
-                           "$.retraction.axis: -1 is less than the minimum of 0"),
+                                "zero_coordinate retraction field retraction." +
+                                AXIS_OUTSIDE.format(a)) for a in (2, 7, -1)},
     "retraction-point": ("deform", lambda cfg: cfg.update(retraction={"kind": "constant"}),
                          "constant retraction requires the field retraction.point"),
     **{f"dyadic-{key}": ("symmetrize", lambda cfg, key=key: cfg["base_homotopy"].pop(key),
                          DYADIC_NEEDS.format(key)) for key in ("mean", "lambda", "theta")},
     "trust_laws": ("symmetrize-dictator", lambda cfg: cfg.update(trust_laws=True),
-                   "'trust_laws' was unexpected"),
+                   "config has no field trust_laws"),
     "force_random": ("random-lambda", lambda cfg: cfg.update(force_random=True),
-                     "'force_random' was unexpected"),
+                     "config has no field force_random"),
     "svg": ("trajectory-understated", lambda cfg: cfg.update(svg=True),
-            "'svg' was unexpected"),
-    **{f"action-axis-{a!r}": ("deform", lambda cfg, a=a: cfg["action"].update(axis=a),
-                              f"reflection action field action.axis must be an integer, got {a!r}")
-       for a in (1.5, "x", True)},
+            "config has no field svg"),
     "action-n-true": ("deform", lambda cfg: cfg.update(action={"name": "plane_rotation",
                                                                "n": True}),
                       "plane_rotation action field action.n must be an integer, got True"),
@@ -1319,6 +1345,8 @@ KINDED = ("space", "action", "retraction", "base_homotopy")
 # what the sweep writes over each value of a kinded object; "x", True and []
 # are no number
 SWEEP_VALUES = ("x", -1, 1e308, True, [])
+# and over each top-level key, where 0 and 1.5 meet the ranges
+TOP_LEVEL_VALUES = SWEEP_VALUES + (0, 1.5)
 DROP = object()
 
 
@@ -1346,6 +1374,24 @@ def _single_mutations(value, path):
         yield from _single_mutations(item, path + (key,))
 
 
+def _top_level_mutations(cfg: dict):
+    """(path, new value or DROP, whether no run may pass) for each single
+    mutation of a config's top-level keys: an unknown key added, and each
+    key dropped or set to each of TOP_LEVEL_VALUES."""
+    yield ("unknown",), 1, True
+    for key in cfg:
+        yield (key,), DROP, False
+        for new in TOP_LEVEL_VALUES:
+            yield (key,), new, False
+
+
+def _names(err: str, key: str) -> bool:
+    """Whether the message ``err`` names the config key ``key`` as a word of
+    its own, as in ``config field seed`` or ``'mean'``, not as in
+    ``verify-mean``."""
+    return re.search(rf"(?<![\w.-]){re.escape(key)}(?![\w-])", err) is not None
+
+
 def _mutated(cfg: dict, path: tuple, new) -> dict:
     cfg = json.loads(json.dumps(cfg))
     node = cfg
@@ -1360,21 +1406,24 @@ def _mutated(cfg: dict, path: tuple, new) -> dict:
 
 def test_every_single_mutation_of_a_kinded_object_exits_cleanly(tmp_path, capsys):
     # no run crashes or prints a bare key, and none passes with an unknown
-    # key or with a string, a bool or a list where a number was
+    # key or with a string, a bool or a list where a number was; a run that
+    # exits 2 on a mutated top-level key names it
     faults, runs = [], 0
     for config in sorted(GOLDEN.glob("*.json")):
         if config.suffixes != [".json"]:
             continue
         cfg = json.loads(config.read_text())
-        for key in KINDED:
-            for path, new, must_fail in _single_mutations(cfg.get(key), (key,)):
-                code, _ = run(tmp_path, cfg["experiment"], _mutated(cfg, path, new))
-                err = capsys.readouterr().err
-                runs += 1
-                if (code not in (0, 1, 2) or "unexpected error" in err
-                        or re.fullmatch(r"equimean: '[^']*'\n", err) or must_fail and code == 0):
-                    faults.append((config.stem, path, new, code, err))
-    assert runs == 722  # the sweep covers every golden's kinded objects
+        mutations = [m for key in KINDED for m in _single_mutations(cfg.get(key), (key,))]
+        for path, new, must_fail in mutations + list(_top_level_mutations(cfg)):
+            code, _ = run(tmp_path, cfg["experiment"], _mutated(cfg, path, new))
+            err = capsys.readouterr().err
+            runs += 1
+            if (code not in (0, 1, 2) or "unexpected error" in err
+                    or re.fullmatch(r"equimean: '[^']*'\n", err) or must_fail and code == 0
+                    or len(path) == 1 and code == 2 and not _names(err, path[0])):
+                faults.append((config.stem, path, new, code, err))
+    # the sweep covers every golden's kinded objects and top-level keys
+    assert runs == 1440
     assert faults == []
 
 
@@ -1384,14 +1433,14 @@ def test_a_start_point_outside_the_space_exits_2(tmp_path, capsys, command):
            "lambda": 0.5, "theta": [2.0], "x": [50.0], "depth": 4}
     code, outdir = run(tmp_path, command, cfg)
     assert code == 2
-    assert capsys.readouterr().err == ("equimean: point (50.0,) is not in "
-                                       "Interval(a=1.0, b=2.0)\n")
+    assert capsys.readouterr().err == ("equimean: config field x must be a point of "
+                                       "Interval(a=1.0, b=2.0), got [50.0]\n")
     assert not (outdir / "report.json").exists()
 
 
 # the equimean modules a fresh process holds after ``import equimean.cli`` and
 # one run: each run compiles only the modules its experiment uses
-STARTUP_MODULES = {"equimean", "equimean.cli", "equimean.errors"}
+STARTUP_MODULES = {"equimean", "equimean.cli", "equimean.errors", "equimean._readers"}
 MEANS_MODULES = STARTUP_MODULES | {"equimean.means", "equimean.rng", "equimean.spaces"}
 HOMOTOPY_MODULES = MEANS_MODULES | {"equimean.homotopy", "equimean.dyadics"}
 RUN_MODULES = {

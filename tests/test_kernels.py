@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from operator import sub
 import os
 import subprocess
 import sys
@@ -331,6 +332,40 @@ def test_branch_and_bound_equals_the_whole_row_scan(name, data):
     with mock.patch.object(_kernels, "LEAF", data.draw(st.sampled_from([1, 5, _kernels.LEAF]))):
         got = scan(p, step, excluded)
     assert got == scan(dataclasses.replace(p, ratio_bound=None), step, excluded)
+
+
+def _grids(draw):
+    """An increasing list of at least three floats: a grid a + k step, with
+    steps down to the subnormal, points drawn anywhere, or runs of
+    consecutive floats."""
+    kind = draw(st.sampled_from(["grid", "drawn", "consecutive"]))
+    if kind == "grid":
+        a = draw(st.floats(-1e300, 1e300) | st.sampled_from([0.0, -1e-310, 1.0]))
+        step = draw(st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 3e-323, 2.0**-1022]))
+        xs = [a + k * step for k in range(draw(st.integers(3, 60)))]
+    elif kind == "drawn":
+        xs = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                           | st.floats(-1e-300, 1e-300), min_size=3, max_size=40))
+    else:
+        x = draw(st.floats(allow_nan=False, allow_infinity=False))
+        xs = [x]
+        for gap in draw(st.lists(st.integers(1, 3), min_size=2, max_size=20)):
+            for _ in range(gap):
+                xs.append(math.nextafter(xs[-1], math.inf))
+    xs = sorted({x for x in xs if math.isfinite(x)})
+    assume(len(xs) >= 3 and all(map(math.isfinite, map(sub, xs[1:], xs))))
+    return xs
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_the_two_step_gap_bounds_every_two_step_difference(data):
+    # the scan bounds its triangles with 2 near, the smallest adjacent
+    # difference doubled, where the smallest fl(x_{i+2} - x_i) took a second
+    # pass over the grid
+    xs = _grids(data.draw)
+    near = min(map(sub, xs[1:], xs))
+    assert _kernels._two_step_gap(near) <= min(map(sub, xs[2:], xs))
 
 
 @pytest.mark.parametrize("step", [0.04999999, 0.0199999999])

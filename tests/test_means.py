@@ -348,6 +348,12 @@ def test_lambda_grid_ends_on_the_interval_end():
     assert est.lambda_hat == 2.0 / 3.0
     assert est.argmax_tuple == ((1.0,), (4.0,))
     assert est.samples == m * (m - 1)
+    # a step of 10^9 (b - a) or more used to leave the one point a, and the
+    # scan failed with IndexError; the grid is a and b
+    for step in (3e9, 1e308):
+        assert _grid_points(1.0, 4.0, step) == 2
+        est = estimate_lambda(geometric_mean(Interval(1.0, 4.0)), LambdaConfig(grid_step=step))
+        assert (est.lambda_hat, est.argmax_tuple) == (2.0 / 3.0, ((1.0,), (4.0,)))
 
 
 def _skewed_batch_mean(space):
