@@ -49,9 +49,10 @@ __all__ = list(_HOME)
 
 __version__ = "0.1.0"
 
-# The grid scan has one lane, through numpy. perfbench/run.py reads this
-# name and, unless it says "numpy", runs perfbench/lanes.py, which needs
-# the per-map kernel codes this package no longer has.
+# The grid scan has one lane, a pure-Python branch and bound that loads no
+# numpy. The value stays "numpy" because perfbench/run.py reads it and, unless
+# it says "numpy", runs perfbench/lanes.py, which needs the per-map kernel
+# codes this package no longer has.
 KERNEL_IMPLEMENTATION = "numpy"
 
 

@@ -114,20 +114,24 @@ def _given(cfg: dict, *keys) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
-def _retraction(cfg: dict, space):
+def _point_of(space, required: bool = False) -> tuple:
+    """The field of a point of ``space``: (reader, what it reads, required)."""
     from .spaces import _point
 
+    return _within(_point, space.contains), f"a point of {space!r}", required
+
+
+def _retraction(cfg: dict, space):
     def zero_coordinate(args):
         axis = args.get("axis", space.dim - 1)
         return lambda x: tuple(0.0 if i == axis else c for i, c in enumerate(x))
 
     def constant(args):
-        space.require_member(args["point"])
         return lambda x: args["point"]
 
     axis = (_integer_in(0, space.dim - 1), f"an integer in 0..{space.dim - 1}", False)
     kinds = {"zero_coordinate": ({"axis": axis}, zero_coordinate),
-             "constant": ({"point": (_point, "a point", True)}, constant)}
+             "constant": ({"point": _point_of(space, True)}, constant)}
     build, args = _read_kinded(cfg.get("retraction", {"kind": "zero_coordinate"}), "kind",
                                kinds, "retraction", "retraction")
     return build(args)
@@ -136,11 +140,13 @@ def _retraction(cfg: dict, space):
 def _base_homotopy(cfg: dict, space):
     from .homotopy import ContractionBuilder, straight_line_extension
     from .means import mean_from_name
-    from .spaces import _point, as_point
+
+    point = _point_of(space)
 
     def straight_line_to(args):
-        theta = args["theta"] if "theta" in args else as_point(cfg.get("theta", 0.0))
-        space.require_member(theta)
+        # else the config's theta, or 0.0, read as the config field theta
+        theta = args["theta"] if "theta" in args else _read_fields(
+            {"theta": cfg.get("theta", 0.0)}, {"theta": point}, "config", "")["theta"]
         return straight_line_extension(space, lambda x: theta)
 
     def dyadic(args):
@@ -149,10 +155,10 @@ def _base_homotopy(cfg: dict, space):
         eps = float(args.get("eps", 1e-9))
         return lambda x, t: builder.at_time(x, t, eps)[0]
 
-    kinds = {"straight_line_to": ({"theta": (_point, "a point", False)}, straight_line_to),
+    kinds = {"straight_line_to": ({"theta": point}, straight_line_to),
              "dyadic": ({"mean": (_string, "a string", True),
                          "lambda": (_fraction, "a number in (0, 1)", True),
-                         "theta": (_point, "a point", True),
+                         "theta": _point_of(space, True),
                          "eps": (_positive, "a positive number", False)},
                         dyadic)}
     build, args = _read_kinded(cfg.get("base_homotopy", {}), "kind", kinds, "base homotopy",
@@ -228,13 +234,12 @@ def _builder_from(cfg: dict, experiment: str) -> tuple:
     point. theta and x are read as points of the space, and x is sampled
     from the seed when the config omits it."""
     from .homotopy import ContractionBuilder
-    from .spaces import _point
 
     space = _space(cfg, experiment)
     mean = _mean(cfg, space, experiment)
     lam = float(_need(cfg, "lambda", experiment))
     _need(cfg, "theta", experiment)
-    point = (_within(_point, space.contains), f"a point of {space!r}", False)
+    point = _point_of(space)
     points = _read_fields(_given(cfg, "theta", "x"), dict.fromkeys(("theta", "x"), point),
                           "config", "")
     x = points["x"] if "x" in points else space.sample(cfg.get("seed", 1), 1)[0]
@@ -391,14 +396,28 @@ CONFIG_FIELDS = {
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command line's parser. When ``argv`` starts with a subcommand, its
+    parser is the only one built, as the others would take some 3 ms, and
+    the usage line still names them all; else all are, so that help and an
+    unknown command print as ever."""
+    commands = (*RUNNERS, "plot")
+    built = argv[:1] if argv and argv[0] in commands else commands
     parser = argparse.ArgumentParser(
         prog="equimean",
         description="verify means, estimate contraction constants and build "
         "certified dyadic homotopies",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in RUNNERS:
+    # argparse names the subcommand's argument by its metavar where a choice
+    # is refused, which happens only when all are built
+    sub = parser.add_subparsers(dest="command", metavar=None if built is commands
+                                else "{" + ",".join(commands) + "}")
+    for name in built:
+        if name == "plot":
+            p = sub.add_parser(name, help="render a trajectory CSV as SVG")
+            p.add_argument("csv")
+            p.add_argument("svg")
+            continue
         p = sub.add_parser(name)
         if name == "chain":
             p.add_argument("s", nargs="?", help="left dyadic, e.g. 1/8")
@@ -408,9 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int)
         p.add_argument("--out", default=".")
-    plot = sub.add_parser("plot", help="render a trajectory CSV as SVG")
-    plot.add_argument("csv")
-    plot.add_argument("svg")
     return parser
 
 
@@ -440,7 +456,8 @@ def main(argv=None) -> int:
     # before any runner imports numpy: the package makes no BLAS call, and
     # starting OpenBLAS's thread pool is a large share of numpy's import time
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

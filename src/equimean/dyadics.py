@@ -19,7 +19,7 @@ exactly that orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError
 
@@ -140,8 +140,7 @@ def grid_steps(s: Dyadic, t: Dyadic) -> int:
     return abs((s.j << (m - s.n)) - (t.j << (m - t.n)))
 
 
-@dataclass(frozen=True)
-class ChainDecomposition:
+class ChainDecomposition(NamedTuple):
     s_chain: list  # ascending from s, levels strictly decreasing
     t_chain: list  # descending from t, levels strictly decreasing
 

@@ -11,8 +11,7 @@ the action laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
@@ -95,15 +94,15 @@ def make_group(cayley: Sequence[Sequence[int]], name: str = "group") -> FiniteGr
     return FiniteGroup(cayley, name=name)
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: FiniteGroup
-    members: tuple  # sorted element ids
+class Subgroup(NamedTuple("Subgroup", [("parent", FiniteGroup), ("members", tuple)])):
+    """The subgroup of ``parent`` whose element ids are ``members``, which
+    it holds sorted; raises GroupConstructionError unless they form one."""
 
-    def __post_init__(self):
-        mem = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", mem)
-        m = self.parent.order
+    __slots__ = ()
+
+    def __new__(cls, parent: FiniteGroup, members):
+        self = super().__new__(cls, parent, tuple(sorted(set(members))))
+        mem, m = self.members, parent.order
         for a in mem:
             if not 0 <= a < m:
                 raise GroupConstructionError(f"subgroup element id {a} outside 0..{m - 1}")
@@ -120,6 +119,7 @@ class Subgroup:
             raise GroupConstructionError(
                 f"subgroup order {len(mem)} does not divide the group order {m}"
             )
+        return self
 
     @property
     def order(self) -> int:
@@ -186,8 +186,7 @@ def enumerate_subgroups(G: FiniteGroup) -> list[Subgroup]:
 # actions
 
 
-@dataclass
-class GroupAction:
+class GroupAction(NamedTuple):
     """Continuous action of a finite group on a metric space, given as a
     point map per element id.
 
@@ -215,8 +214,7 @@ class GroupAction:
         return np.array(images, dtype=np.float64).reshape(len(X), -1)
 
 
-@dataclass
-class ActionReport:
+class ActionReport(NamedTuple):
     identity_defect: float
     compatibility_defect: float
     membership_ok: bool
@@ -237,15 +235,9 @@ class ActionReport:
         return self.isometry_defect <= self.tol
 
     def to_json(self) -> dict:
-        return {
-            "identity_defect": self.identity_defect,
-            "compatibility_defect": self.compatibility_defect,
-            "membership_ok": self.membership_ok,
-            "isometry_defect": self.isometry_defect,
-            "isometric": self.isometric,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+        fields = self._asdict()
+        del fields["tol"]
+        return {**fields, "isometric": self.isometric, "passed": self.passed}
 
 
 def check_action(action: GroupAction, seed_or_rng=0, samples: int = 64,
@@ -401,7 +393,7 @@ def rotation_action(space: Circle, n: int) -> GroupAction:
     """Z_n acting on a circle by rotations of 2*pi/n."""
     if not isinstance(space, Circle):
         raise ValueError("rotation action needs a circle space")
-    return replace(plane_rotation_action(space, n), name=f"rotation:{n}")
+    return plane_rotation_action(space, n)._replace(name=f"rotation:{n}")
 
 
 def plane_rotation_action(space: MetricSpace, n: int) -> GroupAction:
@@ -473,17 +465,18 @@ def swap_axes_action(space: MetricSpace) -> GroupAction:
 
 def action_from_json(obj: dict, space: MetricSpace) -> GroupAction:
     """The action that ``obj`` describes on ``space``: a missing, unknown or
-    ill-typed field, or an axis outside the space's, raises ValueError
+    ill-typed field, or an axis or an order out of range, raises ValueError
     naming the action and the field as ``action.<key>``."""
     axis = (_integer_in(0, space.dim - 1), f"an integer in 0..{space.dim - 1}", True)
+    order = (_integer_in(1, CYCLIC_ORDER_CAP), f"an integer in 1..{CYCLIC_ORDER_CAP}", True)
     # each action's fields and builder, by name: the builder takes the space
     # and the fields that the config sets
     actions = {
         "trivial": ({}, trivial_action),
         "negation": ({}, negation_action),
         "reflection": ({"axis": axis}, reflection_action),
-        "rotation": ({"n": (_integer, "an integer", True)}, rotation_action),
-        "plane_rotation": ({"n": (_integer, "an integer", True)}, plane_rotation_action),
+        "rotation": ({"n": order}, rotation_action),
+        "plane_rotation": ({"n": order}, plane_rotation_action),
         "coordinate_permutation": ({"perms": (_list_of(_list_of(_integer)),
                                               "a list of lists of integers", True)},
                                    coordinate_permutation_action),

@@ -25,9 +25,8 @@ space onto that set while keeping it pointwise still.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
@@ -248,8 +247,7 @@ def _midpoints(p: QuasiMeanMap, left, right):
     return mids
 
 
-@dataclass
-class LevelBoundReport:
+class LevelBoundReport(NamedTuple):
     """Worst adjacent-step distance at each grid level against
     lambda^n * d(x, basepoint)."""
 
@@ -265,15 +263,8 @@ class LevelBoundReport:
         return self.max_ratio <= 1.0 + RATIO_SLACK
 
     def to_json(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "worst_level": self.worst_level,
-            "worst_index": self.worst_index,
-            "pairs_checked": self.pairs_checked,
-            "lambda": self.lam,
-            "base_distance": self.base_distance,
-            "passed": self.passed,
-        }
+        fields = self._asdict()
+        return {"lambda": fields.pop("lam"), **fields, "passed": self.passed}
 
 
 def _step_ratios(dists, bounds):
@@ -311,8 +302,7 @@ def verify_claim1(builder: ContractionBuilder, x, depth: int) -> LevelBoundRepor
     return LevelBoundReport(top, wl, wi, checked, builder.lam, dx)
 
 
-@dataclass
-class HolderReport:
+class HolderReport(NamedTuple):
     """Worst pairwise ratio against C |s - t|^alpha over sampled dyadic
     time pairs."""
 
@@ -328,15 +318,8 @@ class HolderReport:
         return self.max_ratio <= 1.0 + RATIO_SLACK
 
     def to_json(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "worst_pair": None if self.worst_pair is None else [str(d) for d in self.worst_pair],
-            "pairs_checked": self.pairs_checked,
-            "constant": self.constant,
-            "exponent": self.exponent,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+        pair = None if self.worst_pair is None else [str(d) for d in self.worst_pair]
+        return {**self._asdict(), "worst_pair": pair, "passed": self.passed}
 
 
 def _random_grid_index(rng, depth: int) -> int:
@@ -425,13 +408,12 @@ def verify_holder(builder: ContractionBuilder, x, pairs: int, depth: int,
 # group homotopies
 
 
-@dataclass
-class GHomotopy:
+class GHomotopy(NamedTuple):
     """A time-indexed family of maps commuting with a group action."""
 
     action: GroupAction
     evaluate: Callable  # (Point, t) -> Point
-    report: dict = field(default_factory=dict)
+    report: dict
 
     def __call__(self, x, t: float) -> Point:
         return self.evaluate(as_point(x), t)

@@ -21,8 +21,7 @@ Built-ins are registered by name for the CLI: ``arithmetic:n``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, HypothesisError, SamplingError
 from .rng import Xoshiro256StarStar, as_rng, doubles, lane_draws, substream_lanes
@@ -64,7 +63,6 @@ HILL_STEPS = 60
 BLOCK_FLOATS = 1 << 17
 
 
-@dataclass
 class QuasiMeanMap:
     """An n-ary map on a space, with an optional array form.
 
@@ -86,16 +84,15 @@ class QuasiMeanMap:
     the corners of a tile [xl, xh] x [yl, yh] and a gap > 0, and bounds
     that ratio at every float x in [xl, xh] and y in [yl, yh] with fl(y -
     x) >= gap. The tile may straddle the diagonal; gap keeps x < y. NaN
-    bounds nothing; ``_kernels`` derives the built-ins'.
+    bounds nothing; ``_kernels`` derives the built-ins'. A tracer may
+    replace ``eval`` and ``batch`` on an instance.
     """
 
-    arity: int
-    space: MetricSpace
-    eval: Callable
-    label: str
-    batch: Optional[Callable] = None
-    symmetric: bool = False
-    ratio_bound: Optional[Callable] = None
+    def __init__(self, arity: int, space: MetricSpace, eval: Callable, label: str,
+                 batch: Optional[Callable] = None, symmetric: bool = False,
+                 ratio_bound: Optional[Callable] = None):
+        self.arity, self.space, self.eval, self.label = arity, space, eval, label
+        self.batch, self.symmetric, self.ratio_bound = batch, symmetric, ratio_bound
 
     def __call__(self, *points) -> Point:
         pts = [as_point(p) for p in points]
@@ -133,8 +130,7 @@ def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
 # law reports
 
 
-@dataclass
-class LawReport:
+class LawReport(NamedTuple):
     law: str
     samples_checked: int
     max_violation: float
@@ -149,14 +145,10 @@ class LawReport:
         return self.max_violation <= self.tol
 
     def to_json(self) -> dict:
-        return {
-            "law": self.law,
-            "samples_checked": self.samples_checked,
-            "max_violation": self.max_violation,
-            "tol": self.tol,
-            "passed": self.passed,
-            "witness": None if self.witness is None else [list(p) for p in self.witness],
-        }
+        fields = self._asdict()
+        del fields["strict"]
+        witness = None if self.witness is None else [list(p) for p in self.witness]
+        return {**fields, "witness": witness, "passed": self.passed}
 
 
 def sample_tuples(space: MetricSpace, arity: int, seed_or_rng, count: int) -> list[tuple]:
@@ -177,9 +169,7 @@ def _report(law: str, top: float, witness, checked: int, tol: float,
     scored defects are given. A strict law reports the worst defect as it
     is; any other law floors it at 0.0."""
     report = LawReport(law, checked, top if strict else max(top, 0.0), tol, strict=strict)
-    if not report.passed:
-        report.witness = witness
-    return report
+    return report if report.passed else report._replace(witness=witness)
 
 
 def require(what: str, report: LawReport) -> float:
@@ -438,8 +428,13 @@ def _first_nan_or(reduce, space: MetricSpace, tups, out):
 # contractivity constant estimation
 
 
-@dataclass
-class LambdaEstimate:
+def _but_route(record):
+    """A record's class and its fields but the last, ``route``, which is
+    logged, never reported and never compared; any other value as it is."""
+    return (type(record), record[:-1]) if isinstance(record, tuple) else record
+
+
+class LambdaEstimate(NamedTuple):
     lambda_hat: float
     argmax_tuple: tuple
     samples: int
@@ -447,16 +442,16 @@ class LambdaEstimate:
     method: str = "grid"
     # the lane and restarts random+hill took, or the pairs a grid scan
     # scored and skipped; logged, never reported
-    route: str = field(default="", compare=False)
+    route: str = ""
+
+    __eq__ = lambda self, other: _but_route(self) == _but_route(other)
+    __ne__ = lambda self, other: _but_route(self) != _but_route(other)
+    __hash__ = lambda self: hash(_but_route(self))
 
     def to_json(self) -> dict:
-        return {
-            "lambda_hat": self.lambda_hat,
-            "argmax_tuple": [list(p) for p in self.argmax_tuple],
-            "samples": self.samples,
-            "excluded_diagonal_radius": self.excluded_diagonal_radius,
-            "method": self.method,
-        }
+        fields = self._asdict()
+        del fields["route"]
+        return {**fields, "argmax_tuple": [list(p) for p in self.argmax_tuple]}
 
     def csv_header(self) -> list[str]:
         return ["lambda_hat", "samples", "excluded_diagonal_radius", "method", "argmax_tuple"]
@@ -471,8 +466,7 @@ class LambdaEstimate:
         ]
 
 
-@dataclass
-class LambdaConfig:
+class LambdaConfig(NamedTuple):
     grid_step: float = 1e-3
     excluded_diameter: float = EXCLUDED_DIAMETER
     restarts: int = 100
@@ -837,27 +831,27 @@ def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DE
 # witness search for far-from-every-argument outputs
 
 
-@dataclass
-class SolomonicSearch:
+class SolomonicSearch(NamedTuple):
     target: float
     witness: Optional[tuple]
     best_margin: float
     evaluations: int
     # the lane, restarts and blocks the search took; logged, never reported
-    route: str = field(default="", compare=False)
+    route: str = ""
+
+    __eq__ = lambda self, other: _but_route(self) == _but_route(other)
+    __ne__ = lambda self, other: _but_route(self) != _but_route(other)
+    __hash__ = lambda self: hash(_but_route(self))
 
     @property
     def found(self) -> bool:
         return self.witness is not None
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "found": self.found,
-            "witness": None if self.witness is None else [list(p) for p in self.witness],
-            "best_margin": self.best_margin,
-            "evaluations": self.evaluations,
-        }
+        fields = self._asdict()
+        del fields["route"]
+        witness = None if self.witness is None else [list(p) for p in self.witness]
+        return {**fields, "found": self.found, "witness": witness}
 
 
 def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,

@@ -18,10 +18,11 @@ each kind's params in ``_PARAMS``, through the config readers of
 from __future__ import annotations
 
 import math
+from operator import gt
 from typing import Iterable, Optional, Sequence
 
-from ._readers import (_coordinates, _list_of, _number, _numbers, _object, _read_fields,
-                       _read_kinded, _string)
+from ._readers import (_coordinates, _list_of, _number, _numbers, _object, _positive,
+                       _read_fields, _read_kinded, _string, _within)
 from .errors import MembershipError
 from .rng import Xoshiro256StarStar, as_rng
 
@@ -135,7 +136,7 @@ def _square_overflows(t: float) -> bool:
     return not math.isfinite(t * t)
 
 
-def _within(X, lo: Sequence[float], hi: Sequence[float]):
+def _rows_within(X, lo: Sequence[float], hi: Sequence[float]):
     """Whether each row of X has len(lo) coordinates, each within
     ``MEMBERSHIP_TOL`` of [lo, hi]: the comparisons of the interval's and
     the box's ``contains``, on arrays."""
@@ -240,7 +241,7 @@ class Interval(MetricSpace):
         return len(p) == 1 and self.a - MEMBERSHIP_TOL <= p[0] <= self.b + MEMBERSHIP_TOL
 
     def contains_batch(self, X):
-        return _within(X, (self.a,), (self.b,))
+        return _rows_within(X, (self.a,), (self.b,))
 
     def extent(self) -> float:
         return self.b - self.a
@@ -288,7 +289,7 @@ class Box(MetricSpace):
                                           for c, lo, hi in zip(p, self.lo, self.hi))
 
     def contains_batch(self, X):
-        return _within(X, self.lo, self.hi)
+        return _rows_within(X, self.lo, self.hi)
 
     def extent(self) -> float:
         return _euclidean(self.hi, self.lo)
@@ -491,20 +492,33 @@ _PARAMS = {
     "interval": {"a": (_number, "a number", True), "b": (_number, "a number", True)},
     "box": {"lo": (_numbers, "a list of numbers", True),
             "hi": (_numbers, "a list of numbers", True)},
-    "circle": {"radius": (_number, "a number", False), "metric": (_string, "a string", False)},
+    "circle": {"radius": (_positive, "a positive number", False),
+               "metric": (_string, "a string", False)},
     "finite_points": {"points": (_list_of(_numbers), "a list of lists of numbers", True)},
     "product": {"spaces": (_list_of(_object), "a list of spaces", True)},
+}
+# the kinds whose upper end is read against the lower: kind -> (upper, lower,
+# the test of the two, what the upper must be, given the lower's path)
+_ENDS = {
+    "interval": ("b", "a", lambda b, a: b > a, "a number above {}"),
+    "box": ("hi", "lo", lambda hi, lo: len(hi) == len(lo) > 0 and all(map(gt, hi, lo)),
+            "a nonempty list of numbers, one above each of {}"),
 }
 
 
 def space_from_json(obj: dict, path: str = "space") -> MetricSpace:
     """Rebuild a space from its ``{"kind", "params"}`` description, the
-    config object at ``path``. A missing, unknown or ill-typed kind or
-    parameter raises ValueError naming its path, as ``space.kind`` or
-    ``space.params.<key>``."""
+    config object at ``path``. A missing, unknown, ill-typed or out-of-range
+    kind or parameter raises ValueError naming its path, as ``space.kind``
+    or ``space.params.<key>``."""
     cls, fields = _read_kinded(obj, "kind", _KINDS, "space", path)
-    args = _read_fields(fields.get("params", {}), _PARAMS[cls.kind], f"{cls.kind} space",
-                        f"{path}.params")
+    label, where = f"{cls.kind} space", f"{path}.params"
+    args = _read_fields(fields.get("params", {}), _PARAMS[cls.kind], label, where)
+    if cls.kind in _ENDS:
+        upper, lower, above, what = _ENDS[cls.kind]
+        read = _within(lambda v: v, lambda v: above(v, args[lower]))
+        _read_fields({upper: args[upper]}, {upper: (read, what.format(f"{where}.{lower}"), True)},
+                     label, where)
     if cls is Product:
         return Product([space_from_json(s, f"{path}.params.spaces[{i}]")
                         for i, s in enumerate(args["spaces"])])

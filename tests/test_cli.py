@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import math
@@ -1224,6 +1225,8 @@ def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
 
 
 AXIS_OUTSIDE = "axis must be an integer in 0..1, got {!r}"
+DEFORM_SPACE = "Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])"
+SYMMETRIZE_SPACE = "Interval(a=-1.0, b=1.0)"
 DYADIC_NEEDS = "dyadic base homotopy requires the field base_homotopy.{}"
 # (golden config, edit, what stderr must say): each edit is a config error,
 # which must exit 2 with a message naming its key
@@ -1246,10 +1249,12 @@ MISCONFIGURED = {
             "config has no field svg"),
     "action-n-true": ("deform", lambda cfg: cfg.update(action={"name": "plane_rotation",
                                                                "n": True}),
-                      "plane_rotation action field action.n must be an integer, got True"),
-    "action-n-2000": ("deform", lambda cfg: cfg.update(action={"name": "plane_rotation",
-                                                               "n": 2000}),
-                      "cyclic group order 2000 exceeds the cap 1024"),
+                      "plane_rotation action field action.n must be an integer in 1..1024, "
+                      "got True"),
+    **{f"action-n-{n}": ("deform", lambda cfg, n=n: cfg.update(action={"name": "plane_rotation",
+                                                                       "n": n}),
+                         f"plane_rotation action field action.n must be an integer in 1..1024, "
+                         f"got {n}") for n in (0, 2000)},
     **{f"action-no-{key}": ("deform", lambda cfg, name=name: cfg.update(action={"name": name}),
                             f"{name} action requires the field action.{key}")
        for name, key in (("reflection", "axis"), ("plane_rotation", "n"),
@@ -1278,7 +1283,7 @@ MISCONFIGURED = {
                                      lambda cfg, key=key: cfg["base_homotopy"].update({key: True}),
                                      f"dyadic base homotopy field base_homotopy.{key} must be "
                                      f"{what}, got True")
-       for key, what in (("theta", "a point"), ("eps", "a positive number"),
+       for key, what in (("theta", f"a point of {SYMMETRIZE_SPACE}"), ("eps", "a positive number"),
                          ("lambda", "a number in (0, 1)"))},
     "base_homotopy-lambda-1.5": ("symmetrize",
                                  lambda cfg: cfg["base_homotopy"].update({"lambda": 1.5}),
@@ -1294,8 +1299,25 @@ MISCONFIGURED = {
                            "straight_line_to base homotopy has no field base_homotopy.mean"),
     "retraction-point-true": ("deform-subgroup",
                               lambda cfg: cfg["retraction"]["point"].__setitem__(0, True),
-                              "constant retraction field retraction.point must be a point, "
-                              "got [True, 0.0]"),
+                              f"constant retraction field retraction.point must be a point of "
+                              f"{DEFORM_SPACE}, got [True, 0.0]"),
+    # a point outside the space, in a kinded object or read in its place
+    "retraction-point-outside": ("deform-subgroup",
+                                 lambda cfg: cfg["retraction"].update(point=[5.0, 0.0]),
+                                 f"constant retraction field retraction.point must be a point of "
+                                 f"{DEFORM_SPACE}, got [5.0, 0.0]"),
+    "base_homotopy-theta-outside": ("symmetrize",
+                                    lambda cfg: cfg["base_homotopy"].update(theta=[5.0]),
+                                    "dyadic base homotopy field base_homotopy.theta must be a "
+                                    f"point of {SYMMETRIZE_SPACE}, got [5.0]"),
+    "straight-line-theta-outside": ("symmetrize",
+                                    lambda cfg: cfg.update(base_homotopy={"theta": [5.0]}),
+                                    "straight_line_to base homotopy field base_homotopy.theta "
+                                    f"must be a point of {SYMMETRIZE_SPACE}, got [5.0]"),
+    "straight-line-config-theta-outside": ("symmetrize", lambda cfg: cfg.update(
+                                               base_homotopy={}, theta=[5.0]),
+                                           f"config field theta must be a point of "
+                                           f"{SYMMETRIZE_SPACE}, got [5.0]"),
     "space-hi-true": ("deform", lambda cfg: cfg["space"]["params"]["hi"].__setitem__(1, True),
                       "box space parameter space.params.hi must be a list of numbers, "
                       "got [1.0, True]"),
@@ -1314,7 +1336,19 @@ MISCONFIGURED = {
                                      {"kind": "interval", "params": {"a": 0, "b": 1}},
                                      {"kind": "circle", "params": {"radius": "1"}}]}}),
                              "circle space parameter space.params.spaces[1].params.radius "
-                             "must be a number, got '1'"),
+                             "must be a positive number, got '1'"),
+    # range checks of the space's parameters, made where the space is built
+    "space-box-lo-above-hi": ("deform", lambda cfg: cfg["space"]["params"].update(lo=[1.0, -1.0]),
+                              "box space parameter space.params.hi must be a nonempty list of "
+                              "numbers, one above each of space.params.lo, got [1.0, 1.0]"),
+    "space-interval-b-below-a": ("deform", lambda cfg: cfg.update(space={
+                                     "kind": "interval", "params": {"a": 1, "b": 0}}),
+                                 "interval space parameter space.params.b must be a number above "
+                                 "space.params.a, got 0"),
+    "space-circle-radius-0": ("deform", lambda cfg: cfg.update(space={
+                                  "kind": "circle", "params": {"radius": 0}}),
+                              "circle space parameter space.params.radius must be a positive "
+                              "number, got 0"),
     "space-product-factor-kind": ("random-lambda-product", lambda cfg: cfg["space"]["params"][
                                       "spaces"][0].update(kind=[]),
                                   "unknown space kind []"),
@@ -1459,14 +1493,27 @@ RUN_MODULES = {
     "symmetrize-dictator": HOMOTOPY_MODULES | {"equimean.groups"},
     "deform": HOMOTOPY_MODULES | {"equimean.groups"},
     "deform-subgroup": HOMOTOPY_MODULES | {"equimean.groups"},
+    "grid-geometric": MEANS_MODULES | {"equimean._kernels"},
+    "grid-minsq": MEANS_MODULES | {"equimean._kernels"},
 }
+# what ``import dataclasses`` loads, some 6 ms of start-up. No module of the
+# package imports it, so a run that loads no numpy (which imports inspect
+# itself) loads none of these; the runs of NUMPY_FREE load no numpy
+DATACLASS_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+NUMPY_FREE = {"chain", "symmetrize", "deform", "grid-geometric", "grid-minsq"}
+
+
+def modules_after(code: str) -> set:
+    """The modules that a fresh process holds after ``import equimean.cli``
+    and ``code``."""
+    out = run_child("-c", "import sys\nimport equimean.cli\n" + textwrap.dedent(code) +
+                    "\nprint(*sys.modules)\n")
+    assert out.returncode == 0, out.stderr
+    return set(out.stdout.split())
 
 
 def equimean_modules_after(code: str) -> set:
-    out = run_child("-c", "import sys\nimport equimean.cli\n" + textwrap.dedent(code) +
-                    "\nprint(*(m for m in sys.modules if m.split('.')[0] == 'equimean'))\n")
-    assert out.returncode == 0, out.stderr
-    return set(out.stdout.split())
+    return {m for m in modules_after(code) if m.split(".")[0] == "equimean"}
 
 
 def test_loading_configs_loads_only_the_cli():
@@ -1486,6 +1533,16 @@ def test_each_run_loads_only_its_modules(tmp_path, name):
     else:
         config, experiment = write_config(tmp_path, RERUN_CONFIGS[name]), name
     argv = [experiment, "--config", str(config), "--out", str(tmp_path / "out")]
-    loaded = equimean_modules_after(
-        f"assert equimean.cli.main({argv!r}) == {GOLDEN_EXITS.get(name, 0)}")
-    assert loaded == RUN_MODULES[name]
+    loaded = modules_after(f"assert equimean.cli.main({argv!r}) == {GOLDEN_EXITS.get(name, 0)}")
+    assert {m for m in loaded if m.split(".")[0] == "equimean"} == RUN_MODULES[name]
+    assert name not in NUMPY_FREE or "numpy" not in loaded
+    if "numpy" not in loaded:
+        assert not loaded & DATACLASS_MODULES
+
+
+def test_no_module_imports_dataclasses():
+    for path in Path(equimean.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "dataclasses" not in names, path.name

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from operator import sub
@@ -32,6 +31,12 @@ from equimean.spaces import Interval
 
 UNIT = Interval(0.0, 1.0)
 
+
+def variant(p, **changes):
+    """The map p with ``changes`` to its fields, built through its class."""
+    return QuasiMeanMap(**{**vars(p), **changes})
+
+
 # each built-in binary mean (by the short name the test ids use), built on a
 # space it accepts, and its formula as the plain full-square reference
 # computes it
@@ -49,7 +54,7 @@ BUILT_INS = {
 def built_in(name, a, b):
     """The built-in mean on [a, b]: its formulas do not depend on the space,
     so minsq and the constant 0.8 also serve intervals they reject."""
-    return dataclasses.replace(BUILT_INS[name][0], space=Interval(a, b))
+    return variant(BUILT_INS[name][0], space=Interval(a, b))
 
 
 def scan(p, step, excluded):
@@ -111,7 +116,7 @@ def test_fallback_equals_full_square_reference(monkeypatch, kernel, grid, block_
     want = full_square_scan(BUILT_INS[kernel][1], a, b, step, excluded)
     for leaf in (1, 5, _kernels.LEAF):
         monkeypatch.setattr(_kernels, "LEAF", leaf)
-        for q in (p, dataclasses.replace(p, ratio_bound=None)):
+        for q in (p, variant(p, ratio_bound=None)):
             assert scan(q, step, excluded) == want
     if excluded >= b - a:
         assert want == (-1.0, 0.0, 0.0, 0)
@@ -125,7 +130,7 @@ def test_enclosure_skips_tiles_and_counts_them(monkeypatch, kernel, a, b, leaf):
     # diagonal lie below it; every pair is counted, scored or not
     monkeypatch.setattr(_kernels, "LEAF", leaf)
     p = built_in(kernel, a, b)
-    got, plain = scan(p, 1e-2, 1e-6), scan(dataclasses.replace(p, ratio_bound=None), 1e-2, 1e-6)
+    got, plain = scan(p, 1e-2, 1e-6), scan(variant(p, ratio_bound=None), 1e-2, 1e-6)
     assert got == plain == full_square_scan(BUILT_INS[kernel][1], a, b, 1e-2, 1e-6)
     m = _grid_points(a, b, 1e-2)
     assert got[3] == plain.scored == m * (m - 1)
@@ -163,7 +168,7 @@ def test_a_tile_is_kept_while_it_may_hold_the_best_ratio(monkeypatch, kernel):
             bound = p.ratio_bound(rows[0], rows[-1], cols[0], cols[-1], gap)
             assert all(_ratio(p, x, y) <= bound for x in rows for y in cols if y > x)
     got = scan(p, 5e-3, 1e-6)
-    assert got == scan(dataclasses.replace(p, ratio_bound=None), 5e-3, 1e-6)
+    assert got == scan(variant(p, ratio_bound=None), 5e-3, 1e-6)
     assert got.scored < got[3]
 
 
@@ -281,7 +286,7 @@ def test_best_first_scan_equals_the_whole_row_scan(kernel, a, b, step):
     # the pairs
     p = built_in(kernel, a, b)
     got = scan(p, step, 1e-6)
-    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 1e-6)
+    assert got == scan(variant(p, ratio_bound=None), step, 1e-6)
     assert got.scored < 0.01 * got[3]
 
 
@@ -331,7 +336,7 @@ def test_branch_and_bound_equals_the_whole_row_scan(name, data):
     p = make(a, b)
     with mock.patch.object(_kernels, "LEAF", data.draw(st.sampled_from([1, 5, _kernels.LEAF]))):
         got = scan(p, step, excluded)
-    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, excluded)
+    assert got == scan(variant(p, ratio_bound=None), step, excluded)
 
 
 def _grids(draw):
@@ -380,7 +385,7 @@ def test_a_triangle_holding_b_takes_the_gap_of_b(step):
     for leaf in (_kernels.LEAF, 4):
         with mock.patch.object(_kernels, "LEAF", leaf):
             got = scan(p, step, 0.0)
-        assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 0.0)
+        assert got == scan(variant(p, ratio_bound=None), step, 0.0)
         assert got[2] == -0.5 and got[2] - got[1] < 1e-6 and got[0] > 0.5 + 1e-10
 
 
@@ -395,7 +400,7 @@ def test_a_triangle_holding_b_takes_the_two_step_gap_of_b(steps):
     step = 1 / (steps + 0.5)
     p = constant_mean(UNIT, [0.55])
     got = scan(p, step, 1.2 * step)
-    assert got == scan(dataclasses.replace(p, ratio_bound=None), step, 1.2 * step)
+    assert got == scan(variant(p, ratio_bound=None), step, 1.2 * step)
     assert got[2] == 1.0 and got[1] == (steps - 1) * step and got[0] > 0.29 / step
 
 
@@ -427,7 +432,7 @@ def test_equal_maxima_in_different_blocks_keep_the_first_pair(monkeypatch):
     p = _two_peaks(Interval(0.0, 4.0), {(0.5, 2.25), (3.0, 3.75)},
                    lambda xl, xh, yl, yh, gap: 1.5 + xh)
     want = (2.0, 0.5, 2.25, 17 * 16)
-    assert scan(p, 0.25, 1e-6) == scan(dataclasses.replace(p, ratio_bound=None), 0.25, 1e-6) == want
+    assert scan(p, 0.25, 1e-6) == scan(variant(p, ratio_bound=None), 0.25, 1e-6) == want
     assert full_square_scan(lambda X, Y: p.batch([X, Y]), 0.0, 4.0, 0.25, 1e-6) == want
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -12,7 +11,9 @@ from equimean.errors import CapacityError, HypothesisError, MembershipError, Sam
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
 from equimean.means import (
     LambdaConfig,
+    LambdaEstimate,
     QuasiMeanMap,
+    SolomonicSearch,
     WORK_CAP,
     _grid_points,
     arithmetic_mean,
@@ -42,6 +43,11 @@ from equimean.spaces import Box, Circle, FinitePoints, Interval, Product, coordi
 
 UNIT = Interval(0.0, 1.0)
 SYM = Interval(-1.0, 1.0)
+
+
+def variant(p, **changes):
+    """The map p with ``changes`` to its fields, built through its class."""
+    return QuasiMeanMap(**{**vars(p), **changes})
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +370,8 @@ def _skewed_batch_mean(space):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: dataclasses.replace(arithmetic_mean(UNIT, 2), symmetric=False),
-    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), symmetric=False),
+    lambda: variant(arithmetic_mean(UNIT, 2), symmetric=False),
+    lambda: variant(geometric_mean(Interval(1.0, 4.0)), symmetric=False),
     lambda: _skewed_batch_mean(UNIT),
 ])
 def test_lambda_batch_lane_does_not_depend_on_block_size(monkeypatch, make):
@@ -385,7 +391,7 @@ def test_lambda_batch_lane_agrees_with_kernel_lane(monkeypatch):
     # the upper-triangle path of a symmetric map equals the whole-row path
     monkeypatch.setattr(_kernels, "BLOCK_CELLS", 100)
     for p in (arithmetic_mean(UNIT, 2), geometric_mean(Interval(1.0, 4.0))):
-        rows = dataclasses.replace(p, symmetric=False)
+        rows = variant(p, symmetric=False)
         assert p.symmetric
         for step in (1e-2, 4e-3, 7e-3):
             cfg = LambdaConfig(grid_step=step)
@@ -416,9 +422,9 @@ def _double_loop_scan(p, step, excluded):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: dataclasses.replace(geometric_mean(Interval(1.0, 4.0)), batch=None),
-    lambda: dataclasses.replace(min_plus_halfsquare_mean(UNIT), batch=None, symmetric=True),
-    lambda: dataclasses.replace(_skewed_batch_mean(UNIT), batch=None),
+    lambda: variant(geometric_mean(Interval(1.0, 4.0)), batch=None),
+    lambda: variant(min_plus_halfsquare_mean(UNIT), batch=None, symmetric=True),
+    lambda: variant(_skewed_batch_mean(UNIT), batch=None),
     lambda: _skewed_batch_mean(UNIT),
     lambda: QuasiMeanMap(2, Interval(-1.0, 2.0), lambda pts: (max(pts[0][0], pts[1][0]) ** 2 / 4,),
                          "square-of-max"),
@@ -437,9 +443,22 @@ def test_lambda_scan_equals_python_double_loop(monkeypatch, make, step):
     want = _double_loop_scan(p, step, 1e-6)
     for leaf in (2, 5, _kernels.LEAF):
         monkeypatch.setattr(_kernels, "LEAF", leaf)
-        for q in (p, dataclasses.replace(p, ratio_bound=None)):
+        for q in (p, variant(p, ratio_bound=None)):
             est = estimate_lambda(q, LambdaConfig(grid_step=step))
             assert (est.lambda_hat, est.argmax_tuple, est.samples) == want
+
+
+@pytest.mark.parametrize("record, field", [
+    (LambdaEstimate(0.5, ((0.0,), (1.0,)), 10, 1e-6, route="a"), "samples"),
+    (SolomonicSearch(1.0, None, 0.5, 10, route="a"), "evaluations"),
+])
+def test_the_route_is_left_out_of_equality(record, field):
+    # the route is logged, never reported: records that differ only there
+    # are equal and hash alike, and any other field still counts
+    other = record._replace(route="b")
+    assert record == other and not record != other and hash(record) == hash(other)
+    assert record != record._replace(**{field: 11})
+    assert repr(other).endswith("route='b')")
 
 
 def _nan_on_half(space, n):
@@ -708,7 +727,7 @@ SEARCH_MAPS = {
     "arithmetic:3": lambda space: arithmetic_mean(space, 3),
     "dictator:0": lambda space: dictator_mean(space, 0),
     "constant": lambda space: constant_mean(space, coordinate_bounds(space)[0]),
-    "eval-only": lambda space: dataclasses.replace(arithmetic_mean(space, 3), batch=None),
+    "eval-only": lambda space: variant(arithmetic_mean(space, 3), batch=None),
     "nan-on-half": lambda space: _nan_on_half(space, 2),
 }
 # BLOCK_FLOATS 1 and 24 split the restarts into several blocks
@@ -757,7 +776,7 @@ def test_random_hill_lanes_agree(space, name, restarts, block_floats, seed):
     (lambda: arithmetic_mean(UNIT, 2), 5, 6, True),
     (lambda: geometric_mean(Interval(1.0, 4.0)), 37, 12, True),
     (lambda: arithmetic_mean(PRODUCT, 3), 37, 7, False),
-    (lambda: dataclasses.replace(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
+    (lambda: variant(arithmetic_mean(Box([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]), 4),
                                  batch=None), 5, 8, False),
     (lambda: _nan_on_half(Box([0.0, 0.0], [1.0, 1.0]), 2), 37, 9, False),
     (lambda: dictator_mean(PRODUCT, 1, 3), 1, 10, False),
