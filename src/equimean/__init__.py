@@ -9,8 +9,8 @@ from importlib import import_module
 # home module of each public name
 _EXPORTS = {
     "dyadics": (
-        "ChainDecomposition", "Dyadic", "chain_decompose", "grid_steps", "height",
-        "nearest_dyadic", "parse_dyadic", "validate_chain"
+        "ChainDecomposition", "Dyadic", "chain_decompose", "grid_steps", "nearest_dyadic",
+        "parse_dyadic", "validate_chain"
     ),
     "errors": (
         "CapacityError", "EquimeanError", "GroupConstructionError", "HypothesisError",
@@ -19,10 +19,9 @@ _EXPORTS = {
     "groups": (
         "ActionReport", "FiniteGroup", "GroupAction", "Subgroup", "action_from_json",
         "check_action", "coordinate_permutation_action", "cyclic", "dihedral",
-        "enumerate_subgroups", "full_subgroup", "is_fixed_by", "klein_four", "make_group",
-        "negation_action", "orbit", "plane_rotation_action", "reflection_action",
-        "rotation_action", "stabilizer", "subgroup_closure", "swap_axes_action", "symmetric",
-        "trivial_action", "trivial_subgroup"
+        "enumerate_subgroups", "full_subgroup", "klein_four", "negation_action", "orbit",
+        "plane_rotation_action", "reflection_action", "rotation_action", "stabilizer",
+        "subgroup_closure", "swap_axes_action", "symmetric", "trivial_action"
     ),
     "homotopy": (
         "ContractionBuilder", "GHomotopy", "HolderReport", "LevelBoundReport",

@@ -140,7 +140,7 @@ def _branch_and_bound(p, xs, excluded):
     # the differences that end on b
     near = min(map(sub, xs[1:-1], xs), default=math.inf)
     near_b = min(near, xs[-1] - xs[-2])
-    near2 = _two_step_gap(near)
+    near2 = 2.0 * near  # a lower bound of every two-step difference (module docstring)
     near2_b = min(near2, xs[-1] - xs[-3]) if m > 2 else math.inf
     heap, best, first, scored, bounded, leaves = [], -1.0, -1, 0, 0, 0
 
@@ -204,13 +204,6 @@ def _branch_and_bound(p, xs, excluded):
                     if ratio >= best and (ratio > best or row + j < first):
                         best, first = ratio, row + j
     return best, first, _live_pairs(xs, excluded, near_b), scored, (bounded, leaves)
-
-
-def _two_step_gap(near: float) -> float:
-    """2 near: a lower bound of every fl(x_{i+2} - x_i) of a grid whose
-    adjacent differences fl(x_{i+1} - x_i) are all at least near (module
-    docstring), in O(1) where the smallest two-step difference takes a pass."""
-    return 2.0 * near
 
 
 def _live_pairs(xs, excluded, near):

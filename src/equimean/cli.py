@@ -191,6 +191,10 @@ def run_verify_mean(cfg: dict, outdir: Path):
 def run_estimate_lambda(cfg: dict, outdir: Path):
     from .means import LambdaConfig, estimate_lambda
 
+    expected = cfg.get("expect_lambda")
+    if expected is not None and not expected[0] <= expected[1]:
+        raise ConfigError(f"config field expect_lambda must be a range [lo, hi] with lo <= hi, "
+                          f"got {expected!r}")
     space = _space(cfg, "estimate-lambda")
     mean = _mean(cfg, space, "estimate-lambda")
     lcfg = LambdaConfig(**_given(cfg, "grid_step", "excluded_diameter", "restarts", "seed"))
@@ -201,8 +205,8 @@ def run_estimate_lambda(cfg: dict, outdir: Path):
         writer.writerow(estimate.csv_row())
     results = {"mean": mean.label, "estimate": estimate.to_json()}
     passed = True
-    if "expect_lambda" in cfg:
-        lo, hi = cfg["expect_lambda"]
+    if expected is not None:
+        lo, hi = expected
         results["expected_range"] = [lo, hi]
         passed = lo <= estimate.lambda_hat <= hi
     path = (estimate.method, estimate.route, f"{estimate.samples} samples")
@@ -311,8 +315,10 @@ def run_deform_fixed(cfg: dict, outdir: Path):
 
     space = _space(cfg, "deform-fixed")
     action = _action(cfg, space, "deform-fixed")
-    members = cfg.get("subgroup")
-    H = full_subgroup(action.group) if members is None else Subgroup(action.group, tuple(members))
+    last = action.group.order - 1
+    ids = (_list_of(_integer_in(0, last)), f"a list of integers in 0..{last}", False)
+    members = _read_fields(_given(cfg, "subgroup"), {"subgroup": ids}, "config", "").get("subgroup")
+    H = full_subgroup(action.group) if members is None else Subgroup(action.group, members)
     mean = _mean(cfg, space, "deform-fixed")
     retraction = _retraction(cfg, space)
     extension = straight_line_extension(space, retraction)

@@ -60,23 +60,16 @@ class Dyadic:
     def __hash__(self) -> int:
         return hash((self.j, self.n))
 
-    def _cmp_key(self, other: "Dyadic") -> tuple[int, int]:
-        m = max(self.n, other.n)
-        return self.j << (m - self.n), other.j << (m - other.n)
-
+    # exact, j 2^n' against j' 2^n; Python answers > and >= by reflection
     def __lt__(self, other: "Dyadic") -> bool:
-        a, b = self._cmp_key(other)
-        return a < b
+        if not isinstance(other, Dyadic):
+            return NotImplemented
+        return self.j << other.n < other.j << self.n
 
     def __le__(self, other: "Dyadic") -> bool:
-        a, b = self._cmp_key(other)
-        return a <= b
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
+        if not isinstance(other, Dyadic):
+            return NotImplemented
+        return self.j << other.n <= other.j << self.n
 
     def step_up(self) -> "Dyadic":
         """The next grid point to the right on this point's own level."""
@@ -95,11 +88,6 @@ class Dyadic:
 
 ZERO = Dyadic(0, 0)
 ONE = Dyadic(1, 0)
-
-
-def height(x: Dyadic) -> int:
-    """Minimal level whose grid contains x; equals the canonical level."""
-    return x.n
 
 
 def parse_dyadic(text: str) -> Dyadic:
@@ -160,9 +148,6 @@ def _chains(s: Dyadic, t: Dyadic) -> tuple[list, list]:
         if s.n >= t.n:
             s1 = s.step_up()
             closer = grid_steps(s1, t)
-            if closer == 0:  # s1 == t
-                s_chain.append(t)
-                return s_chain, t_chain
             if closer >= steps:
                 raise RuntimeError(f"chain step from {s} to {s1} does not approach {t}")
             s, steps = s1, closer
@@ -170,9 +155,6 @@ def _chains(s: Dyadic, t: Dyadic) -> tuple[list, list]:
         else:
             t1 = t.step_down()
             closer = grid_steps(s, t1)
-            if closer == 0:  # t1 == s
-                t_chain.append(s)
-                return s_chain, t_chain
             if closer >= steps:
                 raise RuntimeError(f"chain step from {t} to {t1} does not approach {s}")
             t, steps = t1, closer

@@ -89,11 +89,6 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def make_group(cayley: Sequence[Sequence[int]], name: str = "group") -> FiniteGroup:
-    """Validate a Cayley table; raises naming the violated axiom's witness."""
-    return FiniteGroup(cayley, name=name)
-
-
 class Subgroup(NamedTuple("Subgroup", [("parent", FiniteGroup), ("members", tuple)])):
     """The subgroup of ``parent`` whose element ids are ``members``, which
     it holds sorted; raises GroupConstructionError unless they form one."""
@@ -131,10 +126,6 @@ class Subgroup(NamedTuple("Subgroup", [("parent", FiniteGroup), ("members", tupl
 
 def full_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(range(G.order)))
-
-
-def trivial_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, (0,))
 
 
 def subgroup_closure(G: FiniteGroup, generators: Iterable[int]) -> frozenset:
@@ -278,10 +269,6 @@ def fixed_defect(action: GroupAction, members: Iterable[int], x: Point) -> float
     fixed by them. A NaN distance makes the defect NaN."""
     sp = action.space
     return worst(((sp.d(action.act(h, x), x), h) for h in members), 0.0)[0]
-
-
-def is_fixed_by(action: GroupAction, H: Subgroup, x: Point, tol: float = POINT_TOL) -> bool:
-    return fixed_defect(action, H.members, x) <= tol
 
 
 def stabilizer(action: GroupAction, x: Point, tol: float = POINT_TOL) -> Subgroup:

@@ -959,7 +959,7 @@ def dictator_mean(space: MetricSpace, index: int = 0, arity: int = 2) -> QuasiMe
     return QuasiMeanMap(arity, space, func, f"dictator:{index}", batch=batch)
 
 
-def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
+def constant_mean(space: MetricSpace, point) -> QuasiMeanMap:
     pt = as_point(point)
     space.require_member(pt)
 
@@ -973,8 +973,7 @@ def constant_mean(space: MetricSpace, point, arity: int = 2) -> QuasiMeanMap:
 
     bound = lambda xl, xh, yl, yh, gap: max(pt[0] - xl, yh - pt[0]) / gap  # monotone
     label = "constant:" + ",".join(repr(c) for c in pt)
-    return QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=arity == 2,
-                        ratio_bound=bound if arity == 2 else None)
+    return QuasiMeanMap(2, space, func, label, batch=batch, symmetric=True, ratio_bound=bound)
 
 
 def min_plus_halfsquare_mean(space: Interval) -> QuasiMeanMap:

@@ -22,7 +22,7 @@ from operator import gt
 from typing import Iterable, Optional, Sequence
 
 from ._readers import (_coordinates, _list_of, _number, _numbers, _object, _positive,
-                       _read_fields, _read_kinded, _string, _within)
+                       _one_of, _read_fields, _read_kinded, _within)
 from .errors import MembershipError
 from .rng import Xoshiro256StarStar, as_rng
 
@@ -312,11 +312,12 @@ class Circle(MetricSpace):
     """
 
     kind = "circle"
+    metrics = ("euclidean", "geodesic")
 
     def __init__(self, radius: float = 1.0, metric: str = "euclidean"):
         if radius <= 0:
             raise ValueError("circle radius must be positive")
-        if metric not in ("euclidean", "geodesic"):
+        if metric not in self.metrics:
             raise ValueError(f"unknown circle metric {metric!r}")
         # the geodesic metric's dot and cross products reach radius^2
         if _square_overflows(2.0 * radius):
@@ -493,9 +494,12 @@ _PARAMS = {
     "box": {"lo": (_numbers, "a list of numbers", True),
             "hi": (_numbers, "a list of numbers", True)},
     "circle": {"radius": (_positive, "a positive number", False),
-               "metric": (_string, "a string", False)},
-    "finite_points": {"points": (_list_of(_numbers), "a list of lists of numbers", True)},
-    "product": {"spaces": (_list_of(_object), "a list of spaces", True)},
+               "metric": (_one_of(Circle.metrics), "one of " + ", ".join(Circle.metrics), False)},
+    "finite_points": {"points": (_within(_list_of(_list_of(_number, 1), 1),
+                                         lambda points: len(set(map(len, points))) == 1),
+                                 "a list of lists of numbers, one point or more, all of one "
+                                 "dimension", True)},
+    "product": {"spaces": (_list_of(_object, 1), "a list of spaces, one or more", True)},
 }
 # the kinds whose upper end is read against the lower: kind -> (upper, lower,
 # the test of the two, what the upper must be, given the lower's path)

@@ -958,6 +958,21 @@ def test_plot_rejects_malformed_csv(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("t,x0,error\r\n")
     assert main(["plot", str(empty), str(tmp_path / "y.svg")]) == 2
+    capsys.readouterr()
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("t,x0,error\r\n0.0,0.5,0.0\r\n1.0,0.5\r\n")
+    assert main(["plot", str(ragged), str(tmp_path / "z.svg")]) == 2
+    assert capsys.readouterr().err == "equimean: plot failed: ragged CSV row: ['1.0', '0.5']\n"
+
+
+def test_plot_skips_blank_lines_and_widens_flat_ranges(tmp_path):
+    # one row: its time and its value band are single numbers, which each
+    # axis widens to a unit range from them, so the point sits at the origin
+    single = tmp_path / "single.csv"
+    single.write_text("t,x0,error\r\n\r\n0.5,0.25,0.0\r\n\r\n")
+    assert main(["plot", str(single), str(tmp_path / "x.svg")]) == 0
+    svg = (tmp_path / "x.svg").read_text()
+    assert '<polyline points="40.000,360.000" ' in svg
 
 
 def test_verify_claim1_cli(tmp_path):
@@ -1113,7 +1128,7 @@ def test_deform_fixed_rejects_subgroup_id_outside_group(tmp_path, capsys):
     code, _ = run(tmp_path, "deform-fixed", cfg)
     assert code == 2
     err = capsys.readouterr().err
-    assert "subgroup element id 7 outside 0..1" in err
+    assert "config field subgroup must be a list of integers in 0..1, got [0, 7]" in err
     assert "unexpected error" not in err
 
 
@@ -1228,6 +1243,7 @@ AXIS_OUTSIDE = "axis must be an integer in 0..1, got {!r}"
 DEFORM_SPACE = "Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])"
 SYMMETRIZE_SPACE = "Interval(a=-1.0, b=1.0)"
 DYADIC_NEEDS = "dyadic base homotopy requires the field base_homotopy.{}"
+POINTS = "a list of lists of numbers, one point or more, all of one dimension"
 # (golden config, edit, what stderr must say): each edit is a config error,
 # which must exit 2 with a message naming its key
 MISCONFIGURED = {
@@ -1355,6 +1371,30 @@ MISCONFIGURED = {
     "space-product-factor-extra": ("random-lambda-product", lambda cfg: cfg["space"]["params"][
                                        "spaces"][1].update(extra=1),
                                    "box space has no field space.params.spaces[1].extra"),
+    # faults that only the library checked, read with their keys
+    "space-points-dimensions": ("deform", lambda cfg: cfg.update(space={
+                                    "kind": "finite_points",
+                                    "params": {"points": [[0.0], [1.0, 2.0]]}}),
+                                "finite_points space parameter space.params.points must be "
+                                f"{POINTS}, got [[0.0], [1.0, 2.0]]"),
+    "space-points-empty": ("deform", lambda cfg: cfg.update(space={
+                               "kind": "finite_points", "params": {"points": []}}),
+                           "finite_points space parameter space.params.points must be "
+                           f"{POINTS}, got []"),
+    "space-product-empty": ("random-lambda-product",
+                            lambda cfg: cfg["space"]["params"].update(spaces=[]),
+                            "product space parameter space.params.spaces must be a list of "
+                            "spaces, one or more, got []"),
+    "space-circle-metric-chord": ("deform", lambda cfg: cfg.update(space={
+                                      "kind": "circle", "params": {"metric": "chord"}}),
+                                  "circle space parameter space.params.metric must be one of "
+                                  "euclidean, geodesic, got 'chord'"),
+    "subgroup-outside": ("deform", lambda cfg: cfg.update(subgroup=[0, 5]),
+                         "config field subgroup must be a list of integers in 0..1, got [0, 5]"),
+    # no estimate lies in a reversed range
+    "expect_lambda-reversed": ("grid-geometric", lambda cfg: cfg.update(expect_lambda=[0.6, 0.4]),
+                               "config field expect_lambda must be a range [lo, hi] with "
+                               "lo <= hi, got [0.6, 0.4]"),
     **{f"mean-{name}": ("deform", lambda cfg, name=name: cfg.update(mean=name),
                         f"unknown mean name {name!r}; the names are arithmetic[:n]")
        for name in ("arithmetic:0", "arithmetic:1", "arithmetic:x", "dictator:x", "dictator:2")},

@@ -17,7 +17,6 @@ from equimean.dyadics import (
     Dyadic,
     chain_decompose,
     grid_steps,
-    height,
     nearest_dyadic,
     parse_dyadic,
     validate_chain,
@@ -32,15 +31,15 @@ def frac(d: Dyadic) -> Fraction:
 def test_canonical_form():
     d = Dyadic(4, 4)  # 4/16 -> 1/4
     assert (d.j, d.n) == (1, 2)
-    assert height(d) == 2
-    assert height(Dyadic(0, 5)) == 0
-    assert height(Dyadic(32, 5)) == 0  # 32/32 = 1
-    assert height(Dyadic(3, 3)) == 3
+    assert d.n == 2
+    assert Dyadic(0, 5).n == 0
+    assert Dyadic(32, 5).n == 0  # 32/32 = 1
+    assert Dyadic(3, 3).n == 3
     assert str(Dyadic(6, 4)) == "3/2^3"
 
 
 def test_height_endpoints():
-    assert height(ZERO) == 0 and height(ONE) == 0
+    assert ZERO.n == 0 and ONE.n == 0
     assert ZERO.value == 0.0 and ONE.value == 1.0
 
 
@@ -58,6 +57,23 @@ def test_ordering_exact():
     assert Dyadic(1, 1) <= Dyadic(2, 2)
     assert Dyadic(1, 1) == Dyadic(2, 2)
     assert Dyadic(3, 2) > Dyadic(5, 3)
+
+
+LEVEL_5 = sorted({Dyadic(j, n) for n in range(6) for j in range((1 << n) + 1)}, key=frac)
+
+
+def test_comparisons_agree_with_fractions_and_refuse_numbers():
+    # __lt__ and __le__ are exact, and > and >= are their reflections
+    for a in LEVEL_5:
+        for b in LEVEL_5:
+            fa, fb = frac(a), frac(b)
+            assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+    half = Dyadic(1, 1)
+    for number in (0, 0.5):
+        for compare in (lambda: half < number, lambda: half <= number, lambda: half > number,
+                        lambda: half >= number, lambda: number < half, lambda: number >= half):
+            with pytest.raises(TypeError):
+                compare()
 
 
 def test_parse_dyadic():

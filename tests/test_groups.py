@@ -9,6 +9,7 @@ from equimean.errors import CapacityError, GroupConstructionError, ToleranceErro
 from equimean import groups
 from equimean.groups import (
     CYCLIC_ORDER_CAP,
+    POINT_TOL,
     FiniteGroup,
     GroupAction,
     Subgroup,
@@ -20,9 +21,7 @@ from equimean.groups import (
     enumerate_subgroups,
     fixed_defect,
     full_subgroup,
-    is_fixed_by,
     klein_four,
-    make_group,
     negation_action,
     orbit,
     plane_rotation_action,
@@ -32,7 +31,6 @@ from equimean.groups import (
     swap_axes_action,
     symmetric,
     trivial_action,
-    trivial_subgroup,
 )
 from equimean.spaces import Box, Circle, Interval, Product
 
@@ -48,7 +46,7 @@ NONASSOCIATIVE_LOOP = [
 
 
 def test_make_group_examples():
-    z2 = make_group([[0, 1], [1, 0]])
+    z2 = FiniteGroup([[0, 1], [1, 0]])
     assert z2.order == 2 and z2.inv(1) == 1
     z4 = cyclic(4)
     assert z4.inv(2) == 2  # self-inverse element
@@ -57,21 +55,21 @@ def test_make_group_examples():
 
 def test_make_group_no_inverse():
     with pytest.raises(GroupConstructionError, match="no inverse for element 1"):
-        make_group([[0, 1], [1, 1]])
+        FiniteGroup([[0, 1], [1, 1]])
 
 
 def test_make_group_not_associative():
     with pytest.raises(GroupConstructionError, match=r"not associative at triple \(1, 1, 2\)"):
-        make_group(NONASSOCIATIVE_LOOP)
+        FiniteGroup(NONASSOCIATIVE_LOOP)
 
 
 def test_make_group_shape_and_identity_errors():
     with pytest.raises(GroupConstructionError, match="identity"):
-        make_group([[1, 0], [0, 1]])
+        FiniteGroup([[1, 0], [0, 1]])
     with pytest.raises(GroupConstructionError, match="not closed"):
-        make_group([[0, 1], [1, 2]])
+        FiniteGroup([[0, 1], [1, 2]])
     with pytest.raises(GroupConstructionError, match="length"):
-        make_group([[0, 1], [1]])
+        FiniteGroup([[0, 1], [1]])
 
 
 def _brute_force_subgroups(G: FiniteGroup) -> set:
@@ -114,6 +112,8 @@ def test_enumerate_subgroups_matches_brute_force(G, expected_count):
 def test_z4_subgroup_members():
     subs = enumerate_subgroups(cyclic(4))
     assert [s.members for s in subs] == [(0,), (0, 2), (0, 1, 2, 3)]
+    assert 0 in subs[1] and 2 in subs[1]
+    assert 1 not in subs[1] and 4 not in subs[1]
 
 
 def test_subgroup_validation():
@@ -122,7 +122,7 @@ def test_subgroup_validation():
         Subgroup(z4, (0, 1))  # not closed: 1+1=2 missing
     with pytest.raises(GroupConstructionError):
         Subgroup(z4, (1, 2))  # no identity
-    assert trivial_subgroup(z4).order == 1
+    assert Subgroup(z4, (0,)).order == 1
     assert full_subgroup(z4).order == 4
 
 
@@ -172,9 +172,9 @@ def test_is_fixed_by_examples():
     box = Box([-1, -1], [1, 1])
     act = reflection_action(box, axis=1)
     H = full_subgroup(act.group)
-    assert is_fixed_by(act, H, (0.3, 0.0))
-    assert not is_fixed_by(act, H, (0.3, 0.2), tol=1e-9)
-    assert is_fixed_by(act, trivial_subgroup(act.group), (0.3, 0.2))
+    assert fixed_defect(act, H.members, (0.3, 0.0)) <= POINT_TOL
+    assert not fixed_defect(act, H.members, (0.3, 0.2)) <= 1e-9
+    assert fixed_defect(act, Subgroup(act.group, (0,)).members, (0.3, 0.2)) <= POINT_TOL
 
 
 def test_fixed_defect_is_the_worst_displacement_and_nan_never_fixes():
@@ -186,7 +186,7 @@ def test_fixed_defect_is_the_worst_displacement_and_nan_never_fixes():
     # the NaN displacement is the second one, where max() would drop it
     blur = GroupAction(act.group, box, lambda g, x: x if g == 0 else (math.nan, x[1]))
     assert math.isnan(fixed_defect(blur, H.members, (0.3, 0.0)))
-    assert not is_fixed_by(blur, H, (0.3, 0.0))
+    assert not fixed_defect(blur, H.members, (0.3, 0.0)) <= POINT_TOL
 
 
 CUBE = Box([-1, -1, -1], [1, 1, 1])

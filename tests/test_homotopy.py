@@ -9,12 +9,12 @@ from equimean import homotopy
 from equimean.dyadics import Dyadic, nearest_dyadic
 from equimean.errors import CapacityError, HypothesisError, PrecisionError
 from equimean.groups import (
+    Subgroup,
     full_subgroup,
     negation_action,
     reflection_action,
     swap_axes_action,
     trivial_action,
-    trivial_subgroup,
 )
 from equimean.homotopy import (
     LEVEL_FLOATS_CAP,
@@ -866,7 +866,7 @@ def test_fixed_set_deformation_stationary_on_orbit_averages():
 def test_fixed_set_deformation_trivial_subgroup():
     box, act, retract, ext = _reflection_setup()
     gh = fixed_set_deformation(
-        act, trivial_subgroup(act.group), retract, None, ext, tol=1e-12
+        act, Subgroup(act.group, (0,)), retract, None, ext, tol=1e-12
     )
     assert gh((0.4, 0.7), 0.0) == (0.4, 0.7)
     assert gh((0.4, 0.7), 1.0) == (0.4, 0.0)

