@@ -528,5 +528,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry of ``python -m equimean.cli`` and the ``equimean``
+    script: ``main()``, then exit with its code. Every output is closed
+    when ``main`` returns, so the heap is frozen first: the interpreter's
+    collections at exit then skip the objects that the imports and the
+    run made. In-process callers call ``main`` and keep their collector as
+    it was."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

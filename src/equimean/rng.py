@@ -21,16 +21,19 @@ matrix T^K jumps a state K draws ahead (Haramoto, Matsumoto, Nishimura,
 Panneton & L'Ecuyer, "Efficient jump ahead for F2-linear random number
 generators", INFORMS J. Computing 20(3), 2008). The block path starts
 ceil(n / K) lanes K draws apart, lane i at draw iK, and steps them together
-as a few vectorised uint64 operations per draw; lane i then holds draws
-iK .. iK + K - 1. The jump matrices T^K, T^2K, T^4K, ... are built once per
-process by repeated squaring of T, and each is applied through tables of
-XORed columns, one table per 4 bits of the state. ``doubles`` is
+as a few vectorised uint64 operations per draw, step j writing row j of a
+(steps, lanes) array; one transposed copy then puts lane i's draws
+iK .. iK + K - 1 in place. The jump matrices are built once per process,
+and only those a block draw uses: T^K by stepping the 256 unit states K
+times on numpy lanes, then T^2K, T^4K, ... each as the square of the one
+before. Each is applied through tables of XORed columns, one table per 4
+bits of the state, gathered through one flat index. ``doubles`` is
 ``random()`` and ``randrange_accepts`` randrange's rejection test on such
 arrays.
 
 Substreams. ``substream_lanes(seeds)`` seeds one lane per seed, each as
 ``Xoshiro256StarStar(seed)`` seeds its state, and ``lane_draws`` steps the
-lanes together through the per-draw operations of ``u64_array``, so lane i
+lanes together through the step function of ``u64_array``, so lane i
 draws what that generator's ``next_u64`` calls would. Blackman & Vigna
 seed xoshiro's state from a 64-bit seed through splitmix64, as
 ``__init__`` does ("Scrambled linear pseudorandom number generators", ACM
@@ -114,12 +117,12 @@ class Xoshiro256StarStar:
             tables = _power_tables(LANE_SPACING.bit_length() - 1 + j)
             starts = np.concatenate([starts, _jump(starts, tables)])
         s = starts[:lanes].T.copy()  # row w is word s_w of every lane
-        out = np.empty((lanes, steps), dtype=np.uint64)
-        _step_lanes(s, out[:, :at + 1])
+        out = np.empty((steps, lanes), dtype=np.uint64)
+        _step(s, out[:at + 1])
         # the state after draw n: lane ``last`` after step ``at``
         self._s = [int(w) for w in s[:, last]]
-        _step_lanes(s, out[:, at + 1:])
-        return _scramble(out).reshape(-1)[:n]
+        _step(s, out[at + 1:])
+        return _scramble(out).T.reshape(-1)[:n]
 
     def random(self) -> float:
         """Uniform double in [0, 1)."""
@@ -129,9 +132,10 @@ class Xoshiro256StarStar:
         return lo + (hi - lo) * self.random()
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection on the top bits."""
-        if n <= 0:
-            raise ValueError("randrange bound must be positive")
+        """Uniform integer in [0, n) by rejection on the top bits, for n in
+        1 .. 2^64 - 1."""
+        if not 0 < n <= _MASK:
+            raise ValueError(f"randrange bound must lie in 1..2^64 - 1, got {n}")
         span = (_MASK // n) * n
         while True:
             u = self.next_u64()
@@ -142,30 +146,37 @@ class Xoshiro256StarStar:
         return seq[self.randrange(len(seq))]
 
 
-def _step_lanes(s, out) -> None:
+def _step(s, out) -> None:
     """next_u64's state update on every lane of ``s`` ((4, lanes) uint64,
-    row w word s_w of each lane), once per column of ``out`` ((lanes, k)
-    uint64), which keeps each step's s1; ``_scramble`` turns those into the
-    draws."""
+    row w word s_w of each lane), once per row of ``out`` ((steps, lanes)
+    C-contiguous uint64), whose row j keeps each lane's s1 before step j;
+    ``_scramble`` turns those into the draws."""
     import numpy as np
 
-    rot = np.empty(s.shape[1], dtype=np.uint64)
-    for j in range(out.shape[1]):
-        out[:, j] = s[1]
-        t = s[1] << 17
-        s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
-        s[:2] ^= s[:1:-1]  # s0 ^= s3, s1 ^= s2
-        s[2] ^= t
-        np.right_shift(s[3], 19, out=rot)
-        s[3] <<= 45
-        s[3] |= rot
+    t = np.empty(s.shape[1], dtype=np.uint64)
+    # views made once: rows are short, so each operation's fixed cost dominates
+    _, s1, s2, s3 = s
+    low, high, reverse = s[:2], s[2:], s[:1:-1]
+    for row in out:
+        row[:] = s1
+        np.left_shift(s1, 17, out=t)
+        high ^= low  # s2 ^= s0, s3 ^= s1
+        low ^= reverse  # s0 ^= s3, s1 ^= s2
+        s2 ^= t
+        np.right_shift(s3, 19, out=t)
+        s3 <<= 45
+        s3 |= t
 
 
 def _scramble(out):
-    """The output function rotl(s1 * 5, 7) * 9 on kept s1 values; uint64
-    arithmetic wraps as the scalar path masks."""
+    """The output function rotl(s1 * 5, 7) * 9 on kept s1 values, in place;
+    uint64 arithmetic wraps as the scalar path masks."""
     out *= 5
-    return ((out << 7) | (out >> 57)) * 9
+    high = out >> 57
+    out <<= 7
+    out |= high
+    out *= 9
+    return out
 
 
 def substream_lanes(seeds):
@@ -185,9 +196,9 @@ def lane_draws(s, k: int):
     place as those calls advance it."""
     import numpy as np
 
-    out = np.empty((s.shape[1], k), dtype=np.uint64)
-    _step_lanes(s, out)
-    return _scramble(out)
+    out = np.empty((k, s.shape[1]), dtype=np.uint64)
+    _step(s, out)
+    return _scramble(out).T
 
 
 def doubles(u):
@@ -232,32 +243,33 @@ def _columns(tables):
 
 def _jump(states, tables):
     """M applied to each row of ``states`` ((m, 4) uint64), for the matrix
-    M of ``tables``: the XOR over a state's 64 nibbles of their entries."""
+    M of ``tables``: the XOR over a state's 64 nibbles of their entries,
+    gathered from the flat (1024, 4) table at nibble + 16 * position."""
     import numpy as np
 
     octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
     nibbles = np.stack([octets & 15, octets >> 4], axis=-1).reshape(len(states), 64)
-    return np.bitwise_xor.reduce(tables[np.arange(64), nibbles], axis=1)
+    index = nibbles + np.arange(0, 1024, 16)
+    return np.bitwise_xor.reduce(tables.reshape(1024, 4).take(index, axis=0), axis=1)
 
 
 @cache
 def _power_tables(k: int):
-    """The nibble tables of T^(2^k), for the one-draw transition T; each is
-    the square of the one before."""
+    """The nibble tables of T^(2^k), for the one-draw transition T: up to
+    T^LANE_SPACING, the 256 unit states stepped 2^k times; above it, the
+    square of the level below. A block draw's shortest jump is
+    LANE_SPACING draws, so it builds no level below that one."""
     import numpy as np
 
-    if k > 0:
+    if (1 << k) > LANE_SPACING:
         half = _power_tables(k - 1)
         return _nibble_tables(_jump(_columns(half), half))
-    unit = Xoshiro256StarStar(0)
-    columns = []
-    for i in range(256):
-        state = [0, 0, 0, 0]
-        state[i // 64] = 1 << (i % 64)
-        unit.setstate(state)
-        unit.next_u64()
-        columns.append(unit.getstate())
-    return _nibble_tables(np.array(columns, dtype=np.uint64))
+    # lane 64w + i is the state whose only set bit is bit i of word w
+    units = np.zeros((4, 256), dtype=np.uint64)
+    for w in range(4):
+        units[w, 64 * w:64 * w + 64] = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    _step(units, np.empty((1 << k, 256), dtype=np.uint64))
+    return _nibble_tables(units.T)
 
 
 def as_rng(seed_or_rng: "int | Xoshiro256StarStar") -> Xoshiro256StarStar:

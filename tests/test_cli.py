@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import logging
 import math
@@ -1226,17 +1227,58 @@ GOLDEN_EXITS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_EXITS))
-def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
+def golden_argv(name, outdir):
     config = GOLDEN / f"{name}.json"
     experiment = json.loads(config.read_text())["experiment"]
-    code = main([experiment, "--config", str(config), "--out", str(tmp_path)])
-    assert code == GOLDEN_EXITS[name]
+    return [experiment, "--config", str(config), "--out", str(outdir)]
+
+
+def assert_recorded_bytes(name, outdir):
     recorded = sorted(GOLDEN.glob(f"{name}.*.*"))
     assert GOLDEN / f"{name}.report.json" in recorded
     for path in recorded:
-        output = tmp_path / path.name[len(name) + 1:]
+        output = outdir / path.name[len(name) + 1:]
         assert output.read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EXITS))
+def test_outputs_match_their_recorded_bytes(tmp_path, capsys, name):
+    assert main(golden_argv(name, tmp_path)) == GOLDEN_EXITS[name]
+    assert_recorded_bytes(name, tmp_path)
+
+
+# two runs that write a CSV besides report.json, and one that exits 1
+@pytest.mark.parametrize("name", ["grid-minsq", "random-lambda", "trajectory-understated"])
+def test_the_process_entry_exits_with_main_s_code_and_writes_the_recorded_bytes(tmp_path, name):
+    child = run_child("-m", "equimean.cli", *golden_argv(name, tmp_path))
+    assert child.returncode == GOLDEN_EXITS[name], child.stderr
+    assert_recorded_bytes(name, tmp_path)
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    frozen = gc.get_freeze_count()
+    assert main(golden_argv("laws", tmp_path)) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_the_process_entry_freezes_the_heap_after_main(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["equimean", "chain", "1/8", "3/4", "--out", str(tmp_path)])
+    frozen = gc.get_freeze_count()
+    try:
+        with pytest.raises(SystemExit) as exit_:
+            cli.run()
+        assert exit_.value.code == 0
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert read_report(tmp_path)["passed"] is True
+
+
+def test_the_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"equimean": "equimean.cli:run"}
 
 
 AXIS_OUTSIDE = "axis must be an integer in 0..1, got {!r}"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimean.rng import (LANE_SPACING, Xoshiro256StarStar, lane_draws, randrange_accepts,
-                          substream_lanes)
+from equimean.rng import (LANE_SPACING, Xoshiro256StarStar, _columns, _power_tables, lane_draws,
+                          randrange_accepts, substream_lanes)
 
 MASK = (1 << 64) - 1
 K = LANE_SPACING
@@ -71,3 +71,46 @@ def test_substream_lanes_draw_each_seed_s_stream(lanes):
         assert got.dtype == np.uint64 and got.shape == (lanes, k)
         assert got.tolist() == [[g.next_u64() for _ in range(k)] for g in scalars]
         assert [tuple(col) for col in s.T.tolist()] == [g.getstate() for g in scalars]
+
+
+@pytest.mark.parametrize("k", [LANE_SPACING.bit_length() - 1, LANE_SPACING.bit_length()])
+def test_jump_tables_step_each_unit_state_2_to_the_k_times(k):
+    # the base level, stepped on numpy lanes, and the first level squared
+    # from it, against next_u64 on each of the 256 unit states
+    unit, columns = Xoshiro256StarStar(0), []
+    for i in range(256):
+        state = [0, 0, 0, 0]
+        state[i // 64] = 1 << (i % 64)
+        unit.setstate(state)
+        for _ in range(1 << k):
+            unit.next_u64()
+        columns.append(unit.getstate())
+    assert [tuple(c) for c in _columns(_power_tables(k)).tolist()] == columns
+
+
+def test_a_block_draw_builds_only_the_levels_its_lanes_jump():
+    # 16,384 draws start 256 lanes 64 draws apart: T^64 .. T^(2^13)
+    _power_tables.cache_clear()
+    Xoshiro256StarStar(1).u64_array(1 << 14)
+    assert _power_tables.cache_info().currsize == 8
+
+
+class Undrawn(Xoshiro256StarStar):
+    """A generator that fails the test on any draw."""
+
+    __slots__ = ()
+
+    def next_u64(self):
+        raise AssertionError("drew before checking the bound")
+
+
+@pytest.mark.parametrize("n", [0, -1, 1 << 64, (1 << 64) + 5])
+def test_randrange_refuses_a_bound_outside_1_to_2_to_the_64_minus_1(n):
+    # (MASK // n) * n is 0 above MASK, so no draw would ever be accepted
+    with pytest.raises(ValueError, match=rf"randrange bound must lie in 1..2\^64 - 1, got {n}"):
+        Undrawn(1).randrange(n)
+
+
+def test_randrange_takes_the_largest_bound():
+    r, scalar = Xoshiro256StarStar(3), Xoshiro256StarStar(3)
+    assert r.randrange(MASK) == scalar.next_u64() % MASK
