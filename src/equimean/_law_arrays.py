@@ -1,9 +1,9 @@
-"""The array lane of ``means.check_laws``: the laws of verify-mean and of
+"""The array lane of ``laws.check_laws``: the laws of verify-mean and of
 the mean-law gates scored on numpy arrays, with the reports of the scalar
 ``check_*`` loop, drawing and scoring their samples a block at a time.
 
-``means.check_laws`` imports this module only for a map with a batch form
-and a run that plans at least ``means.LAW_BLOCK_EVALS`` evaluations, so
+``laws.check_laws`` imports this module only for a map with a batch form
+and a run that plans at least ``laws.LAW_BLOCK_EVALS`` evaluations, so
 the CLI's start-up neither loads numpy nor compiles this code.
 """
 
@@ -15,8 +15,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .means import (BLOCK_FLOATS, QuasiMeanMap, _betweenness_report, _diameters, _farthest,
-                    _permutations_to_check, _report, _require_same_space)
+from .laws import (BLOCK_FLOATS, _betweenness_report, _diameters, _farthest,
+                   _permutations_to_check, _report, _require_same_space)
+from .means import QuasiMeanMap
 from .rng import Xoshiro256StarStar, as_rng, doubles, randrange_accepts
 from .spaces import MetricSpace, coordinate_bounds, worst_of_blocks
 

@@ -1,9 +1,13 @@
 """Config readers. A reader takes a value parsed from JSON and returns it,
 or raises TypeError or ValueError; ``_read_fields`` reads a config object,
-the config itself or one that it holds, over a table of its keys.
+the config itself or one that it holds, over a table of its keys. The
+CLI's runners share the helpers at the end, which read a run's config
+fields and build its space, mean and action.
 """
 
 import math
+
+from .errors import ConfigError
 
 
 def _within(read, test):
@@ -113,3 +117,40 @@ def _read_kinded(obj: dict, key: str, kinds: dict, what: str, path: str, default
     fields, build = kinds[kind]
     rest = {k: v for k, v in obj.items() if k != key}
     return build, _read_fields(rest, fields, f"{kind} {what}", path)
+
+
+def _need(cfg: dict, key: str, experiment: str):
+    if key not in cfg:
+        raise ConfigError(f"{experiment} requires the config field {key!r}")
+    return cfg[key]
+
+
+def _space(cfg: dict, experiment: str):
+    from .spaces import space_from_json
+
+    return space_from_json(_need(cfg, "space", experiment))
+
+
+def _mean(cfg: dict, space, experiment: str):
+    from .means import mean_from_name
+
+    return mean_from_name(_need(cfg, "mean", experiment), space)
+
+
+def _action(cfg: dict, space, experiment: str):
+    from .groups import action_from_json
+
+    return action_from_json(_need(cfg, "action", experiment), space)
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The config's values for those of ``keys`` it sets; the library's
+    defaults fill in the rest."""
+    return {k: cfg[k] for k in keys if k in cfg}
+
+
+def _point_of(space, required: bool = False) -> tuple:
+    """The field of a point of ``space``: (reader, what it reads, required)."""
+    from .spaces import _point
+
+    return _within(_point, space.contains), f"a point of {space!r}", required

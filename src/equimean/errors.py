@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(Exception):
+    """Anything that makes the run unusable before checks start."""
+
+
 class EquimeanError(Exception):
     """Base class for all package-specific errors."""
 

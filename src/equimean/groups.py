@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import CapacityError, GroupConstructionError, ToleranceError
 from .rng import Xoshiro256StarStar, as_rng
-from ._readers import _integer, _integer_in, _list_of, _read_kinded
+from ._readers import _integer, _integer_in, _list_of, _read_kinded, _within
 from .spaces import Circle, MetricSpace, Point, worst
 
 POINT_TOL = 1e-9
@@ -452,8 +452,10 @@ def swap_axes_action(space: MetricSpace) -> GroupAction:
 
 def action_from_json(obj: dict, space: MetricSpace) -> GroupAction:
     """The action that ``obj`` describes on ``space``: a missing, unknown or
-    ill-typed field, or an axis or an order out of range, raises ValueError
-    naming the action and the field as ``action.<key>``."""
+    ill-typed field, an axis or an order out of range, perms that are not
+    permutations of one 0..n - 1 led by the identity, and a rotation of a
+    space that is no circle raise ValueError naming the field as
+    ``action.<key>``."""
     axis = (_integer_in(0, space.dim - 1), f"an integer in 0..{space.dim - 1}", True)
     order = (_integer_in(1, CYCLIC_ORDER_CAP), f"an integer in 1..{CYCLIC_ORDER_CAP}", True)
     # each action's fields and builder, by name: the builder takes the space
@@ -464,10 +466,23 @@ def action_from_json(obj: dict, space: MetricSpace) -> GroupAction:
         "reflection": ({"axis": axis}, reflection_action),
         "rotation": ({"n": order}, rotation_action),
         "plane_rotation": ({"n": order}, plane_rotation_action),
-        "coordinate_permutation": ({"perms": (_list_of(_list_of(_integer)),
-                                              "a list of lists of integers", True)},
+        "coordinate_permutation": ({"perms": (_within(_list_of(_list_of(_integer), 1),
+                                                      _from_identity),
+                                              "a list of permutations of 0..n - 1, the "
+                                              "identity first", True)},
                                    coordinate_permutation_action),
         "swap_axes": ({}, swap_axes_action),
     }
     build, args = _read_kinded(obj, "name", actions, "action", "action")
+    if build is rotation_action and not isinstance(space, Circle):
+        raise ValueError(f"action name 'rotation' at action.name needs a circle space, "
+                         f"got {space!r}")
     return build(space, **args)
+
+
+def _from_identity(perms: list) -> bool:
+    """Whether a nonempty list of lists of integers holds permutations of one
+    0..n - 1, the identity first, as ``coordinate_permutation_action`` takes
+    them."""
+    identity = list(range(len(perms[0])))
+    return perms[0] == identity and all(sorted(p) == identity for p in perms)

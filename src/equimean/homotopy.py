@@ -30,10 +30,9 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .dyadics import Dyadic, nearest_dyadic
 from .errors import CapacityError, HypothesisError, PrecisionError
-from .means import (
+from .laws import (
     LAW_BLOCK_EVALS,
     LawReport,
-    QuasiMeanMap,
     check_contractivity,
     check_laws,
     law_report,
@@ -42,6 +41,7 @@ from .means import (
     require_work,
     sample_tuples,
 )
+from .means import QuasiMeanMap
 from .rng import as_rng, randrange_accepts
 from .spaces import MetricSpace, Point, as_point, is_convex, worst, worst_array, worst_of_blocks
 

@@ -1,66 +1,39 @@
-"""Quasi-mean maps on metric spaces: laws, estimation and constructions.
+"""Quasi-mean maps on metric spaces, and the estimate of their
+contractivity constant.
 
 A quasi-mean is an n-ary map X^n -> X that returns the common value on
-constant tuples (unanimity). The checkers here measure, on sampled
-inputs, how far a candidate map is from unanimity, anonymity
-(permutation invariance), equivariance under a group action, and strict
-betweenness (output strictly closer to every argument than the tuple
-diameter). ``estimate_lambda`` estimates the contractivity constant
+constant tuples (unanimity). ``QuasiMeanMap`` holds such a map with its
+optional array form; the built-ins are registered by name for the CLI:
+``arithmetic:n``, ``geometric``, ``dictator:i``, ``constant:coords``,
+``minsq``. ``derive_divisor_mean`` and ``collapse_to_quasi_mean`` build
+maps of lower arity from a map. ``estimate_lambda`` estimates the
+contractivity constant
 
     max_i d(x_i, p(x)) <= lambda * max_{j,k} d(x_j, x_k)
 
 as a maximum of the observed ratio over a dense grid (binary means on an
-interval) or over seeded random tuples refined by hill climbing. The
-estimate is a lower bound witness, not a certified supremum; the argmax
-tuple is reported so the claim can be replayed.
+interval, scanned by ``_kernels``) or over seeded random tuples refined by
+hill climbing (``search``). The estimate is a lower bound witness, not a
+certified supremum; the argmax tuple is reported so the claim can be
+replayed.
 
-Built-ins are registered by name for the CLI: ``arithmetic:n``,
-``geometric``, ``dictator:i``, ``constant:coords``, ``minsq``.
+The law checks and gates are in ``laws``, and the restart searches in
+``search``, so a grid scan compiles neither.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
-from .errors import CapacityError, HypothesisError, SamplingError
-from .rng import Xoshiro256StarStar, as_rng, doubles, lane_draws, substream_lanes
-from .spaces import (Interval, MetricSpace, Point, as_point, coordinate_bounds, diameter,
-                     is_convex, worst)
+from .errors import CapacityError, SamplingError
+from .spaces import Interval, MetricSpace, Point, as_point, coordinate_bounds, is_convex
 
-if TYPE_CHECKING:
-    from .groups import GroupAction, Subgroup
-
-DEFAULT_TOL = 1e-9
 EXCLUDED_DIAMETER = 1e-6
 # the work a run may plan before its first draw: the ordered pairs of a dense
 # lambda grid (step 1e-4 on [0, 1] is about 10^8), or the mean evaluations of
 # check_laws, random+hill or the solomonic search. The cap keeps a run to seconds
 WORK_CAP = 10**9
-# planned check_laws evaluations from which a map with a batch form is
-# scored on arrays (``_law_arrays``). Below it the scalar loop, at 2-4 us an
-# evaluation, costs less than numpy's import and the first jump table
-# (about 0.1 s)
-LAW_BLOCK_EVALS = 1 << 15
-# the planned evaluations (the solomonic budget, or restarts x (HILL_STEPS + 1)
-# of random+hill) from which, on a space with coordinate bounds, blocks of
-# restarts climb in lockstep on arrays. Fresh processes break even near it,
-# for arithmetic:3 on a 2-D box (2-vCPU VM): the solomonic search took 0.26 s
-# either way at 6,000 (median of 15), the scalar loop 0.18 s against 0.25 s at
-# 3,000 and 0.40 s against 0.32 s at 8,000; random+hill's scalar loop took
-# 0.25 s against 0.27 s at 3,050 and 0.34 s against 0.25 s at 6,100 (median
-# of 9). Below it numpy's import costs more than it saves
-SEARCH_BLOCK_BUDGET = 6000
-# the seed of the points on which quasi_mean checks a new map's unanimity
-UNANIMITY_SEED = 7
-# perturbations per random+hill restart
-HILL_STEPS = 60
-# floats one numpy block holds: a check_laws block (``_law_arrays``) as many
-# samples as fit with their rows, a lockstep block of a restart search
-# (random+hill or solomonic) as many restarts as fit, each at least one; a
-# restart counts the coordinates of its tuple, or of its tuple's point pairs
-# from arity 4 on, which outnumber them and size a diameter's arrays
-BLOCK_FLOATS = 1 << 17
 
 
 class QuasiMeanMap:
@@ -113,315 +86,6 @@ class QuasiMeanMap:
         rows = zip(*(arr.reshape(-1, arr.shape[-1]).tolist() for arr in arrays))
         out = np.array([self.eval([tuple(pt) for pt in row]) for row in rows], dtype=np.float64)
         return out.reshape(lead + (-1,))
-
-
-def quasi_mean(arity: int, space: MetricSpace, func: Callable, label: str,
-               batch: Optional[Callable] = None, symmetric: bool = False) -> QuasiMeanMap:
-    """Wrap a point map; raises HypothesisError when it fails unanimity on
-    8 points drawn from UNANIMITY_SEED."""
-    if arity < 2:
-        raise ValueError("arity must be >= 2")
-    p = QuasiMeanMap(arity, space, func, label, batch=batch, symmetric=symmetric)
-    require(f"{label} unanimity", check_unanimity(p, space.sample(UNANIMITY_SEED, 8)))
-    return p
-
-
-# ---------------------------------------------------------------------------
-# law reports
-
-
-class LawReport(NamedTuple):
-    law: str
-    samples_checked: int
-    max_violation: float
-    tol: float
-    witness: Optional[tuple] = None
-    strict: bool = False
-
-    @property
-    def passed(self) -> bool:
-        if self.strict:
-            return self.max_violation < self.tol
-        return self.max_violation <= self.tol
-
-    def to_json(self) -> dict:
-        fields = self._asdict()
-        del fields["strict"]
-        witness = None if self.witness is None else [list(p) for p in self.witness]
-        return {**fields, "witness": witness, "passed": self.passed}
-
-
-def sample_tuples(space: MetricSpace, arity: int, seed_or_rng, count: int) -> list[tuple]:
-    rng = as_rng(seed_or_rng)
-    return [tuple(space.sample(rng, arity)) for _ in range(count)]
-
-
-def law_report(law: str, scored, tol: float) -> LawReport:
-    """The report on a law's (defect, witness) pairs, scored by
-    ``spaces.worst``: their count, the worst defect and, when the law
-    fails, its witness. A NaN defect wins, so the law fails there."""
-    return _report(law, *worst(scored), tol)
-
-
-def _report(law: str, top: float, witness, checked: int, tol: float,
-            strict: bool = False) -> LawReport:
-    """The report on a law whose worst defect, its witness and the count of
-    scored defects are given. A strict law reports the worst defect as it
-    is; any other law floors it at 0.0."""
-    report = LawReport(law, checked, top if strict else max(top, 0.0), tol, strict=strict)
-    return report if report.passed else report._replace(witness=witness)
-
-
-def require(what: str, report: LawReport) -> float:
-    """The gate on a sampled check: raises HypothesisError naming ``what``,
-    the defect, the tolerance and the witness when the report failed, and
-    returns the defect when it passed."""
-    if not report.passed:
-        raise HypothesisError(
-            f"{what} defect {report.max_violation:.3g} exceeds tol {report.tol:.3g} "
-            f"at witness {report.witness}"
-        )
-    return report.max_violation
-
-
-def check_unanimity(p: QuasiMeanMap, samples: Sequence, tol: float = DEFAULT_TOL) -> LawReport:
-    """Defect of p(x, ..., x) = x over sample points."""
-
-    def scored():
-        for x in samples:
-            x = as_point(x)
-            yield p.space.d(p.eval([x] * p.arity), x), (x,)
-
-    return law_report("M1", scored(), tol)
-
-
-def _permutations_to_check(n: int, rng: Xoshiro256StarStar) -> list[tuple]:
-    import itertools
-
-    if n <= 5:
-        return list(itertools.permutations(range(n)))
-    # transpositions generate the symmetric group; n^2 random ones per sample
-    perms = []
-    for _ in range(n * n):
-        i = rng.randrange(n)
-        j = rng.randrange(n - 1)
-        if j >= i:
-            j += 1
-        sigma = list(range(n))
-        sigma[i], sigma[j] = sigma[j], sigma[i]
-        perms.append(tuple(sigma))
-    return perms
-
-
-def check_anonymity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float = DEFAULT_TOL,
-                    seed_or_rng=11) -> LawReport:
-    """Defect of permutation invariance; all n! orders for n <= 5, else
-    n^2 random transpositions per sample."""
-    rng = as_rng(seed_or_rng)
-
-    def scored():
-        for tup in tuples:
-            base = p.eval(list(tup))
-            for sigma in _permutations_to_check(p.arity, rng):
-                yield p.space.d(p.eval([tup[i] for i in sigma]), base), tup
-
-    return law_report("M2", scored(), tol)
-
-
-def check_equivariance(p: QuasiMeanMap, action: GroupAction, tuples: Sequence[tuple],
-                       tol: float = DEFAULT_TOL, subgroup: Optional[Subgroup] = None) -> LawReport:
-    """Defect of p(g x_1, ..., g x_n) = g p(x_1, ..., x_n) over samples
-    and all elements of the (sub)group. A map that pushes points out of
-    the space is not an action on it; that surfaces as a membership
-    error here."""
-    _require_same_space(p, action)
-    elements = subgroup.members if subgroup is not None else tuple(action.group.elements())
-
-    def scored():
-        for tup in tuples:
-            base = p.eval(list(tup))
-            for g in elements:
-                translated = [action.act(g, x) for x in tup]
-                for gx in translated:
-                    p.space.require_member(gx)
-                yield p.space.d(p.eval(translated), action.act(g, base)), tup
-
-    return law_report("equivariance", scored(), tol)
-
-
-def _require_same_space(p: QuasiMeanMap, action: GroupAction) -> None:
-    if action.space is not p.space and action.space.to_json() != p.space.to_json():
-        raise ValueError("action and mean must live on the same space")
-
-
-def check_strict_betweenness(p: QuasiMeanMap, tuples: Sequence[tuple]) -> LawReport:
-    """Checks max_i d(x_i, p(x)) < diameter on every positive-diameter
-    sample; the report's violation is the worst signed margin, and the
-    law passes when it is below 0. Raises SamplingError when no sample has
-    a positive diameter."""
-
-    def scored():
-        for tup in tuples:
-            diam = diameter(p.space, tup)
-            if diam <= 0.0:
-                continue
-            out = p.eval(list(tup))
-            yield max(p.space.d(x, out) for x in tup) - diam, tup
-
-    return _betweenness_report(*worst(scored()))
-
-
-def _betweenness_report(top: float, witness, checked: int) -> LawReport:
-    if checked == 0:
-        raise SamplingError("strict betweenness scored no sample: every sampled tuple "
-                            "has diameter 0")
-    return _report("strict-betweenness", top, witness, checked, 0.0, strict=True)
-
-
-def contractivity_ratio(p: QuasiMeanMap, tup: Sequence[Point]) -> Optional[float]:
-    """max_i d(x_i, p(x)) / diameter, or None on a degenerate tuple."""
-    diam = diameter(p.space, tup)
-    if diam <= 0.0:
-        return None
-    return _ratio(p, tup, diam)
-
-
-def _ratio(p: QuasiMeanMap, tup: Sequence[Point], diam: float) -> float:
-    out = p.eval(list(tup))
-    return max(p.space.d(x, out) for x in tup) / diam
-
-
-def check_contractivity(p: QuasiMeanMap, tuples: Sequence[tuple], tol: float) -> LawReport:
-    """The worst contractivity ratio over the non-degenerate samples, which
-    passes when it is at most tol (a declared lambda plus its slack)."""
-    ratios = ((contractivity_ratio(p, tup), tup) for tup in tuples)
-    return law_report("contractivity", ((r, tup) for r, tup in ratios if r is not None), tol)
-
-
-def require_mean_laws(p: QuasiMeanMap, action: GroupAction, tol: float,
-                      subgroup: Optional[Subgroup], seed: int, samples: int) -> None:
-    """Sample-check through ``check_laws`` that p is anonymous, then that it
-    is equivariant under the subgroup (the whole group when None), each on
-    the ``samples`` tuples drawn from ``seed``; raises HypothesisError
-    naming the first failed law, its defect and witness. The planned
-    evaluations of both (``law_evals``) are checked against WORK_CAP before
-    the first draw."""
-    planned = law_evals(p, ["M2", "equivariance"], samples, action, subgroup)
-    require_work(f"the law gate of {p.label} (M2, equivariance on {samples} samples)", planned)
-    for law, what in (("M2", "anonymity"), ("equivariance", "equivariance")):
-        require(what, check_laws(p, [law], seed, samples, tol, action, subgroup)[law])
-
-
-# ---------------------------------------------------------------------------
-# the law checks of a verify-mean run
-
-
-def law_evals(p: QuasiMeanMap, laws: Sequence[str], count: int,
-              action: Optional[GroupAction] = None, subgroup: Optional[Subgroup] = None) -> int:
-    """The mean evaluations that ``check_laws`` plans for ``laws`` on
-    ``count`` samples: one a sample for M1, the order of the subgroup (the
-    action's whole group when None) for equivariance, for M2 the
-    permutations a sample checks (n! for arity n <= 5, else n^2) times the
-    arity n, which each permuted evaluation reads, and for strict
-    betweenness one plus the n(n-1)/2 pair distances of the sample's
-    diameter, each counted as an evaluation."""
-    n = p.arity
-    group = subgroup if subgroup is not None else action.group if action is not None else None
-    per_sample = {
-        "M1": 1,
-        "M2": (math.factorial(n) if n <= 5 else n * n) * n,
-        "equivariance": group.order if group is not None else 0,
-        "strict-betweenness": 1 + n * (n - 1) // 2,
-    }
-    return count * sum(per_sample[law] for law in laws)
-
-
-def require_work(what: str, planned: int) -> None:
-    """Raises CapacityError naming ``what`` when its planned work exceeds
-    WORK_CAP."""
-    if planned > WORK_CAP:
-        raise CapacityError(f"{what} plans {planned} mean evaluations, over the cap {WORK_CAP}")
-
-
-def check_laws(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int,
-               tol: float = DEFAULT_TOL, action: Optional[GroupAction] = None,
-               subgroup: Optional[Subgroup] = None) -> dict:
-    """The reports of a verify-mean run or a law gate, by law in the order
-    of ``laws`` (M1, M2, equivariance under ``action``'s ``subgroup`` or
-    whole group, strict-betweenness), on ``count`` samples: M1 on
-    ``space.sample(seed, count)``, the other laws on ``sample_tuples(space,
-    arity, seed, count)``, and M2's transpositions from another generator
-    seeded with ``seed``.
-
-    Its planned evaluations (``law_evals``) are checked against WORK_CAP
-    before the first draw. From LAW_BLOCK_EVALS on, a map with a batch form
-    is scored on arrays, a block of samples at a time; the reports equal the
-    scalar ``check_*`` loop's, which runs below it and loads no numpy."""
-    if "equivariance" in laws and action is None:
-        raise ValueError("the equivariance law needs a group action")
-    planned = law_evals(p, laws, count, action, subgroup)
-    require_work(f"verify-mean of {p.label} ({', '.join(laws)} on {count} samples)", planned)
-    if p.batch is not None and planned >= LAW_BLOCK_EVALS:
-        from . import _law_arrays
-
-        return _law_arrays.check_laws_array(p, laws, seed, count, tol, action, subgroup)
-    return _check_laws_scalar(p, laws, seed, count, tol, action, subgroup)
-
-
-def _check_laws_scalar(p: QuasiMeanMap, laws: Sequence[str], seed: int, count: int, tol: float,
-                       action: Optional[GroupAction], subgroup: Optional[Subgroup] = None) -> dict:
-    # every law but M1 checks the same tuples
-    tuples = sample_tuples(p.space, p.arity, seed, count) if set(laws) - {"M1"} else []
-    checks = {
-        "M1": lambda: check_unanimity(p, p.space.sample(seed, count), tol),
-        "M2": lambda: check_anonymity(p, tuples, tol, seed),
-        "equivariance": lambda: check_equivariance(p, action, tuples, tol, subgroup),
-        "strict-betweenness": lambda: check_strict_betweenness(p, tuples),
-    }
-    return {law: checks[law]() for law in laws}
-
-
-def _distances(space: MetricSpace, A, B):
-    """``d_batch`` over the leading axes of two arrays of points."""
-    dim = A.shape[-1]
-    return space.d_batch(A.reshape(-1, dim), B.reshape(-1, dim)).reshape(A.shape[:-1])
-
-
-def _diameters(space: MetricSpace, tups):
-    """``diameter`` of each tuple of an (m, n, dim) array: the max of its
-    pair distances from 0.0, which skips a NaN distance."""
-    import numpy as np
-
-    left, right = np.triu_indices(tups.shape[1], 1)
-    return np.fmax.reduce(_distances(space, tups[:, left], tups[:, right]), axis=1, initial=0.0)
-
-
-def _farthest(space: MetricSpace, tups, out):
-    """max_i d(x_i, out) for each tuple of an (m, n, dim) array and its
-    point ``out``, as Python's max takes it: NaN when the first distance
-    is, else the largest."""
-    import numpy as np
-
-    return _first_nan_or(np.fmax, space, tups, out)
-
-
-def _nearest(space: MetricSpace, tups, out):
-    """min_i d(x_i, out) for each tuple of an (m, n, dim) array and its
-    point ``out``, as Python's min takes it: NaN when the first distance
-    is, else the smallest."""
-    import numpy as np
-
-    return _first_nan_or(np.fmin, space, tups, out)
-
-
-def _first_nan_or(reduce, space: MetricSpace, tups, out):
-    """The distances from each tuple's points to its ``out``, reduced by
-    the NaN-skipping ``reduce`` unless the first of them is NaN: Python's
-    max and min keep a first NaN and skip any later one."""
-    import numpy as np
-
-    dist = _distances(space, tups, np.broadcast_to(out[:, None], tups.shape))
-    return np.where(np.isnan(dist[:, 0]), dist[:, 0], reduce.reduce(dist, axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +148,8 @@ def estimate_lambda(p: QuasiMeanMap, cfg: LambdaConfig = LambdaConfig()) -> Lamb
     """
     if p.arity == 2 and isinstance(p.space, Interval):
         return _estimate_grid(p, cfg)
+    from .search import _estimate_random
+
     return _estimate_random(p, cfg)
 
 
@@ -527,252 +193,6 @@ def _estimate_grid(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
     return LambdaEstimate(lam, ((x,), (y,)), count, cfg.excluded_diameter, route=scan.route)
 
 
-def _start_tuple(p: QuasiMeanMap, rng, above: Optional[float]) -> tuple:
-    """A tuple sampled from ``rng``; with ``above`` set, the first of up to
-    1000 whose diameter exceeds it."""
-    for _ in range(1000):
-        tup = tuple(p.space.sample(rng, p.arity))
-        if above is None or diameter(p.space, tup) > above:
-            return tup
-    raise SamplingError("could not sample a tuple with diameter above the excluded radius")
-
-
-def _perturb_tuple(space: MetricSpace, tup: tuple, rng, scale: float) -> tuple:
-    moved = []
-    for pt in tup:
-        coords = tuple(c + rng.uniform(-scale, scale) for c in pt)
-        moved.append(space.project(coords))
-    return tuple(moved)
-
-
-def _climb(space: MetricSpace, objective: Callable, tup: tuple, rng, scale: float,
-           steps: int, floor: float = 0.0) -> tuple:
-    """Hill-climb ``objective`` from ``tup`` through at most ``steps``
-    perturbations of size ``scale``: a strictly better candidate is taken,
-    any other shrinks the scale by 0.7, and the climb stops once the scale
-    falls below ``floor``. Returns the final tuple, its value and the
-    number of objective evaluations."""
-    val = objective(tup)
-    evals = 1
-    for _ in range(steps):
-        cand = _perturb_tuple(space, tup, rng, scale)
-        cval = objective(cand)
-        evals += 1
-        if cval > val:
-            tup, val = cand, cval
-        else:
-            scale *= 0.7
-            if scale < floor:
-                break
-    return tup, val, evals
-
-
-def _estimate_random(p: QuasiMeanMap, cfg: LambdaConfig) -> LambdaEstimate:
-    """Random+hill: restarts (``_search``) that each draw a start tuple
-    above the excluded radius and climb the ratio HILL_STEPS steps; the
-    first maximum in restart order wins. The planned evaluations, restarts
-    x (HILL_STEPS + 1), are checked against WORK_CAP before the first draw."""
-    restarts = max(1, cfg.restarts)
-    # _climb with no scale floor evaluates every start and step
-    samples = restarts * (HILL_STEPS + 1)
-    require_work(f"random+hill estimate of {p.label} ({restarts} restarts)", samples)
-    excluded = cfg.excluded_diameter
-
-    def ratio(tup):
-        diam = diameter(p.space, tup)
-        return _ratio(p, tup, diam) if diam > 0.0 and diam > excluded else -math.inf
-
-    def ratios(tups):
-        # -inf at or below the excluded radius, where p is not evaluated
-        import numpy as np
-
-        diam = _diameters(p.space, tups)
-        keep = (diam > 0.0) & (diam > excluded)
-        val = np.full(len(tups), -np.inf)
-        if keep.any():
-            x = tups[keep]
-            out = p.apply([x[:, i] for i in range(p.arity)])
-            val[keep] = _farthest(p.space, x, out) / diam[keep]
-        return val
-
-    tup, val, _, route = _search(p, as_rng(cfg.seed), samples, excluded, ratio, ratios,
-                                 steps=HILL_STEPS)
-    if tup is None:
-        raise SamplingError("no usable tuple found during random lambda estimation")
-    return LambdaEstimate(val, tup, samples, excluded, method="random+hill", route=route)
-
-
-# ---------------------------------------------------------------------------
-# restart searches: random+hill and the solomonic search
-
-
-def _search(p: QuasiMeanMap, rng, budget: int, above: Optional[float], objective: Callable,
-            values: Callable, steps: Optional[int] = None, floor: float = 0.0,
-            stop: float = math.inf) -> tuple:
-    """Hill-climbing restarts that spend ``budget`` evaluations of
-    ``objective``, or end at the first restart whose value exceeds ``stop``.
-
-    Restart k draws its start tuple (``_start_tuple`` with ``above``) and
-    its steps from its own substream, Xoshiro256StarStar(seed_k), where
-    seed_k is the k-th ``next_u64`` of ``rng``, and climbs (``_climb``) from
-    a scale of 0.25 x extent down to ``floor``, for at most ``steps`` steps
-    (None: as many as the budget leaves). From SEARCH_BLOCK_BUDGET on a
-    space with coordinate bounds, blocks of restarts climb in lockstep
-    (``_lockstep_climbs``) on ``values``, the objective on an (m, n, dim)
-    array of tuples; the result and ``rng``'s final state equal the scalar
-    loop's bit for bit. Returns the first maximum's tuple (None when no
-    value exceeded -inf) and value, the evaluations spent and the route:
-    the lane, restarts and blocks the search took."""
-    scale = 0.25 * p.space.extent()
-    steps = budget if steps is None else steps
-
-    def climb(seed: int, cap: int) -> tuple:
-        sub = Xoshiro256StarStar(seed)
-        return _climb(p.space, objective, _start_tuple(p, sub, above), sub, scale, cap, floor)
-
-    bounds = coordinate_bounds(p.space)
-    lockstep = bounds is not None and budget >= SEARCH_BLOCK_BUDGET
-    best_tup, best_val, evals, restarts, blocks = None, -math.inf, 0, 0, 0
-    while evals < budget and best_val <= stop:
-        blocks += 1
-        left = budget - evals
-        climbs = (_lockstep_climbs(p, bounds, rng, left, scale, steps, floor, above, values,
-                                   climb)
-                  if lockstep else [climb(rng.next_u64(), min(steps, left - 1))])
-        for tup, val, used in climbs:
-            restarts += 1
-            evals += used
-            if val > best_val:
-                best_val, best_tup = val, tup
-            if best_val > stop:
-                break
-    route = (f"lockstep substreams, {restarts} restarts in {blocks} "
-             f"block{'' if blocks == 1 else 's'}" if lockstep
-             else f"scalar substreams, {restarts} restarts")
-    return best_tup, best_val, evals, route
-
-
-def _fewest_climb_evals(scale: float, floor: float, limit: int) -> int:
-    """The fewest evaluations after which ``_climb`` from ``scale`` stops
-    at ``floor``: its start and one failed step per shrink by 0.7 until the
-    scale is below the floor; ``limit`` when that takes more. An inf scale
-    or a floor of 0 never stops; from a finite scale a positive floor is
-    passed within about 2,100 shrinks, where the scale reaches 0."""
-    if not (math.isfinite(scale) and floor > 0.0):
-        return limit
-    evals = 1
-    while evals < limit:
-        evals += 1
-        scale *= 0.7
-        if scale < floor:
-            break
-    return evals
-
-
-def _lockstep_climbs(p: QuasiMeanMap, bounds: tuple, rng, remaining: int, scale: float,
-                     steps: int, floor: float, above: Optional[float], values: Callable,
-                     climb: Callable):
-    """The search's next restarts as its scalar loop climbs them, as
-    (tuple, value, evaluations) in restart order, up to ``remaining``
-    evaluations; each restart draws its seed from ``rng`` as it is yielded.
-
-    One block of restarts climbs in lockstep (``_climb_lanes``) on seeds
-    read ahead of ``rng``: enough restarts to spend ``remaining`` if each
-    stopped as early as a climb can, and at most BLOCK_FLOATS coordinates of
-    their tuples, or of their tuples' point pairs where there are more.
-    Restart k is capped at ``steps`` and at what k climbs as short as
-    possible leave. A restart whose start tuple ``_start_tuple`` would draw
-    again, and the first restart that crosses ``remaining``, climb again
-    through ``climb``, the scalar loop, on their own seeds."""
-    import numpy as np
-
-    n = p.arity
-    fewest = _fewest_climb_evals(scale, floor, min(remaining, steps + 1))
-    floats = max(n, n * (n - 1) // 2) * p.space.dim
-    count = min(-(-remaining // fewest), max(1, BLOCK_FLOATS // floats))
-    ahead = Xoshiro256StarStar(0)
-    ahead.setstate(rng.getstate())
-    seeds = [ahead.next_u64() for _ in range(count)]
-    caps = np.minimum(steps, remaining - 1 - fewest * np.arange(count))
-    tups, vals, used, redo = _climb_lanes(p, bounds, seeds, caps, scale, floor, above, values)
-    spent = 0
-    for k in range(count):
-        left = remaining - spent
-        if left <= 0:
-            return
-        seed = rng.next_u64()
-        if redo[k] or used[k] > left:
-            found = climb(seed, min(steps, left - 1))
-        else:
-            found = tuple(map(tuple, tups[k].tolist())), float(vals[k]), int(used[k])
-        spent += found[2]
-        yield found
-
-
-def _climb_lanes(p: QuasiMeanMap, bounds: tuple, seeds: list, caps, scale: float,
-                 floor: float, above: Optional[float], values: Callable) -> tuple:
-    """``_climb`` of each seed's restart, all in lockstep on arrays:
-    restart k samples its start tuple from Xoshiro256StarStar(seeds[k]),
-    draws its steps from the same substream and stops at the scale
-    ``floor`` or after caps[k] steps. Each operation is the scalar loop's
-    (``sample``, ``_perturb_tuple``, ``project``, ``_climb``) on arrays,
-    and ``values`` is the objective on an (m, n, dim) array of tuples.
-    Returns the final tuples, shaped (restart, point, coordinate), their
-    values, each restart's evaluations and whether its start tuple's
-    diameter is at or below ``above``, where ``_start_tuple`` draws again."""
-    import numpy as np
-
-    lo, hi = (np.array(b) for b in bounds)
-    n, dim, count = p.arity, len(lo), len(seeds)
-
-    def draws(states):
-        return doubles(lane_draws(states, n * dim)).reshape(-1, n, dim)
-
-    final = np.empty((count, n, dim))
-    final_vals = np.empty(count)
-    used = np.empty(count, dtype=np.int64)
-    live = np.arange(count)
-    states = substream_lanes(seeds)
-    with np.errstate(all="ignore"):
-        tups = lo + (hi - lo) * draws(states)
-        redo = np.zeros(count, dtype=bool)
-        if above is not None:
-            redo = ~(_diameters(p.space, tups) > above)
-        vals = values(tups)
-        scales = np.full(count, scale)
-        steps = 0
-        stop = caps <= 0
-        while True:
-            if stop.any():
-                final[live[stop]], final_vals[live[stop]] = tups[stop], vals[stop]
-                used[live[stop]] = steps + 1
-                go = ~stop
-                live, tups, vals, scales, caps = live[go], tups[go], vals[go], scales[go], caps[go]
-                states = states[:, go]
-                if not live.size:
-                    return final, final_vals, used, redo
-            cand = _perturbed(tups, scales[:, None, None], draws(states), lo, hi)
-            cvals = values(cand)
-            better = cvals > vals
-            tups = np.where(better[:, None, None], cand, tups)
-            vals = np.where(better, cvals, vals)
-            scales = np.where(better, scales, scales * 0.7)
-            steps += 1
-            stop = (scales < floor) | (caps <= steps)
-
-
-def _perturbed(tups, scales, r, lo, hi):
-    """``_perturb_tuple`` on arrays: each coordinate c of ``tups`` moves to
-    c + uniform(-scale, scale) on its double in ``r``, then ``project``
-    clips it as min(max(c, lo), hi), keeping max's and min's picks on ties
-    and signed zeros."""
-    import numpy as np
-
-    cand = tups + (-scales + (scales - -scales) * r)
-    cand = np.where(lo > cand, lo, cand)
-    return np.where(hi < cand, hi, cand)
-
-
 # ---------------------------------------------------------------------------
 # derived constructions
 
@@ -809,82 +229,6 @@ def collapse_to_quasi_mean(p: QuasiMeanMap) -> QuasiMeanMap:
         batch = lambda arrays: p.batch([arrays[0]] + [arrays[1]] * tail)
     return QuasiMeanMap(2, p.space, func, f"{p.label}/collapsed", batch=batch,
                         symmetric=p.symmetric and p.arity == 2)
-
-
-def orbit_average_point(p: QuasiMeanMap, action: GroupAction, x, tol: float = DEFAULT_TOL,
-                        subgroup: Optional[Subgroup] = None) -> Point:
-    """Aggregate the H-orbit images p(g_1 x, ..., g_n x); for an
-    anonymous equivariant p the result is H-fixed, which is verified."""
-    from .groups import fixed_defect, full_subgroup
-
-    H = subgroup if subgroup is not None else full_subgroup(action.group)
-    if p.arity != H.order:
-        raise ValueError(f"mean arity {p.arity} != subgroup order {H.order}")
-    x = as_point(x)
-    x0 = p.eval([action.act(g, x) for g in H.members])
-    require("orbit average fixed-point",
-            law_report("fixed-point", [(fixed_defect(action, H.members, x0), (x0,))], tol))
-    return x0
-
-
-# ---------------------------------------------------------------------------
-# witness search for far-from-every-argument outputs
-
-
-class SolomonicSearch(NamedTuple):
-    target: float
-    witness: Optional[tuple]
-    best_margin: float
-    evaluations: int
-    # the lane, restarts and blocks the search took; logged, never reported
-    route: str = ""
-
-    __eq__ = lambda self, other: _but_route(self) == _but_route(other)
-    __ne__ = lambda self, other: _but_route(self) != _but_route(other)
-    __hash__ = lambda self: hash(_but_route(self))
-
-    @property
-    def found(self) -> bool:
-        return self.witness is not None
-
-    def to_json(self) -> dict:
-        fields = self._asdict()
-        del fields["route"]
-        witness = None if self.witness is None else [list(p) for p in self.witness]
-        return {**fields, "found": self.found, "witness": witness}
-
-
-def solomonic_witness_search(p: QuasiMeanMap, K: float, budget: int = 20000,
-                             seed_or_rng=3) -> SolomonicSearch:
-    """Search for a tuple whose aggregate lands more than K away from
-    every argument; reports the best margin when none is found.
-
-    Restarts (``_search``) hill-climb the minimum distance from a scale of
-    0.25 x extent down to a floor of 1e-12 x extent, each capped at the
-    evaluations the budget has left, and the first restart whose margin
-    exceeds K ends the search. Restart k climbs on its own substream,
-    Xoshiro256StarStar(seed_k), where seed_k is the k-th ``next_u64`` of
-    the generator from ``seed_or_rng``. The budget is checked against
-    WORK_CAP before the first draw, and SamplingError is raised when no
-    margin was a number."""
-    if not K > 0:
-        raise ValueError("K must be positive")
-    require_work(f"solomonic-search of {p.label} (its budget)", budget)
-
-    def margin(tup) -> float:
-        out = p.eval(list(tup))
-        return min(p.space.d(x, out) for x in tup)
-
-    def margins(tups):
-        return _nearest(p.space, tups, p.apply([tups[:, i] for i in range(p.arity)]))
-
-    tup, val, evals, route = _search(p, as_rng(seed_or_rng), budget, None, margin, margins,
-                                     floor=1e-12 * p.space.extent(), stop=K)
-    if tup is None:
-        raise SamplingError("no usable tuple found during the solomonic search: "
-                            "every margin was NaN")
-    return SolomonicSearch(K, tup if val > K else None, val, evals,
-                           f"{route}, {evals} evaluations")
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import math
 from operator import gt
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from ._readers import (_coordinates, _list_of, _number, _numbers, _object, _positive,
                        _one_of, _read_fields, _read_kinded, _within)
 from .errors import MembershipError
-from .rng import Xoshiro256StarStar, as_rng
+
+if TYPE_CHECKING:
+    from .rng import Xoshiro256StarStar
 
 Point = tuple  # tuple[float, ...]
 
@@ -195,6 +197,10 @@ class MetricSpace:
         raise NotImplementedError
 
     def sample(self, seed_or_rng, count: int) -> list[Point]:
+        # imported here, as a run that draws nothing (a grid scan) need not
+        # compile the generator
+        from .rng import as_rng
+
         rng = as_rng(seed_or_rng)
         return [self._sample_one(rng) for _ in range(count)]
 

@@ -17,18 +17,16 @@ from equimean.homotopy import (
     verify_claim1,
     verify_holder,
 )
+from equimean.laws import (check_strict_betweenness, contractivity_ratio, orbit_average_point,
+                           sample_tuples)
 from equimean.means import (
     LambdaConfig,
     arithmetic_mean,
-    check_strict_betweenness,
     collapse_to_quasi_mean,
-    contractivity_ratio,
     derive_divisor_mean,
     estimate_lambda,
     geometric_mean,
     min_plus_halfsquare_mean,
-    orbit_average_point,
-    sample_tuples,
 )
 from equimean.rng import Xoshiro256StarStar
 from equimean.spaces import Box, Interval

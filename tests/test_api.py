@@ -22,13 +22,14 @@ PUBLIC_API = {
     "homotopy": ["ContractionBuilder", "GHomotopy", "HolderReport", "LevelBoundReport",
                  "equivariant_contraction", "fixed_set_deformation", "straight_line_extension",
                  "symmetrize", "verify_claim1", "verify_holder"],
-    "means": ["LambdaConfig", "LambdaEstimate", "LawReport", "QuasiMeanMap", "SolomonicSearch",
-              "arithmetic_mean", "check_anonymity", "check_equivariance", "check_laws",
-              "check_strict_betweenness", "check_unanimity", "collapse_to_quasi_mean",
-              "constant_mean", "contractivity_ratio", "derive_divisor_mean", "dictator_mean",
-              "estimate_lambda", "geometric_mean", "mean_from_name", "min_plus_halfsquare_mean",
-              "orbit_average_point", "quasi_mean", "sample_tuples", "solomonic_witness_search"],
+    "laws": ["LawReport", "check_anonymity", "check_equivariance", "check_laws",
+             "check_strict_betweenness", "check_unanimity", "contractivity_ratio",
+             "orbit_average_point", "quasi_mean", "sample_tuples"],
+    "means": ["LambdaConfig", "LambdaEstimate", "QuasiMeanMap", "arithmetic_mean",
+              "collapse_to_quasi_mean", "constant_mean", "derive_divisor_mean", "dictator_mean",
+              "estimate_lambda", "geometric_mean", "mean_from_name", "min_plus_halfsquare_mean"],
     "rng": ["Xoshiro256StarStar", "as_rng"],
+    "search": ["SolomonicSearch", "solomonic_witness_search"],
     "spaces": ["Box", "Circle", "FinitePoints", "Interval", "MetricSpace", "Point", "Product",
                "as_point", "distance", "is_convex", "space_from_json", "tuple_diameter"],
 }

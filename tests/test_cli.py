@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import equimean
-from equimean import cli, homotopy
+from equimean import _dyadic_runners, cli, homotopy
 from equimean.cli import ConfigError, load_config, main
 from equimean.errors import CapacityError
 from equimean.rng import Xoshiro256StarStar
@@ -316,8 +316,8 @@ def test_a_solomonic_search_above_the_gate_loads_numpy(tmp_path):
     config = write_config(tmp_path, cfg)
     child = textwrap.dedent(f"""
         import sys
-        import equimean.cli, equimean.means
-        assert equimean.means.SEARCH_BLOCK_BUDGET <= 20_000
+        import equimean.cli, equimean.search
+        assert equimean.search.SEARCH_BLOCK_BUDGET <= 20_000
         assert equimean.cli.main(["solomonic-search", "--config", {config!r},
                                   "--out", {str(tmp_path / "out")!r}]) == 0
         assert "numpy" in sys.modules
@@ -545,11 +545,13 @@ def no_at_time(monkeypatch):
 
 def test_build_homotopy_times_cap(tmp_path, no_at_time):
     cfg = {"space": INTERVAL01, "mean": "arithmetic:2", "lambda": 0.5, "theta": [0.0],
-           "x": [1.0], "times": cli.TIMES_CAP}
+           "x": [1.0], "times": _dyadic_runners.TIMES_CAP}
     with pytest.raises(LookupError, match="at_times reached"):
-        cli.run_build_homotopy(cfg, tmp_path)
-    with pytest.raises(CapacityError, match=f"times {cli.TIMES_CAP + 1} exceed the cap"):
-        cli.run_build_homotopy({**cfg, "times": cli.TIMES_CAP + 1}, tmp_path)
+        _dyadic_runners.run_build_homotopy(cfg, tmp_path)
+    with pytest.raises(CapacityError,
+                       match=f"times {_dyadic_runners.TIMES_CAP + 1} exceed the cap"):
+        _dyadic_runners.run_build_homotopy({**cfg, "times": _dyadic_runners.TIMES_CAP + 1},
+                                           tmp_path)
 
 
 def test_build_homotopy_over_times_cap_exits_2(tmp_path, capsys, no_at_time):
@@ -557,7 +559,7 @@ def test_build_homotopy_over_times_cap_exits_2(tmp_path, capsys, no_at_time):
            "x": [1.0], "times": 10**12}
     code, outdir = run(tmp_path, "build-homotopy", cfg)
     assert code == 2
-    assert f"exceed the cap {cli.TIMES_CAP}" in capsys.readouterr().err
+    assert f"exceed the cap {_dyadic_runners.TIMES_CAP}" in capsys.readouterr().err
     assert not (outdir / "report.json").exists()
 
 
@@ -1286,6 +1288,7 @@ DEFORM_SPACE = "Box(lo=[-1.0, -1.0], hi=[1.0, 1.0])"
 SYMMETRIZE_SPACE = "Interval(a=-1.0, b=1.0)"
 DYADIC_NEEDS = "dyadic base homotopy requires the field base_homotopy.{}"
 POINTS = "a list of lists of numbers, one point or more, all of one dimension"
+PERMS = "a list of permutations of 0..n - 1, the identity first"
 # (golden config, edit, what stderr must say): each edit is a config error,
 # which must exit 2 with a message naming its key
 MISCONFIGURED = {
@@ -1317,14 +1320,15 @@ MISCONFIGURED = {
                             f"{name} action requires the field action.{key}")
        for name, key in (("reflection", "axis"), ("plane_rotation", "n"),
                          ("coordinate_permutation", "perms"))},
-    "action-perms-flat": ("deform", lambda cfg: cfg.update(action={
-                              "name": "coordinate_permutation", "perms": [0, 1]}),
-                          "coordinate_permutation action field action.perms must be a list of "
-                          "lists of integers, got [0, 1]"),
-    "action-perms-not-permutations": ("deform", lambda cfg: cfg.update(action={
-                                          "name": "coordinate_permutation",
-                                          "perms": [[0, 1], [5, 0]]}),
-                                      "perms[1] = [5, 0] is not a permutation of 0..1"),
+    **{f"action-perms-{case}": ("deform", lambda cfg, perms=perms: cfg.update(action={
+                                    "name": "coordinate_permutation", "perms": perms}),
+                                "coordinate_permutation action field action.perms must be "
+                                f"{PERMS}, got {perms!r}")
+       for case, perms in (("flat", [0, 1]), ("not-permutations", [[0, 1], [5, 0]]),
+                           ("identity-not-first", [[1, 0], [0, 1]]))},
+    "action-rotation-box": ("deform", lambda cfg: cfg.update(action={"name": "rotation", "n": 2}),
+                            "action name 'rotation' at action.name needs a circle space, "
+                            f"got {DEFORM_SPACE}"),
     "action-no-name": ("deform", lambda cfg: cfg["action"].pop("name"),
                        "action requires the field action.name"),
     "action-name-x": ("deform", lambda cfg: cfg["action"].update(name="x"),
@@ -1557,17 +1561,20 @@ def test_a_start_point_outside_the_space_exits_2(tmp_path, capsys, command):
 # the equimean modules a fresh process holds after ``import equimean.cli`` and
 # one run: each run compiles only the modules its experiment uses
 STARTUP_MODULES = {"equimean", "equimean.cli", "equimean.errors", "equimean._readers"}
-MEANS_MODULES = STARTUP_MODULES | {"equimean.means", "equimean.rng", "equimean.spaces"}
-HOMOTOPY_MODULES = MEANS_MODULES | {"equimean.homotopy", "equimean.dyadics"}
+MEANS_MODULES = STARTUP_MODULES | {"equimean.means", "equimean.spaces"}
+LAWS_MODULES = MEANS_MODULES | {"equimean.laws", "equimean.rng"}
+SEARCH_MODULES = LAWS_MODULES | {"equimean.search"}
+HOMOTOPY_MODULES = LAWS_MODULES | {"equimean.homotopy", "equimean.dyadics",
+                                   "equimean._dyadic_runners"}
 RUN_MODULES = {
     "chain": STARTUP_MODULES | {"equimean.dyadics"},
-    "solomonic": MEANS_MODULES,
-    "random-lambda": MEANS_MODULES,
-    "random-lambda-product": MEANS_MODULES,
-    "random-lambda-retry": MEANS_MODULES,
-    "laws-transpositions": MEANS_MODULES,
-    "laws": MEANS_MODULES | {"equimean.groups"},
-    "laws-dictator": MEANS_MODULES | {"equimean.groups"},
+    "solomonic": SEARCH_MODULES,
+    "random-lambda": SEARCH_MODULES,
+    "random-lambda-product": SEARCH_MODULES,
+    "random-lambda-retry": SEARCH_MODULES,
+    "laws-transpositions": LAWS_MODULES,
+    "laws": LAWS_MODULES | {"equimean.groups"},
+    "laws-dictator": LAWS_MODULES | {"equimean.groups"},
     "trajectory-understated": HOMOTOPY_MODULES,
     "verify-claim1": HOMOTOPY_MODULES,
     "verify-holder": HOMOTOPY_MODULES,
@@ -1622,9 +1629,44 @@ def test_each_run_loads_only_its_modules(tmp_path, name):
         assert not loaded & DATACLASS_MODULES
 
 
+def imported_names(path: Path) -> set:
+    """The modules that the import statements of a source file name:
+    ``dataclasses`` for ``import dataclasses`` and ``from dataclasses import
+    field``, ``cli`` for ``from .cli import main`` and ``from . import cli``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            prefix = f"{node.module}." if node.module else ""
+            names.update([node.module] + [prefix + a.name for a in node.names])
+    return names
+
+
 def test_no_module_imports_dataclasses():
     for path in Path(equimean.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
-                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
-            assert "dataclasses" not in names, path.name
+        assert "dataclasses" not in imported_names(path), path.name
+
+
+def test_no_module_imports_the_cli():
+    # under ``python -m equimean.cli`` the CLI runs as ``__main__``: a module
+    # that imported equimean.cli would compile it again, with a second
+    # ConfigError class that main would not catch
+    for path in Path(equimean.__file__).parent.glob("*.py"):
+        assert not imported_names(path) & {"cli", "equimean.cli"}, path.name
+
+
+@pytest.mark.parametrize("experiment, cfg, message", [
+    # raised in _dyadic_runners, through _readers._need
+    ("verify-claim1", {"space": INTERVAL01, "mean": "arithmetic:2", "theta": [0.0]},
+     "verify-claim1 requires the config field 'lambda'"),
+    ("estimate-lambda", {"space": INTERVAL01, "mean": "arithmetic:2",
+                         "expect_lambda": [0.6, 0.4]},
+     "config field expect_lambda must be a range [lo, hi] with lo <= hi, got [0.6, 0.4]"),
+])
+def test_a_config_error_under_python_m_exits_2_with_its_message(tmp_path, experiment, cfg,
+                                                                 message):
+    out = run_child("-m", "equimean.cli", experiment, "--config", write_config(tmp_path, cfg),
+                    "--out", str(tmp_path / "out"))
+    assert (out.returncode, out.stderr) == (2, f"equimean: {message}\n")
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -850,7 +850,7 @@ def test_fixed_set_deformation_reflection():
 
 def test_fixed_set_deformation_stationary_on_orbit_averages():
     # fixed points built by orbit averaging stay put for every time
-    from equimean.means import orbit_average_point
+    from equimean.laws import orbit_average_point
 
     box, act, retract, ext = _reflection_setup()
     H = full_subgroup(act.group)

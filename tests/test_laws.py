@@ -1,4 +1,4 @@
-"""The two lanes of ``means.check_laws``: the scalar ``check_*`` loop and
+"""The two lanes of ``laws.check_laws``: the scalar ``check_*`` loop and
 the array lane, which must write the same reports and raise the same
 errors."""
 
@@ -11,20 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimean import _law_arrays, means
+from equimean import _law_arrays, laws
 from equimean.cli import main
 from equimean.errors import CapacityError, SamplingError
 from equimean.groups import GroupAction, Subgroup, action_from_json, cyclic
 from equimean._law_arrays import check_laws_array, sample_blocks, transpositions
-from equimean.means import (
-    QuasiMeanMap,
-    _check_laws_scalar,
-    _permutations_to_check,
-    check_laws,
-    law_evals,
-    mean_from_name,
-    sample_tuples,
-)
+from equimean.laws import (_check_laws_scalar, _permutations_to_check, check_laws, law_evals,
+                           sample_tuples)
+from equimean.means import QuasiMeanMap, mean_from_name
 from equimean.rng import Xoshiro256StarStar
 from equimean.spaces import Box, Circle, FinitePoints, Interval, Product
 
@@ -187,7 +181,7 @@ def test_the_array_lane_writes_the_golden_law_reports(tmp_path, monkeypatch, nam
         return check_laws_array(p, laws, *args)
 
     # every planned count reaches the array lane
-    monkeypatch.setattr(means, "LAW_BLOCK_EVALS", 0)
+    monkeypatch.setattr(laws, "LAW_BLOCK_EVALS", 0)
     monkeypatch.setattr(_law_arrays, "check_laws_array", spy)
     config = GOLDEN / f"{name}.json"
     cfg = json.loads(config.read_text())
@@ -226,7 +220,7 @@ def test_law_blocks_bound_the_floats_of_each_draw_and_batch(monkeypatch, arity, 
     monkeypatch.setattr(_law_arrays, "BLOCK_FLOATS", floats)
     p = mean_from_name(f"arithmetic:{arity}", BOX)
     action = action_from_json({"name": "plane_rotation", "n": 4}, BOX)
-    assert law_evals(p, LAWS, count, action) >= means.LAW_BLOCK_EVALS
+    assert law_evals(p, LAWS, count, action) >= laws.LAW_BLOCK_EVALS
     orders = math.factorial(arity) if arity <= 5 else arity * arity
     bound = max(floats, orders * arity * BOX.dim)
     draws, batches = [], []
@@ -287,7 +281,7 @@ def test_a_run_over_the_work_cap_raises_before_its_first_draw(monkeypatch):
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(_law_arrays, "sample_blocks", no_draws)
-    monkeypatch.setattr(means, "sample_tuples", no_draws)
+    monkeypatch.setattr(laws, "sample_tuples", no_draws)
     p = mean_from_name("arithmetic:2000", UNIT)
     with pytest.raises(CapacityError, match=r"plans 80000000000 mean evaluations, "
                                             r"over the cap 1000000000"):
@@ -301,7 +295,7 @@ def test_small_checks_take_the_scalar_loop(monkeypatch):
     monkeypatch.setattr(_law_arrays, "check_laws_array", no_arrays)
     p = mean_from_name("arithmetic:2", SYM)
     planned = law_evals(p, ["M1", "M2"], 100)
-    assert planned < means.LAW_BLOCK_EVALS
+    assert planned < laws.LAW_BLOCK_EVALS
     assert check_laws(p, ["M1", "M2"], 1, 100)["M2"].passed
 
 

@@ -6,39 +6,40 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equimean import _kernels, means
+from equimean import _kernels, laws, means, search
 from equimean.errors import CapacityError, HypothesisError, MembershipError, SamplingError
 from equimean.groups import negation_action, plane_rotation_action, reflection_action
-from equimean.means import (
-    LambdaConfig,
-    LambdaEstimate,
-    QuasiMeanMap,
-    SolomonicSearch,
-    WORK_CAP,
-    _grid_points,
-    arithmetic_mean,
+from equimean.laws import (
     check_anonymity,
     check_contractivity,
     check_equivariance,
     check_laws,
     check_strict_betweenness,
     check_unanimity,
+    contractivity_ratio,
+    orbit_average_point,
+    quasi_mean,
+    require_mean_laws,
+    sample_tuples,
+)
+from equimean.means import (
+    LambdaConfig,
+    LambdaEstimate,
+    QuasiMeanMap,
+    WORK_CAP,
+    _grid_points,
+    arithmetic_mean,
     collapse_to_quasi_mean,
     constant_mean,
-    contractivity_ratio,
     derive_divisor_mean,
     dictator_mean,
     estimate_lambda,
     geometric_mean,
     mean_from_name,
     min_plus_halfsquare_mean,
-    orbit_average_point,
-    quasi_mean,
-    require_mean_laws,
-    sample_tuples,
-    solomonic_witness_search,
 )
 from equimean.rng import Xoshiro256StarStar, as_rng
+from equimean.search import SolomonicSearch, solomonic_witness_search
 from equimean.spaces import Box, Circle, FinitePoints, Interval, Product, coordinate_bounds
 
 UNIT = Interval(0.0, 1.0)
@@ -304,7 +305,7 @@ def test_lambda_monotone_under_grid_refinement():
 
 def test_lambda_random_lane_close_to_grid():
     p = geometric_mean(Interval(1.0, 4.0))
-    est = means._estimate_random(p, LambdaConfig(restarts=60, seed=12))
+    est = search._estimate_random(p, LambdaConfig(restarts=60, seed=12))
     assert est.method == "random+hill"
     assert 0.55 <= est.lambda_hat <= 2.0 / 3.0 + 1e-9
 
@@ -683,7 +684,7 @@ def _solomonic(p, K, budget):
 
 
 def _random_hill(p, restarts):
-    return lambda rng: means._estimate_random(p, LambdaConfig(restarts=restarts, seed=rng))
+    return lambda rng: search._estimate_random(p, LambdaConfig(restarts=restarts, seed=rng))
 
 
 def _search(run, seed, gate):
@@ -692,7 +693,7 @@ def _search(run, seed, gate):
     lockstep gate at ``gate``."""
     rng = Xoshiro256StarStar(seed)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(means, "SEARCH_BLOCK_BUDGET", gate)
+        mp.setattr(search, "SEARCH_BLOCK_BUDGET", gate)
         try:
             result = run(rng)
         except SamplingError as exc:
@@ -713,8 +714,8 @@ def _assert_search_lanes_agree(run, seed):
 def _scalar_climbs(monkeypatch):
     """The step caps of the climbs that run through the scalar loop."""
     steps = []
-    climb = means._climb
-    monkeypatch.setattr(means, "_climb", lambda *args: steps.append(args[5]) or climb(*args))
+    climb = search._climb
+    monkeypatch.setattr(search, "_climb", lambda *args: steps.append(args[5]) or climb(*args))
     return steps
 
 
@@ -731,12 +732,12 @@ SEARCH_MAPS = {
     "nan-on-half": lambda space: _nan_on_half(space, 2),
 }
 # BLOCK_FLOATS 1 and 24 split the restarts into several blocks
-BLOCK_SIZES = st.sampled_from([means.BLOCK_FLOATS, 1, 24])
+BLOCK_SIZES = st.sampled_from([search.BLOCK_FLOATS, 1, 24])
 
 
 def _fewest(space):
     extent = space.extent()
-    return means._fewest_climb_evals(0.25 * extent, 1e-12 * extent, WORK_CAP)
+    return search._fewest_climb_evals(0.25 * extent, 1e-12 * extent, WORK_CAP)
 
 
 @settings(max_examples=60, deadline=None)
@@ -753,7 +754,7 @@ def test_solomonic_lanes_agree(space, name, budget, reachable, block_floats, see
     elif budget == "fewest+1":
         budget = min(_fewest(space), 1199) + 1
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(means, "BLOCK_FLOATS", block_floats)
+        mp.setattr(search, "BLOCK_FLOATS", block_floats)
         _assert_search_lanes_agree(_solomonic(SEARCH_MAPS[name](space), K, budget), seed)
 
 
@@ -763,7 +764,7 @@ def test_solomonic_lanes_agree(space, name, budget, reachable, block_floats, see
        block_floats=BLOCK_SIZES, seed=st.integers(0, 2 ** 64 - 1))
 def test_random_hill_lanes_agree(space, name, restarts, block_floats, seed):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(means, "BLOCK_FLOATS", block_floats)
+        mp.setattr(search, "BLOCK_FLOATS", block_floats)
         _assert_search_lanes_agree(_random_hill(SEARCH_MAPS[name](space), restarts), seed)
 
 
@@ -791,12 +792,12 @@ def test_lambda_lockstep_matches_the_scalar_loop(monkeypatch, make, restarts, se
     assert method == ("grid" if interval else "random+hill")
     report = _assert_search_lanes_agree(_random_hill(p, restarts), seed)
     steps = _scalar_climbs(monkeypatch)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
-    est = means._estimate_random(p, LambdaConfig(restarts=restarts, seed=seed))
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
+    est = search._estimate_random(p, LambdaConfig(restarts=restarts, seed=seed))
     # every restart climbed in the lockstep, none through the scalar loop
     assert est.route == f"lockstep substreams, {restarts} restarts in 1 block"
     assert steps == []
-    assert json.loads(report)["samples"] == restarts * (means.HILL_STEPS + 1)
+    assert json.loads(report)["samples"] == restarts * (search.HILL_STEPS + 1)
     assert not math.isnan(est.lambda_hat)  # a NaN never wins
 
 
@@ -809,31 +810,31 @@ def test_lambda_lockstep_block_with_a_retry_runs_the_scalar_loop(monkeypatch, se
     run = _random_hill(arithmetic_mean(RETRY_BOX, 2), 300)
     _assert_search_lanes_agree(run, seed)
     steps = _scalar_climbs(monkeypatch)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
     assert run(Xoshiro256StarStar(seed)).route == "lockstep substreams, 300 restarts in 1 block"
-    assert steps == ([means.HILL_STEPS] if retried else [])
+    assert steps == ([search.HILL_STEPS] if retried else [])
 
 
 def test_lambda_lockstep_blocks_span_the_restarts(monkeypatch):
     # four restarts of two points on a line a block: 37 restarts take ten
     # blocks, and the eighth holds seed 55's retry, its restart 30
-    monkeypatch.setattr(means, "BLOCK_FLOATS", 4 * 2)
+    monkeypatch.setattr(search, "BLOCK_FLOATS", 4 * 2)
     run = _random_hill(arithmetic_mean(RETRY_BOX, 2), 37)
     _assert_search_lanes_agree(run, 55)
     steps = _scalar_climbs(monkeypatch)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
     assert run(Xoshiro256StarStar(55)).route == "lockstep substreams, 37 restarts in 10 blocks"
-    assert steps == [means.HILL_STEPS]
+    assert steps == [search.HILL_STEPS]
 
 
 def test_lambda_lockstep_block_counts_the_point_pairs_of_a_large_arity(monkeypatch):
     # arity 130 on a line counts its 130 * 129 / 2 point pairs a restart,
     # which the diameter reads, not its 130 points: the cap holds one
     # restart a block, not two
-    monkeypatch.setattr(means, "BLOCK_FLOATS", 2 * 130 * 129 // 2 - 1)
+    monkeypatch.setattr(search, "BLOCK_FLOATS", 2 * 130 * 129 // 2 - 1)
     run = _random_hill(arithmetic_mean(Box([0.0], [1.0]), 130), 3)
     _assert_search_lanes_agree(run, 2)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
     assert run(Xoshiro256StarStar(2)).route == "lockstep substreams, 3 restarts in 3 blocks"
 
 
@@ -858,7 +859,7 @@ def test_solomonic_lockstep_reruns_the_restart_that_crosses_the_budget(monkeypat
     report = _assert_search_lanes_agree(_solomonic(p, K, budget), 1)
     assert json.loads(report)["evaluations"] == budget
     steps = _scalar_climbs(monkeypatch)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
     result = solomonic_witness_search(p, K, budget, 1)
     assert result.route == f"lockstep substreams, {restarts} restarts in 1 block, {budget} evaluations"
     assert steps == rerun
@@ -866,10 +867,10 @@ def test_solomonic_lockstep_reruns_the_restart_that_crosses_the_budget(monkeypat
 
 def test_solomonic_lockstep_blocks_span_the_budget(monkeypatch):
     # two restarts of three 2-D points a block
-    monkeypatch.setattr(means, "BLOCK_FLOATS", 12)
+    monkeypatch.setattr(search, "BLOCK_FLOATS", 12)
     p = arithmetic_mean(Box([-1.0, -1.0], [1.0, 1.0]), 3)
     _assert_search_lanes_agree(_solomonic(p, 5.0, 2000), 3)
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", 0)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", 0)
     route = solomonic_witness_search(p, 5.0, 2000, 3).route
     assert re.fullmatch(r"lockstep substreams, \d+ restarts in \d+ blocks, 2000 evaluations",
                         route)
@@ -883,7 +884,7 @@ def test_solomonic_search_with_no_number_for_a_margin_raises(monkeypatch, gate):
     box = Box([-1.0, -1.0], [1.0, 1.0])
     nan_map = QuasiMeanMap(2, box, lambda points: (math.nan, math.nan), "nan",
                            batch=lambda arrays: np.full(np.broadcast(*arrays).shape, np.nan))
-    monkeypatch.setattr(means, "SEARCH_BLOCK_BUDGET", gate)
+    monkeypatch.setattr(search, "SEARCH_BLOCK_BUDGET", gate)
     with pytest.raises(SamplingError, match="no usable tuple found during the solomonic search"):
         solomonic_witness_search(nan_map, 0.5, 300, 1)
 
@@ -935,7 +936,7 @@ def test_registry_rejects_incompatible_spaces():
 
 def test_quasi_mean_factory_raises_on_unanimity_defect():
     # the defect is that of the worst of 8 points drawn from UNANIMITY_SEED
-    drawn = UNIT.sample(means.UNANIMITY_SEED, 8)
+    drawn = UNIT.sample(laws.UNANIMITY_SEED, 8)
     far = max(drawn, key=lambda x: abs(x[0] - 0.5))
     with pytest.raises(HypothesisError) as failure:
         quasi_mean(2, UNIT, lambda pts: (0.5,), "stuck")
